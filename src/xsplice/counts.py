@@ -201,11 +201,15 @@ def car(p: NoiseParams, avg_power_mw: float) -> float:
     return r["true_coincidences"] / r["accidentals"]
 
 
+def _coincidence_rate(p: NoiseParams, power_mw) -> float:
+    rates = expected_rates(p, power_mw)
+    return rates["true_coincidences"] + rates["accidentals"]
+
+
 _OBSERVABLES = {
     "car": lambda p, pw: car(p, pw),
     "pair_rate": lambda p, pw: expected_rates(p, pw)["pairs"],
-    "coincidence_rate": lambda p, pw: (
-        expected_rates(p, pw)["true_coincidences"] + expected_rates(p, pw)["accidentals"]),
+    "coincidence_rate": _coincidence_rate,
     "singles_signal_rate": lambda p, pw: expected_rates(p, pw)["singles_s"],
     "singles_idler_rate": lambda p, pw: expected_rates(p, pw)["singles_i"],
 }

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .materials import CompensatorMaterial, FiberSpec, SellmeierModel
+from .materials import (CompensatorMaterial, FiberSpec, SellmeierModel,
+                        WavelengthRangeError)
 from .phase import (CompensatorSpec, bandwidth_grid, compensated_phase,
                     compensator_phase, total_phase)
-from .phasematch import PhaseMatchError, idler_wavelength, solve_signal_idler
+from .phasematch import (PhaseMatchError, idler_wavelength, phase_mismatch,
+                         solve_signal_idler)
 from .states import GaussianSpectrum
 
 __all__ = [
@@ -30,6 +32,11 @@ __all__ = [
 #: Below this value of det(G) / (G00 G11) = 1 - corr^2 the signal- and
 #: idler-arm columns are collinear to rounding and the design is singular.
 _SINGULAR_RTOL = 1e-12
+
+#: A confirming solve farther than this from the calibration target has
+#: found another root of dk, nm. The solver's own root lies within
+#: MISMATCH_TOL / |d dk/d ls|, a few 1e-9 nm, of the target.
+_BRANCH_TOL_NM = 0.01
 
 
 class OptimizationError(RuntimeError):
@@ -134,39 +141,37 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
 
 def calibrate_birefringence(core_model: SellmeierModel, lambda_p_nm: float,
                             lambda_s_target_nm: float,
-                            b_range=(1e-5, 1e-3), tol_nm: float = 0.01,
-                            length_m: float = 0.13) -> float:
-    """Find the fiber birefringence that phase-matches a target signal.
+                            b_range=(1e-5, 1e-3), length_m: float = 0.13) -> float:
+    """The fiber birefringence that phase-matches a target signal.
 
-    One-dimensional bisection of B over ``b_range`` until the solved
-    signal wavelength is within ``tol_nm`` of the target. The signal
-    wavelength decreases monotonically as B grows (larger birefringence
-    pushes the pair further from the pump), so a sign change of
-    (solved - target) over the range is required.
+    The mismatch is linear in B, dk(B) = dk(0) + 4 pi B / lp, so the B
+    that zeroes it at the target is B = -dk(0) lp / (4 pi), in closed
+    form. One solve on the calibrated fiber then confirms that the
+    target is the root closest to the pump, the branch that
+    ``solve_signal_idler`` returns. Raises CalibrationError when B lies
+    outside ``b_range``, when the target is outside the index model, or
+    when the calibrated fiber phase-matches another signal.
     """
-
-    def solved_minus_target(b):
-        fiber = FiberSpec(length_m, b, 0.0, core_model)
-        try:
-            return solve_signal_idler(fiber, lambda_p_nm).lambda_s_nm - lambda_s_target_nm
-        except PhaseMatchError:
-            # splitting vanishes as B -> 0: treat as "signal above target"
-            return float("inf")
-
+    fiber0 = FiberSpec(length_m, 0.0, 0.0, core_model)
+    try:
+        dk0 = phase_mismatch(fiber0, lambda_p_nm, lambda_s_target_nm)
+    except (PhaseMatchError, WavelengthRangeError) as exc:
+        raise CalibrationError(f"target {lambda_s_target_nm:g} nm: {exc}") from exc
+    b = -dk0 * lambda_p_nm * 1e-9 / (4.0 * np.pi)
     lo, hi = b_range
-    g_lo, g_hi = solved_minus_target(lo), solved_minus_target(hi)
-    if not (g_lo > 0 > g_hi):
+    if not lo <= b <= hi:
         raise CalibrationError(
-            f"target {lambda_s_target_nm:g} nm not bracketed by B in "
+            f"target {lambda_s_target_nm:g} nm needs B = {b:g}, outside "
             f"[{lo:g}, {hi:g}]; widen the range"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = solved_minus_target(mid)
-        if abs(g_mid) < tol_nm:
-            return mid
-        if g_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError("birefringence bisection failed to converge")
+    try:
+        solved = solve_signal_idler(FiberSpec(length_m, b, 0.0, core_model),
+                                    lambda_p_nm).lambda_s_nm
+    except PhaseMatchError as exc:
+        raise CalibrationError(f"B = {b:g} does not phase-match: {exc}") from exc
+    if not abs(solved - lambda_s_target_nm) <= _BRANCH_TOL_NM:
+        raise CalibrationError(
+            f"at B = {b:g} the root closest to the pump is {solved:g} nm, "
+            f"not the target {lambda_s_target_nm:g} nm"
+        )
+    return b

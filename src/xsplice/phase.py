@@ -20,6 +20,7 @@ import numpy as np
 
 from .materials import CompensatorMaterial, FiberSpec, birefringence, index
 from .phasematch import idler_wavelength
+from .states import FWHM_PER_SIGMA
 
 __all__ = [
     "CompensatorSpec",
@@ -33,9 +34,6 @@ __all__ = [
     "phase_map",
     "bandwidth_grid",
 ]
-
-#: FWHM of a unit-variance Gaussian.
-FWHM_PER_SIGMA = 2.3548200450309493
 
 
 @dataclass(frozen=True)

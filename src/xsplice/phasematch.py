@@ -36,6 +36,12 @@ MISMATCH_TOL = 1e-6
 #: Points in the coarse bracketing scan of the signal window.
 SCAN_POINTS = 2000
 
+#: sinc^2(x) = 1/2 at x = X_HALF.
+X_HALF = 1.3915573782515103
+
+#: Step of the central differences of dk in either wavelength, nm.
+_DIFF_STEP_NM = 0.01
+
 _ENERGY_RTOL = 1e-12
 
 
@@ -98,16 +104,13 @@ def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0)
     return dk if np.ndim(dk) else float(dk)
 
 
-def _scan_window(fiber: FiberSpec, lambda_p_nm: float, window) -> tuple:
+def _scan_window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
     lo_model, hi_model = fiber.core_model.valid_range_nm
-    if window is None:
-        window = (400.0, lambda_p_nm - 0.25)
-    lo, hi = window
-    lo = max(lo, lo_model)
+    lo = max(400.0, lo_model)
     # keep the idler inside the model's validity range: li <= hi_model
     lo_idler = lambda_p_nm * hi_model / (2.0 * hi_model - lambda_p_nm)
     lo = max(lo, lo_idler * (1.0 + 1e-9))
-    hi = min(hi, lambda_p_nm - 0.25)
+    hi = lambda_p_nm - 0.25
     if not lo < hi:
         raise PhaseMatchError(
             f"empty search window for pump {lambda_p_nm:g} nm after validity clipping"
@@ -130,7 +133,7 @@ def _bisect_root(f, a, b, fa) -> tuple:
 
 
 def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
-                       window=None, scan_points=SCAN_POINTS) -> PhaseMatchPoint:
+                       scan_points=SCAN_POINTS) -> PhaseMatchPoint:
     """Solve dk = 0 for the signal wavelength below the pump.
 
     A coarse scan over the (validity-clipped) signal window brackets the
@@ -145,7 +148,7 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
         the degenerate solution at the pump remains).
     """
     lambda_p_nm = float(lambda_p_nm)
-    lo, hi = _scan_window(fiber, lambda_p_nm, window)
+    lo, hi = _scan_window(fiber, lambda_p_nm)
     grid = np.linspace(lo, hi, int(scan_points))
     vals = phase_mismatch(fiber, lambda_p_nm, grid, peak_power_w)
     sign = np.sign(vals)
@@ -189,55 +192,43 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int,
     return points, skipped
 
 
-def _half_max_crossing(profile, x0, direction, scale_nm):
-    """Walk from the root until sinc^2 drops below 1/2, then bisect."""
-    step = 0.05 * scale_nm
-    x_prev, x = x0, x0 + direction * step
-    for _ in range(4000):
-        if profile(x) < 0.5:
-            break
-        x_prev, x = x, x + direction * step
-    else:
-        raise BandwidthError("profile too flat: no half-maximum crossing found")
-    a, b = (x_prev, x) if x_prev < x else (x, x_prev)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if (profile(mid) - 0.5) * (profile(a) - 0.5) <= 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
-
-
 def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm,
                       peak_power_w=0.0) -> tuple:
     """FWHM estimates (signal_nm, idler_nm) at a solved operating point.
 
-    The intrinsic width comes from the sinc^2(dk L / 2) phase-matching
-    profile scanned in the signal wavelength; the pump bandwidth adds in
-    quadrature after propagation through the local slope d(ls)/d(lp) of
-    the solution curve. The idler width follows from the
+    The intrinsic width is that of the sinc^2(dk L / 2) phase-matching
+    profile in the signal wavelength. Its half-maximum edges are the
+    roots of dk(ls) = +/- 2 X_HALF / L, found by the solver's bisection
+    on a bracket twice the linear estimate wide. The pump bandwidth adds
+    in quadrature after propagation through the slope of the solution
+    curve, d(ls)/d(lp) = -(d dk/d lp) / (d dk/d ls) by the implicit-
+    function theorem. The idler width follows from the
     energy-conservation Jacobian |d(li)/d(ls)| = (li/ls)^2.
     """
     if abs(point.residual_mismatch) > 10 * MISMATCH_TOL:
         raise ValueError("point is not phase matched")
+    if not fiber.length_m > 0:
+        raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
     lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
-    half_L = 0.5 * fiber.length_m
+    h = _DIFF_STEP_NM
+    dk_s = phase_mismatch(fiber, lp, np.array([ls0 - h, ls0 + h]), peak_power_w)
+    dk_p = phase_mismatch(fiber, np.array([lp - h, lp + h]), ls0, peak_power_w)
+    dk_dls, dk_dlp = (dk_s[1] - dk_s[0]) / (2 * h), (dk_p[1] - dk_p[0]) / (2 * h)
 
-    def profile(ls):
-        x = phase_mismatch(fiber, lp, ls, peak_power_w) * half_L
-        return float(np.sinc(x / np.pi) ** 2)
+    dk_half = 2.0 * X_HALF / fiber.length_m
+    reach = 2.0 * dk_half / abs(dk_dls)
+    edges = []
+    for direction in (-1.0, 1.0):
+        level = direction * np.sign(dk_dls) * dk_half
+        f = lambda ls: phase_mismatch(fiber, lp, ls, peak_power_w) - level
+        far = ls0 + direction * reach
+        f_near, f_far = f(ls0), f(far)
+        if not f_near * f_far < 0:
+            raise BandwidthError("no half-maximum crossing within twice the linear estimate")
+        edges.append(_bisect_root(f, ls0, far, f_near)[0])
+    fwhm_pm = edges[1] - edges[0]
 
-    scale = 1.0  # nm; generous for sub-nm sinc widths
-    right = _half_max_crossing(profile, ls0, +1.0, scale)
-    left = _half_max_crossing(profile, ls0, -1.0, scale)
-    fwhm_pm = right - left
-
-    h = 0.05
-    slope = (
-        solve_signal_idler(fiber, lp + h, peak_power_w).lambda_s_nm
-        - solve_signal_idler(fiber, lp - h, peak_power_w).lambda_s_nm
-    ) / (2.0 * h)
+    slope = -dk_dlp / dk_dls
     signal_fwhm = float(np.hypot(fwhm_pm, slope * pump_fwhm_nm))
     jacobian = (point.lambda_i_nm / ls0) ** 2
     return signal_fwhm, float(signal_fwhm * jacobian)

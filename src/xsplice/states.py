@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 __all__ = [
     "GaussianSpectrum",
@@ -36,6 +35,7 @@ __all__ = [
     "relabel_signal_flip",
 ]
 
+#: FWHM of a unit-variance Gaussian.
 FWHM_PER_SIGMA = 2.3548200450309493
 
 #: Half-width of the quadrature window in units of sigma. Wide enough
@@ -211,11 +211,16 @@ def best_bell_fidelity(state: TwoQubitState) -> tuple:
 
 
 def state_fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
-    """Uhlmann fidelity between two density matrices, clipped to [0, 1]."""
-    ra = np.asarray(a.matrix)
-    rb = np.asarray(b.matrix)
-    s = sqrtm(ra)
-    f = np.real(np.trace(sqrtm(s @ rb @ s))) ** 2
+    """Uhlmann fidelity between two density matrices, clipped to [0, 1].
+
+    Both square roots are taken on the Hermitian eigendecomposition with
+    rounding-negative eigenvalues clipped to 0, so rank-deficient (pure)
+    states need no singular matrix square root.
+    """
+    w, v = np.linalg.eigh(np.asarray(a.matrix))
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    mu = np.linalg.eigvalsh(s @ np.asarray(b.matrix) @ s)
+    f = np.sum(np.sqrt(np.clip(mu, 0.0, None))) ** 2
     return float(min(max(f, 0.0), 1.0))
 
 

@@ -135,10 +135,8 @@ def _rho_to_params(rho: np.ndarray) -> np.ndarray:
     return t
 
 
-def _check_informationally_complete(settings):
-    vs = np.array([s.joint_vector for s in settings])
-    pis = np.einsum("ki,kj->kij", vs, vs.conj()).reshape(len(settings), 16)
-    if np.linalg.matrix_rank(pis, tol=1e-10) < 16:
+def _check_informationally_complete(pis: np.ndarray):
+    if np.linalg.matrix_rank(pis.reshape(len(pis), 16), tol=1e-10) < 16:
         raise ValueError("settings are not informationally complete (rank < 16)")
 
 
@@ -151,8 +149,8 @@ def reconstruct_mle(data: TomographyData, restarts: int = 3,
     RuntimeWarning (and still returns the best state found) if no start
     converged.
     """
-    _check_informationally_complete(data.settings)
     pis = _projector_stack(data.settings)
+    _check_informationally_complete(pis)
     counts = np.asarray(data.counts)
     n = data.total_per_setting
 
