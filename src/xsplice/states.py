@@ -13,6 +13,7 @@ grid. Basis order throughout is (HH, HV, VH, VV).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -132,9 +133,22 @@ def pure_phi_state(phi: float) -> TwoQubitState:
     return TwoQubitState(np.outer(v, v.conj()))
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per node count.
+
+    A quadrature uses two node counts (n and 2n for the convergence
+    check). The arrays are read-only because every caller shares them.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _quad_nodes_weights(spectrum: GaussianSpectrum, nodes: int,
                         span_sigmas: float):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     half = span_sigmas * spectrum.sigma_nm
     lam = spectrum.center_nm + half * x
     return lam, w * half * spectrum.density(lam)

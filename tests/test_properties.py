@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xsplice import FiberSpec, TwoQubitState
+from xsplice import FiberSpec, TwoQubitState, reconstruct_mle, simulate_counts, standard_settings
 from xsplice.design import calibrate_birefringence
 from xsplice.phasematch import output_bandwidths, phase_mismatch, solve_signal_idler
 from xsplice.states import concurrence, relabel_signal_flip
+from xsplice.tomography import _neg_log_likelihood, _params_to_rho, _projector_stack
 
-# Small, fixed example sets: the solver-bound properties cost a few ms each.
+# Small, fixed example sets: the solver-bound and MLE properties cost a few
+# ms each.
 SOLVER = settings(derandomize=True, max_examples=12, deadline=None)
 CHEAP = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -91,3 +93,54 @@ def test_concurrence_invariant_under_signal_flip(entries):
     state = TwoQubitState(rho / np.trace(rho))
     assert concurrence(relabel_signal_flip(state)) == pytest.approx(
         concurrence(state), abs=1e-7)
+
+
+SETTINGS = standard_settings()
+PIS = _projector_stack(SETTINGS)
+unit_floats = st.floats(-1.0, 1.0)
+
+
+def _nll(rho, counts, n):
+    lam = n * np.clip(np.einsum("kij,ji->k", PIS, rho).real, 1e-12, None)
+    return float(-(counts * np.log(lam) - lam).sum())
+
+
+def _random_state(entries):
+    g = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+    rho = g @ g.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    return TwoQubitState(rho / np.trace(rho))
+
+
+@CHEAP
+@given(t=st.lists(unit_floats, min_size=16, max_size=16),
+       counts=st.lists(st.integers(0, 5000), min_size=36, max_size=36),
+       n=st.sampled_from([1e3, 1e4, 1e5]))
+def test_nll_gradient_matches_central_difference(t, counts, n):
+    t, counts = np.array(t), np.array(counts, dtype=float)
+    assume(t @ t > 0.1)
+    # away from the 1e-12 probability floor, where the NLL has a kink
+    assume(np.einsum("kij,ji->k", PIS, _params_to_rho(t)).real.min() > 1e-6)
+    _, grad = _neg_log_likelihood(t, PIS, counts, n)
+    h = 1e-5
+    central = np.array([
+        (_neg_log_likelihood(t + h * e, PIS, counts, n)[0]
+         - _neg_log_likelihood(t - h * e, PIS, counts, n)[0]) / (2.0 * h)
+        for e in np.eye(16)])
+    assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
+
+
+@SOLVER
+@given(entries=st.lists(unit_floats, min_size=32, max_size=32),
+       n=st.sampled_from([1e3, 1e4, 1e5]), seed=st.integers(0, 2**32 - 1))
+def test_mle_is_a_state_at_least_as_likely_as_the_truth(entries, n, seed):
+    truth = _random_state(entries)
+    data = simulate_counts(truth, SETTINGS, n, seed=seed)
+    rho = reconstruct_mle(data).matrix
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    counts = np.asarray(data.counts)
+    nll_truth = _nll(truth.matrix, counts, n)
+    # margin for rounding only: both sums are of 36 terms of size ~n
+    assert _nll(rho, counts, n) <= nll_truth + 1e-12 * abs(nll_truth)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,28 @@ class TestReconstruction:
         eig = np.linalg.eigvalsh(rho.matrix)
         assert eig.min() >= -1e-10
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    # Poisson draws at 1e3 counts per setting on which a single start from
+    # the maximally mixed state ended in an ABNORMAL line search. "fd": a
+    # bootstrap replicate around the MLE of the 30 mW paper-model state,
+    # with a finite-difference gradient. "rounding": a draw from the 10 mW
+    # paper-model state, with the exact gradient but the NLL summed as
+    # sum(lam - c log lam), whose rounding noise of a few ulps stalls the
+    # line search at a boundary optimum.
+    @pytest.mark.parametrize("counts", [
+        (481, 34, 251, 255, 268, 262, 33, 455, 266, 258, 234, 251,
+         245, 241, 469, 37, 265, 224, 247, 242, 35, 454, 252, 242,
+         247, 240, 242, 269, 21, 478, 276, 251, 279, 246, 471, 27),
+        (488, 13, 240, 244, 251, 236, 25, 492, 244, 276, 258, 227,
+         245, 233, 462, 15, 247, 251, 257, 231, 15, 467, 254, 239,
+         262, 281, 237, 254, 26, 445, 243, 258, 222, 227, 441, 22),
+    ], ids=["fd", "rounding"])
+    def test_bootstrap_replicate_converges(self, settings, counts):
+        data = TomographyData(settings=tuple(settings), counts=counts,
+                              total_per_setting=1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reconstruct_mle(data, restarts=1)
 
     def test_informationally_incomplete_rejected(self, settings, werner_truth):
         subset = settings[:10]
