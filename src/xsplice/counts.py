@@ -273,8 +273,7 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
                              signal_spectrum: GaussianSpectrum,
                              pump_spectrum: GaussianSpectrum,
                              avg_power_mw: float,
-                             baseline_noise: float = 0.0,
-                             nodes: int = 64) -> TwoQubitState:
+                             baseline_noise: float = 0.0) -> TwoQubitState:
     """Two-qubit state of the source at one pump power.
 
     The pump FWHM is broadened by (1 + spm_coeff * P), the spectral
@@ -289,10 +288,9 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
         pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw),
     )
     phase_fn = lambda ls, lp: compensated_phase(fiber, comps or (), ls, lp)
-    mean = spectral_mean_phase(phase_fn, signal_spectrum, broadened, nodes)
+    mean = spectral_mean_phase(phase_fn, signal_spectrum, broadened)
     rho_spec = mixed_state_over_spectra(
-        lambda ls, lp: phase_fn(ls, lp) - mean,
-        signal_spectrum, broadened, nodes)
+        lambda ls, lp: phase_fn(ls, lp) - mean, signal_spectrum, broadened)
     w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))
     m = (1.0 - w) * rho_spec.matrix + w * np.eye(4) / 4.0
     return TwoQubitState(m)
@@ -302,8 +300,7 @@ def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
                              signal_spectrum: GaussianSpectrum,
                              pump_spectrum: GaussianSpectrum,
                              avg_power_mw: float = 30.0,
-                             target_fidelity: float = 0.922,
-                             nodes: int = 64) -> float:
+                             target_fidelity: float = 0.922) -> float:
     """Power-independent noise weight that reproduces a measured fidelity.
 
     Fidelity against a fixed Bell state is exactly linear in the
@@ -313,7 +310,7 @@ def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
     def fid_at(w0):
         state = effective_state_at_power(
             p, fiber, comps, signal_spectrum, pump_spectrum, avg_power_mw,
-            baseline_noise=w0, nodes=nodes)
+            baseline_noise=w0)
         return best_bell_fidelity(state)[0]
 
     f0 = fid_at(0.0)
@@ -330,8 +327,7 @@ def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
 def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
                         signal_spectrum: GaussianSpectrum,
                         pump_spectrum: GaussianSpectrum,
-                        baseline_noise: float = 0.0,
-                        nodes: int = 64) -> list:
+                        baseline_noise: float = 0.0) -> list:
     """Rectilinear and diagonal visibilities across a power sweep.
 
     Returns a list of ``(power_mw, v_rect, v_diag)`` tuples built from
@@ -341,6 +337,6 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
     for pw in powers_mw:
         state = effective_state_at_power(
             p, fiber, comps, signal_spectrum, pump_spectrum, float(pw),
-            baseline_noise=baseline_noise, nodes=nodes)
+            baseline_noise=baseline_noise)
         rows.append((float(pw), visibility(state, "rectilinear"), visibility(state, "diagonal")))
     return rows

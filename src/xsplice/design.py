@@ -15,11 +15,11 @@ import numpy as np
 
 from .materials import (CompensatorMaterial, FiberSpec, SellmeierModel,
                         WavelengthRangeError)
-from .phase import (CompensatorSpec, bandwidth_grid, compensated_phase,
-                    compensator_phase, total_phase)
+from .phase import (CompensatorSpec, compensated_phase, compensator_phase,
+                    total_phase)
 from .phasematch import (PhaseMatchError, idler_wavelength, phase_mismatch,
                          solve_signal_idler)
-from .states import GaussianSpectrum
+from .states import DESIGN_SPAN_SIGMAS, GaussianSpectrum, spectral_grid
 
 __all__ = [
     "OptimizationError",
@@ -48,21 +48,11 @@ class CalibrationError(RuntimeError):
     pass
 
 
-def _grid_and_weights(pump: GaussianSpectrum, signal: GaussianSpectrum,
-                      points: int, span_sigmas: float):
-    s_ax = bandwidth_grid(signal.center_nm, signal.fwhm_nm, points, span_sigmas)
-    p_ax = bandwidth_grid(pump.center_nm, pump.fwhm_nm, points, span_sigmas)
-    S, P = np.meshgrid(s_ax, p_ax, indexing="ij")
-    w = signal.density(S) * pump.density(P)
-    return S, P, w / w.sum()
-
-
 def weighted_phase_std(fiber: FiberSpec, comps, pump: GaussianSpectrum,
-                       signal: GaussianSpectrum, points: int = 101,
-                       span_sigmas: float = 3.0) -> float:
+                       signal: GaussianSpectrum, points: int = 101) -> float:
     """Spectrum-weighted standard deviation of the phase, in degrees."""
-    S, P, w = _grid_and_weights(pump, signal, points, span_sigmas)
-    grid = compensated_phase(fiber, comps or (), S, P)
+    ls, lp, w = spectral_grid(signal, pump, points, DESIGN_SPAN_SIGMAS)
+    grid = compensated_phase(fiber, comps or (), ls, lp)
     mean = np.sum(w * grid)
     var = np.sum(w * (grid - mean) ** 2)
     return float(np.degrees(np.sqrt(var)))
@@ -95,8 +85,7 @@ def _box_minimum(gram: np.ndarray, c: np.ndarray,
 def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
                           pump: GaussianSpectrum, signal: GaussianSpectrum,
                           max_length_mm: float | None = None,
-                          points: int = 101,
-                          span_sigmas: float = 3.0) -> tuple:
+                          points: int = 101) -> tuple:
     """Flatten the phase map with one crystal per output arm.
 
     Minimizes the spectrum-weighted phase variance over the +/- 3 sigma
@@ -110,11 +99,11 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
     CompensatorSpec. Raises OptimizationError when the grid cannot tell
     the two arms apart (for instance a single-point grid).
     """
-    S, P, w = _grid_and_weights(pump, signal, points, span_sigmas)
-    base = total_phase(fiber, S, P)
-    per_mm_s = compensator_phase(CompensatorSpec(1.0, material, +1, "signal"), S)
+    ls, lp, w = spectral_grid(signal, pump, points, DESIGN_SPAN_SIGMAS)
+    base = total_phase(fiber, ls, lp)
+    per_mm_s = compensator_phase(CompensatorSpec(1.0, material, +1, "signal"), ls)
     per_mm_i = compensator_phase(CompensatorSpec(1.0, material, +1, "idler"),
-                                 idler_wavelength(S, P))
+                                 idler_wavelength(ls, lp))
 
     def centered(f):
         return f - np.sum(w * f)
@@ -135,7 +124,7 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
     idler_comp = CompensatorSpec(abs(float(b)), material,
                                  +1 if b >= 0 else -1, "idler")
     residual = weighted_phase_std(fiber, (signal_comp, idler_comp),
-                                  pump, signal, points, span_sigmas)
+                                  pump, signal, points)
     return signal_comp, idler_comp, residual
 
 

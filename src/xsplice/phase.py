@@ -20,7 +20,7 @@ import numpy as np
 
 from .materials import CompensatorMaterial, FiberSpec, birefringence, index
 from .phasematch import idler_wavelength
-from .states import FWHM_PER_SIGMA
+from .states import bandwidth_grid
 
 __all__ = [
     "CompensatorSpec",
@@ -146,20 +146,15 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm,
     return phase
 
 
-def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = 101,
-                   span_sigmas: float = 3.0) -> np.ndarray:
-    """Axis covering +/- span_sigmas of a Gaussian given by its FWHM."""
-    half = span_sigmas * fwhm_nm / FWHM_PER_SIGMA
-    return np.linspace(center_nm - half, center_nm + half, points)
-
-
 def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm,
               peak_power_w=0.0) -> PhaseMap:
     """Evaluate the (optionally compensated) phase over a grid.
 
     ``comps`` may be None or empty for the raw phase. Axes must be
-    non-empty and sorted ascending. The grid is converted to degrees and
-    mean-subtracted, so a 1x1 map is identically zero.
+    non-empty and sorted ascending. The phase is evaluated on open axes
+    (a signal column against a pump row), so pump-only and signal-only
+    terms cost one evaluation per axis point. The grid is converted to
+    degrees and mean-subtracted, so a 1x1 map is identically zero.
     """
     s_ax = np.asarray(signal_axis_nm, dtype=float)
     p_ax = np.asarray(pump_axis_nm, dtype=float)
@@ -167,11 +162,8 @@ def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm,
         raise ValueError("axes must be non-empty")
     if np.any(np.diff(s_ax) < 0) or np.any(np.diff(p_ax) < 0):
         raise ValueError("axes must be sorted ascending")
-    S, P = np.meshgrid(s_ax, p_ax, indexing="ij")
-    if comps:
-        grid = compensated_phase(fiber, comps, S, P, peak_power_w)
-    else:
-        grid = total_phase(fiber, S, P, peak_power_w)
+    grid = compensated_phase(fiber, comps or (), s_ax[:, None], p_ax[None, :],
+                             peak_power_w)
     deg = np.degrees(grid)
     deg = deg - deg.mean()
     deg = deg - deg.mean()  # second pass scrubs the float residual of the first

@@ -7,13 +7,15 @@ by the spectral characteristic function of the phase:
 
     rho_HH,VV = (1/2) < e^{-i phi(ls, lp)} >_{p_s p_p}.
 
-The average is evaluated with Gauss-Legendre quadrature on a tensor
-grid. Basis order throughout is (HH, HV, VH, VV).
+This average and the phase variance of compensator design share one
+rule, ``spectral_grid``: uniform signal and pump axes kept open (a
+column and a row) with normalised Gaussian weights. It converges
+exponentially on smooth integrands (Trefethen & Weideman, SIAM Rev. 56,
+385, 2014). Basis order throughout is (HH, HV, VH, VV).
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +27,8 @@ __all__ = [
     "bell_state",
     "werner_state",
     "pure_phi_state",
+    "bandwidth_grid",
+    "spectral_grid",
     "mixed_state_over_spectra",
     "spectral_mean_phase",
     "fidelity",
@@ -39,9 +43,17 @@ __all__ = [
 #: FWHM of a unit-variance Gaussian.
 FWHM_PER_SIGMA = 2.3548200450309493
 
-#: Half-width of the quadrature window in units of sigma. Wide enough
-#: that truncating the Gaussian tails perturbs the coherence at the
-#: 1e-9 level, far below the 1e-6 accuracy contract.
+#: Half-width of the compensator-design and phase-map window, in sigma.
+DESIGN_SPAN_SIGMAS = 3.0
+
+#: Points per axis of the state quadrature; the convergence check
+#: repeats it with twice as many.
+QUAD_NODES = 64
+
+#: Half-width of the state-quadrature window in units of sigma. With
+#: QUAD_NODES uniform points per axis over it, the truncated Gaussian
+#: tails and the unhalved end points perturb the coherence at the 1e-9
+#: level, far below the 1e-6 accuracy contract.
 QUAD_SPAN_SIGMAS = 6.0
 
 _HERMITICITY_TOL = 1e-12
@@ -133,63 +145,60 @@ def pure_phi_state(phi: float) -> TwoQubitState:
     return TwoQubitState(np.outer(v, v.conj()))
 
 
-@functools.lru_cache(maxsize=8)
-def _legendre_rule(nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per node count.
+def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = 101,
+                   span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
+    """Axis covering +/- span_sigmas of a Gaussian given by its FWHM."""
+    half = span_sigmas * fwhm_nm / FWHM_PER_SIGMA
+    return np.linspace(center_nm - half, center_nm + half, points)
 
-    A quadrature uses two node counts (n and 2n for the convergence
-    check). The arrays are read-only because every caller shares them.
+
+def spectral_grid(signal: GaussianSpectrum, pump: GaussianSpectrum,
+                  points: int, span_sigmas: float) -> tuple:
+    """Open axes and joint weights of the one spectral rule.
+
+    Returns ``(ls, lp, w)`` with the signal axis as a column
+    ``(points, 1)``, the pump axis as a row ``(1, points)`` and ``w`` the
+    product of the two densities on them, normalised to sum 1, so the
+    spectral average of ``fn`` is ``np.sum(w * fn(ls, lp))``.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _quad_nodes_weights(spectrum: GaussianSpectrum, nodes: int,
-                        span_sigmas: float):
-    x, w = _legendre_rule(nodes)
-    half = span_sigmas * spectrum.sigma_nm
-    lam = spectrum.center_nm + half * x
-    return lam, w * half * spectrum.density(lam)
+    ls = bandwidth_grid(signal.center_nm, signal.fwhm_nm, points, span_sigmas)[:, None]
+    lp = bandwidth_grid(pump.center_nm, pump.fwhm_nm, points, span_sigmas)[None, :]
+    w = signal.density(ls) * pump.density(lp)
+    return ls, lp, w / w.sum()
 
 
 def _spectral_average(fn, signal: GaussianSpectrum, pump: GaussianSpectrum,
-                      nodes: int, span_sigmas: float):
-    ls, ws = _quad_nodes_weights(signal, nodes, span_sigmas)
-    lp, wp = _quad_nodes_weights(pump, nodes, span_sigmas)
-    S, P = np.meshgrid(ls, lp, indexing="ij")
-    w2 = np.outer(ws, wp)
-    return np.sum(w2 * fn(S, P)) / np.sum(w2)
+                      nodes: int):
+    ls, lp, w = spectral_grid(signal, pump, nodes, QUAD_SPAN_SIGMAS)
+    return np.sum(w * fn(ls, lp))
 
 
 def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
-                        pump: GaussianSpectrum, nodes: int = 64,
-                        span_sigmas: float = QUAD_SPAN_SIGMAS) -> float:
+                        pump: GaussianSpectrum) -> float:
     """Spectrum-weighted mean of a phase function, in radians.
 
     Useful for referencing a phase model to its mean before building a
     state: the constant part of the phase is set by the compensator
     wedges in practice and carries no physics.
     """
-    return float(_spectral_average(phase_fn, signal, pump, nodes, span_sigmas))
+    return float(_spectral_average(phase_fn, signal, pump, QUAD_NODES))
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
-                             pump: GaussianSpectrum, nodes: int = 64,
-                             span_sigmas: float = QUAD_SPAN_SIGMAS,
+                             pump: GaussianSpectrum, nodes: int = QUAD_NODES,
                              convergence_check: bool = True) -> TwoQubitState:
     """Average the pure-state projector over both spectra.
 
-    ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept arrays and return
-    the relative phase in radians. A constant phase reproduces
-    ``pure_phi_state`` exactly. When ``convergence_check`` is on, the
-    quadrature is repeated with doubled node count and a warning is
-    issued if the coherence magnitude moves by more than 1e-6.
+    ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
+    arrays (a signal column and a pump row) and return the relative
+    phase in radians. A constant phase reproduces ``pure_phi_state``
+    exactly. When ``convergence_check`` is on, the quadrature is
+    repeated with doubled node count and a warning is issued if the
+    coherence magnitude moves by more than 1e-6.
     """
     def coherence(n):
         return _spectral_average(lambda s, p: np.exp(-1j * phase_fn(s, p)),
-                                 signal, pump, n, span_sigmas)
+                                 signal, pump, n)
 
     coh = coherence(nodes)
     if convergence_check:

@@ -132,11 +132,14 @@ def test_criterion_05_state_model(paper_fiber, paper_compensators,
                                          signal_spectrum, pump_spectrum)
         assert np.allclose(mixed.matrix, pure_phi_state(phi0).matrix, atol=1e-13)
 
-    # linear phase: Gaussian characteristic function to 1e-6
-    for slope in (1.0, 5.0, 10.0):
-        mixed = mixed_state_over_spectra(lambda s, p: slope * (s - 670.0),
-                                         signal_spectrum, pump_spectrum)
-        expected = 0.5 * np.exp(-0.5 * (slope * signal_spectrum.sigma_nm) ** 2)
+    # linear phase: Gaussian characteristic function to 1e-6, with a
+    # pump slope b adding the factor e^{-b^2 s_p^2/2}
+    for slope, pump_slope in ((1.0, 0.0), (5.0, 0.0), (10.0, 0.0), (5.0, 8.0)):
+        mixed = mixed_state_over_spectra(
+            lambda s, p: slope * (s - 670.0) + pump_slope * (p - 771.0),
+            signal_spectrum, pump_spectrum)
+        expected = (0.5 * np.exp(-0.5 * (slope * signal_spectrum.sigma_nm) ** 2)
+                    * np.exp(-0.5 * (pump_slope * pump_spectrum.sigma_nm) ** 2))
         assert abs(mixed.matrix[0, 3]) == pytest.approx(expected, abs=1e-6)
 
     # map-driven states: the 0.922 figure is NOT expected here; the

@@ -198,3 +198,17 @@ class TestPhaseMap:
             phase_map(paper_fiber, None, [], [771.0])
         with pytest.raises(ValueError):
             phase_map(paper_fiber, None, [671.0, 670.0], [771.0])
+
+    def test_open_axes_match_full_grid(self, paper_fiber, paper_compensators):
+        # the map is evaluated on a signal column against a pump row; a full
+        # meshgrid must give the same bits, and unequal axis lengths catch
+        # any swap of the two axes
+        s_ax = bandwidth_grid(670.0, 0.23, 101)
+        p_ax = bandwidth_grid(771.0, 0.3, 61)
+        S, P = np.meshgrid(s_ax, p_ax, indexing="ij")
+        for comps in (None, paper_compensators):
+            full = np.degrees(compensated_phase(paper_fiber, comps or (), S, P))
+            full = full - full.mean()
+            full = full - full.mean()
+            pmap = phase_map(paper_fiber, comps, s_ax, p_ax)
+            assert np.array_equal(pmap.deviation_deg, full)

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xsplice import FiberSpec, TwoQubitState, reconstruct_mle, simulate_counts, standard_settings
-from xsplice.design import calibrate_birefringence
-from xsplice.phasematch import output_bandwidths, phase_mismatch, solve_signal_idler
+from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState,
+                     compensated_phase, compensator_phase, reconstruct_mle,
+                     simulate_counts, standard_settings)
+from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
+from xsplice.phasematch import (idler_wavelength, output_bandwidths, phase_mismatch,
+                                solve_signal_idler)
 from xsplice.states import concurrence, relabel_signal_flip
 from xsplice.tomography import _neg_log_likelihood, _params_to_rho, _projector_stack
 
@@ -82,6 +85,51 @@ def test_pump_slope_matches_solution_curve(silica, pump, target, length, pump_fw
     central = (solve_signal_idler(fiber, pump + h).lambda_s_nm
                - solve_signal_idler(fiber, pump - h).lambda_s_nm) / (2.0 * h)
     assert slope == pytest.approx(abs(central), rel=1e-3)
+
+
+@CHEAP
+@given(pump=pumps, signal=targets)
+def test_idler_round_trip(pump, signal):
+    idler = idler_wavelength(signal, pump)
+    assert idler_wavelength(idler, pump) == pytest.approx(signal, rel=1e-12)
+
+
+signs = st.sampled_from([+1, -1])
+crystal_mm = st.floats(0.0, 150.0)
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, a=crystal_mm, b=crystal_mm, sign_a=signs, sign_b=signs)
+def test_compensated_phase_linear_in_lengths(paper_fiber, quartz_material, pump, signal,
+                                             a, b, sign_a, sign_b):
+    # the design's premise: phi(a, b) = phi(0, 0) + a x + b y, with x and
+    # y the phases of 1 mm crystals in the signal and idler arms
+    def crystal(length, sign, arm):
+        return CompensatorSpec(length, quartz_material, sign, arm)
+
+    base = compensated_phase(paper_fiber, (), signal, pump)
+    x = compensator_phase(crystal(1.0, sign_a, "signal"), signal)
+    y = compensator_phase(crystal(1.0, sign_b, "idler"), idler_wavelength(signal, pump))
+    got = compensated_phase(paper_fiber, (crystal(a, sign_a, "signal"),
+                                          crystal(b, sign_b, "idler")), signal, pump)
+    rounding = 8.0 * np.finfo(float).eps * (abs(base) + abs(a * x) + abs(b * y))
+    assert abs(got - (base + a * x + b * y)) <= rounding
+
+
+@SOLVER
+@given(pump=pumps, target=targets, length=lengths, pump_fwhm=st.floats(0.1, 1.0),
+       signal_fwhm=st.floats(0.05, 0.5), limit=st.one_of(st.none(), st.floats(0.5, 100.0)))
+def test_compensators_never_worsen_the_phase(silica, quartz_material, pump, target, length,
+                                             pump_fwhm, signal_fwhm, limit):
+    # zero-length crystals are always feasible, so the design's residual
+    # cannot exceed the uncompensated spread beyond rounding
+    fiber, point = _calibrated(silica, pump, target, length)
+    pump_spec = GaussianSpectrum(pump, pump_fwhm)
+    signal_spec = GaussianSpectrum(point.lambda_s_nm, signal_fwhm)
+    _, _, residual = optimize_compensators(fiber, quartz_material, pump_spec, signal_spec,
+                                           max_length_mm=limit)
+    uncompensated = weighted_phase_std(fiber, None, pump_spec, signal_spec)
+    assert residual <= uncompensated + 1e-6
 
 
 @CHEAP

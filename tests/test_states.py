@@ -78,14 +78,22 @@ class TestSpectralMixture:
                                              signal_spectrum, pump_spectrum)
             assert np.allclose(mixed.matrix, pure_phi_state(phi0).matrix, atol=1e-12)
 
-    @pytest.mark.parametrize("slope", [1.0, 5.0, 10.0])
+    @pytest.mark.parametrize("slope, pump_slope", [
+        pytest.param(1.0, 0.0, id="1.0"),
+        pytest.param(5.0, 0.0, id="5.0"),
+        pytest.param(10.0, 0.0, id="10.0"),
+        pytest.param(5.0, 8.0, id="5.0-pump8.0"),
+    ])
     def test_linear_phase_characteristic_function(self, signal_spectrum,
-                                                  pump_spectrum, slope):
-        # Gaussian characteristic function: |<e^{-ia(ls-c)}>| = e^{-a^2 s^2/2}
+                                                  pump_spectrum, slope, pump_slope):
+        # Gaussian characteristic function: |<e^{-ia(ls-c)}>| = e^{-a^2 s^2/2},
+        # times e^{-b^2 sp^2/2} for a pump slope b
         mixed = mixed_state_over_spectra(
-            lambda s, p: slope * (s - signal_spectrum.center_nm),
+            lambda s, p: slope * (s - signal_spectrum.center_nm)
+            + pump_slope * (p - pump_spectrum.center_nm),
             signal_spectrum, pump_spectrum)
-        expected = 0.5 * np.exp(-0.5 * (slope * signal_spectrum.sigma_nm) ** 2)
+        expected = (0.5 * np.exp(-0.5 * (slope * signal_spectrum.sigma_nm) ** 2)
+                    * np.exp(-0.5 * (pump_slope * pump_spectrum.sigma_nm) ** 2))
         assert abs(mixed.matrix[0, 3]) == pytest.approx(expected, abs=1e-6)
 
     def test_coherence_bounded_by_half(self, signal_spectrum, pump_spectrum):
