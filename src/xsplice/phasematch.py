@@ -30,10 +30,12 @@ __all__ = [
     "output_bandwidths",
 ]
 
-#: |dk| below which a wavelength pair counts as phase matched, rad/m.
+#: |dk| below which a wavelength pair counts as phase matched, rad/m. The
+#: root refinement stops on this residual, not on a bracket width.
 MISMATCH_TOL = 1e-6
 
-#: Points in the coarse bracketing scan of the signal window.
+#: Points per pump in the coarse scan that brackets the roots of dk in
+#: the signal window.
 SCAN_POINTS = 2000
 
 #: sinc^2(x) = 1/2 at x = X_HALF.
@@ -43,6 +45,13 @@ X_HALF = 1.3915573782515103
 _DIFF_STEP_NM = 0.01
 
 _ENERGY_RTOL = 1e-12
+
+#: Pumps per broadcast scan: bounds the (pumps, scan points) arrays of a
+#: long tuning curve to a few MB.
+_PUMPS_PER_SCAN = 64
+
+#: Lockstep rounds after which a root still above MISMATCH_TOL fails.
+_MAX_ROUNDS = 100
 
 
 class PhaseMatchError(RuntimeError):
@@ -107,29 +116,116 @@ def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0)
 def _scan_window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
     lo_model, hi_model = fiber.core_model.valid_range_nm
     lo = max(400.0, lo_model)
-    # keep the idler inside the model's validity range: li <= hi_model
-    lo_idler = lambda_p_nm * hi_model / (2.0 * hi_model - lambda_p_nm)
-    lo = max(lo, lo_idler * (1.0 + 1e-9))
+    if lambda_p_nm < 2.0 * hi_model:
+        # keep the idler inside the model's validity range: li <= hi_model
+        lo_idler = lambda_p_nm * hi_model / (2.0 * hi_model - lambda_p_nm)
+        lo = max(lo, lo_idler * (1.0 + 1e-9))
     hi = lambda_p_nm - 0.25
     if not lo < hi:
         raise PhaseMatchError(
             f"empty search window for pump {lambda_p_nm:g} nm after validity clipping"
         )
+    if lambda_p_nm > hi_model:
+        # only a pump at or beyond twice the model's upper bound has a
+        # window here; its own index is outside the model, which this raises
+        index(fiber.core_model, lambda_p_nm)
     return lo, hi
 
 
-def _bisect_root(f, a, b, fa) -> tuple:
-    """Bisection refined until |f| < MISMATCH_TOL; returns (x, f(x))."""
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm) < MISMATCH_TOL:
-            return mid, fm
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    raise PhaseMatchError("bisection failed to reach the mismatch tolerance")
+def _last(mask):
+    """Column of the last True in each row of ``mask``, -1 where none."""
+    return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1)
+
+
+def _refine(fiber, lp, a, b, fa, fb, level, peak_power_w):
+    """Roots of dk(lp, ls) - level on the brackets a < ls < b, in lockstep.
+
+    Illinois regula falsi: each round takes the secant step through the
+    bracket ends, or the midpoint where that step does not land strictly
+    inside, and keeps the sub-bracket with the sign change. An end kept
+    twice in a row has its value halved, which stops one end from
+    sticking. ``fa`` and ``fb`` are dk - level at the ends and have
+    opposite signs, so ``fb - fa`` is never zero. An element leaves the
+    active set once |dk - level| < MISMATCH_TOL. Every operation is
+    elementwise, so a root does not depend on what else is refined with
+    it. Returns ``(x, f)``, both NaN where the tolerance was not reached.
+    """
+    x_out = np.full(a.shape, np.nan)
+    f_out = np.full(a.shape, np.nan)
+    act = np.arange(a.size)
+    kept = np.zeros(a.size)  # +1: b kept last round, -1: a kept
+    for _ in range(_MAX_ROUNDS):
+        if not act.size:
+            break
+        x = a - fa * (b - a) / (fb - fa)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        f = phase_mismatch(fiber, lp, x, peak_power_w) - level
+        done = np.abs(f) < MISMATCH_TOL
+        x_out[act[done]], f_out[act[done]] = x[done], f[done]
+        left = ~done
+        act, lp, level, kept = act[left], lp[left], level[left], kept[left]
+        a, b, fa, fb, x, f = a[left], b[left], fa[left], fb[left], x[left], f[left]
+        move_a = (f < 0) == (fa < 0)
+        fb = np.where(move_a & (kept > 0), 0.5 * fb, fb)
+        fa = np.where(~move_a & (kept < 0), 0.5 * fa, fa)
+        a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
+        b, fb = np.where(move_a, b, x), np.where(move_a, fb, f)
+        kept = np.where(move_a, 1.0, -1.0)
+    return x_out, f_out
+
+
+def _solve(fiber: FiberSpec, lps, peak_power_w, scan_points) -> list:
+    """The root closest to each pump, as a PhaseMatchPoint or the error.
+
+    Each pump's window is checked on its own, so one pump without a
+    window fails alone. The valid pumps are scanned in one broadcast
+    ``phase_mismatch`` call on a (pumps, scan_points) grid. Per pump only
+    the root closest to the pump is kept: the last sign-change bracket,
+    or an exact zero of the scan after it. All kept brackets are then
+    refined together by ``_refine``.
+    """
+    results = [None] * len(lps)
+    windows = []
+    for k, lp in enumerate(lps):
+        try:
+            windows.append((k, *_scan_window(fiber, lp)))
+        except (PhaseMatchError, WavelengthRangeError) as exc:
+            results[k] = exc
+    for start in range(0, len(windows), _PUMPS_PER_SCAN):
+        ks, lo, hi = (np.array(c) for c in zip(*windows[start:start + _PUMPS_PER_SCAN]))
+        lp = lps[ks]
+        grid = np.linspace(lo, hi, int(scan_points), axis=-1)
+        vals = phase_mismatch(fiber, lp[:, None], grid, peak_power_w)
+        sign = np.sign(vals)
+        flip = _last(sign[:, :-1] * sign[:, 1:] < 0)
+        zero = _last(vals == 0.0)
+
+        ls = np.full(len(ks), np.nan)
+        dk = np.zeros(len(ks))
+        exact = zero > flip
+        ls[exact] = grid[exact, zero[exact]]
+        rows = np.nonzero(~exact & (flip >= 0))[0]
+        i = flip[rows]
+        ls[rows], dk[rows] = _refine(
+            fiber, lp[rows], grid[rows, i], grid[rows, i + 1], vals[rows, i],
+            vals[rows, i + 1], np.zeros(len(rows)), peak_power_w)
+
+        ok = ~np.isnan(ls)
+        li = np.full(len(ks), np.nan)
+        li[ok] = idler_wavelength(ls[ok], lp[ok])
+        for j, k in enumerate(ks):
+            if ok[j]:
+                results[k] = PhaseMatchPoint(float(lp[j]), float(ls[j]), float(li[j]),
+                                             float(dk[j]))
+            elif flip[j] >= 0:
+                results[k] = PhaseMatchError("root refinement did not reach the "
+                                             "mismatch tolerance")
+            else:
+                results[k] = PhaseMatchError(
+                    f"no phase-matched solution in window ({lo[j]:g}, {hi[j]:g}) nm "
+                    f"for pump {lp[j]:g} nm"
+                )
+    return results
 
 
 def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
@@ -137,9 +233,10 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
     """Solve dk = 0 for the signal wavelength below the pump.
 
     A coarse scan over the (validity-clipped) signal window brackets the
-    sign change, which bisection then refines to |dk| < 1e-6 rad/m. When
-    several brackets exist the root closest to the pump is returned, the
-    branch continuously connected to degeneracy.
+    sign changes. Only the root closest to the pump is refined, the
+    branch continuously connected to degeneracy: a bracketed secant
+    (Illinois regula falsi) runs until |dk| < 1e-6 rad/m. This is the
+    one-pump case of the solver behind ``tuning_curve``.
 
     Raises
     ------
@@ -147,48 +244,30 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
         If no sign change exists in the window (e.g. B = 0, where only
         the degenerate solution at the pump remains).
     """
-    lambda_p_nm = float(lambda_p_nm)
-    lo, hi = _scan_window(fiber, lambda_p_nm)
-    grid = np.linspace(lo, hi, int(scan_points))
-    vals = phase_mismatch(fiber, lambda_p_nm, grid, peak_power_w)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-
-    f = lambda ls: phase_mismatch(fiber, lambda_p_nm, ls, peak_power_w)
-    candidates = [(float(grid[i]), 0.0) for i in exact]
-    for i in flips:
-        candidates.append(_bisect_root(f, grid[i], grid[i + 1], vals[i]))
-    if not candidates:
-        raise PhaseMatchError(
-            f"no phase-matched solution in window ({lo:g}, {hi:g}) nm "
-            f"for pump {lambda_p_nm:g} nm"
-        )
-    ls, dk = max(candidates, key=lambda c: c[0])
-    return PhaseMatchPoint(
-        lambda_p_nm=lambda_p_nm,
-        lambda_s_nm=float(ls),
-        lambda_i_nm=float(idler_wavelength(ls, lambda_p_nm)),
-        residual_mismatch=float(dk),
-    )
+    result = _solve(fiber, np.array([float(lambda_p_nm)]), peak_power_w, scan_points)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int,
                  peak_power_w=0.0) -> tuple:
-    """Solve across a pump range.
+    """Solve across a pump range, all pumps in one batched solve.
 
     Returns ``(points, skipped)``: the solved PhaseMatchPoints and the
-    pump wavelengths for which no solution exists in the window.
+    pump wavelengths for which no solution exists in the window. Each
+    point equals ``solve_signal_idler`` at its pump.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     lo, hi = lambda_p_range
+    lps = np.linspace(float(lo), float(hi), int(steps))
     points, skipped = [], []
-    for lp in np.linspace(float(lo), float(hi), int(steps)):
-        try:
-            points.append(solve_signal_idler(fiber, lp, peak_power_w))
-        except (PhaseMatchError, WavelengthRangeError):
+    for lp, result in zip(lps, _solve(fiber, lps, peak_power_w, SCAN_POINTS)):
+        if isinstance(result, Exception):
             skipped.append(float(lp))
+        else:
+            points.append(result)
     return points, skipped
 
 
@@ -198,12 +277,13 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm,
 
     The intrinsic width is that of the sinc^2(dk L / 2) phase-matching
     profile in the signal wavelength. Its half-maximum edges are the
-    roots of dk(ls) = +/- 2 X_HALF / L, found by the solver's bisection
-    on a bracket twice the linear estimate wide. The pump bandwidth adds
-    in quadrature after propagation through the slope of the solution
-    curve, d(ls)/d(lp) = -(d dk/d lp) / (d dk/d ls) by the implicit-
-    function theorem. The idler width follows from the
-    energy-conservation Jacobian |d(li)/d(ls)| = (li/ls)^2.
+    roots of dk(ls) = +/- 2 X_HALF / L, both refined in one call of the
+    solver's bracketed secant on brackets twice the linear estimate
+    wide. The pump bandwidth adds in quadrature after propagation
+    through the slope of the solution curve, d(ls)/d(lp) =
+    -(d dk/d lp) / (d dk/d ls) by the implicit-function theorem. The
+    idler width follows from the energy-conservation Jacobian
+    |d(li)/d(ls)| = (li/ls)^2.
     """
     if abs(point.residual_mismatch) > 10 * MISMATCH_TOL:
         raise ValueError("point is not phase matched")
@@ -217,15 +297,18 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm,
 
     dk_half = 2.0 * X_HALF / fiber.length_m
     reach = 2.0 * dk_half / abs(dk_dls)
-    edges = []
-    for direction in (-1.0, 1.0):
-        level = direction * np.sign(dk_dls) * dk_half
-        f = lambda ls: phase_mismatch(fiber, lp, ls, peak_power_w) - level
-        far = ls0 + direction * reach
-        f_near, f_far = f(ls0), f(far)
-        if not f_near * f_far < 0:
-            raise BandwidthError("no half-maximum crossing within twice the linear estimate")
-        edges.append(_bisect_root(f, ls0, far, f_near)[0])
+    # the lower edge, then the upper one
+    level = np.array([-1.0, 1.0]) * np.sign(dk_dls) * dk_half
+    near, lower, upper = phase_mismatch(fiber, lp, np.array([ls0, ls0 - reach, ls0 + reach]),
+                                        peak_power_w)
+    f_near, f_far = near - level, np.array([lower, upper]) - level
+    if not np.all(f_near * f_far < 0):
+        raise BandwidthError("no half-maximum crossing within twice the linear estimate")
+    edges, _ = _refine(fiber, np.full(2, lp), np.array([ls0 - reach, ls0]),
+                       np.array([ls0, ls0 + reach]), np.array([f_far[0], f_near[1]]),
+                       np.array([f_near[0], f_far[1]]), level, peak_power_w)
+    if np.isnan(edges).any():
+        raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
     fwhm_pm = edges[1] - edges[0]
 
     slope = -dk_dlp / dk_dls

@@ -11,6 +11,8 @@ from xsplice import (
     solve_signal_idler,
     tuning_curve,
 )
+from xsplice.materials import WavelengthRangeError
+from xsplice.phasematch import MISMATCH_TOL
 
 
 class TestIdlerWavelength:
@@ -94,6 +96,45 @@ class TestSolver:
         assert a == b
 
 
+def _nearest_root_reference(fiber, lp):
+    """Root closest to the pump: a 20000-point scan of the validity-clipped
+    window, then 60 bisections of its last sign-change bracket."""
+    lo_model, hi_model = fiber.core_model.valid_range_nm
+    lo = max(400.0, lo_model, lp * hi_model / (2.0 * hi_model - lp) * (1.0 + 1e-9))
+    grid = np.linspace(lo, lp - 0.25, 20000)
+    vals = phase_mismatch(fiber, lp, grid)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    assert len(flips) == 2  # both branches lie in the window
+    a, b, fa = grid[flips[-1]], grid[flips[-1] + 1], vals[flips[-1]]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = phase_mismatch(fiber, lp, mid)
+        if (fm < 0) == (fa < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b), grid[flips[0]]
+
+
+class TestBranchSelection:
+    # Near silica's zero-dispersion wavelength a 1064 nm pump sees two
+    # roots in the window at small B, one near 630 nm and one within
+    # 40 nm of the pump. The solver must refine only the latter.
+    @pytest.mark.parametrize("b", [1e-6, 2e-6, 3e-6])
+    def test_root_closest_to_the_pump(self, silica, b):
+        fiber = FiberSpec(0.13, b, 0.0, silica)
+        points, skipped = tuning_curve(fiber, (1058.0, 1070.0), 13)
+        assert not skipped
+        for point in [solve_signal_idler(fiber, 1064.0), *points]:
+            ref, far_root = _nearest_root_reference(fiber, point.lambda_p_nm)
+            assert point.lambda_s_nm - far_root > 300.0
+            # |dk| < 1e-6 rad/m at a slope of a few rad/m/nm: a few 1e-7 nm
+            assert point.lambda_s_nm == pytest.approx(ref, abs=1e-5)
+            assert abs(point.residual_mismatch) < MISMATCH_TOL
+            assert abs(phase_mismatch(fiber, point.lambda_p_nm,
+                                      point.lambda_s_nm)) < MISMATCH_TOL
+
+
 class TestTuningCurve:
     def test_constant_range(self, paper_fiber):
         points, skipped = tuning_curve(paper_fiber, (771.0, 771.0), 2)
@@ -114,6 +155,14 @@ class TestTuningCurve:
         li = [p.lambda_i_nm for p in points]
         assert all(a < b for a, b in zip(ls, ls[1:]))
         assert all(a < b for a, b in zip(li, li[1:]))
+
+    def test_pump_outside_the_model_is_skipped(self, paper_fiber):
+        # 7420 nm is twice silica's 3710 nm limit, where the idler bound
+        # of the window has a zero denominator
+        points, skipped = tuning_curve(paper_fiber, (7420.0, 7420.0), 2)
+        assert not points and skipped == [7420.0, 7420.0]
+        with pytest.raises(WavelengthRangeError, match="outside validity range"):
+            solve_signal_idler(paper_fiber, 7420.0)
 
     def test_steps_validation(self, paper_fiber):
         with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState
                      compensated_phase, compensator_phase, reconstruct_mle,
                      simulate_counts, standard_settings)
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
-from xsplice.phasematch import (idler_wavelength, output_bandwidths, phase_mismatch,
-                                solve_signal_idler)
+from xsplice.materials import WavelengthRangeError
+from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwidths,
+                                phase_mismatch, solve_signal_idler, tuning_curve)
 from xsplice.states import concurrence, relabel_signal_flip
 from xsplice.tomography import _neg_log_likelihood, _params_to_rho, _projector_stack
 
@@ -85,6 +86,42 @@ def test_pump_slope_matches_solution_curve(silica, pump, target, length, pump_fw
     central = (solve_signal_idler(fiber, pump + h).lambda_s_nm
                - solve_signal_idler(fiber, pump - h).lambda_s_nm) / (2.0 * h)
     assert slope == pytest.approx(abs(central), rel=1e-3)
+
+
+def _assert_one_path(fiber, pump_range, steps):
+    """Each tuning-curve point is the single-pump solve; each skip raises."""
+    points, skipped = tuning_curve(fiber, pump_range, steps)
+    assert len(points) + len(skipped) == steps
+    for point in points:
+        assert point == solve_signal_idler(fiber, point.lambda_p_nm)
+    for lp in skipped:
+        with pytest.raises((PhaseMatchError, WavelengthRangeError)):
+            solve_signal_idler(fiber, lp)
+    return points, skipped
+
+
+@SOLVER
+@given(pump=pumps, target=targets, length=lengths, start=st.floats(700.0, 1200.0),
+       span=st.floats(0.0, 2000.0), steps=st.integers(2, 7))
+def test_tuning_curve_is_the_single_pump_solve(silica, pump, target, length, start, span,
+                                               steps):
+    fiber, _ = _calibrated(silica, pump, target, length)
+    _assert_one_path(fiber, (start, start + span), steps)
+
+
+@pytest.mark.parametrize("pump_range, n_solved", [
+    ((1000.0, 1400.0), 4),
+    # no root below silica's 3710 nm validity limit, and no window above it
+    ((1500.0, 3800.0), 0),
+])
+def test_mixed_range_skips_pumps_one_by_one(paper_fiber, pump_range, n_solved):
+    points, skipped = _assert_one_path(paper_fiber, pump_range, 13)
+    assert len(points) == n_solved and len(skipped) == 13 - n_solved
+    limit = paper_fiber.core_model.valid_range_nm[1]
+    for lp in skipped:
+        reason = "empty search window" if lp > limit else "no phase-matched solution"
+        with pytest.raises(PhaseMatchError, match=reason):
+            solve_signal_idler(paper_fiber, lp)
 
 
 @CHEAP
