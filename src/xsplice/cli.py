@@ -132,7 +132,7 @@ def _cmd_phase_map(cfg, args):
 def _cmd_optimize(cfg, args):
     sig, idl, std_deg = design.optimize_compensators(cfg.fiber, cfg.material,
                                                      cfg.pump, cfg.signal)
-    s_ax, p_ax = _map_axes(cfg, 101)
+    s_ax, p_ax = _map_axes(cfg, states.DESIGN_POINTS)
     pmap = phase.phase_map(cfg.fiber, (sig, idl), s_ax, p_ax)
     _emit(_json_text({
         "signal_mm": sig.length_mm,
@@ -246,7 +246,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phase-map", help="phase deviation over the spectral grid")
     p.add_argument("--compensated", action="store_true")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=int, default=states.DESIGN_POINTS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_phase_map)
 

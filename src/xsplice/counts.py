@@ -303,25 +303,22 @@ def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
                              target_fidelity: float = 0.922) -> float:
     """Power-independent noise weight that reproduces a measured fidelity.
 
-    Fidelity against a fixed Bell state is exactly linear in the
-    white-noise weight, so two evaluations determine the calibration.
+    White noise of total weight w maps every Bell fidelity F of the
+    spectral state to (1 - w) F + w/4. With f0 the fidelity at the
+    background weight bg alone, the extra weight that reaches the target
+    is (f0 - target)(1 - bg)/(f0 - 1/4), in closed form from one state.
     Returns 0 if the model alone is already at or below the target.
     """
-    def fid_at(w0):
-        state = effective_state_at_power(
-            p, fiber, comps, signal_spectrum, pump_spectrum, avg_power_mw,
-            baseline_noise=w0)
-        return best_bell_fidelity(state)[0]
-
-    f0 = fid_at(0.0)
+    state = effective_state_at_power(p, fiber, comps, signal_spectrum,
+                                     pump_spectrum, avg_power_mw)
+    f0 = best_bell_fidelity(state)[0]
     if f0 <= target_fidelity:
         warnings.warn(
             f"model fidelity {f0:.4f} already at or below the target "
             f"{target_fidelity:.4f}; baseline set to 0", RuntimeWarning)
         return 0.0
-    probe = 0.1
-    f1 = fid_at(probe)
-    return probe * (target_fidelity - f0) / (f1 - f0)
+    bg = _background_fraction(p, avg_power_mw)
+    return (f0 - target_fidelity) * (1.0 - bg) / (f0 - 0.25)
 
 
 def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,

@@ -19,7 +19,7 @@ from .phase import (CompensatorSpec, compensated_phase, compensator_phase,
                     total_phase)
 from .phasematch import (PhaseMatchError, idler_wavelength, phase_mismatch,
                          solve_signal_idler)
-from .states import DESIGN_SPAN_SIGMAS, GaussianSpectrum, spectral_grid
+from .states import DESIGN_POINTS, DESIGN_SPAN_SIGMAS, GaussianSpectrum, spectral_grid
 
 __all__ = [
     "OptimizationError",
@@ -49,7 +49,7 @@ class CalibrationError(RuntimeError):
 
 
 def weighted_phase_std(fiber: FiberSpec, comps, pump: GaussianSpectrum,
-                       signal: GaussianSpectrum, points: int = 101) -> float:
+                       signal: GaussianSpectrum, points: int = DESIGN_POINTS) -> float:
     """Spectrum-weighted standard deviation of the phase, in degrees."""
     ls, lp, w = spectral_grid(signal, pump, points, DESIGN_SPAN_SIGMAS)
     grid = compensated_phase(fiber, comps or (), ls, lp)
@@ -85,7 +85,7 @@ def _box_minimum(gram: np.ndarray, c: np.ndarray,
 def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
                           pump: GaussianSpectrum, signal: GaussianSpectrum,
                           max_length_mm: float | None = None,
-                          points: int = 101) -> tuple:
+                          points: int = DESIGN_POINTS) -> tuple:
     """Flatten the phase map with one crystal per output arm.
 
     Minimizes the spectrum-weighted phase variance over the +/- 3 sigma

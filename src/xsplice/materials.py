@@ -103,14 +103,16 @@ class CompensatorMaterial:
 def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
     lam = np.asarray(wavelength_nm, dtype=float)
     lo, hi = model.valid_range_nm
-    if np.any(lam < lo) or np.any(lam > hi):
+    # one min/max pass; a NaN fails it and falls through to the elementwise test
+    if lam.size and not (lo <= lam.min() and lam.max() <= hi):
         bad = lam[(lam < lo) | (lam > hi)]
-        worst = float(bad.flat[0])
-        bound = lo if worst < lo else hi
-        raise WavelengthRangeError(
-            f"wavelength {worst:g} nm outside validity range "
-            f"[{lo:g}, {hi:g}] nm of {model.name or 'model'} (violated bound: {bound:g} nm)"
-        )
+        if bad.size:
+            worst = float(bad.flat[0])
+            bound = lo if worst < lo else hi
+            raise WavelengthRangeError(
+                f"wavelength {worst:g} nm outside validity range [{lo:g}, {hi:g}] nm "
+                f"of {model.name or 'model'} (violated bound: {bound:g} nm)"
+            )
     return lam
 
 

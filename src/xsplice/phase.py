@@ -128,15 +128,14 @@ def compensator_phase(comp: CompensatorSpec, wavelength_nm):
     return out if np.ndim(out) else float(out)
 
 
-def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm,
-                      peak_power_w=0.0):
-    """Total phase including the signal- and idler-arm compensators.
+def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
+    """Total phase at zero peak power including the arm compensators.
 
     ``comps`` is an iterable of CompensatorSpec; signal-arm entries are
     evaluated at the signal wavelength, idler-arm entries at the idler
     wavelength fixed by energy conservation.
     """
-    phase = total_phase(fiber, lambda_s_nm, lambda_p_nm, peak_power_w)
+    phase = total_phase(fiber, lambda_s_nm, lambda_p_nm)
     ls = np.asarray(lambda_s_nm, dtype=float)
     for comp in comps:
         if comp.arm == "signal":
@@ -146,8 +145,7 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm,
     return phase
 
 
-def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm,
-              peak_power_w=0.0) -> PhaseMap:
+def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap:
     """Evaluate the (optionally compensated) phase over a grid.
 
     ``comps`` may be None or empty for the raw phase. Axes must be
@@ -162,8 +160,7 @@ def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm,
         raise ValueError("axes must be non-empty")
     if np.any(np.diff(s_ax) < 0) or np.any(np.diff(p_ax) < 0):
         raise ValueError("axes must be sorted ascending")
-    grid = compensated_phase(fiber, comps or (), s_ax[:, None], p_ax[None, :],
-                             peak_power_w)
+    grid = compensated_phase(fiber, comps or (), s_ax[:, None], p_ax[None, :])
     deg = np.degrees(grid)
     deg = deg - deg.mean()
     deg = deg - deg.mean()  # second pass scrubs the float residual of the first

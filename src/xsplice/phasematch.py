@@ -87,10 +87,12 @@ def idler_wavelength(lambda_s_nm, lambda_p_nm):
     """Idler wavelength from energy conservation, ls*lp/(2*ls - lp)."""
     ls = np.asarray(lambda_s_nm, dtype=float)
     lp = np.asarray(lambda_p_nm, dtype=float)
-    if np.any(ls <= 0) or np.any(lp <= 0):
+    # one min pass per input; a NaN fails it and falls through to the elementwise test
+    if not (ls.min(initial=np.inf) > 0 and lp.min(initial=np.inf) > 0) \
+            and ((ls <= 0).any() or (lp <= 0).any()):
         raise ValueError("wavelengths must be positive")
     denom = 2.0 * ls - lp
-    if np.any(denom == 0.0):
+    if (denom == 0.0).any():
         raise PhaseMatchError("degenerate denominator: 2*lambda_s == lambda_p")
     out = ls * lp / denom
     return out if out.ndim else float(out)
@@ -137,7 +139,7 @@ def _last(mask):
     return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1)
 
 
-def _refine(fiber, lp, a, b, fa, fb, level, peak_power_w):
+def _refine(fiber, lp, a, b, fa, fb, level):
     """Roots of dk(lp, ls) - level on the brackets a < ls < b, in lockstep.
 
     Illinois regula falsi: each round takes the secant step through the
@@ -159,7 +161,7 @@ def _refine(fiber, lp, a, b, fa, fb, level, peak_power_w):
             break
         x = a - fa * (b - a) / (fb - fa)
         x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        f = phase_mismatch(fiber, lp, x, peak_power_w) - level
+        f = phase_mismatch(fiber, lp, x) - level
         done = np.abs(f) < MISMATCH_TOL
         x_out[act[done]], f_out[act[done]] = x[done], f[done]
         left = ~done
@@ -174,7 +176,7 @@ def _refine(fiber, lp, a, b, fa, fb, level, peak_power_w):
     return x_out, f_out
 
 
-def _solve(fiber: FiberSpec, lps, peak_power_w, scan_points) -> list:
+def _solve(fiber: FiberSpec, lps, scan_points) -> list:
     """The root closest to each pump, as a PhaseMatchPoint or the error.
 
     Each pump's window is checked on its own, so one pump without a
@@ -195,7 +197,7 @@ def _solve(fiber: FiberSpec, lps, peak_power_w, scan_points) -> list:
         ks, lo, hi = (np.array(c) for c in zip(*windows[start:start + _PUMPS_PER_SCAN]))
         lp = lps[ks]
         grid = np.linspace(lo, hi, int(scan_points), axis=-1)
-        vals = phase_mismatch(fiber, lp[:, None], grid, peak_power_w)
+        vals = phase_mismatch(fiber, lp[:, None], grid)
         sign = np.sign(vals)
         flip = _last(sign[:, :-1] * sign[:, 1:] < 0)
         zero = _last(vals == 0.0)
@@ -208,7 +210,7 @@ def _solve(fiber: FiberSpec, lps, peak_power_w, scan_points) -> list:
         i = flip[rows]
         ls[rows], dk[rows] = _refine(
             fiber, lp[rows], grid[rows, i], grid[rows, i + 1], vals[rows, i],
-            vals[rows, i + 1], np.zeros(len(rows)), peak_power_w)
+            vals[rows, i + 1], np.zeros(len(rows)))
 
         ok = ~np.isnan(ls)
         li = np.full(len(ks), np.nan)
@@ -228,9 +230,9 @@ def _solve(fiber: FiberSpec, lps, peak_power_w, scan_points) -> list:
     return results
 
 
-def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
+def solve_signal_idler(fiber: FiberSpec, lambda_p_nm,
                        scan_points=SCAN_POINTS) -> PhaseMatchPoint:
-    """Solve dk = 0 for the signal wavelength below the pump.
+    """Solve dk = 0 at zero peak power for the signal below the pump.
 
     A coarse scan over the (validity-clipped) signal window brackets the
     sign changes. Only the root closest to the pump is refined, the
@@ -244,14 +246,13 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm, peak_power_w=0.0,
         If no sign change exists in the window (e.g. B = 0, where only
         the degenerate solution at the pump remains).
     """
-    result = _solve(fiber, np.array([float(lambda_p_nm)]), peak_power_w, scan_points)[0]
+    result = _solve(fiber, np.array([float(lambda_p_nm)]), scan_points)[0]
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int,
-                 peak_power_w=0.0) -> tuple:
+def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
     """Solve across a pump range, all pumps in one batched solve.
 
     Returns ``(points, skipped)``: the solved PhaseMatchPoints and the
@@ -263,7 +264,7 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int,
     lo, hi = lambda_p_range
     lps = np.linspace(float(lo), float(hi), int(steps))
     points, skipped = [], []
-    for lp, result in zip(lps, _solve(fiber, lps, peak_power_w, SCAN_POINTS)):
+    for lp, result in zip(lps, _solve(fiber, lps, SCAN_POINTS)):
         if isinstance(result, Exception):
             skipped.append(float(lp))
         else:
@@ -271,8 +272,7 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int,
     return points, skipped
 
 
-def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm,
-                      peak_power_w=0.0) -> tuple:
+def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) -> tuple:
     """FWHM estimates (signal_nm, idler_nm) at a solved operating point.
 
     The intrinsic width is that of the sinc^2(dk L / 2) phase-matching
@@ -291,22 +291,21 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm,
         raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
     lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
     h = _DIFF_STEP_NM
-    dk_s = phase_mismatch(fiber, lp, np.array([ls0 - h, ls0 + h]), peak_power_w)
-    dk_p = phase_mismatch(fiber, np.array([lp - h, lp + h]), ls0, peak_power_w)
+    dk_s = phase_mismatch(fiber, lp, np.array([ls0 - h, ls0 + h]))
+    dk_p = phase_mismatch(fiber, np.array([lp - h, lp + h]), ls0)
     dk_dls, dk_dlp = (dk_s[1] - dk_s[0]) / (2 * h), (dk_p[1] - dk_p[0]) / (2 * h)
 
     dk_half = 2.0 * X_HALF / fiber.length_m
     reach = 2.0 * dk_half / abs(dk_dls)
     # the lower edge, then the upper one
     level = np.array([-1.0, 1.0]) * np.sign(dk_dls) * dk_half
-    near, lower, upper = phase_mismatch(fiber, lp, np.array([ls0, ls0 - reach, ls0 + reach]),
-                                        peak_power_w)
+    near, lower, upper = phase_mismatch(fiber, lp, np.array([ls0, ls0 - reach, ls0 + reach]))
     f_near, f_far = near - level, np.array([lower, upper]) - level
     if not np.all(f_near * f_far < 0):
         raise BandwidthError("no half-maximum crossing within twice the linear estimate")
     edges, _ = _refine(fiber, np.full(2, lp), np.array([ls0 - reach, ls0]),
                        np.array([ls0, ls0 + reach]), np.array([f_far[0], f_near[1]]),
-                       np.array([f_near[0], f_far[1]]), level, peak_power_w)
+                       np.array([f_near[0], f_far[1]]), level)
     if np.isnan(edges).any():
         raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
     fwhm_pm = edges[1] - edges[0]

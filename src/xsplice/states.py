@@ -46,6 +46,9 @@ FWHM_PER_SIGMA = 2.3548200450309493
 #: Half-width of the compensator-design and phase-map window, in sigma.
 DESIGN_SPAN_SIGMAS = 3.0
 
+#: Points per axis of the compensator-design and phase-map grid.
+DESIGN_POINTS = 101
+
 #: Points per axis of the state quadrature; the convergence check
 #: repeats it with twice as many.
 QUAD_NODES = 64
@@ -145,7 +148,7 @@ def pure_phi_state(phi: float) -> TwoQubitState:
     return TwoQubitState(np.outer(v, v.conj()))
 
 
-def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = 101,
+def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
                    span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
     """Axis covering +/- span_sigmas of a Gaussian given by its FWHM."""
     half = span_sigmas * fwhm_nm / FWHM_PER_SIGMA
@@ -185,30 +188,28 @@ def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
-                             pump: GaussianSpectrum, nodes: int = QUAD_NODES,
-                             convergence_check: bool = True) -> TwoQubitState:
+                             pump: GaussianSpectrum,
+                             nodes: int = QUAD_NODES) -> TwoQubitState:
     """Average the pure-state projector over both spectra.
 
     ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
     arrays (a signal column and a pump row) and return the relative
     phase in radians. A constant phase reproduces ``pure_phi_state``
-    exactly. When ``convergence_check`` is on, the quadrature is
-    repeated with doubled node count and a warning is issued if the
-    coherence magnitude moves by more than 1e-6.
+    exactly. The quadrature is repeated with doubled node count and a
+    warning is issued if the coherence magnitude moves by more than 1e-6.
     """
     def coherence(n):
         return _spectral_average(lambda s, p: np.exp(-1j * phase_fn(s, p)),
                                  signal, pump, n)
 
     coh = coherence(nodes)
-    if convergence_check:
-        coh2 = coherence(2 * nodes)
-        if abs(abs(coh2) - abs(coh)) > 1e-6:
-            warnings.warn(
-                f"spectral quadrature not converged: doubling nodes moved the "
-                f"coherence magnitude by {abs(abs(coh2) - abs(coh)):.2e}",
-                RuntimeWarning,
-            )
+    coh2 = coherence(2 * nodes)
+    if abs(abs(coh2) - abs(coh)) > 1e-6:
+        warnings.warn(
+            f"spectral quadrature not converged: doubling nodes moved the "
+            f"coherence magnitude by {abs(abs(coh2) - abs(coh)):.2e}",
+            RuntimeWarning,
+        )
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5
     m[0, 3] = 0.5 * coh

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .states import TwoQubitState, bell_state, fidelity, tangle
 
@@ -134,16 +133,6 @@ def _params_to_rho(t: np.ndarray) -> np.ndarray:
     return a / np.trace(a).real
 
 
-def _rho_to_params(rho: np.ndarray) -> np.ndarray:
-    # nudge onto the strictly positive cone so Cholesky exists
-    w, u = np.linalg.eigh(rho)
-    w = np.clip(w, 1e-9, None)
-    fixed = (u * w) @ u.conj().T
-    fixed /= np.trace(fixed).real
-    T = np.linalg.cholesky(fixed).astype(complex)  # a real rho gives a real factor
-    return T.view(float).ravel()[_T_SLOTS]
-
-
 def _neg_log_likelihood(t: np.ndarray, pis: np.ndarray, counts: np.ndarray,
                         n: float) -> tuple:
     """Poisson NLL of the state with parameters ``t`` and its exact gradient.
@@ -166,7 +155,8 @@ def _neg_log_likelihood(t: np.ndarray, pis: np.ndarray, counts: np.ndarray,
     # falls, and the line search cannot stall on rounding noise.
     excess = lam - counts
     dev = excess - counts * np.log1p(excess / np.where(counts > 0, counts, 1.0))
-    nll = float((counts - xlogy(counts, counts)).sum() + dev.sum())
+    c_log_c = counts * np.log(np.where(counts > 0, counts, 1.0))  # 0 log 0 = 0
+    nll = float((counts - c_log_c).sum() + dev.sum())
     g = np.where(p > _P_FLOOR, n * (1.0 - counts / lam), 0.0)
     m = (g @ flat).reshape(4, 4)
     m[np.diag_indices(4)] -= g @ p
@@ -179,22 +169,21 @@ def _check_informationally_complete(pis: np.ndarray):
         raise ValueError("settings are not informationally complete (rank < 16)")
 
 
-def reconstruct_mle(data: TomographyData, restarts: int = 3,
-                    max_iter: int = 4000, seed: int = 0) -> TwoQubitState:
+def reconstruct_mle(data: TomographyData, restarts: int = 3) -> TwoQubitState:
     """Maximum-likelihood state estimate from tomography counts.
 
     Starts from the maximally mixed state and from ``restarts - 1``
-    random Cholesky factors, keeps the best optimum. Issues a
-    RuntimeWarning (and still returns the best state found) if no start
-    converged.
+    random Cholesky factors (a generator seeded with 0), keeps the best
+    optimum. Issues a RuntimeWarning (and still returns the best state
+    found) if no start converged.
     """
     pis = _projector_stack(data.settings)
     _check_informationally_complete(pis)
     counts = np.asarray(data.counts)
     n = data.total_per_setting
 
-    rng = np.random.default_rng(seed)
-    starts = [_rho_to_params(np.eye(4) / 4.0)]
+    rng = np.random.default_rng(0)
+    starts = [np.concatenate([np.full(4, 0.5), np.zeros(12)])]  # T = I/2, rho = I/4
     for _ in range(max(0, restarts - 1)):
         starts.append(rng.normal(scale=0.3, size=16))
 
@@ -203,7 +192,7 @@ def reconstruct_mle(data: TomographyData, restarts: int = 3,
     for t0 in starts:
         res = minimize(_neg_log_likelihood, t0, args=(pis, counts, n), jac=True,
                        method="L-BFGS-B",
-                       options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 1e-12})
+                       options={"maxiter": 4000, "ftol": 1e-15, "gtol": 1e-12})
         converged = converged or bool(res.success)
         if best is None or res.fun < best.fun:
             best = res
@@ -214,19 +203,19 @@ def reconstruct_mle(data: TomographyData, restarts: int = 3,
 
 
 def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
-               fidelity_target: str = "psi-", restarts: int = 1) -> tuple:
+               fidelity_target: str = "psi-") -> tuple:
     """Parametric-bootstrap uncertainties (fidelity_std, tangle_std).
 
     Counts are resampled as Poisson draws around the reconstructed
-    means, each replicate is re-reconstructed, and the standard
-    deviations of the Bell fidelity and tangle over replicates are
-    returned.
+    means (two starts), each replicate is re-reconstructed from the
+    maximally mixed start alone, and the standard deviations of the
+    Bell fidelity and tangle over replicates are returned.
     """
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be >= 1")
     if n_bootstrap == 1:
         warnings.warn("n_bootstrap = 1 gives degenerate (zero) error bars", RuntimeWarning)
-    rho_hat = reconstruct_mle(data, restarts=max(restarts, 2))
+    rho_hat = reconstruct_mle(data, restarts=2)
     means = data.total_per_setting * np.clip(
         born_probabilities(rho_hat, data.settings), 0.0, None)
     target = bell_state(fidelity_target)
@@ -238,7 +227,7 @@ def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
             counts=tuple(float(c) for c in rng.poisson(means)),
             total_per_setting=data.total_per_setting,
         )
-        rep = reconstruct_mle(resampled, restarts=restarts)
+        rep = reconstruct_mle(resampled, restarts=1)
         fids.append(fidelity(rep, target))
         tangles.append(tangle(rep))
     return float(np.std(fids)), float(np.std(tangles))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xsplice import counts as counts_mod
 from xsplice import (
     CountRecord,
     FitError,
@@ -309,6 +310,33 @@ class TestBaselineCalibration:
                                          signal_spectrum, pump_spectrum, 30.0,
                                          baseline_noise=w0)
         assert best_bell_fidelity(state)[0] == pytest.approx(0.922, abs=1e-9)
+
+    @pytest.mark.parametrize("target", [0.922, 0.95, 0.7])
+    def test_one_state_matches_two_probes(self, monkeypatch, fitted, paper_fiber,
+                                          paper_compensators, signal_spectrum,
+                                          pump_spectrum, target):
+        real = counts_mod.effective_state_at_power
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counts_mod, "effective_state_at_power", counted)
+        w0 = calibrate_baseline_noise(fitted, paper_fiber, paper_compensators,
+                                      signal_spectrum, pump_spectrum,
+                                      avg_power_mw=30.0, target_fidelity=target)
+        assert len(calls) == 1
+
+        def fid_at(w):
+            state = real(fitted, paper_fiber, paper_compensators, signal_spectrum,
+                         pump_spectrum, 30.0, baseline_noise=w)
+            return best_bell_fidelity(state)[0]
+
+        # Bell fidelity is linear in the noise weight: two probes fix the line
+        f0, f1 = fid_at(0.0), fid_at(0.1)
+        assert f0 > target
+        assert w0 == pytest.approx(0.1 * (target - f0) / (f1 - f0), rel=1e-12, abs=0.0)
 
     def test_unreachable_target_warns(self, fitted, paper_fiber, paper_compensators,
                                       signal_spectrum, pump_spectrum):

@@ -51,6 +51,14 @@ def test_out_of_range_raises(silica):
     assert "3710" in str(err.value)
 
 
+def test_range_check_sees_past_a_nan(silica):
+    # a NaN defeats a min/max test; the first offender is still reported
+    with pytest.raises(WavelengthRangeError, match="wavelength 5000 nm .*bound: 3710 nm"):
+        index(silica, np.array([np.nan, 670.0, 5000.0, 100.0]))
+    assert np.isnan(index(silica, np.array([np.nan, 670.0]))[0])
+    assert index(silica, np.empty(0)).shape == (0,)
+
+
 def test_slow_axis_zero_birefringence(silica):
     fiber = FiberSpec(0.13, 0.0, 0.01, silica)
     assert slow_axis_index(fiber, 771.0) == index(silica, 771.0)

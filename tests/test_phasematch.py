@@ -37,6 +37,14 @@ class TestIdlerWavelength:
         with pytest.raises(ValueError):
             idler_wavelength(-670.0, 771.0)
 
+    def test_positive_required_past_a_nan(self):
+        # a NaN defeats a min test; the negative entry still raises
+        with pytest.raises(ValueError, match="positive"):
+            idler_wavelength(np.array([np.nan, -670.0]), 771.0)
+        with pytest.raises(ValueError, match="positive"):
+            idler_wavelength(670.0, np.array([np.nan, -771.0]))
+        assert idler_wavelength(np.empty(0), np.empty(0)).shape == (0,)
+
 
 class TestPhaseMatchPoint:
     def test_energy_conservation_enforced(self):

@@ -113,11 +113,9 @@ class TestSpectralMixture:
                 fn = lambda s, p: total_phase(paper_fiber, s, p)
             mean = spectral_mean_phase(fn, signal_spectrum, pump_spectrum)
             a = mixed_state_over_spectra(lambda s, p: fn(s, p) - mean,
-                                         signal_spectrum, pump_spectrum, nodes=64,
-                                         convergence_check=False)
+                                         signal_spectrum, pump_spectrum, nodes=64)
             b = mixed_state_over_spectra(lambda s, p: fn(s, p) - mean,
-                                         signal_spectrum, pump_spectrum, nodes=128,
-                                         convergence_check=False)
+                                         signal_spectrum, pump_spectrum, nodes=128)
             assert abs(abs(a.matrix[0, 3]) - abs(b.matrix[0, 3])) < 1e-6
 
     def test_unresolved_phase_warns(self, signal_spectrum, pump_spectrum):
