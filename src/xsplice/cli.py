@@ -145,20 +145,11 @@ def _cmd_optimize(cfg, args):
     return 0
 
 
-def _effective_state(cfg, power_mw):
-    return counts_mod.effective_state_at_power(
-        cfg.noise, cfg.fiber, cfg.compensators, cfg.signal, cfg.pump,
-        power_mw, baseline_noise=cfg.baseline_noise)
-
-
 def _cmd_state(cfg, args):
-    if args.uncompensated:
-        phase_fn = lambda ls, lp: phase.total_phase(cfg.fiber, ls, lp)
-        mean = states.spectral_mean_phase(phase_fn, cfg.signal, cfg.pump)
-        state = states.mixed_state_over_spectra(
-            lambda ls, lp: phase_fn(ls, lp) - mean, cfg.signal, cfg.pump)
-    else:
-        state = _effective_state(cfg, args.power)
+    comps = None if args.uncompensated else cfg.compensators
+    state = counts_mod.effective_state_at_power(
+        cfg.noise, cfg.fiber, comps, cfg.signal, cfg.pump, args.power,
+        baseline_noise=cfg.baseline_noise)
     fid, best = states.best_bell_fidelity(state)
     payload = {
         "state": state.to_json_dict(),
@@ -255,7 +246,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("state", help="effective two-qubit state and metrics")
-    p.add_argument("--uncompensated", action="store_true")
+    p.add_argument("--uncompensated", action="store_true",
+                   help="the same source at the same power, without the crystals")
     p.add_argument("--power", type=float, default=30.0, help="average pump power, mW")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_state)

@@ -287,7 +287,7 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
         pump_spectrum.center_nm,
         pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw),
     )
-    phase_fn = lambda ls, lp: compensated_phase(fiber, comps or (), ls, lp)
+    phase_fn = lambda ls, lp: compensated_phase(fiber, comps, ls, lp)
     mean = spectral_mean_phase(phase_fn, signal_spectrum, broadened)
     rho_spec = mixed_state_over_spectra(
         lambda ls, lp: phase_fn(ls, lp) - mean, signal_spectrum, broadened)

@@ -5,8 +5,8 @@ lengths (a, b) in mm, so its spectrum-weighted variance over a
 wavelength grid is an exact quadratic form in them:
 ``v00 + 2 [a, b]·c + [a, b]·G·[a, b]``. Its minimum solves the 2x2
 normal equations ``G·[a, b] = -c``; no iterative optimizer is involved.
-The reported residual is recomputed from the full phase map at the
-returned design, so it cannot drift from the quadratic model.
+The reported residual is read off the same centred columns at the
+solved lengths, so the phase model is evaluated once per design.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def weighted_phase_std(fiber: FiberSpec, comps, pump: GaussianSpectrum,
                        signal: GaussianSpectrum, points: int = DESIGN_POINTS) -> float:
     """Spectrum-weighted standard deviation of the phase, in degrees."""
     ls, lp, w = spectral_grid(signal, pump, points, DESIGN_SPAN_SIGMAS)
-    grid = compensated_phase(fiber, comps or (), ls, lp)
+    grid = compensated_phase(fiber, comps, ls, lp)
     mean = np.sum(w * grid)
     var = np.sum(w * (grid - mean) ** 2)
     return float(np.degrees(np.sqrt(var)))
@@ -123,9 +123,8 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
                                   +1 if a >= 0 else -1, "signal")
     idler_comp = CompensatorSpec(abs(float(b)), material,
                                  +1 if b >= 0 else -1, "idler")
-    residual = weighted_phase_std(fiber, (signal_comp, idler_comp),
-                                  pump, signal, points)
-    return signal_comp, idler_comp, residual
+    r = b0 + a * xs + b * yi
+    return signal_comp, idler_comp, float(np.degrees(np.sqrt(np.sum(w * r * r))))
 
 
 def calibrate_birefringence(core_model: SellmeierModel, lambda_p_nm: float,

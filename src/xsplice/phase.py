@@ -131,13 +131,13 @@ def compensator_phase(comp: CompensatorSpec, wavelength_nm):
 def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
     """Total phase at zero peak power including the arm compensators.
 
-    ``comps`` is an iterable of CompensatorSpec; signal-arm entries are
-    evaluated at the signal wavelength, idler-arm entries at the idler
-    wavelength fixed by energy conservation.
+    ``comps`` is an iterable of CompensatorSpec, or None for no crystals;
+    signal-arm entries are evaluated at the signal wavelength, idler-arm
+    entries at the idler wavelength fixed by energy conservation.
     """
     phase = total_phase(fiber, lambda_s_nm, lambda_p_nm)
     ls = np.asarray(lambda_s_nm, dtype=float)
-    for comp in comps:
+    for comp in comps or ():
         if comp.arm == "signal":
             phase = phase + compensator_phase(comp, ls)
         else:
@@ -160,7 +160,7 @@ def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap
         raise ValueError("axes must be non-empty")
     if np.any(np.diff(s_ax) < 0) or np.any(np.diff(p_ax) < 0):
         raise ValueError("axes must be sorted ascending")
-    grid = compensated_phase(fiber, comps or (), s_ax[:, None], p_ax[None, :])
+    grid = compensated_phase(fiber, comps, s_ax[:, None], p_ax[None, :])
     deg = np.degrees(grid)
     deg = deg - deg.mean()
     deg = deg - deg.mean()  # second pass scrubs the float residual of the first

@@ -120,17 +120,29 @@ class TwoQubitState:
         return cls(m)
 
 
+#: Single-qubit analyzer kets, shared by the visibilities and tomography.
+ANALYZER_KETS = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "A": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    "R": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+    "L": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
+}
+
+_S = 1.0 / np.sqrt(2.0)
+_BELL = {
+    "phi+": np.array([_S, 0, 0, _S], dtype=complex),
+    "phi-": np.array([_S, 0, 0, -_S], dtype=complex),
+    "psi+": np.array([0, _S, _S, 0], dtype=complex),
+    "psi-": np.array([0, _S, -_S, 0], dtype=complex),
+}
+
+
 def bell_state(name: str) -> np.ndarray:
     """State vector of a Bell state: 'phi+', 'phi-', 'psi+' or 'psi-'."""
-    s = 1.0 / np.sqrt(2.0)
-    table = {
-        "phi+": np.array([s, 0, 0, s], dtype=complex),
-        "phi-": np.array([s, 0, 0, -s], dtype=complex),
-        "psi+": np.array([0, s, s, 0], dtype=complex),
-        "psi-": np.array([0, s, -s, 0], dtype=complex),
-    }
     try:
-        return table[name]
+        return _BELL[name].copy()
     except KeyError:
         raise ValueError(f"unknown Bell state {name!r}") from None
 
@@ -266,14 +278,11 @@ def tangle(state: TwoQubitState) -> float:
     return concurrence(state) ** 2
 
 
-_H = np.array([1.0, 0.0], dtype=complex)
-_V = np.array([0.0, 1.0], dtype=complex)
-_D = (_H + _V) / np.sqrt(2.0)
-_A = (_H - _V) / np.sqrt(2.0)
-
-_BASIS_PAIRS = {
-    "rectilinear": (_H, _V),
-    "diagonal": (_D, _A),
+#: Per basis, the product kets of analyzer 1 on the first basis vector
+#: with analyzer 2 on each of the two.
+_VISIBILITY_KETS = {
+    basis: tuple(np.kron(ANALYZER_KETS[first], ANALYZER_KETS[k]) for k in (first, second))
+    for basis, (first, second) in (("rectilinear", "HV"), ("diagonal", "DA"))
 }
 
 
@@ -285,13 +294,10 @@ def visibility(state: TwoQubitState, basis: str = "rectilinear") -> float:
     probabilities.
     """
     try:
-        b1, b2 = _BASIS_PAIRS[basis]
+        kets = _VISIBILITY_KETS[basis]
     except KeyError:
-        raise ValueError(f"basis must be one of {sorted(_BASIS_PAIRS)}, got {basis!r}") from None
-    probs = []
-    for second in (b1, b2):
-        v = np.kron(b1, second)
-        probs.append(float(np.real(np.vdot(v, state.matrix @ v))))
+        raise ValueError(f"basis must be one of {sorted(_VISIBILITY_KETS)}, got {basis!r}") from None
+    probs = [float(np.real(np.vdot(v, state.matrix @ v))) for v in kets]
     total = probs[0] + probs[1]
     if total <= 0.0:
         raise VisibilityUndefinedError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .states import TwoQubitState, bell_state, fidelity, tangle
+from .states import ANALYZER_KETS, TwoQubitState, bell_state, fidelity, tangle
 
 __all__ = [
     "MeasurementSetting",
@@ -31,16 +31,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-
-_SINGLE = {
-    "H": np.array([1.0, 0.0], dtype=complex),
-    "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "A": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-    "R": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-    "L": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
-}
-
 
 @dataclass(frozen=True)
 class MeasurementSetting:
@@ -85,7 +75,7 @@ def standard_settings() -> list:
     out = []
     for a in "HVDARL":
         for b in "HVDARL":
-            out.append(MeasurementSetting(_SINGLE[a], _SINGLE[b], label=a + b))
+            out.append(MeasurementSetting(ANALYZER_KETS[a], ANALYZER_KETS[b], label=a + b))
     return out
 
 
@@ -106,7 +96,7 @@ def simulate_counts(state: TwoQubitState, settings, n_per_setting: float,
     probs = np.clip(born_probabilities(state, settings), 0.0, None)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(n_per_setting * probs)
-    return TomographyData(settings=tuple(settings), counts=tuple(float(c) for c in counts),
+    return TomographyData(settings=tuple(settings), counts=counts,
                           total_per_setting=float(n_per_setting))
 
 
@@ -224,7 +214,7 @@ def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
     for _ in range(n_bootstrap):
         resampled = TomographyData(
             settings=data.settings,
-            counts=tuple(float(c) for c in rng.poisson(means)),
+            counts=rng.poisson(means),
             total_per_setting=data.total_per_setting,
         )
         rep = reconstruct_mle(resampled, restarts=1)

@@ -5,6 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from xsplice.cli import main
+from xsplice.config import load_config
+from xsplice.counts import effective_state_at_power
+
 REPO = Path(__file__).resolve().parents[1]
 PAPER_INI = REPO / "configs" / "paper.ini"
 
@@ -107,6 +111,18 @@ class TestState:
         basis = payload["state"]["basis"]
         assert basis == ["HH", "HV", "VH", "VV"]
 
+    def test_uncompensated_honours_power(self, capsys, paper_config):
+        def uncompensated(power):
+            assert main(["state", "--uncompensated", "--power", power]) == 0
+            return json.loads(capsys.readouterr().out)["state"]
+
+        assert uncompensated("10") != uncompensated("50")
+        cfg = paper_config
+        expected = effective_state_at_power(cfg.noise, cfg.fiber, None, cfg.signal,
+                                            cfg.pump, 30.0,
+                                            baseline_noise=cfg.baseline_noise)
+        assert uncompensated("30") == expected.to_json_dict()
+
 
 class TestPowerSweep:
     def test_columns(self, tmp_path):
@@ -164,3 +180,7 @@ class TestMaterialsOverride:
         res = subprocess.run([sys.executable, "-m", "xsplice", "calibrate"],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0
+
+
+def test_defaults_mirror_paper_ini():
+    assert load_config() == load_config(str(PAPER_INI))

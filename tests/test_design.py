@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from xsplice import design
 from xsplice import (
     CalibrationError,
     CompensatorSpec,
@@ -67,6 +68,29 @@ class TestOptimizeCompensators:
         grid = compensated_phase(paper_fiber, (sig, idl), S, P)
         var = float(np.sum(w * (grid - np.sum(w * grid)) ** 2))
         assert residual == pytest.approx(np.degrees(np.sqrt(var)), rel=1e-9)
+
+    def test_one_model_evaluation_per_design(self, monkeypatch, paper_fiber,
+                                             quartz_material, pump_spectrum,
+                                             signal_spectrum):
+        # the residual comes from the solved linear model, not a second
+        # evaluation of the phase model at the returned design
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("weighted_phase_std", "compensated_phase"):
+            monkeypatch.setattr(design, name, counted(getattr(design, name)))
+        sig, idl, residual = optimize_compensators(paper_fiber, quartz_material,
+                                                   pump_spectrum, signal_spectrum)
+        assert calls == []
+        monkeypatch.undo()
+        assert residual == pytest.approx(
+            weighted_phase_std(paper_fiber, (sig, idl), pump_spectrum, signal_spectrum),
+            rel=1e-10)
 
     def test_never_worse_than_uncompensated(self, paper_fiber, quartz_material,
                                             pump_spectrum, signal_spectrum):
