@@ -117,13 +117,23 @@ def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
 
 
 def index(model: SellmeierModel, wavelength_nm):
-    """Refractive index n(lambda); accepts scalars or arrays (nm)."""
-    lam_um = _check_range(model, wavelength_nm) / 1000.0
-    lam2 = lam_um * lam_um
+    """Refractive index n(lambda); accepts scalars or arrays (nm).
+
+    Every term is summed in place in four arrays of the input's shape,
+    allocated once per call and never the caller's own.
+    """
+    lam = _check_range(model, wavelength_nm)
+    lam2 = np.divide(lam, 1000.0, out=np.empty_like(lam))
+    lam2 *= lam2
     n2 = np.ones_like(lam2)
+    num, den = np.empty_like(lam2), np.empty_like(lam2)
     for b, c in model.terms:
-        n2 = n2 + b * lam2 / (lam2 - c)
-    return np.sqrt(n2) if n2.ndim else float(np.sqrt(n2))
+        np.multiply(b, lam2, out=num)
+        np.subtract(lam2, c, out=den)
+        num /= den
+        n2 += num
+    np.sqrt(n2, out=n2)
+    return n2 if n2.ndim else float(n2)
 
 
 def slow_axis_index(fiber: FiberSpec, wavelength_nm):
@@ -133,7 +143,9 @@ def slow_axis_index(fiber: FiberSpec, wavelength_nm):
 
 def birefringence(material: CompensatorMaterial, wavelength_nm):
     """n_e - n_o of a compensator crystal (positive for quartz)."""
-    return index(material.extraordinary, wavelength_nm) - index(material.ordinary, wavelength_nm)
+    dn = index(material.extraordinary, wavelength_nm)
+    dn -= index(material.ordinary, wavelength_nm)
+    return dn
 
 
 def _model_from_entry(key: str, entry: dict) -> SellmeierModel:

@@ -84,13 +84,22 @@ def phi_pair_walkoff(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
     (2 pi L / ls) [n(ls) + B] + (2 pi L / li) [n(li) + B].
     """
     ls = np.asarray(lambda_s_nm, dtype=float)
-    li = idler_wavelength(ls, lambda_p_nm)
+    out = _pair_walkoff(fiber, ls, idler_wavelength(ls, lambda_p_nm))
+    return out if out.ndim else float(out)
+
+
+def _pair_walkoff(fiber: FiberSpec, ls: np.ndarray, li) -> np.ndarray:
+    """``phi_pair_walkoff`` given the idler wavelength, in a new array of its shape."""
     b = fiber.birefringence
     m = 1e-9
     two_pi_l = 2.0 * np.pi * fiber.length_m
-    out = two_pi_l / (ls * m) * (index(fiber.core_model, ls) + b) \
-        + two_pi_l / (li * m) * (index(fiber.core_model, li) + b)
-    return out if np.ndim(out) else float(out)
+    out = np.multiply(li, m, out=np.empty_like(li))
+    np.divide(two_pi_l, out, out=out)
+    n_i = index(fiber.core_model, li)
+    n_i += b
+    out *= n_i
+    out += two_pi_l / (ls * m) * (index(fiber.core_model, ls) + b)
+    return out
 
 
 def phi_pump(fiber: FiberSpec, lambda_p_nm):
@@ -113,18 +122,27 @@ def phi_nonlinear(fiber: FiberSpec, peak_power_w):
 
 def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm, peak_power_w=0.0):
     """Relative phase of the second-segment process versus the first."""
-    return (
-        phi_pump(fiber, lambda_p_nm)
-        + phi_nonlinear(fiber, peak_power_w)
-        - phi_pair_walkoff(fiber, lambda_s_nm, lambda_p_nm)
-    )
+    ls = np.asarray(lambda_s_nm, dtype=float)
+    out = _relative_phase(fiber, ls, lambda_p_nm, idler_wavelength(ls, lambda_p_nm),
+                          peak_power_w)
+    return out if out.ndim else float(out)
+
+
+def _relative_phase(fiber: FiberSpec, ls: np.ndarray, lambda_p_nm, li,
+                    peak_power_w) -> np.ndarray:
+    """``total_phase`` given the idler wavelength, in a new array of its shape."""
+    out = _pair_walkoff(fiber, ls, li)
+    np.subtract(phi_pump(fiber, lambda_p_nm) + phi_nonlinear(fiber, peak_power_w), out,
+                out=out)
+    return out
 
 
 def compensator_phase(comp: CompensatorSpec, wavelength_nm):
     """Phase added by one compensator: sign * 2 pi l dn(lambda) / lambda."""
     lam = np.asarray(wavelength_nm, dtype=float)
-    dn = birefringence(comp.material, lam)
-    out = comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3) * dn / (lam * 1e-9)
+    out = birefringence(comp.material, lam)
+    out *= comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)
+    out /= lam * 1e-9
     return out if np.ndim(out) else float(out)
 
 
@@ -133,16 +151,16 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
 
     ``comps`` is an iterable of CompensatorSpec, or None for no crystals;
     signal-arm entries are evaluated at the signal wavelength, idler-arm
-    entries at the idler wavelength fixed by energy conservation.
+    entries at the idler wavelength fixed by energy conservation. The
+    idler wavelength is computed once, and every term is added in place
+    to the one array that holds the result.
     """
-    phase = total_phase(fiber, lambda_s_nm, lambda_p_nm)
     ls = np.asarray(lambda_s_nm, dtype=float)
+    li = idler_wavelength(ls, lambda_p_nm)
+    phase = _relative_phase(fiber, ls, lambda_p_nm, li, 0.0)
     for comp in comps or ():
-        if comp.arm == "signal":
-            phase = phase + compensator_phase(comp, ls)
-        else:
-            phase = phase + compensator_phase(comp, idler_wavelength(ls, lambda_p_nm))
-    return phase
+        phase += compensator_phase(comp, ls if comp.arm == "signal" else li)
+    return phase if phase.ndim else float(phase)
 
 
 def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap:

@@ -176,16 +176,18 @@ def spectral_grid(signal: GaussianSpectrum, pump: GaussianSpectrum,
     product of the two densities on them, normalised to sum 1, so the
     spectral average of ``fn`` is ``np.sum(w * fn(ls, lp))``.
     """
+    ls, lp, ds, dp = _spectral_axes(signal, pump, points, span_sigmas)
+    w = ds * dp
+    w /= w.sum()
+    return ls, lp, w
+
+
+def _spectral_axes(signal: GaussianSpectrum, pump: GaussianSpectrum,
+                   points: int, span_sigmas: float) -> tuple:
+    """The open axes of ``spectral_grid`` and the unnormalised density on each."""
     ls = bandwidth_grid(signal.center_nm, signal.fwhm_nm, points, span_sigmas)[:, None]
     lp = bandwidth_grid(pump.center_nm, pump.fwhm_nm, points, span_sigmas)[None, :]
-    w = signal.density(ls) * pump.density(lp)
-    return ls, lp, w / w.sum()
-
-
-def _spectral_average(fn, signal: GaussianSpectrum, pump: GaussianSpectrum,
-                      nodes: int):
-    ls, lp, w = spectral_grid(signal, pump, nodes, QUAD_SPAN_SIGMAS)
-    return np.sum(w * fn(ls, lp))
+    return ls, lp, signal.density(ls), pump.density(lp)
 
 
 def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
@@ -196,7 +198,16 @@ def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
     state: the constant part of the phase is set by the compensator
     wedges in practice and carries no physics.
     """
-    return float(_spectral_average(phase_fn, signal, pump, QUAD_NODES))
+    ls, lp, w = spectral_grid(signal, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
+    return float(np.sum(w * phase_fn(ls, lp)))
+
+
+def _weighted_phasor_sum(phase_fn, ls: np.ndarray, lp: np.ndarray, w: np.ndarray):
+    """``np.sum(w * np.exp(-1j * phase_fn(ls, lp)))`` in one complex array."""
+    z = np.multiply(-1j, phase_fn(ls, lp), out=np.empty(w.shape, dtype=complex))
+    np.exp(z, out=z)
+    np.multiply(w, z, out=z)
+    return z.sum()
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
@@ -209,13 +220,14 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     phase in radians. A constant phase reproduces ``pure_phi_state``
     exactly. The quadrature is repeated with doubled node count and a
     warning is issued if the coherence magnitude moves by more than 1e-6.
+    The doubled rule is summed in two blocks of ``nodes`` signal rows, so
+    it needs no array of the full doubled grid.
     """
-    def coherence(n):
-        return _spectral_average(lambda s, p: np.exp(-1j * phase_fn(s, p)),
-                                 signal, pump, n)
-
-    coh = coherence(nodes)
-    coh2 = coherence(2 * nodes)
+    coh = _weighted_phasor_sum(phase_fn, *spectral_grid(signal, pump, nodes, QUAD_SPAN_SIGMAS))
+    ls, lp, ds, dp = _spectral_axes(signal, pump, 2 * nodes, QUAD_SPAN_SIGMAS)
+    coh2 = sum(_weighted_phasor_sum(phase_fn, ls[rows], lp, ds[rows] * dp)
+               for rows in (slice(None, nodes), slice(nodes, None)))
+    coh2 /= ds.sum() * dp.sum()
     if abs(abs(coh2) - abs(coh)) > 1e-6:
         warnings.warn(
             f"spectral quadrature not converged: doubling nodes moved the "

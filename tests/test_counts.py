@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -345,3 +347,19 @@ class TestBaselineCalibration:
                                           signal_spectrum, pump_spectrum,
                                           target_fidelity=0.99999)
         assert w0 == 0.0
+
+
+def test_state_at_power_memory_peak(paper_config):
+    # the phase and quadrature kernels work in place and sum the doubled-node
+    # check in two half blocks; a tracemalloc peak, unlike a page-fault
+    # count, is the same on every run
+    cfg = paper_config
+    args = (cfg.noise, cfg.fiber, cfg.compensators, cfg.signal, cfg.pump, 30.0)
+    effective_state_at_power(*args, baseline_noise=cfg.baseline_noise)
+    tracemalloc.start()
+    try:
+        effective_state_at_power(*args, baseline_noise=cfg.baseline_noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 768 * 1024

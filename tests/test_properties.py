@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState,
                      compensated_phase, compensator_phase, reconstruct_mle,
-                     simulate_counts, standard_settings)
+                     simulate_counts, standard_settings, total_phase)
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
-from xsplice.materials import WavelengthRangeError
+from xsplice.materials import WavelengthRangeError, birefringence, index
 from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwidths,
                                 phase_mismatch, solve_signal_idler, tuning_curve)
 from xsplice.states import concurrence, relabel_signal_flip
@@ -151,6 +151,35 @@ def test_compensated_phase_linear_in_lengths(paper_fiber, quartz_material, pump,
                                           crystal(b, sign_b, "idler")), signal, pump)
     rounding = 8.0 * np.finfo(float).eps * (abs(base) + abs(a * x) + abs(b * y))
     assert abs(got - (base + a * x + b * y)) <= rounding
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, rows=st.integers(1, 5), cols=st.integers(1, 5),
+       length=crystal_mm, sign=signs)
+def test_kernels_leave_their_inputs_unchanged(paper_fiber, quartz_material, pump, signal,
+                                              rows, cols, length, sign):
+    # the kernels work in place on arrays they allocate themselves; a float64
+    # input that already has the output's shape is where a write would alias
+    comps = (CompensatorSpec(length, quartz_material, sign, "signal"),
+             CompensatorSpec(length, quartz_material, -sign, "idler"))
+    kernels = {
+        "index": lambda s, p: index(paper_fiber.core_model, s),
+        "birefringence": lambda s, p: birefringence(quartz_material, s),
+        "phase_mismatch": lambda s, p: phase_mismatch(paper_fiber, p, s),
+        "total_phase": lambda s, p: total_phase(paper_fiber, s, p),
+        "compensator_phase": lambda s, p: compensator_phase(comps[0], s),
+        "compensated_phase": lambda s, p: compensated_phase(paper_fiber, comps, s, p),
+    }
+    col = signal + np.linspace(0.0, 1.0, rows)[:, None]
+    row = pump + np.linspace(0.0, 1.0, cols)[None, :]
+    full_s, full_p = col + 0.0 * row, row + 0.0 * col
+    for name, kernel in kernels.items():
+        for s, p in ((col, row), (full_s, row), (col, full_p), (full_s, full_p)):
+            kept = s.copy(), p.copy()
+            out = kernel(s, p)
+            assert np.array_equal(s, kept[0]) and np.array_equal(p, kept[1]), name
+            assert not (np.shares_memory(out, s) or np.shares_memory(out, p)), name
+        assert type(kernel(signal, pump)) is float, name
 
 
 @SOLVER

@@ -19,7 +19,8 @@ from xsplice import (
     visibility,
     werner_state,
 )
-from xsplice.states import VisibilityUndefinedError
+from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
+                            spectral_grid)
 
 
 class TestGaussianSpectrum:
@@ -117,6 +118,16 @@ class TestSpectralMixture:
             b = mixed_state_over_spectra(lambda s, p: fn(s, p) - mean,
                                          signal_spectrum, pump_spectrum, nodes=128)
             assert abs(abs(a.matrix[0, 3]) - abs(b.matrix[0, 3])) < 1e-6
+
+    def test_coherence_is_the_nodes_point_sum(self, paper_fiber, paper_compensators,
+                                              signal_spectrum, pump_spectrum):
+        # the in-place quadrature keeps the bits of the plain weighted sum
+        fn = lambda s, p: compensated_phase(paper_fiber, paper_compensators, s, p)
+        mean = spectral_mean_phase(fn, signal_spectrum, pump_spectrum)
+        phase = lambda s, p: fn(s, p) - mean
+        state = mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
+        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
+        assert 2 * state.matrix[0, 3] == np.sum(w * np.exp(-1j * phase(ls, lp)))
 
     def test_unresolved_phase_warns(self, signal_spectrum, pump_spectrum):
         with pytest.warns(RuntimeWarning, match="not converged"):
