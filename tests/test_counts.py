@@ -349,10 +349,27 @@ class TestBaselineCalibration:
         assert w0 == 0.0
 
 
+def test_state_at_power_evaluates_the_phase_twice(monkeypatch, paper_config):
+    # once for the mean phase, once on the quadrature nodes: the
+    # node-doubling check reuses the nodes' phase
+    real = counts_mod.compensated_phase
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counts_mod, "compensated_phase", counted)
+    cfg = paper_config
+    effective_state_at_power(cfg.noise, cfg.fiber, cfg.compensators, cfg.signal,
+                             cfg.pump, 30.0, baseline_noise=cfg.baseline_noise)
+    assert len(calls) == 2
+
+
 def test_state_at_power_memory_peak(paper_config):
-    # the phase and quadrature kernels work in place and sum the doubled-node
-    # check in two half blocks; a tracemalloc peak, unlike a page-fault
-    # count, is the same on every run
+    # the phase and quadrature kernels work in place and the doubled-node
+    # check interpolates in blocks of rows; a tracemalloc peak, unlike a
+    # page-fault count, is the same on every run
     cfg = paper_config
     args = (cfg.noise, cfg.fiber, cfg.compensators, cfg.signal, cfg.pump, 30.0)
     effective_state_at_power(*args, baseline_noise=cfg.baseline_noise)
@@ -362,4 +379,4 @@ def test_state_at_power_memory_peak(paper_config):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 768 * 1024
+    assert peak <= 512 * 1024

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,36 @@ from xsplice import (
     werner_state,
 )
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            spectral_grid)
+                            _doubled_rule_coherence, spectral_grid)
+
+
+def _warns_unconverged(phase, signal, pump):
+    """Whether ``mixed_state_over_spectra`` warns on ``phase``, and its coherence."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = mixed_state_over_spectra(phase, signal, pump)
+    return any("not converged" in str(w.message) for w in caught), 2 * state.matrix[0, 3]
+
+
+def _direct_doubled_rule(phase, signal, pump):
+    """Oracle: the doubled rule on a second evaluation of the phase."""
+    ls, lp, w = spectral_grid(signal, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)
+    return np.sum(w * np.exp(-1j * phase(ls, lp)))
+
+
+def _paper_phases(cfg):
+    """The paper phase at 0-60 mW, with and without compensators, pump FWHM x 0.8-1.2."""
+    for comps in (cfg.compensators, None):
+        if comps:
+            fn = lambda s, p, comps=comps: compensated_phase(cfg.fiber, comps, s, p)
+        else:
+            fn = lambda s, p: total_phase(cfg.fiber, s, p)
+        for scale in (0.8, 0.9, 1.0, 1.1, 1.2):
+            for power in range(0, 61, 10):
+                pump = GaussianSpectrum(cfg.pump.center_nm, cfg.pump.fwhm_nm * scale
+                                        * (1.0 + cfg.noise.spm_coeff * power))
+                mean = spectral_mean_phase(fn, cfg.signal, pump)
+                yield (lambda s, p, fn=fn, mean=mean: fn(s, p) - mean), pump
 
 
 class TestGaussianSpectrum:
@@ -133,6 +164,49 @@ class TestSpectralMixture:
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(lambda s, p: 800.0 * (s - 670.0),
                                      signal_spectrum, pump_spectrum, nodes=8)
+
+    def test_check_verdict_matches_direct_doubled_rule(self, paper_config):
+        # the doubled rule on the interpolated phase warns exactly where a
+        # second evaluation of the phase on the doubled grid moves the
+        # coherence magnitude by more than 1e-6
+        sig, pump = paper_config.signal, paper_config.pump
+        xs = lambda s: (s - sig.center_nm) / sig.sigma_nm
+        xp = lambda p: (p - pump.center_nm) / pump.sigma_nm
+        cases = [(lambda s, p, a=a: a * xs(s), pump) for a in np.linspace(0.0, 80.0, 801)]
+        cases += [(lambda s, p, a=a, b=b, c=c, d=d: a * xs(s) + b * xs(s) ** 2
+                   + c * xs(s) ** 3 + d * xs(s) * xp(p), pump)
+                  for a in (0.0, 5.0, 20.0) for b in (0.0, 0.5, 2.0, 6.0)
+                  for c in (0.0, 0.1, 0.5, 1.5) for d in (0.0, 1.0, 4.0)]
+        cases += list(_paper_phases(paper_config))
+        verdicts = []
+        for phase, p in cases:
+            warned, coh = _warns_unconverged(phase, sig, p)
+            direct = abs(abs(_direct_doubled_rule(phase, sig, p)) - abs(coh)) > 1e-6
+            verdicts.append((warned, direct))
+        assert all(warned == direct for warned, direct in verdicts)
+        # the scan covers both verdicts
+        assert 0 < sum(direct for _, direct in verdicts) < len(verdicts)
+
+    def test_interpolated_doubled_rule_accuracy(self, paper_config):
+        # on the paper phases the interpolated doubled rule reproduces the
+        # directly evaluated one to 1e-9 in the coherence
+        sig = paper_config.signal
+        for phase, pump in _paper_phases(paper_config):
+            ls, lp, w = spectral_grid(sig, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
+            phi = np.broadcast_to(phase(ls, lp), w.shape)
+            interpolated = _doubled_rule_coherence(phi, sig, pump)
+            assert abs(interpolated - _direct_doubled_rule(phase, sig, pump)) < 1e-9
+
+    @pytest.mark.parametrize("amplitude, frequency", [(1.0, 200.0), (0.05, 40.0)])
+    def test_phase_rough_on_node_scale_warns(self, signal_spectrum, pump_spectrum,
+                                             amplitude, frequency):
+        # the interpolated check cannot see a phase the nodes do not
+        # resolve; the odd-node guard does
+        c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
+        with pytest.warns(RuntimeWarning, match="not converged: the phase is not resolved"):
+            mixed_state_over_spectra(
+                lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma),
+                signal_spectrum, pump_spectrum)
 
     def test_map_driven_fidelities(self, paper_fiber, paper_compensators,
                                    signal_spectrum, pump_spectrum):
