@@ -13,9 +13,9 @@ column and a row) with normalised Gaussian weights. It converges
 exponentially on smooth integrands (Trefethen & Weideman, SIAM Rev. 56,
 385, 2014). The state's node-doubling check runs the doubled rule on
 the phase interpolated from the nodes, not on a second evaluation, so
-the phase must be smooth on the node scale; a guard that predicts the
-odd nodes from the even ones warns when it is not. Basis order
-throughout is (HH, HV, VH, VV).
+the phase evaluated at a few doubled-rule nodes must match its
+interpolation; where it does not, the phase is evaluated again on the
+doubled rule. Basis order throughout is (HH, HV, VH, VV).
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ DESIGN_POINTS = 101
 #: repeats it with twice as many.
 QUAD_NODES = 64
 
-#: Largest odd-node misfit, in rad, of a phase counted as resolved on
-#: the node scale (see ``mixed_state_over_spectra``). Paper phases sit
-#: at their 4e-9 rounding floor.
-PHASE_RESOLUTION_TOL = 1e-7
-
 #: Half-width of the state-quadrature window in units of sigma. With
 #: QUAD_NODES uniform points per axis over it, the truncated Gaussian
 #: tails and the unhalved end points perturb the coherence at the 1e-9
@@ -72,6 +67,19 @@ QUAD_SPAN_SIGMAS = 6.0
 #: Nodes per banded Lagrange stencil that carries the phase between
 #: rules; exact for polynomials up to degree 7.
 _STENCIL_TAPS = 8
+
+#: Signal and pump offsets from the centre, in sigma, of the probe
+#: lines: doubled-rule nodes at which the phase is evaluated along with
+#: the nodes, to test its interpolation.
+_PROBE_SIGMAS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+
+#: Largest spectrally weighted misfit, in rad, of the interpolated phase
+#: at the probe lines for which the convergence check trusts the
+#: interpolation (see ``mixed_state_over_spectra``). The doubled rule's
+#: coherence moves by at most the weighted misfit, so this keeps the
+#: interpolated check within a tenth of its 1e-6 threshold of the
+#: directly evaluated one.
+_INTERPOLATION_TOL = 1e-7
 
 #: Doubled-rule rows per block of the convergence check.
 _CHECK_BLOCK = 16
@@ -250,45 +258,52 @@ def _lagrange_stencil(n: int, t: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _node_stencils(nodes: int) -> tuple:
-    """Stencils onto the doubled rule and from the even onto the odd nodes.
+    """Stencils from the nodes onto the doubled rule, and the probe nodes.
 
     Both rules span the same window, so doubled node ``j`` sits at index
-    ``j (nodes - 1) / (2 nodes - 1)`` of the ``nodes``-point rule; odd
-    node ``2i + 1`` sits at ``i + 1/2`` among the even nodes. Only odd
-    nodes between two even ones are predicted: the last node of an even
-    count lies outside them, and extrapolating to it would amplify the
-    phase's rounding some 60-fold.
+    ``j (nodes - 1) / (2 nodes - 1)`` of the ``nodes``-point rule. The
+    probes are the doubled nodes nearest ``_PROBE_SIGMAS``; at 64 nodes
+    their offsets from the nodes run from 0.13 to 0.87 of a node step,
+    so a component that aliases onto the nodes misses most of them.
     """
-    doubled = _lagrange_stencil(nodes, np.arange(2 * nodes) * (nodes - 1) / (2 * nodes - 1))
-    evens = (nodes + 1) // 2
-    odd = _lagrange_stencil(evens, np.arange(evens - 1) + 0.5)
-    return doubled, odd
+    idx, w = _lagrange_stencil(nodes, np.arange(2 * nodes) * (nodes - 1) / (2 * nodes - 1))
+    at = (np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5) * (2 * nodes - 1)
+    probes = np.unique(np.clip(np.rint(at).astype(int), 0, 2 * nodes - 1))
+    probes.setflags(write=False)
+    return idx, w, probes
 
 
-def _odd_node_residual(phi: np.ndarray) -> float:
-    """Largest misfit, in rad, of the odd nodes' phase predicted from the even ones.
+def _probe_misfit(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
+                  w: np.ndarray) -> float:
+    """Spectrally weighted misfit, in rad, of the phase interpolated onto the probes.
 
-    Taken along the signal and the pump axis; it sits at rounding level
-    when the phase is resolved on the node scale.
+    ``probed_s`` holds the phase evaluated at the probe signal positions
+    on the pump nodes, ``probed_p`` at the probe pump positions on the
+    signal nodes. Per probe line the misfit is weighted by the spectrum
+    along the line; the worst line of each axis stands for that axis'
+    interpolation, and the two axes add.
     """
-    idx, w = _node_stencils(phi.shape[0])[1]
-    return max(float(np.max(np.abs(np.einsum("jkp,jk->jp", a[::2][idx], w)
-                                   - a[1:2 * len(idx):2])))
-               for a in (phi, phi.T))
+    idx, taps, probes = _node_stencils(phi.shape[0])
+    misfit = 0.0
+    for a, probed, marginal in ((phi, probed_s, w.sum(axis=0)),
+                                (phi.T, probed_p.T, w.sum(axis=1))):
+        predicted = np.einsum("jkp,jk->jp", a[idx[probes]], taps[probes])
+        misfit += float(np.max(np.einsum("jp,p->j", np.abs(predicted - probed), marginal)))
+    return misfit
 
 
-def _doubled_rule_coherence(phi: np.ndarray, signal: GaussianSpectrum,
-                            pump: GaussianSpectrum) -> complex:
+def _doubled_rule_coherence(phi: np.ndarray, ds: np.ndarray, dp: np.ndarray) -> complex:
     """Coherence of the doubled rule on the phase interpolated from ``phi``.
 
-    The phase is carried onto the doubled signal axis, then onto the
-    doubled pump axis, ``_CHECK_BLOCK`` doubled rows at a time, so no
-    gathered stencil exceeds ``_CHECK_BLOCK x _STENCIL_TAPS x 2 nodes``.
-    The contractions are ``einsum`` loops, not BLAS calls, which would
-    wake a second core for a sub-millisecond product.
+    ``ds`` and ``dp`` are the doubled rule's unnormalised signal column
+    and pump row densities. The phase is carried onto the doubled signal
+    axis, then onto the doubled pump axis, ``_CHECK_BLOCK`` doubled rows
+    at a time, so no gathered stencil exceeds ``_CHECK_BLOCK x
+    _STENCIL_TAPS x 2 nodes``. The contractions are ``einsum`` loops, not
+    BLAS calls, which would wake a second core for a sub-millisecond
+    product.
     """
-    _, _, ds, dp = _spectral_axes(signal, pump, 2 * phi.shape[0], QUAD_SPAN_SIGMAS)
-    idx, w = _node_stencils(phi.shape[0])[0]
+    idx, w, _ = _node_stencils(phi.shape[0])
     blocks = [slice(r, r + _CHECK_BLOCK) for r in range(0, idx.shape[0], _CHECK_BLOCK)]
     on_signal = np.empty((idx.shape[0], phi.shape[1]))
     for b in blocks:
@@ -297,11 +312,26 @@ def _doubled_rule_coherence(phi: np.ndarray, signal: GaussianSpectrum,
     ds = ds[:, 0]
     re = im = 0.0
     for b in blocks:
+        # real cos and sin, not _weighted_phasor_sum: its complex exp also
+        # exponentiates the zero real part, and the whole check took 10-30 %
+        # longer with it (64 nodes, 2 vCPUs)
         doubled = np.einsum("qkj,qk->qj", on_signal[idx[b]], w[b])
         weights = dp[0, b, None] * ds
         re += np.einsum("qj,qj->", weights, np.cos(doubled))
         im -= np.einsum("qj,qj->", weights, np.sin(doubled))
     return complex(re, im) / (ds.sum() * dp.sum())
+
+
+def _rerun_doubled_rule(phase_fn, ls, lp, ds, dp) -> complex:
+    """Coherence of the doubled rule on a second evaluation of the phase.
+
+    Summed in two blocks of half the signal rows, so it needs no array
+    of the full doubled grid.
+    """
+    half = ls.shape[0] // 2
+    coh = sum(_weighted_phasor_sum(phase_fn(ls[rows], lp), ds[rows] * dp)
+              for rows in (slice(None, half), slice(half, None)))
+    return coh / (ds.sum() * dp.sum())
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
@@ -311,41 +341,42 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
 
     ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
     arrays (a signal column and a pump row) and return the relative
-    phase in radians. It is evaluated once, on the ``nodes``-point rule,
-    and must be smooth on the node scale. A constant phase reproduces
-    ``pure_phi_state`` exactly.
+    phase in radians. It is evaluated on the ``nodes``-point rule, with
+    a few probe positions appended to each axis, in one call. A constant
+    phase reproduces ``pure_phi_state`` exactly.
 
-    Convergence is checked by running the doubled rule on the phase
+    The quadrature is repeated with doubled node count and a warning is
+    issued if the coherence magnitude moves by more than 1e-6. For a
+    phase smooth on the node scale, the doubled rule runs on the phase
     interpolated from the nodes (banded Lagrange, 8 taps per axis): the
     aliasing that node doubling looks for lives in the phasor, not in
-    the smooth phase. A warning is issued if the coherence magnitude
-    moves by more than 1e-6. A guard first predicts the odd nodes' phase
-    from the even ones along each axis and warns instead when that
-    misses by more than ``PHASE_RESOLUTION_TOL``. It passes phases that
-    a degree-7 polynomial follows over 14 node steps, such as the
-    Sellmeier phases, while a ripple of 1e-3 rad with a period of 16
-    node steps already trips it. A component whose period is close to
-    one node step is, on the nodes, a smooth alias, which neither the
-    guard nor the check can see.
+    the phase. The probes are doubled-rule nodes: along each axis, the
+    phase evaluated at them on every node line of the other axis is
+    compared with its interpolation. The doubled rule's coherence moves
+    by at most the spectrally weighted misfit, so when that exceeds
+    1e-7 rad the phase is evaluated again on the doubled rule instead.
+    The probes see a component that equals a smooth alias on the nodes,
+    but not roughness confined to where no probe line runs.
     """
     ls, lp, w = spectral_grid(signal, pump, nodes, QUAD_SPAN_SIGMAS)
-    phi = np.broadcast_to(phase_fn(ls, lp), w.shape)
+    ls2, lp2, ds2, dp2 = _spectral_axes(signal, pump, 2 * nodes, QUAD_SPAN_SIGMAS)
+    probes = _node_stencils(nodes)[2]
+    size = nodes + len(probes)
+    sampled = np.broadcast_to(
+        phase_fn(np.concatenate((ls, ls2[probes])), np.concatenate((lp, lp2[:, probes]), axis=1)),
+        (size, size))
+    phi = sampled[:nodes, :nodes]
     coh = _weighted_phasor_sum(phi, w)
-    residual = _odd_node_residual(phi)
-    if residual > PHASE_RESOLUTION_TOL:
+    if _probe_misfit(phi, sampled[nodes:, :nodes], sampled[:nodes, nodes:], w) <= _INTERPOLATION_TOL:
+        coh2 = _doubled_rule_coherence(phi, ds2, dp2)
+    else:
+        coh2 = _rerun_doubled_rule(phase_fn, ls2, lp2, ds2, dp2)
+    if abs(abs(coh2) - abs(coh)) > 1e-6:
         warnings.warn(
-            f"spectral quadrature not converged: the phase is not resolved on "
-            f"the nodes (odd-node residual {residual:.2e} rad)",
+            f"spectral quadrature not converged: doubling nodes moved the "
+            f"coherence magnitude by {abs(abs(coh2) - abs(coh)):.2e}",
             RuntimeWarning,
         )
-    else:
-        coh2 = _doubled_rule_coherence(phi, signal, pump)
-        if abs(abs(coh2) - abs(coh)) > 1e-6:
-            warnings.warn(
-                f"spectral quadrature not converged: doubling nodes moved the "
-                f"coherence magnitude by {abs(abs(coh2) - abs(coh)):.2e}",
-                RuntimeWarning,
-            )
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5
     m[0, 3] = 0.5 * coh

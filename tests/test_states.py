@@ -22,7 +22,7 @@ from xsplice import (
     werner_state,
 )
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            _doubled_rule_coherence, spectral_grid)
+                            _doubled_rule_coherence, _spectral_axes, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -166,9 +166,8 @@ class TestSpectralMixture:
                                      signal_spectrum, pump_spectrum, nodes=8)
 
     def test_check_verdict_matches_direct_doubled_rule(self, paper_config):
-        # the doubled rule on the interpolated phase warns exactly where a
-        # second evaluation of the phase on the doubled grid moves the
-        # coherence magnitude by more than 1e-6
+        # the check warns exactly where a second evaluation of the phase on
+        # the doubled grid moves the coherence magnitude by more than 1e-6
         sig, pump = paper_config.signal, paper_config.pump
         xs = lambda s: (s - sig.center_nm) / sig.sigma_nm
         xp = lambda p: (p - pump.center_nm) / pump.sigma_nm
@@ -178,12 +177,22 @@ class TestSpectralMixture:
                   for a in (0.0, 5.0, 20.0) for b in (0.0, 0.5, 2.0, 6.0)
                   for c in (0.0, 0.1, 0.5, 1.5) for d in (0.0, 1.0, 4.0)]
         cases += list(_paper_phases(paper_config))
+        # ripples from resolved to aliased on the nodes, on either axis
+        cases += [(lambda s, p, a=a, f=f, x=x: a * np.sin(f * x(s, p)), pump)
+                  for a in (0.001, 0.01, 1.0) for f in (2.0, 10.0, 20.0, 32.0, 34.0, 40.0, 100.0, 200.0)
+                  for x in (lambda s, p: xs(s) + 0 * p, lambda s, p: xp(p) + 0 * s)]
+        # converged: a smooth ripple, a large constant offset, and a ripple
+        # whose interpolation alone would move the doubled rule by 6e-6
+        quiet = [(lambda s, p: 0.001 * np.sin(2.0 * xs(s)), pump),
+                 (lambda s, p: 1e5 + 0.5 * xs(s) ** 2 + xs(s) * xp(p), pump),
+                 (lambda s, p: 0.05 * np.sin(40.0 * xs(s)), pump)]
         verdicts = []
-        for phase, p in cases:
+        for phase, p in cases + quiet:
             warned, coh = _warns_unconverged(phase, sig, p)
             direct = abs(abs(_direct_doubled_rule(phase, sig, p)) - abs(coh)) > 1e-6
             verdicts.append((warned, direct))
         assert all(warned == direct for warned, direct in verdicts)
+        assert not any(warned for warned, _ in verdicts[len(cases):])
         # the scan covers both verdicts
         assert 0 < sum(direct for _, direct in verdicts) < len(verdicts)
 
@@ -193,20 +202,35 @@ class TestSpectralMixture:
         sig = paper_config.signal
         for phase, pump in _paper_phases(paper_config):
             ls, lp, w = spectral_grid(sig, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
+            ds, dp = _spectral_axes(sig, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)[2:]
             phi = np.broadcast_to(phase(ls, lp), w.shape)
-            interpolated = _doubled_rule_coherence(phi, sig, pump)
+            interpolated = _doubled_rule_coherence(phi, ds, dp)
             assert abs(interpolated - _direct_doubled_rule(phase, sig, pump)) < 1e-9
 
-    @pytest.mark.parametrize("amplitude, frequency", [(1.0, 200.0), (0.05, 40.0)])
-    def test_phase_rough_on_node_scale_warns(self, signal_spectrum, pump_spectrum,
-                                             amplitude, frequency):
-        # the interpolated check cannot see a phase the nodes do not
-        # resolve; the odd-node guard does
+    @pytest.mark.parametrize("amplitude, frequency",
+                             [(1.0, 200.0), (0.01, 32.0), (0.01, 34.0), (0.01, 100.0)])
+    def test_node_scale_alias_warns(self, signal_spectrum, pump_spectrum,
+                                    amplitude, frequency):
+        # on the nodes these ripples equal a smooth alias, so the doubled
+        # rule on the interpolated phase stays put; the probes off the
+        # nodes see the ripple and the doubled rule is evaluated directly
         c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
-        with pytest.warns(RuntimeWarning, match="not converged: the phase is not resolved"):
-            mixed_state_over_spectra(
-                lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma),
-                signal_spectrum, pump_spectrum)
+        phase = lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma) + 0 * p
+        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
+        ds, dp = _spectral_axes(signal_spectrum, pump_spectrum, 2 * QUAD_NODES,
+                                QUAD_SPAN_SIGMAS)[2:]
+        phi = phase(ls, lp)
+        interpolated = _doubled_rule_coherence(phi, ds, dp)
+        assert abs(abs(interpolated) - abs(np.sum(w * np.exp(-1j * phi)))) < 1e-6
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3])
+    def test_few_nodes(self, signal_spectrum, pump_spectrum, nodes):
+        # fewer nodes than stencil taps, and no node between the probes
+        state = mixed_state_over_spectra(lambda s, p: np.zeros_like(s),
+                                         signal_spectrum, pump_spectrum, nodes=nodes)
+        assert state.matrix[0, 3] == pytest.approx(0.5)
 
     def test_map_driven_fidelities(self, paper_fiber, paper_compensators,
                                    signal_spectrum, pump_spectrum):
