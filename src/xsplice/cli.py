@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a float option; NaN and infinities are usage errors."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return val
 
 
 def _fmt(value) -> str:
@@ -223,14 +235,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("calibrate", help="fit the fiber birefringence to an operating point")
-    p.add_argument("--pump", type=float, default=771.0)
-    p.add_argument("--signal", type=float, default=670.0)
+    p.add_argument("--pump", type=_finite_float, default=771.0)
+    p.add_argument("--signal", type=_finite_float, default=670.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("tuning-curve", help="solve signal/idler across a pump range")
-    p.add_argument("--from", dest="from_nm", type=float, required=True)
-    p.add_argument("--to", dest="to_nm", type=float, required=True)
+    p.add_argument("--from", dest="from_nm", type=_finite_float, required=True)
+    p.add_argument("--to", dest="to_nm", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tuning_curve)
@@ -248,22 +260,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("state", help="effective two-qubit state and metrics")
     p.add_argument("--uncompensated", action="store_true",
                    help="the same source at the same power, without the crystals")
-    p.add_argument("--power", type=float, default=30.0, help="average pump power, mW")
+    p.add_argument("--power", type=_finite_float, default=30.0, help="average pump power, mW")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_state)
 
     p = sub.add_parser("power-sweep", help="counts and visibilities versus pump power")
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
+    p.add_argument("--min", type=_finite_float, required=True)
+    p.add_argument("--max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=30.0, help="integration time, s")
+    p.add_argument("--duration", type=_finite_float, default=30.0, help="integration time, s")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_power_sweep)
 
     p = sub.add_parser("tomography-demo", help="simulate and reconstruct tomography")
     p.add_argument("--state", default="builtin", help="'builtin' or a state JSON file")
-    p.add_argument("--counts-per-setting", type=float, default=1e5)
+    p.add_argument("--counts-per-setting", type=_finite_float, default=1e5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bootstrap", type=int, default=0)
     p.add_argument("--out")

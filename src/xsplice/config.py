@@ -9,6 +9,7 @@ repository root is the canonical example and mirrors these defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .counts import NoiseParams
@@ -85,6 +86,14 @@ def _orientation(raw: str) -> int:
     return val
 
 
+def _getfloat(parser: configparser.ConfigParser, section: str, key: str) -> float:
+    """A float read from the config; NaN and infinities are config errors."""
+    val = parser.getfloat(section, key)
+    if not math.isfinite(val):
+        raise ConfigError(f"[{section}] {key} must be finite, got {val}")
+    return val
+
+
 def load_config(path: str | None = None, materials_path: str | None = None) -> SourceConfig:
     """Build all run objects from defaults plus an optional INI file."""
     parser = configparser.ConfigParser()
@@ -104,9 +113,9 @@ def load_config(path: str | None = None, materials_path: str | None = None) -> S
         if core_name not in db:
             raise ConfigError(f"unknown core material {core_name!r}")
         fiber = FiberSpec(
-            length_m=parser.getfloat("fiber", "length_m"),
-            birefringence=parser.getfloat("fiber", "birefringence"),
-            gamma=parser.getfloat("fiber", "gamma_per_w_m"),
+            length_m=_getfloat(parser, "fiber", "length_m"),
+            birefringence=_getfloat(parser, "fiber", "birefringence"),
+            gamma=_getfloat(parser, "fiber", "gamma_per_w_m"),
             core_model=db[core_name],
         )
         mat_name = parser.get("compensators", "material")
@@ -116,32 +125,32 @@ def load_config(path: str | None = None, materials_path: str | None = None) -> S
         material = CompensatorMaterial(ordinary=db[o_key], extraordinary=db[e_key],
                                        name=mat_name)
         comps = (
-            CompensatorSpec(parser.getfloat("compensators", "signal_length_mm"),
+            CompensatorSpec(_getfloat(parser, "compensators", "signal_length_mm"),
                             material,
                             _orientation(parser.get("compensators", "signal_orientation")),
                             "signal"),
-            CompensatorSpec(parser.getfloat("compensators", "idler_length_mm"),
+            CompensatorSpec(_getfloat(parser, "compensators", "idler_length_mm"),
                             material,
                             _orientation(parser.get("compensators", "idler_orientation")),
                             "idler"),
         )
-        pump = GaussianSpectrum(parser.getfloat("spectra", "pump_center_nm"),
-                                parser.getfloat("spectra", "pump_fwhm_nm"))
-        signal = GaussianSpectrum(parser.getfloat("spectra", "signal_center_nm"),
-                                  parser.getfloat("spectra", "signal_fwhm_nm"))
+        pump = GaussianSpectrum(_getfloat(parser, "spectra", "pump_center_nm"),
+                                _getfloat(parser, "spectra", "pump_fwhm_nm"))
+        signal = GaussianSpectrum(_getfloat(parser, "spectra", "signal_center_nm"),
+                                  _getfloat(parser, "spectra", "signal_fwhm_nm"))
         noise = NoiseParams(
-            pair_rate_coeff=parser.getfloat("noise", "pair_rate_coeff"),
-            raman_s=parser.getfloat("noise", "raman_signal"),
-            raman_i=parser.getfloat("noise", "raman_idler"),
-            dark_s=parser.getfloat("noise", "dark_signal"),
-            dark_i=parser.getfloat("noise", "dark_idler"),
-            eta_s=parser.getfloat("noise", "eta_signal"),
-            eta_i=parser.getfloat("noise", "eta_idler"),
-            rep_rate_hz=parser.getfloat("noise", "rep_rate_hz"),
-            window_s=parser.getfloat("noise", "window_s"),
-            spm_coeff=parser.getfloat("noise", "spm_coeff"),
+            pair_rate_coeff=_getfloat(parser, "noise", "pair_rate_coeff"),
+            raman_s=_getfloat(parser, "noise", "raman_signal"),
+            raman_i=_getfloat(parser, "noise", "raman_idler"),
+            dark_s=_getfloat(parser, "noise", "dark_signal"),
+            dark_i=_getfloat(parser, "noise", "dark_idler"),
+            eta_s=_getfloat(parser, "noise", "eta_signal"),
+            eta_i=_getfloat(parser, "noise", "eta_idler"),
+            rep_rate_hz=_getfloat(parser, "noise", "rep_rate_hz"),
+            window_s=_getfloat(parser, "noise", "window_s"),
+            spm_coeff=_getfloat(parser, "noise", "spm_coeff"),
         )
-        baseline = parser.getfloat("noise", "baseline_noise")
+        baseline = _getfloat(parser, "noise", "baseline_noise")
         if not 0.0 <= baseline < 1.0:
             raise ConfigError(f"baseline_noise must be in [0, 1), got {baseline}")
     except (configparser.Error, ValueError) as exc:

@@ -49,57 +49,29 @@ class CalibrationError(RuntimeError):
 
 
 def weighted_phase_std(fiber: FiberSpec, comps, pump: GaussianSpectrum,
-                       signal: GaussianSpectrum, points: int = DESIGN_POINTS) -> float:
+                       signal: GaussianSpectrum) -> float:
     """Spectrum-weighted standard deviation of the phase, in degrees."""
-    ls, lp, w = spectral_grid(signal, pump, points, DESIGN_SPAN_SIGMAS)
+    ls, lp, w = spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
     grid = compensated_phase(fiber, comps, ls, lp)
     mean = np.sum(w * grid)
     var = np.sum(w * (grid - mean) ** 2)
     return float(np.degrees(np.sqrt(var)))
 
 
-def _box_minimum(gram: np.ndarray, c: np.ndarray,
-                 limit: float | None) -> np.ndarray:
-    """Minimize ``x·G·x + 2 c·x`` over the square ``|x_k| <= limit``.
-
-    ``G`` must be positive definite; ``limit=None`` means no bound. If
-    the free minimum lies outside the square, the convex quadratic
-    attains its constrained minimum on the boundary; along each edge it
-    is a 1-D quadratic whose minimum is clipped to the edge, and the
-    best of the four edge minima wins.
-    """
-    x = np.linalg.solve(gram, -c)
-    if limit is None or np.all(np.abs(x) <= limit):
-        return x
-    candidates = []
-    for k in (0, 1):
-        j = 1 - k
-        for edge in (-limit, limit):
-            y = np.empty(2)
-            y[k] = edge
-            y[j] = np.clip(-(c[j] + gram[j, k] * edge) / gram[j, j], -limit, limit)
-            candidates.append(y)
-    return min(candidates, key=lambda y: y @ gram @ y + 2.0 * c @ y)
-
-
 def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
-                          pump: GaussianSpectrum, signal: GaussianSpectrum,
-                          max_length_mm: float | None = None,
-                          points: int = DESIGN_POINTS) -> tuple:
+                          pump: GaussianSpectrum, signal: GaussianSpectrum) -> tuple:
     """Flatten the phase map with one crystal per output arm.
 
-    Minimizes the spectrum-weighted phase variance over the +/- 3 sigma
-    grid in closed form, over signed lengths so that both orientation
-    signs per arm are covered. By default the lengths are unbounded.
-    A ``max_length_mm`` is a hard limit on each crystal: when the free
-    minimum is longer, the exact minimum on the boundary of the
-    +/- ``max_length_mm`` square is returned instead.
+    Minimizes the spectrum-weighted phase variance over the
+    ``DESIGN_POINTS`` x ``DESIGN_POINTS`` +/- 3 sigma grid in closed
+    form, over unbounded signed lengths so that both orientation signs
+    per arm are covered.
     Returns ``(signal_comp, idler_comp, weighted_std_deg)`` with
     non-negative lengths and the orientation carried by each
     CompensatorSpec. Raises OptimizationError when the grid cannot tell
-    the two arms apart (for instance a single-point grid).
+    the two arms apart (for instance a crystal without birefringence).
     """
-    ls, lp, w = spectral_grid(signal, pump, points, DESIGN_SPAN_SIGMAS)
+    ls, lp, w = spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
     base = total_phase(fiber, ls, lp)
     per_mm_s = compensator_phase(CompensatorSpec(1.0, material, +1, "signal"), ls)
     per_mm_i = compensator_phase(CompensatorSpec(1.0, material, +1, "idler"),
@@ -114,10 +86,10 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
     if not det > _SINGULAR_RTOL * vxx * vyy:
         raise OptimizationError(
             "singular compensator design: the signal and idler arms are "
-            f"indistinguishable on a {points}x{points} grid")
+            f"indistinguishable on a {DESIGN_POINTS}x{DESIGN_POINTS} grid")
     gram = np.array([[vxx, cxy], [cxy, vyy]])
     c = np.array([np.sum(w * b0 * xs), np.sum(w * b0 * yi)])
-    a, b = _box_minimum(gram, c, max_length_mm)
+    a, b = np.linalg.solve(gram, -c)
 
     signal_comp = CompensatorSpec(abs(float(a)), material,
                                   +1 if a >= 0 else -1, "signal")

@@ -176,12 +176,12 @@ def _refine(fiber, lp, a, b, fa, fb, level):
     return x_out, f_out
 
 
-def _solve(fiber: FiberSpec, lps, scan_points) -> list:
+def _solve(fiber: FiberSpec, lps) -> list:
     """The root closest to each pump, as a PhaseMatchPoint or the error.
 
     Each pump's window is checked on its own, so one pump without a
     window fails alone. The valid pumps are scanned in one broadcast
-    ``phase_mismatch`` call on a (pumps, scan_points) grid. Per pump only
+    ``phase_mismatch`` call on a (pumps, SCAN_POINTS) grid. Per pump only
     the root closest to the pump is kept: the last sign-change bracket,
     or an exact zero of the scan after it. All kept brackets are then
     refined together by ``_refine``.
@@ -196,7 +196,7 @@ def _solve(fiber: FiberSpec, lps, scan_points) -> list:
     for start in range(0, len(windows), _PUMPS_PER_SCAN):
         ks, lo, hi = (np.array(c) for c in zip(*windows[start:start + _PUMPS_PER_SCAN]))
         lp = lps[ks]
-        grid = np.linspace(lo, hi, int(scan_points), axis=-1)
+        grid = np.linspace(lo, hi, SCAN_POINTS, axis=-1)
         vals = phase_mismatch(fiber, lp[:, None], grid)
         sign = np.sign(vals)
         flip = _last(sign[:, :-1] * sign[:, 1:] < 0)
@@ -230,15 +230,15 @@ def _solve(fiber: FiberSpec, lps, scan_points) -> list:
     return results
 
 
-def solve_signal_idler(fiber: FiberSpec, lambda_p_nm,
-                       scan_points=SCAN_POINTS) -> PhaseMatchPoint:
+def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
     """Solve dk = 0 at zero peak power for the signal below the pump.
 
-    A coarse scan over the (validity-clipped) signal window brackets the
-    sign changes. Only the root closest to the pump is refined, the
-    branch continuously connected to degeneracy: a bracketed secant
-    (Illinois regula falsi) runs until |dk| < 1e-6 rad/m. This is the
-    one-pump case of the solver behind ``tuning_curve``.
+    A coarse scan of ``SCAN_POINTS`` points over the (validity-clipped)
+    signal window brackets the sign changes. Only the root closest to
+    the pump is refined, the branch continuously connected to
+    degeneracy: a bracketed secant (Illinois regula falsi) runs until
+    |dk| < 1e-6 rad/m. This is the one-pump case of the solver behind
+    ``tuning_curve``.
 
     Raises
     ------
@@ -246,7 +246,7 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm,
         If no sign change exists in the window (e.g. B = 0, where only
         the degenerate solution at the pump remains).
     """
-    result = _solve(fiber, np.array([float(lambda_p_nm)]), scan_points)[0]
+    result = _solve(fiber, np.array([float(lambda_p_nm)]))[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -264,7 +264,7 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
     lo, hi = lambda_p_range
     lps = np.linspace(float(lo), float(hi), int(steps))
     points, skipped = [], []
-    for lp, result in zip(lps, _solve(fiber, lps, SCAN_POINTS)):
+    for lp, result in zip(lps, _solve(fiber, lps)):
         if isinstance(result, Exception):
             skipped.append(float(lp))
         else:

@@ -20,7 +20,6 @@ doubled rule. Basis order throughout is (HH, HV, VH, VV).
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -123,6 +122,8 @@ class TwoQubitState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian to 1e-12")
         if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
@@ -239,10 +240,11 @@ def _lagrange_stencil(n: int, t: np.ndarray) -> tuple:
     """Banded Lagrange interpolation from ``n`` uniform nodes.
 
     ``t`` holds target positions in units of the node index. Each target
-    reads the ``min(_STENCIL_TAPS, n)`` nodes around it. Returns the
-    gather indices and the weights, both ``(len(t), taps)`` and read-only.
+    reads the ``_STENCIL_TAPS`` nodes around it. Returns the gather
+    indices and the weights, both ``(len(t), _STENCIL_TAPS)`` and
+    read-only.
     """
-    m = min(_STENCIL_TAPS, n)
+    m = _STENCIL_TAPS
     start = np.clip(np.floor(t).astype(int) - (m // 2 - 1), 0, n - m)
     taps = np.arange(m)
     idx = start[:, None] + taps
@@ -256,21 +258,18 @@ def _lagrange_stencil(n: int, t: np.ndarray) -> tuple:
     return idx, w
 
 
-@functools.lru_cache(maxsize=None)
-def _node_stencils(nodes: int) -> tuple:
-    """Stencils from the nodes onto the doubled rule, and the probe nodes.
+#: Stencil from the QUAD_NODES nodes onto the doubled rule. Both rules
+#: span the same window, so doubled node ``j`` sits at index
+#: ``j (QUAD_NODES - 1) / (2 QUAD_NODES - 1)`` of the nodes.
+_DOUBLED_IDX, _DOUBLED_TAPS = _lagrange_stencil(
+    QUAD_NODES, np.arange(2 * QUAD_NODES) * (QUAD_NODES - 1) / (2 * QUAD_NODES - 1))
 
-    Both rules span the same window, so doubled node ``j`` sits at index
-    ``j (nodes - 1) / (2 nodes - 1)`` of the ``nodes``-point rule. The
-    probes are the doubled nodes nearest ``_PROBE_SIGMAS``; at 64 nodes
-    their offsets from the nodes run from 0.13 to 0.87 of a node step,
-    so a component that aliases onto the nodes misses most of them.
-    """
-    idx, w = _lagrange_stencil(nodes, np.arange(2 * nodes) * (nodes - 1) / (2 * nodes - 1))
-    at = (np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5) * (2 * nodes - 1)
-    probes = np.unique(np.clip(np.rint(at).astype(int), 0, 2 * nodes - 1))
-    probes.setflags(write=False)
-    return idx, w, probes
+#: The probe nodes: the doubled nodes nearest ``_PROBE_SIGMAS``. Their
+#: offsets from the nodes run from 0.13 to 0.87 of a node step, so a
+#: component that aliases onto the nodes misses most of them.
+_PROBES = np.rint((np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5)
+                  * (2 * QUAD_NODES - 1)).astype(int)
+_PROBES.setflags(write=False)
 
 
 def _probe_misfit(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
@@ -283,11 +282,10 @@ def _probe_misfit(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
     along the line; the worst line of each axis stands for that axis'
     interpolation, and the two axes add.
     """
-    idx, taps, probes = _node_stencils(phi.shape[0])
     misfit = 0.0
     for a, probed, marginal in ((phi, probed_s, w.sum(axis=0)),
                                 (phi.T, probed_p.T, w.sum(axis=1))):
-        predicted = np.einsum("jkp,jk->jp", a[idx[probes]], taps[probes])
+        predicted = np.einsum("jkp,jk->jp", a[_DOUBLED_IDX[_PROBES]], _DOUBLED_TAPS[_PROBES])
         misfit += float(np.max(np.einsum("jp,p->j", np.abs(predicted - probed), marginal)))
     return misfit
 
@@ -303,7 +301,7 @@ def _doubled_rule_coherence(phi: np.ndarray, ds: np.ndarray, dp: np.ndarray) -> 
     BLAS calls, which would wake a second core for a sub-millisecond
     product.
     """
-    idx, w, _ = _node_stencils(phi.shape[0])
+    idx, w = _DOUBLED_IDX, _DOUBLED_TAPS
     blocks = [slice(r, r + _CHECK_BLOCK) for r in range(0, idx.shape[0], _CHECK_BLOCK)]
     on_signal = np.empty((idx.shape[0], phi.shape[1]))
     for b in blocks:
@@ -335,15 +333,14 @@ def _rerun_doubled_rule(phase_fn, ls, lp, ds, dp) -> complex:
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
-                             pump: GaussianSpectrum,
-                             nodes: int = QUAD_NODES) -> TwoQubitState:
+                             pump: GaussianSpectrum) -> TwoQubitState:
     """Average the pure-state projector over both spectra.
 
     ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
     arrays (a signal column and a pump row) and return the relative
-    phase in radians. It is evaluated on the ``nodes``-point rule, with
-    a few probe positions appended to each axis, in one call. A constant
-    phase reproduces ``pure_phi_state`` exactly.
+    phase in radians. It is evaluated on the ``QUAD_NODES``-point rule,
+    with a few probe positions appended to each axis, in one call. A
+    constant phase reproduces ``pure_phi_state`` exactly.
 
     The quadrature is repeated with doubled node count and a warning is
     issued if the coherence magnitude moves by more than 1e-6. For a
@@ -358,16 +355,16 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     The probes see a component that equals a smooth alias on the nodes,
     but not roughness confined to where no probe line runs.
     """
-    ls, lp, w = spectral_grid(signal, pump, nodes, QUAD_SPAN_SIGMAS)
-    ls2, lp2, ds2, dp2 = _spectral_axes(signal, pump, 2 * nodes, QUAD_SPAN_SIGMAS)
-    probes = _node_stencils(nodes)[2]
-    size = nodes + len(probes)
+    n = QUAD_NODES
+    ls, lp, w = spectral_grid(signal, pump, n, QUAD_SPAN_SIGMAS)
+    ls2, lp2, ds2, dp2 = _spectral_axes(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
+    size = n + len(_PROBES)
     sampled = np.broadcast_to(
-        phase_fn(np.concatenate((ls, ls2[probes])), np.concatenate((lp, lp2[:, probes]), axis=1)),
+        phase_fn(np.concatenate((ls, ls2[_PROBES])), np.concatenate((lp, lp2[:, _PROBES]), axis=1)),
         (size, size))
-    phi = sampled[:nodes, :nodes]
+    phi = sampled[:n, :n]
     coh = _weighted_phasor_sum(phi, w)
-    if _probe_misfit(phi, sampled[nodes:, :nodes], sampled[:nodes, nodes:], w) <= _INTERPOLATION_TOL:
+    if _probe_misfit(phi, sampled[n:, :n], sampled[:n, n:], w) <= _INTERPOLATION_TOL:
         coh2 = _doubled_rule_coherence(phi, ds2, dp2)
     else:
         coh2 = _rerun_doubled_rule(phase_fn, ls2, lp2, ds2, dp2)

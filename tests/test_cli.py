@@ -13,9 +13,17 @@ REPO = Path(__file__).resolve().parents[1]
 PAPER_INI = REPO / "configs" / "paper.ini"
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "xsplice", *args],
-                          capture_output=True, text=True, **kwargs)
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``main`` in this process; argparse's exit code counts as the return code."""
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+    return run
 
 
 SUBCOMMANDS = ("calibrate", "tuning-curve", "phase-map", "optimize-compensators",
@@ -24,38 +32,53 @@ SUBCOMMANDS = ("calibrate", "tuning-curve", "phase-map", "optimize-compensators"
 
 class TestUsage:
     def test_top_level_help(self):
-        assert run_cli("--help").returncode == 0
+        # the one run through the package entry point
+        res = subprocess.run([sys.executable, "-m", "xsplice", "--help"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert "usage: xsplice" in res.stdout
 
     @pytest.mark.parametrize("cmd", SUBCOMMANDS)
-    def test_subcommand_help(self, cmd):
+    def test_subcommand_help(self, run_cli, cmd):
         assert run_cli(cmd, "--help").returncode == 0
 
-    def test_unknown_flag_exits_64(self):
+    def test_unknown_flag_exits_64(self, run_cli):
         res = run_cli("calibrate", "--frequency", "100")
         assert res.returncode == 64
 
-    def test_unknown_subcommand_exits_64(self):
+    def test_unknown_subcommand_exits_64(self, run_cli):
         assert run_cli("frobnicate").returncode == 64
 
-    def test_missing_config_exits_2(self):
+    def test_missing_config_exits_2(self, run_cli):
         res = run_cli("--config", "/nonexistent/config.ini", "calibrate")
         assert res.returncode == 2
         assert "config error" in res.stderr
 
-    def test_bad_config_value_exits_2(self, tmp_path):
+    def test_bad_config_value_exits_2(self, run_cli, tmp_path):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[fiber]\nlength_m = -1\n")
-        res = run_cli("--config", str(bad), "calibrate")
-        assert res.returncode == 2
+        for ini, cmd in (("[fiber]\nlength_m = -1\n", "calibrate"),
+                         ("[fiber]\nlength_m = nan\n", "optimize-compensators"),
+                         ("[noise]\neta_signal = nan\n", "state"),
+                         ("[fiber]\ngamma_per_w_m = inf\n", "state"),
+                         ("[spectra]\npump_center_nm = nan\n", "optimize-compensators")):
+            bad.write_text(ini)
+            res = run_cli("--config", str(bad), cmd)
+            assert res.returncode == 2, ini
+            assert "config error" in res.stderr, ini
 
-    def test_numerical_failure_exits_3(self):
+    def test_non_finite_option_exits_64(self, run_cli):
+        res = run_cli("state", "--power", "nan")
+        assert res.returncode == 64
+        assert "finite" in res.stderr
+
+    def test_numerical_failure_exits_3(self, run_cli):
         res = run_cli("calibrate", "--pump", "771", "--signal", "771")
         assert res.returncode == 3
         assert "numerical failure" in res.stderr
 
 
 class TestCalibrate:
-    def test_json_output(self):
+    def test_json_output(self, run_cli):
         res = run_cli("calibrate", "--pump", "771", "--signal", "670")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
@@ -63,7 +86,7 @@ class TestCalibrate:
 
 
 class TestTuningCurve:
-    def test_row_count(self):
+    def test_row_count(self, run_cli):
         res = run_cli("tuning-curve", "--from", "769", "--to", "773", "--steps", "5")
         assert res.returncode == 0
         lines = res.stdout.strip().splitlines()
@@ -72,7 +95,7 @@ class TestTuningCurve:
 
 
 class TestPhaseMap:
-    def test_compensated_output(self, tmp_path):
+    def test_compensated_output(self, run_cli, tmp_path):
         res = run_cli("--config", str(PAPER_INI), "phase-map", "--compensated",
                       "--points", "41", "--out", str(tmp_path))
         assert res.returncode == 0
@@ -83,7 +106,7 @@ class TestPhaseMap:
         assert csv_lines[0] == "lambda_s,lambda_p,phase_deg"
         assert len(csv_lines) == 1 + 41 * 41
 
-    def test_uncompensated_swing(self, tmp_path):
+    def test_uncompensated_swing(self, run_cli, tmp_path):
         res = run_cli("phase-map", "--points", "41", "--out", str(tmp_path))
         assert res.returncode == 0
         meta = json.loads((tmp_path / "phase_map.json").read_text())
@@ -91,7 +114,7 @@ class TestPhaseMap:
 
 
 class TestOptimize:
-    def test_json_fields(self):
+    def test_json_fields(self, run_cli):
         res = run_cli("optimize-compensators")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
@@ -103,7 +126,7 @@ class TestOptimize:
 
 
 class TestState:
-    def test_metrics(self):
+    def test_metrics(self, run_cli):
         res = run_cli("state", "--power", "30")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
@@ -125,7 +148,7 @@ class TestState:
 
 
 class TestPowerSweep:
-    def test_columns(self, tmp_path):
+    def test_columns(self, run_cli, tmp_path):
         res = run_cli("power-sweep", "--min", "10", "--max", "50", "--steps", "3",
                       "--seed", "9", "--out", str(tmp_path))
         assert res.returncode == 0
@@ -136,7 +159,7 @@ class TestPowerSweep:
 
 
 class TestTomographyDemo:
-    def test_outputs(self, tmp_path):
+    def test_outputs(self, run_cli, tmp_path):
         res = run_cli("tomography-demo", "--counts-per-setting", "1000",
                       "--seed", "3", "--out", str(tmp_path))
         assert res.returncode == 0
@@ -147,7 +170,7 @@ class TestTomographyDemo:
         assert counts[0] == "setting_label,count"
         assert len(counts) == 1 + 36
 
-    def test_state_file_input(self, tmp_path):
+    def test_state_file_input(self, run_cli, tmp_path):
         run_cli("state", "--power", "30", "--out", str(tmp_path))
         state_file = tmp_path / "state.json"
         payload = json.loads(state_file.read_text())
@@ -156,13 +179,13 @@ class TestTomographyDemo:
                       "--counts-per-setting", "1000", "--seed", "4")
         assert res.returncode == 0
 
-    def test_missing_state_file_exits_2(self):
+    def test_missing_state_file_exits_2(self, run_cli):
         res = run_cli("tomography-demo", "--state", "/nonexistent/state.json")
         assert res.returncode == 2
 
 
 class TestMaterialsOverride:
-    def test_materials_flag(self, tmp_path):
+    def test_materials_flag(self, run_cli, tmp_path):
         import shutil
         src = REPO / "src" / "xsplice" / "data" / "materials.json"
         dst = tmp_path / "db.json"
@@ -170,15 +193,13 @@ class TestMaterialsOverride:
         res = run_cli("--materials", str(dst), "calibrate")
         assert res.returncode == 0
 
-    def test_env_var(self, tmp_path):
-        import os
+    def test_env_var(self, run_cli, tmp_path, monkeypatch):
         import shutil
         src = REPO / "src" / "xsplice" / "data" / "materials.json"
         dst = tmp_path / "db.json"
         shutil.copy(src, dst)
-        env = dict(os.environ, XSPLICE_MATERIALS=str(dst))
-        res = subprocess.run([sys.executable, "-m", "xsplice", "calibrate"],
-                             capture_output=True, text=True, env=env)
+        monkeypatch.setenv("XSPLICE_MATERIALS", str(dst))
+        res = run_cli("calibrate")
         assert res.returncode == 0
 
 

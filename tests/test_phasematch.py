@@ -11,6 +11,7 @@ from xsplice import (
     solve_signal_idler,
     tuning_curve,
 )
+from xsplice import phasematch
 from xsplice.materials import WavelengthRangeError
 from xsplice.phasematch import MISMATCH_TOL
 
@@ -93,9 +94,11 @@ class TestSolver:
         with pytest.raises(PhaseMatchError, match="no phase-matched solution"):
             solve_signal_idler(fiber, 771.0)
 
-    def test_root_independent_of_scan_resolution(self, paper_fiber):
-        a = solve_signal_idler(paper_fiber, 771.0, scan_points=1200)
-        b = solve_signal_idler(paper_fiber, 771.0, scan_points=4000)
+    def test_root_independent_of_scan_resolution(self, paper_fiber, monkeypatch):
+        monkeypatch.setattr(phasematch, "SCAN_POINTS", 1200)
+        a = solve_signal_idler(paper_fiber, 771.0)
+        monkeypatch.setattr(phasematch, "SCAN_POINTS", 4000)
+        b = solve_signal_idler(paper_fiber, 771.0)
         assert a.lambda_s_nm == pytest.approx(b.lambda_s_nm, abs=5e-7)
 
     def test_result_is_deterministic(self, paper_fiber):
