@@ -10,88 +10,18 @@ states      two-qubit states, entanglement metrics
 counts      count-rate model, CAR, visibility-versus-power
 tomography  simulated tomography and maximum-likelihood reconstruction
 config      INI configuration shared with the CLI
+
+Each module's ``__all__`` is its list of public names; all of them are
+re-exported here.
 """
 
-from .materials import (
-    CompensatorMaterial,
-    FiberSpec,
-    SellmeierModel,
-    WavelengthRangeError,
-    birefringence,
-    fused_silica,
-    index,
-    load_materials,
-    quartz,
-    slow_axis_index,
-)
-from .phasematch import (
-    BandwidthError,
-    PhaseMatchError,
-    PhaseMatchPoint,
-    idler_wavelength,
-    output_bandwidths,
-    phase_mismatch,
-    solve_signal_idler,
-    tuning_curve,
-)
-from .phase import (
-    CompensatorSpec,
-    PhaseMap,
-    bandwidth_grid,
-    compensated_phase,
-    compensator_phase,
-    phase_map,
-    phi_nonlinear,
-    phi_pair_walkoff,
-    phi_pump,
-    total_phase,
-)
-from .design import (
-    CalibrationError,
-    OptimizationError,
-    calibrate_birefringence,
-    optimize_compensators,
-    weighted_phase_std,
-)
-from .states import (
-    GaussianSpectrum,
-    TwoQubitState,
-    bell_state,
-    best_bell_fidelity,
-    concurrence,
-    fidelity,
-    mixed_state_over_spectra,
-    pure_phi_state,
-    relabel_signal_flip,
-    spectral_mean_phase,
-    state_fidelity,
-    tangle,
-    visibility,
-    werner_state,
-)
-from .counts import (
-    CountRecord,
-    FitError,
-    NoiseParams,
-    calibrate_baseline_noise,
-    car,
-    effective_state_at_power,
-    expected_rates,
-    fit_params,
-    heralding_efficiencies,
-    predict_counts,
-    splice_transmission_bound,
-    visibility_vs_power,
-)
-from .tomography import (
-    MeasurementSetting,
-    TomographyData,
-    born_probabilities,
-    error_bars,
-    reconstruct_mle,
-    simulate_counts,
-    standard_settings,
-)
-from .config import ConfigError, SourceConfig, load_config
+from .materials import *
+from .phasematch import *
+from .phase import *
+from .design import *
+from .states import *
+from .counts import *
+from .tomography import *
+from .config import *
 
 __version__ = "0.1.0"

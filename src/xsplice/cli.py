@@ -45,15 +45,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for a float option; NaN and infinities are usage errors."""
-    try:
-        val = float(text)
-    except ValueError:
-        val = math.nan
-    if not math.isfinite(val):
-        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
-    return val
+def _ranged(convert, low, high=math.inf, strict=False):
+    """argparse type: a finite ``convert(text)`` in [low, high], or (low, high] if strict.
+
+    Anything else, NaN and infinities included, is a usage error that
+    names the option.
+    """
+    domain = f"{'>' if strict else '>='} {low:g}" + (f" and <= {high:g}" if high < math.inf else "")
+
+    def parse(text: str):
+        val = convert(text)
+        above_low = low < val if strict else low <= val
+        if not (above_low and val <= high and val < math.inf):
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be finite and {domain}")
+        return val
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_POSITIVE = _ranged(float, 0.0, strict=True)
+_NON_NEGATIVE_INT = _ranged(int, 0)
+#: numpy's Poisson sampler rejects means above about 9.2e18.
+_MAX_COUNTS_PER_SETTING = 1e18
 
 
 def _fmt(value) -> str:
@@ -199,8 +213,11 @@ def _cmd_tomography(cfg, args):
     if args.state == "builtin":
         true_state = states.werner_state(0.896, "psi-")
     else:
-        with open(args.state, encoding="utf-8") as fh:
-            true_state = states.TwoQubitState.from_json_dict(json.load(fh))
+        try:
+            with open(args.state, encoding="utf-8") as fh:
+                true_state = states.TwoQubitState.from_json_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"state file {args.state}: {type(exc).__name__}: {exc}") from exc
     settings = tomography.standard_settings()
     data = tomography.simulate_counts(true_state, settings,
                                       args.counts_per_setting, seed=args.seed)
@@ -235,21 +252,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("calibrate", help="fit the fiber birefringence to an operating point")
-    p.add_argument("--pump", type=_finite_float, default=771.0)
-    p.add_argument("--signal", type=_finite_float, default=670.0)
+    p.add_argument("--pump", type=_POSITIVE, default=771.0)
+    p.add_argument("--signal", type=_POSITIVE, default=670.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("tuning-curve", help="solve signal/idler across a pump range")
-    p.add_argument("--from", dest="from_nm", type=_finite_float, required=True)
-    p.add_argument("--to", dest="to_nm", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--from", dest="from_nm", type=_POSITIVE, required=True)
+    p.add_argument("--to", dest="to_nm", type=_POSITIVE, required=True)
+    p.add_argument("--steps", type=_ranged(int, 2), required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tuning_curve)
 
     p = sub.add_parser("phase-map", help="phase deviation over the spectral grid")
     p.add_argument("--compensated", action="store_true")
-    p.add_argument("--points", type=int, default=states.DESIGN_POINTS)
+    p.add_argument("--points", type=_ranged(int, 1), default=states.DESIGN_POINTS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_phase_map)
 
@@ -260,24 +277,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("state", help="effective two-qubit state and metrics")
     p.add_argument("--uncompensated", action="store_true",
                    help="the same source at the same power, without the crystals")
-    p.add_argument("--power", type=_finite_float, default=30.0, help="average pump power, mW")
+    p.add_argument("--power", type=_ranged(float, 0.0), default=30.0, help="average pump power, mW")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_state)
 
     p = sub.add_parser("power-sweep", help="counts and visibilities versus pump power")
-    p.add_argument("--min", type=_finite_float, required=True)
-    p.add_argument("--max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=_finite_float, default=30.0, help="integration time, s")
+    p.add_argument("--min", type=_POSITIVE, required=True)
+    p.add_argument("--max", type=_POSITIVE, required=True)
+    p.add_argument("--steps", type=_ranged(int, 1), required=True)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    p.add_argument("--duration", type=_POSITIVE, default=30.0, help="integration time, s")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_power_sweep)
 
     p = sub.add_parser("tomography-demo", help="simulate and reconstruct tomography")
     p.add_argument("--state", default="builtin", help="'builtin' or a state JSON file")
-    p.add_argument("--counts-per-setting", type=_finite_float, default=1e5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bootstrap", type=int, default=0)
+    p.add_argument("--counts-per-setting", default=1e5,
+                   type=_ranged(float, 0.0, _MAX_COUNTS_PER_SETTING, strict=True))
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    p.add_argument("--bootstrap", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tomography)
 

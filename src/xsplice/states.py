@@ -290,16 +290,16 @@ def _probe_misfit(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
     return misfit
 
 
-def _doubled_rule_coherence(phi: np.ndarray, ds: np.ndarray, dp: np.ndarray) -> complex:
-    """Coherence of the doubled rule on the phase interpolated from ``phi``.
+def _interpolated_doubled_phase(phi: np.ndarray, ds: np.ndarray, dp: np.ndarray):
+    """Blocks of the doubled rule's phase, interpolated from the nodes' ``phi``.
 
     ``ds`` and ``dp`` are the doubled rule's unnormalised signal column
     and pump row densities. The phase is carried onto the doubled signal
     axis, then onto the doubled pump axis, ``_CHECK_BLOCK`` doubled rows
     at a time, so no gathered stencil exceeds ``_CHECK_BLOCK x
-    _STENCIL_TAPS x 2 nodes``. The contractions are ``einsum`` loops, not
-    BLAS calls, which would wake a second core for a sub-millisecond
-    product.
+    _STENCIL_TAPS x 2 nodes``. Yields ``(phase, weights)`` per block of
+    pump rows. The contractions are ``einsum`` loops, not BLAS calls,
+    which would wake a second core for a sub-millisecond product.
     """
     idx, w = _DOUBLED_IDX, _DOUBLED_TAPS
     blocks = [slice(r, r + _CHECK_BLOCK) for r in range(0, idx.shape[0], _CHECK_BLOCK)]
@@ -308,28 +308,24 @@ def _doubled_rule_coherence(phi: np.ndarray, ds: np.ndarray, dp: np.ndarray) -> 
         np.einsum("jkp,jk->jp", phi[idx[b]], w[b], out=on_signal[b])
     on_signal = np.ascontiguousarray(on_signal.T)  # pump-major: the pump stencil gathers rows
     ds = ds[:, 0]
-    re = im = 0.0
     for b in blocks:
+        yield np.einsum("qkj,qk->qj", on_signal[idx[b]], w[b]), dp[0, b, None] * ds
+
+
+def _doubled_rule_coherence(blocks, ds: np.ndarray, dp: np.ndarray) -> complex:
+    """Coherence of the doubled rule from ``(phase, weights)`` blocks that tile it.
+
+    ``weights`` is the block's share of ``ds * dp``, the doubled rule's
+    unnormalised densities.
+    """
+    re = im = 0.0
+    for phi, weights in blocks:
         # real cos and sin, not _weighted_phasor_sum: its complex exp also
         # exponentiates the zero real part, and the whole check took 10-30 %
         # longer with it (64 nodes, 2 vCPUs)
-        doubled = np.einsum("qkj,qk->qj", on_signal[idx[b]], w[b])
-        weights = dp[0, b, None] * ds
-        re += np.einsum("qj,qj->", weights, np.cos(doubled))
-        im -= np.einsum("qj,qj->", weights, np.sin(doubled))
+        re += np.einsum("ij,ij->", weights, np.cos(phi))
+        im -= np.einsum("ij,ij->", weights, np.sin(phi))
     return complex(re, im) / (ds.sum() * dp.sum())
-
-
-def _rerun_doubled_rule(phase_fn, ls, lp, ds, dp) -> complex:
-    """Coherence of the doubled rule on a second evaluation of the phase.
-
-    Summed in two blocks of half the signal rows, so it needs no array
-    of the full doubled grid.
-    """
-    half = ls.shape[0] // 2
-    coh = sum(_weighted_phasor_sum(phase_fn(ls[rows], lp), ds[rows] * dp)
-              for rows in (slice(None, half), slice(half, None)))
-    return coh / (ds.sum() * dp.sum())
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
@@ -365,9 +361,11 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     phi = sampled[:n, :n]
     coh = _weighted_phasor_sum(phi, w)
     if _probe_misfit(phi, sampled[n:, :n], sampled[:n, n:], w) <= _INTERPOLATION_TOL:
-        coh2 = _doubled_rule_coherence(phi, ds2, dp2)
-    else:
-        coh2 = _rerun_doubled_rule(phase_fn, ls2, lp2, ds2, dp2)
+        blocks = _interpolated_doubled_phase(phi, ds2, dp2)
+    else:  # evaluated again, half the signal rows at a time: no array spans the doubled grid
+        blocks = ((np.atleast_2d(phase_fn(ls2[rows], lp2)), ds2[rows] * dp2)
+                  for rows in (slice(None, n), slice(n, None)))
+    coh2 = _doubled_rule_coherence(blocks, ds2, dp2)
     if abs(abs(coh2) - abs(coh)) > 1e-6:
         warnings.warn(
             f"spectral quadrature not converged: doubling nodes moved the "

@@ -12,6 +12,7 @@ negative log-likelihood.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,10 +65,17 @@ class TomographyData:
     def __post_init__(self):
         if len(self.settings) != len(self.counts):
             raise ValueError("settings and counts length mismatch")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be >= 0")
+        counts = tuple(float(c) for c in self.counts)
+        if not all(0.0 <= c < math.inf for c in counts):
+            raise ValueError("counts must be finite and >= 0")
+        _check_exposure(self.total_per_setting)
         object.__setattr__(self, "settings", tuple(self.settings))
-        object.__setattr__(self, "counts", tuple(float(c) for c in self.counts))
+        object.__setattr__(self, "counts", counts)
+
+
+def _check_exposure(n_per_setting: float):
+    if not 0.0 < n_per_setting < math.inf:
+        raise ValueError(f"counts per setting must be finite and > 0, got {n_per_setting!r}")
 
 
 def standard_settings() -> list:
@@ -93,6 +101,7 @@ def born_probabilities(state: TwoQubitState, settings) -> np.ndarray:
 def simulate_counts(state: TwoQubitState, settings, n_per_setting: float,
                     seed=None) -> TomographyData:
     """Poisson counts with mean n_per_setting * Tr(rho Pi), seeded."""
+    _check_exposure(n_per_setting)
     probs = np.clip(born_probabilities(state, settings), 0.0, None)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(n_per_setting * probs)

@@ -71,6 +71,39 @@ class TestUsage:
         assert res.returncode == 64
         assert "finite" in res.stderr
 
+    @pytest.mark.parametrize("args, option", [
+        (("calibrate", "--pump", "-5"), "--pump"),
+        (("calibrate", "--signal", "0"), "--signal"),
+        (("tuning-curve", "--from", "769", "--to", "773", "--steps", "1"), "--steps"),
+        (("tuning-curve", "--from", "-1", "--to", "5", "--steps", "3"), "--from"),
+        (("phase-map", "--points", "0"), "--points"),
+        (("phase-map", "--points", "-3"), "--points"),
+        (("state", "--power", "-5"), "--power"),
+        (("power-sweep", "--min", "0", "--max", "5", "--steps", "3"), "--min"),
+        (("power-sweep", "--min", "1", "--max", "-5", "--steps", "3"), "--max"),
+        (("power-sweep", "--min", "1", "--max", "5", "--steps", "0"), "--steps"),
+        (("power-sweep", "--min", "1", "--max", "5", "--steps", "-1"), "--steps"),
+        (("power-sweep", "--min", "1", "--max", "5", "--steps", "2", "--duration", "-1"),
+         "--duration"),
+        (("power-sweep", "--min", "1", "--max", "5", "--steps", "2", "--seed", "-1"), "--seed"),
+        (("tomography-demo", "--seed", "-1"), "--seed"),
+        (("tomography-demo", "--bootstrap", "-1"), "--bootstrap"),
+        (("tomography-demo", "--counts-per-setting", "-5"), "--counts-per-setting"),
+        (("tomography-demo", "--counts-per-setting", "0"), "--counts-per-setting"),
+        (("tomography-demo", "--counts-per-setting", "1e20"), "--counts-per-setting"),
+    ])
+    def test_out_of_range_option_exits_64(self, run_cli, args, option):
+        res = run_cli(*args)
+        assert res.returncode == 64
+        assert f"argument {option}:" in res.stderr
+
+    @pytest.mark.parametrize("args", [("state", "--power", "0"),
+                                      ("tomography-demo", "--counts-per-setting", "1000",
+                                       "--bootstrap", "0"),
+                                      ("phase-map", "--points", "1")])
+    def test_edge_option_values_run(self, run_cli, args):
+        assert run_cli(*args).returncode == 0
+
     def test_numerical_failure_exits_3(self, run_cli):
         res = run_cli("calibrate", "--pump", "771", "--signal", "771")
         assert res.returncode == 3
@@ -182,6 +215,14 @@ class TestTomographyDemo:
     def test_missing_state_file_exits_2(self, run_cli):
         res = run_cli("tomography-demo", "--state", "/nonexistent/state.json")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("content", ["{}", '{"matrix": [[1, 2]]}'])
+    def test_malformed_state_file_exits_2(self, run_cli, tmp_path, content):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(content)
+        res = run_cli("tomography-demo", "--state", str(state_file))
+        assert res.returncode == 2
+        assert f"config error: state file {state_file}" in res.stderr
 
 
 class TestMaterialsOverride:

@@ -22,7 +22,8 @@ from xsplice import (
     werner_state,
 )
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            _doubled_rule_coherence, _spectral_axes, spectral_grid)
+                            _doubled_rule_coherence, _interpolated_doubled_phase,
+                            _spectral_axes, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -212,7 +213,8 @@ class TestSpectralMixture:
             ls, lp, w = spectral_grid(sig, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
             ds, dp = _spectral_axes(sig, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)[2:]
             phi = np.broadcast_to(phase(ls, lp), w.shape)
-            interpolated = _doubled_rule_coherence(phi, ds, dp)
+            interpolated = _doubled_rule_coherence(
+                _interpolated_doubled_phase(phi, ds, dp), ds, dp)
             assert abs(interpolated - _direct_doubled_rule(phase, sig, pump)) < 1e-9
 
     @pytest.mark.parametrize("amplitude, frequency",
@@ -228,7 +230,8 @@ class TestSpectralMixture:
         ds, dp = _spectral_axes(signal_spectrum, pump_spectrum, 2 * QUAD_NODES,
                                 QUAD_SPAN_SIGMAS)[2:]
         phi = phase(ls, lp)
-        interpolated = _doubled_rule_coherence(phi, ds, dp)
+        interpolated = _doubled_rule_coherence(
+            _interpolated_doubled_phase(phi, ds, dp), ds, dp)
         assert abs(abs(interpolated) - abs(np.sum(w * np.exp(-1j * phi)))) < 1e-6
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)

@@ -91,6 +91,20 @@ class TestSimulateCounts:
             TomographyData(settings=tuple(settings[:2]), counts=(1.0, -2.0),
                            total_per_setting=10)
 
+    @pytest.mark.parametrize("counts, total", [((1.0, np.nan), 10), ((1.0, np.inf), 10),
+                                               ((0.0, 0.0), 0), ((1.0, 2.0), -5),
+                                               ((1.0, 2.0), np.nan), ((1.0, 2.0), np.inf)])
+    def test_impossible_exposure_rejected(self, settings, counts, total):
+        # reconstruct_mle would divide 0/0 on such data and return a meaningless state
+        with pytest.raises(ValueError, match="finite"):
+            TomographyData(settings=tuple(settings[:2]), counts=counts,
+                           total_per_setting=total)
+
+    @pytest.mark.parametrize("n", [0.0, -5.0, np.nan, np.inf])
+    def test_simulate_rejects_impossible_exposure(self, settings, werner_truth, n):
+        with pytest.raises(ValueError, match="counts per setting"):
+            simulate_counts(werner_truth, settings, n, seed=1)
+
 
 def poisson_log_likelihood(data, state):
     lam = data.total_per_setting * np.clip(
