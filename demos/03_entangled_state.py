@@ -11,7 +11,6 @@ from xsplice import (
     compensated_phase,
     mixed_state_over_spectra,
     relabel_signal_flip,
-    spectral_mean_phase,
     tangle,
     total_phase,
     visibility,
@@ -26,9 +25,8 @@ def build_state(comps):
         fn = lambda s, p: compensated_phase(cfg.fiber, comps, s, p)
     else:
         fn = lambda s, p: total_phase(cfg.fiber, s, p)
-    mean = spectral_mean_phase(fn, cfg.signal, cfg.pump)
-    return mixed_state_over_spectra(lambda s, p: fn(s, p) - mean,
-                                    cfg.signal, cfg.pump)
+    # referenced to the spectral mean phase, which the wedges absorb
+    return mixed_state_over_spectra(fn, cfg.signal, cfg.pump, relative_to_mean=True)
 
 
 for label, comps in (("bare", None), ("compensated", cfg.compensators)):

@@ -23,7 +23,7 @@ from .states import (
     TwoQubitState,
     best_bell_fidelity,
     mixed_state_over_spectra,
-    spectral_mean_phase,
+    spectral_mean_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
     visibility,
 )
 from .phase import compensated_phase
@@ -287,10 +287,9 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
         pump_spectrum.center_nm,
         pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw),
     )
-    phase_fn = lambda ls, lp: compensated_phase(fiber, comps, ls, lp)
-    mean = spectral_mean_phase(phase_fn, signal_spectrum, broadened)
     rho_spec = mixed_state_over_spectra(
-        lambda ls, lp: phase_fn(ls, lp) - mean, signal_spectrum, broadened)
+        lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum, broadened,
+        relative_to_mean=True)
     w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))
     m = (1.0 - w) * rho_spec.matrix + w * np.eye(4) / 4.0
     return TwoQubitState(m)

@@ -329,7 +329,8 @@ def _doubled_rule_coherence(blocks, ds: np.ndarray, dp: np.ndarray) -> complex:
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
-                             pump: GaussianSpectrum) -> TwoQubitState:
+                             pump: GaussianSpectrum, *,
+                             relative_to_mean: bool = False) -> TwoQubitState:
     """Average the pure-state projector over both spectra.
 
     ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
@@ -337,6 +338,11 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     phase in radians. It is evaluated on the ``QUAD_NODES``-point rule,
     with a few probe positions appended to each axis, in one call. A
     constant phase reproduces ``pure_phi_state`` exactly.
+
+    With ``relative_to_mean`` the phase is referenced to its spectral
+    mean, the constant that the compensator wedges absorb in practice:
+    the same value as ``spectral_mean_phase``, taken from the nodes'
+    evaluation and subtracted before anything else reads the phase.
 
     The quadrature is repeated with doubled node count and a warning is
     issued if the coherence magnitude moves by more than 1e-6. For a
@@ -358,12 +364,16 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     sampled = np.broadcast_to(
         phase_fn(np.concatenate((ls, ls2[_PROBES])), np.concatenate((lp, lp2[:, _PROBES]), axis=1)),
         (size, size))
+    mean = 0.0
+    if relative_to_mean:
+        mean = np.sum(w * sampled[:n, :n])
+        sampled = sampled - mean
     phi = sampled[:n, :n]
     coh = _weighted_phasor_sum(phi, w)
     if _probe_misfit(phi, sampled[n:, :n], sampled[:n, n:], w) <= _INTERPOLATION_TOL:
         blocks = _interpolated_doubled_phase(phi, ds2, dp2)
     else:  # evaluated again, half the signal rows at a time: no array spans the doubled grid
-        blocks = ((np.atleast_2d(phase_fn(ls2[rows], lp2)), ds2[rows] * dp2)
+        blocks = ((np.atleast_2d(phase_fn(ls2[rows], lp2) - mean), ds2[rows] * dp2)
                   for rows in (slice(None, n), slice(n, None)))
     coh2 = _doubled_rule_coherence(blocks, ds2, dp2)
     if abs(abs(coh2) - abs(coh)) > 1e-6:

@@ -349,9 +349,9 @@ class TestBaselineCalibration:
         assert w0 == 0.0
 
 
-def test_state_at_power_evaluates_the_phase_twice(monkeypatch, paper_config):
-    # once for the mean phase, once on the quadrature nodes: the
-    # node-doubling check reuses the nodes' phase
+def test_state_at_power_evaluates_the_phase_once(monkeypatch, paper_config):
+    # on the quadrature nodes only: the mean-phase reference and the
+    # node-doubling check both reuse the nodes' phase
     real = counts_mod.compensated_phase
     calls = []
 
@@ -363,7 +363,7 @@ def test_state_at_power_evaluates_the_phase_twice(monkeypatch, paper_config):
     cfg = paper_config
     effective_state_at_power(cfg.noise, cfg.fiber, cfg.compensators, cfg.signal,
                              cfg.pump, 30.0, baseline_noise=cfg.baseline_noise)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_state_at_power_memory_peak(paper_config):

@@ -12,7 +12,7 @@ from xsplice.design import calibrate_birefringence, optimize_compensators, weigh
 from xsplice.materials import WavelengthRangeError, birefringence, index
 from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwidths,
                                 phase_mismatch, solve_signal_idler, tuning_curve)
-from xsplice.states import concurrence, relabel_signal_flip
+from xsplice.states import concurrence, mixed_state_over_spectra, relabel_signal_flip
 from xsplice.tomography import _neg_log_likelihood, _params_to_rho, _projector_stack
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
@@ -206,6 +206,29 @@ def test_concurrence_invariant_under_signal_flip(entries):
     state = TwoQubitState(rho / np.trace(rho))
     assert concurrence(relabel_signal_flip(state)) == pytest.approx(
         concurrence(state), abs=1e-7)
+
+
+@CHEAP
+@given(a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0), c=st.floats(-1.0, 1.0),
+       offset=st.floats(0.0, 1e5))
+def test_mean_referenced_state_ignores_the_offset(signal_spectrum, pump_spectrum,
+                                                  a, b, c, offset):
+    # smooth phases in rad per sigma; the mean reference removes any
+    # constant and only rotates the coherence of the raw phase
+    def phase(k):
+        def fn(s, p):
+            x = (s - signal_spectrum.center_nm) / signal_spectrum.sigma_nm
+            y = (p - pump_spectrum.center_nm) / pump_spectrum.sigma_nm
+            return a * x + b * y + c * x * x + k
+        return fn
+
+    def state(k, relative_to_mean):
+        return mixed_state_over_spectra(phase(k), signal_spectrum, pump_spectrum,
+                                        relative_to_mean=relative_to_mean).matrix
+
+    referenced = state(offset, True)
+    assert np.max(np.abs(referenced - state(0.0, True))) <= 1e-9
+    assert abs(abs(referenced[0, 3]) - abs(state(offset, False)[0, 3])) <= 1e-12
 
 
 SETTINGS = standard_settings()

@@ -21,6 +21,7 @@ from xsplice import (
     visibility,
     werner_state,
 )
+from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
                             _doubled_rule_coherence, _interpolated_doubled_phase,
                             _spectral_axes, spectral_grid)
@@ -240,17 +241,63 @@ class TestSpectralMixture:
                                    signal_spectrum, pump_spectrum):
         # the 800-degree uncompensated swing scrambles the state; the
         # few-degree compensated residual does not
-        raw = lambda s, p: total_phase(paper_fiber, s, p)
-        mean = spectral_mean_phase(raw, signal_spectrum, pump_spectrum)
-        uncomp = mixed_state_over_spectra(lambda s, p: raw(s, p) - mean,
-                                          signal_spectrum, pump_spectrum)
+        uncomp = mixed_state_over_spectra(lambda s, p: total_phase(paper_fiber, s, p),
+                                          signal_spectrum, pump_spectrum, relative_to_mean=True)
         assert best_bell_fidelity(uncomp)[0] <= 0.75
 
-        fixed = lambda s, p: compensated_phase(paper_fiber, paper_compensators, s, p)
-        mean_c = spectral_mean_phase(fixed, signal_spectrum, pump_spectrum)
-        comp = mixed_state_over_spectra(lambda s, p: fixed(s, p) - mean_c,
-                                        signal_spectrum, pump_spectrum)
+        comp = mixed_state_over_spectra(
+            lambda s, p: compensated_phase(paper_fiber, paper_compensators, s, p),
+            signal_spectrum, pump_spectrum, relative_to_mean=True)
         assert best_bell_fidelity(comp)[0] >= 0.99
+
+
+class TestRelativeToMean:
+    """The flag equals the mean pass followed by the state of the shifted phase."""
+
+    @staticmethod
+    def _two_call(fn, signal, pump):
+        mean = spectral_mean_phase(fn, signal, pump)
+        return mixed_state_over_spectra(lambda s, p: fn(s, p) - mean, signal, pump)
+
+    def test_paper_states_bit_identical(self, paper_config):
+        cfg = paper_config
+        for comps in (cfg.compensators, None):
+            fn = lambda s, p, comps=comps: compensated_phase(cfg.fiber, comps, s, p)
+            for power in (0.0, 10.0, 30.0, 60.0):
+                pump = GaussianSpectrum(cfg.pump.center_nm,
+                                        cfg.pump.fwhm_nm * (1.0 + cfg.noise.spm_coeff * power))
+                flagged = mixed_state_over_spectra(fn, cfg.signal, pump, relative_to_mean=True)
+                assert np.array_equal(flagged.matrix,
+                                      self._two_call(fn, cfg.signal, pump).matrix)
+
+    def test_rerun_path_bit_identical(self, paper_config):
+        # the ripple aliases on the nodes, so the doubled rule is evaluated
+        # directly, and the offset is large next to the ripple
+        sig, pump = paper_config.signal, paper_config.pump
+        fn = lambda s, p: 1e5 + 0.01 * np.sin(32.0 * (s - sig.center_nm) / sig.sigma_nm) + 0 * p
+        results = []
+        for build in (lambda: mixed_state_over_spectra(fn, sig, pump, relative_to_mean=True),
+                      lambda: self._two_call(fn, sig, pump)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                state = build()
+            results.append((state.matrix, [str(w.message) for w in caught]))
+        (flagged, flagged_warnings), (idiom, idiom_warnings) = results
+        assert np.array_equal(flagged, idiom)
+        assert flagged_warnings == idiom_warnings
+        assert any("not converged" in m for m in flagged_warnings)
+
+    def test_power_sweep_rows_are_the_states_visibilities(self, paper_config):
+        cfg = paper_config
+        powers = (0.0, 10.0, 30.0, 60.0)
+        args = (cfg.noise, cfg.fiber, cfg.compensators)
+        rows = visibility_vs_power(*args, powers, cfg.signal, cfg.pump,
+                                   baseline_noise=cfg.baseline_noise)
+        for (pw, v_rect, v_diag), power in zip(rows, powers):
+            state = effective_state_at_power(*args, cfg.signal, cfg.pump, power,
+                                             baseline_noise=cfg.baseline_noise)
+            assert (pw, v_rect, v_diag) == (power, visibility(state, "rectilinear"),
+                                            visibility(state, "diagonal"))
 
 
 class TestFidelity:

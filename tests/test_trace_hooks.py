@@ -30,3 +30,22 @@ def test_tracer_wraps_every_layer_binding(monkeypatch):
     for fn, original in zip(wrapped, originals):
         assert fn is not original and fn.__wrapped__ is original
     assert [getattr(m, attr) for m, attr in sites] == originals
+
+
+def test_traced_state_evaluates_the_phase_once(monkeypatch, paper_config):
+    # the mean-phase reference comes from the quadrature nodes, so a
+    # source state makes one phase call and no separate mean pass
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = paper_config
+    tracer = tracing.Tracer(xsplice)
+    tracer.install()
+    try:
+        xsplice.effective_state_at_power(cfg.noise, cfg.fiber, cfg.compensators, cfg.signal,
+                                         cfg.pump, 30.0, baseline_noise=cfg.baseline_noise)
+    finally:
+        tracer.uninstall()
+    totals = tracer.snapshot()
+    assert totals["phase.compensated_phase"]["calls"] == 1
+    assert totals["states.spectral_mean_phase"]["calls"] == 0
