@@ -98,8 +98,7 @@ def _json_text(obj) -> str:
 
 
 def _cmd_calibrate(cfg, args):
-    b = design.calibrate_birefringence(cfg.fiber.core_model, args.pump, args.signal,
-                                       length_m=cfg.fiber.length_m)
+    b = design.calibrate_birefringence(cfg.fiber.core_model, args.pump, args.signal)
     _emit(_json_text({"pump_nm": args.pump, "signal_nm": args.signal,
                       "birefringence": b}), args.out, "calibration.json")
     return 0
@@ -120,8 +119,8 @@ def _cmd_tuning_curve(cfg, args):
 
 
 def _map_axes(cfg, points):
-    s_ax = phase.bandwidth_grid(cfg.signal.center_nm, cfg.signal.fwhm_nm, points)
-    p_ax = phase.bandwidth_grid(cfg.pump.center_nm, cfg.pump.fwhm_nm, points)
+    s_ax = states.bandwidth_grid(cfg.signal.center_nm, cfg.signal.fwhm_nm, points)
+    p_ax = states.bandwidth_grid(cfg.pump.center_nm, cfg.pump.fwhm_nm, points)
     return s_ax, p_ax
 
 

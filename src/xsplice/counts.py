@@ -201,17 +201,9 @@ def car(p: NoiseParams, avg_power_mw: float) -> float:
     return r["true_coincidences"] / r["accidentals"]
 
 
-def _coincidence_rate(p: NoiseParams, power_mw) -> float:
-    rates = expected_rates(p, power_mw)
-    return rates["true_coincidences"] + rates["accidentals"]
-
-
 _OBSERVABLES = {
     "car": lambda p, pw: car(p, pw),
     "pair_rate": lambda p, pw: expected_rates(p, pw)["pairs"],
-    "coincidence_rate": _coincidence_rate,
-    "singles_signal_rate": lambda p, pw: expected_rates(p, pw)["singles_s"],
-    "singles_idler_rate": lambda p, pw: expected_rates(p, pw)["singles_i"],
 }
 
 _DEFAULT_FREE = ("pair_rate_coeff", "raman_s", "raman_i")
@@ -221,11 +213,9 @@ def fit_params(targets, base: NoiseParams, free=_DEFAULT_FREE) -> tuple:
     """Least-squares calibration of selected coefficients.
 
     ``targets`` is a list of ``(power_mw, observable, value)`` with
-    observable one of car, pair_rate, coincidence_rate,
-    singles_signal_rate, singles_idler_rate. Residuals are differences
-    of logs, so targets spanning decades weigh equally. Returns
-    ``(params, residuals)`` with residuals as relative errors per
-    target.
+    observable car or pair_rate. Residuals are differences of logs, so
+    targets spanning decades weigh equally. Returns ``(params,
+    residuals)`` with residuals as relative errors per target.
     """
     free = tuple(free)
     if len(targets) < len(free):

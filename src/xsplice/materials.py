@@ -120,7 +120,10 @@ def index(model: SellmeierModel, wavelength_nm):
     """Refractive index n(lambda); accepts scalars or arrays (nm).
 
     Every term is summed in place in four arrays of the input's shape,
-    allocated once per call and never the caller's own.
+    allocated once per call and never the caller's own. The phase-matching
+    scan's (pumps, 2000) arrays lie above glibc's 128 KiB mmap threshold,
+    so each temporary there maps fresh pages: a plain expression raised
+    the minor page faults per design task from 221 to 443.
     """
     lam = _check_range(model, wavelength_nm)
     lam2 = np.divide(lam, 1000.0, out=np.empty_like(lam))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CompensatorMaterial, FiberSpec, birefringence, index
+from .materials import CompensatorMaterial, FiberSpec, birefringence, index, slow_axis_index
 from .phasematch import idler_wavelength
 from .states import bandwidth_grid
 
@@ -89,17 +89,11 @@ def phi_pair_walkoff(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
 
 
 def _pair_walkoff(fiber: FiberSpec, ls: np.ndarray, li) -> np.ndarray:
-    """``phi_pair_walkoff`` given the idler wavelength, in a new array of its shape."""
-    b = fiber.birefringence
+    """``phi_pair_walkoff`` given the idler wavelength."""
     m = 1e-9
     two_pi_l = 2.0 * np.pi * fiber.length_m
-    out = np.multiply(li, m, out=np.empty_like(li))
-    np.divide(two_pi_l, out, out=out)
-    n_i = index(fiber.core_model, li)
-    n_i += b
-    out *= n_i
-    out += two_pi_l / (ls * m) * (index(fiber.core_model, ls) + b)
-    return out
+    return (two_pi_l / (ls * m) * slow_axis_index(fiber, ls)
+            + two_pi_l / (li * m) * slow_axis_index(fiber, li))
 
 
 def phi_pump(fiber: FiberSpec, lambda_p_nm):
@@ -130,19 +124,16 @@ def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm, peak_power_w=0.0):
 
 def _relative_phase(fiber: FiberSpec, ls: np.ndarray, lambda_p_nm, li,
                     peak_power_w) -> np.ndarray:
-    """``total_phase`` given the idler wavelength, in a new array of its shape."""
-    out = _pair_walkoff(fiber, ls, li)
-    np.subtract(phi_pump(fiber, lambda_p_nm) + phi_nonlinear(fiber, peak_power_w), out,
-                out=out)
-    return out
+    """``total_phase`` given the idler wavelength."""
+    return (phi_pump(fiber, lambda_p_nm) + phi_nonlinear(fiber, peak_power_w)
+            - _pair_walkoff(fiber, ls, li))
 
 
 def compensator_phase(comp: CompensatorSpec, wavelength_nm):
     """Phase added by one compensator: sign * 2 pi l dn(lambda) / lambda."""
     lam = np.asarray(wavelength_nm, dtype=float)
-    out = birefringence(comp.material, lam)
-    out *= comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)
-    out /= lam * 1e-9
+    out = (birefringence(comp.material, lam)
+           * (comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)) / (lam * 1e-9))
     return out if np.ndim(out) else float(out)
 
 

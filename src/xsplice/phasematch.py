@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FiberSpec, WavelengthRangeError, index
+from .materials import FiberSpec, WavelengthRangeError, index, slow_axis_index
 
 __all__ = [
     "PhaseMatchError",
@@ -102,12 +102,12 @@ def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0)
     """Vector phase mismatch dk in rad/m at the given signal wavelength(s)."""
     ls = np.asarray(lambda_s_nm, dtype=float)
     li = idler_wavelength(ls, lambda_p_nm)
-    n_p = index(fiber.core_model, lambda_p_nm)
+    n_p = slow_axis_index(fiber, lambda_p_nm)
     n_s = index(fiber.core_model, ls)
     n_i = index(fiber.core_model, li)
     m = 1e-9
     dk = 2.0 * np.pi * (
-        2.0 * (n_p + fiber.birefringence) / (lambda_p_nm * m)
+        2.0 * n_p / (lambda_p_nm * m)
         - n_s / (ls * m)
         - n_i / (li * m)
     )

@@ -47,7 +47,7 @@ from xsplice import (
     werner_state,
 )
 from xsplice.counts import CountRecord, NoiseParams
-from xsplice.phase import bandwidth_grid
+from xsplice.states import bandwidth_grid
 
 def report(number, runtime=None, detail=""):
     stamp = f" [{runtime:.3f} s]" if runtime is not None else ""

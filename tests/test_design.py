@@ -17,7 +17,8 @@ from xsplice import (
     solve_signal_idler,
     weighted_phase_std,
 )
-from xsplice.phase import bandwidth_grid, compensated_phase
+from xsplice.phase import compensated_phase
+from xsplice.states import bandwidth_grid
 
 from conftest import CALIBRATED_B
 

@@ -28,7 +28,7 @@ B_RANGE = (1e-8, 1e-2)
 
 
 def _calibrated(silica, pump, target, length):
-    b = calibrate_birefringence(silica, pump, target, b_range=B_RANGE, length_m=length)
+    b = calibrate_birefringence(silica, pump, target, b_range=B_RANGE)
     fiber = FiberSpec(length, b, 0.0, silica)
     return fiber, solve_signal_idler(fiber, pump)
 

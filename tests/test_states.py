@@ -23,8 +23,8 @@ from xsplice import (
 )
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            _doubled_rule_coherence, _interpolated_doubled_phase,
-                            _spectral_axes, spectral_grid)
+                            _coherence, _interpolated_doubled_phase, _spectral_axes,
+                            spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -159,13 +159,31 @@ class TestSpectralMixture:
 
     def test_coherence_is_the_nodes_point_sum(self, paper_fiber, paper_compensators,
                                               signal_spectrum, pump_spectrum):
-        # the in-place quadrature keeps the bits of the plain weighted sum
+        # the state's coherence is the real cos/sin sum over the nodes, and
+        # that sum is the complex-exp one to rounding
         fn = lambda s, p: compensated_phase(paper_fiber, paper_compensators, s, p)
         mean = spectral_mean_phase(fn, signal_spectrum, pump_spectrum)
         phase = lambda s, p: fn(s, p) - mean
         state = mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
         ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
-        assert 2 * state.matrix[0, 3] == np.sum(w * np.exp(-1j * phase(ls, lp)))
+        phi = phase(ls, lp)
+        coh = 2 * state.matrix[0, 3]
+        assert coh == complex(np.einsum("ij,ij->", w, np.cos(phi)),
+                              -np.einsum("ij,ij->", w, np.sin(phi)))
+        assert abs(coh - np.sum(w * np.exp(-1j * phi))) <= 1e-15
+
+    def test_one_weight_normalisation(self, paper_fiber, paper_compensators,
+                                      signal_spectrum, pump_spectrum):
+        # each axis' weights sum to 1, the joint weights are their product,
+        # and the coherence does not depend on how blocks tile the rule
+        ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
+                                        QUAD_SPAN_SIGMAS)
+        assert abs(ws.sum() - 1.0) <= 1e-15 and abs(wp.sum() - 1.0) <= 1e-15
+        w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)[2]
+        assert np.array_equal(w, ws * wp)
+        phi = compensated_phase(paper_fiber, paper_compensators, ls, lp)
+        rows = [slice(r, r + 16) for r in range(0, QUAD_NODES, 16)]
+        assert abs(_coherence((phi[r], w[r]) for r in rows) - _coherence([(phi, w)])) <= 1e-15
 
     def test_unresolved_phase_warns(self, signal_spectrum, pump_spectrum):
         # 30 rad per signal sigma aliases on the nodes: the exact coherence
@@ -212,10 +230,9 @@ class TestSpectralMixture:
         sig = paper_config.signal
         for phase, pump in _paper_phases(paper_config):
             ls, lp, w = spectral_grid(sig, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
-            ds, dp = _spectral_axes(sig, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)[2:]
+            ws, wp = _spectral_axes(sig, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)[2:]
             phi = np.broadcast_to(phase(ls, lp), w.shape)
-            interpolated = _doubled_rule_coherence(
-                _interpolated_doubled_phase(phi, ds, dp), ds, dp)
+            interpolated = _coherence(_interpolated_doubled_phase(phi, ws, wp))
             assert abs(interpolated - _direct_doubled_rule(phase, sig, pump)) < 1e-9
 
     @pytest.mark.parametrize("amplitude, frequency",
@@ -228,11 +245,10 @@ class TestSpectralMixture:
         c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
         phase = lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma) + 0 * p
         ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
-        ds, dp = _spectral_axes(signal_spectrum, pump_spectrum, 2 * QUAD_NODES,
+        ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, 2 * QUAD_NODES,
                                 QUAD_SPAN_SIGMAS)[2:]
         phi = phase(ls, lp)
-        interpolated = _doubled_rule_coherence(
-            _interpolated_doubled_phase(phi, ds, dp), ds, dp)
+        interpolated = _coherence(_interpolated_doubled_phase(phi, ws, wp))
         assert abs(abs(interpolated) - abs(np.sum(w * np.exp(-1j * phi)))) < 1e-6
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)

@@ -49,3 +49,13 @@ def test_traced_state_evaluates_the_phase_once(monkeypatch, paper_config):
     totals = tracer.snapshot()
     assert totals["phase.compensated_phase"]["calls"] == 1
     assert totals["states.spectral_mean_phase"]["calls"] == 0
+
+
+def test_benchmark_shims_stay_bound(paper_config):
+    # perfbench/tasks.py still reads phase.bandwidth_grid and passes
+    # length_m to calibrate_birefringence, though no library code does;
+    # the benchmark change of ROADMAP item 1 deletes this test with both
+    assert xsplice.phase.bandwidth_grid is xsplice.states.bandwidth_grid
+    core = paper_config.fiber.core_model
+    assert (xsplice.design.calibrate_birefringence(core, 771.0, 670.0, length_m=0.5)
+            == xsplice.design.calibrate_birefringence(core, 771.0, 670.0))
