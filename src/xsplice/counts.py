@@ -12,6 +12,7 @@ detection-path efficiencies (fiber to detector click).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace, fields as dc_fields
 
@@ -62,8 +63,8 @@ class CountRecord:
 
     def __post_init__(self):
         for f in dc_fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
         for chan in ("signal", "idler", "coincidences"):
             if getattr(self, f"{chan}_background") > getattr(self, f"{chan}_total"):
                 raise ValueError(f"{chan} background exceeds total")
@@ -94,8 +95,8 @@ class NoiseParams:
 
     def __post_init__(self):
         for f in dc_fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
         if self.eta_s > 1 or self.eta_i > 1:
             raise ValueError("efficiencies must be <= 1")
         if self.window_s * self.rep_rate_hz > 1:

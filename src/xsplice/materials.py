@@ -18,6 +18,7 @@ variable (the CLI also accepts ``--materials``).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -83,12 +84,12 @@ class FiberSpec:
     core_model: SellmeierModel
 
     def __post_init__(self):
-        if self.length_m < 0:
-            raise ValueError(f"fiber length must be >= 0, got {self.length_m}")
-        if self.birefringence < 0:
-            raise ValueError(f"birefringence must be >= 0, got {self.birefringence}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.length_m < math.inf:
+            raise ValueError(f"fiber length must be finite and >= 0, got {self.length_m}")
+        if not 0.0 <= self.birefringence < math.inf:
+            raise ValueError(f"birefringence must be finite and >= 0, got {self.birefringence}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
     lo, hi = model.valid_range_nm
     # one min/max pass; a NaN fails it and falls through to the elementwise test
     if lam.size and not (lo <= lam.min() and lam.max() <= hi):
-        bad = lam[(lam < lo) | (lam > hi)]
+        bad = lam[~((lo <= lam) & (lam <= hi))]
         if bad.size:
             worst = float(bad.flat[0])
             bound = lo if worst < lo else hi

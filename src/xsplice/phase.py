@@ -14,6 +14,7 @@ maps are reported in degrees as deviation from the grid mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "PhaseMap",
     "phi_pair_walkoff",
     "phi_pump",
-    "phi_nonlinear",
     "total_phase",
     "compensator_phase",
     "compensated_phase",
@@ -50,8 +50,8 @@ class CompensatorSpec:
     arm: str  # "signal" | "idler"
 
     def __post_init__(self):
-        if self.length_mm < 0:
-            raise ValueError(f"compensator length must be >= 0, got {self.length_mm}")
+        if not 0.0 <= self.length_mm < math.inf:
+            raise ValueError(f"compensator length must be finite and >= 0, got {self.length_mm}")
         if self.orientation_sign not in (+1, -1):
             raise ValueError(f"orientation_sign must be +1 or -1, got {self.orientation_sign}")
         if self.arm not in ("signal", "idler"):
@@ -107,26 +107,16 @@ def phi_pump(fiber: FiberSpec, lambda_p_nm):
     return out if np.ndim(out) else float(out)
 
 
-def phi_nonlinear(fiber: FiberSpec, peak_power_w):
-    """Self- plus cross-phase-modulation offset, (1 + 2/3) gamma P L."""
-    if peak_power_w < 0:
-        raise ValueError("peak power must be >= 0")
-    return (5.0 / 3.0) * fiber.gamma * peak_power_w * fiber.length_m
-
-
-def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm, peak_power_w=0.0):
+def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
     """Relative phase of the second-segment process versus the first."""
     ls = np.asarray(lambda_s_nm, dtype=float)
-    out = _relative_phase(fiber, ls, lambda_p_nm, idler_wavelength(ls, lambda_p_nm),
-                          peak_power_w)
+    out = _relative_phase(fiber, ls, lambda_p_nm, idler_wavelength(ls, lambda_p_nm))
     return out if out.ndim else float(out)
 
 
-def _relative_phase(fiber: FiberSpec, ls: np.ndarray, lambda_p_nm, li,
-                    peak_power_w) -> np.ndarray:
+def _relative_phase(fiber: FiberSpec, ls: np.ndarray, lambda_p_nm, li) -> np.ndarray:
     """``total_phase`` given the idler wavelength."""
-    return (phi_pump(fiber, lambda_p_nm) + phi_nonlinear(fiber, peak_power_w)
-            - _pair_walkoff(fiber, ls, li))
+    return phi_pump(fiber, lambda_p_nm) - _pair_walkoff(fiber, ls, li)
 
 
 def compensator_phase(comp: CompensatorSpec, wavelength_nm):
@@ -138,7 +128,7 @@ def compensator_phase(comp: CompensatorSpec, wavelength_nm):
 
 
 def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
-    """Total phase at zero peak power including the arm compensators.
+    """Total phase including the arm compensators.
 
     ``comps`` is an iterable of CompensatorSpec, or None for no crystals;
     signal-arm entries are evaluated at the signal wavelength, idler-arm
@@ -148,7 +138,7 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
     """
     ls = np.asarray(lambda_s_nm, dtype=float)
     li = idler_wavelength(ls, lambda_p_nm)
-    phase = _relative_phase(fiber, ls, lambda_p_nm, li, 0.0)
+    phase = _relative_phase(fiber, ls, lambda_p_nm, li)
     for comp in comps or ():
         phase += compensator_phase(comp, ls if comp.arm == "signal" else li)
     return phase if phase.ndim else float(phase)

@@ -54,14 +54,26 @@ class TestRecordValidation:
             CountRecord(1.0, 10, 20, 10, 5, 5, 1)
 
     def test_negative_rejected(self):
+        for bad in (-1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CountRecord(1.0, bad, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
-            CountRecord(1.0, -1, 0, 0, 0, 0, 0)
+            CountRecord(np.nan, 10, 5, 10, 5, 5, 1)
 
 
 class TestNoiseParamsValidation:
     def test_efficiency_bound(self):
         with pytest.raises(ValueError):
             NoiseParams(1, 1, 1, 1, 1, eta_s=1.2, eta_i=0.5)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NoiseParams(1, 1, 1, 1, 1, eta_s=bad, eta_i=0.5)
+            with pytest.raises(ValueError):
+                NoiseParams(bad, 1, 1, 1, 1, 0.5, 0.5)
+            with pytest.raises(ValueError):
+                NoiseParams(1, 1, 1, 1, 1, 0.5, 0.5, rep_rate_hz=bad)
 
     def test_window_slot_bound(self):
         with pytest.raises(ValueError):
@@ -368,7 +380,7 @@ def test_state_at_power_evaluates_the_phase_once(monkeypatch, paper_config):
 
 def test_state_at_power_memory_peak(paper_config):
     # one phase call on the nodes and probes, and the doubled-node check
-    # interpolates the phase in blocks of rows; a tracemalloc peak, unlike
+    # interpolates the phase in blocks of columns; a tracemalloc peak, unlike
     # a page-fault count, is the same on every run
     cfg = paper_config
     args = (cfg.noise, cfg.fiber, cfg.compensators, cfg.signal, cfg.pump, 30.0)

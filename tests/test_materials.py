@@ -52,10 +52,13 @@ def test_out_of_range_raises(silica):
 
 
 def test_range_check_sees_past_a_nan(silica):
-    # a NaN defeats a min/max test; the first offender is still reported
+    # a NaN defeats a min/max test and is itself out of range; the first
+    # offender is reported
     with pytest.raises(WavelengthRangeError, match="wavelength 5000 nm .*bound: 3710 nm"):
-        index(silica, np.array([np.nan, 670.0, 5000.0, 100.0]))
-    assert np.isnan(index(silica, np.array([np.nan, 670.0]))[0])
+        index(silica, np.array([670.0, 5000.0, np.nan, 100.0]))
+    for lam in (np.nan, [700.0, np.nan], [np.nan, 670.0]):
+        with pytest.raises(WavelengthRangeError, match="wavelength nan nm"):
+            index(silica, lam)
     assert index(silica, np.empty(0)).shape == (0,)
 
 
@@ -115,12 +118,13 @@ def test_quartz_birefringence_window(quartz_material):
 
 
 def test_fiber_validation(silica):
-    with pytest.raises(ValueError):
-        FiberSpec(-0.1, 3e-4, 0.01, silica)
-    with pytest.raises(ValueError):
-        FiberSpec(0.13, -1e-4, 0.01, silica)
-    with pytest.raises(ValueError):
-        FiberSpec(0.13, 3e-4, -0.01, silica)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            FiberSpec(bad, 3e-4, 0.01, silica)
+        with pytest.raises(ValueError):
+            FiberSpec(0.13, bad, 0.01, silica)
+        with pytest.raises(ValueError):
+            FiberSpec(0.13, 3e-4, bad, silica)
 
 
 def test_sellmeier_validation():

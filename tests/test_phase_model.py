@@ -12,7 +12,6 @@ from xsplice import (
     idler_wavelength,
     index,
     phase_map,
-    phi_nonlinear,
     phi_pair_walkoff,
     phi_pump,
     total_phase,
@@ -71,32 +70,10 @@ class TestPumpPhase:
         assert phi_pump(f1, 771.0) == phi_pump(f2, 771.0)
 
 
-class TestNonlinearPhase:
-    def test_zero_power(self, paper_fiber):
-        assert phi_nonlinear(paper_fiber, 0.0) == 0.0
-
-    def test_direct_arithmetic(self, silica):
-        # gamma = 10 /(W km) = 0.01 /(W m), P = 100 W, L = 0.13 m
-        fiber = FiberSpec(0.13, 3e-4, 0.01, silica)
-        assert phi_nonlinear(fiber, 100.0) == pytest.approx((5.0 / 3.0) * 0.01 * 100.0 * 0.13,
-                                                            rel=1e-15)
-        assert phi_nonlinear(fiber, 100.0) == pytest.approx(0.2167, abs=1e-4)
-
-    def test_linearity(self, silica):
-        base = phi_nonlinear(FiberSpec(0.13, 3e-4, 0.01, silica), 50.0)
-        assert phi_nonlinear(FiberSpec(0.13, 3e-4, 0.02, silica), 50.0) == pytest.approx(2 * base)
-        assert phi_nonlinear(FiberSpec(0.13, 3e-4, 0.01, silica), 100.0) == pytest.approx(2 * base)
-        assert phi_nonlinear(FiberSpec(0.26, 3e-4, 0.01, silica), 50.0) == pytest.approx(2 * base)
-
-    def test_negative_power_rejected(self, paper_fiber):
-        with pytest.raises(ValueError):
-            phi_nonlinear(paper_fiber, -1.0)
-
-
 class TestTotalPhase:
     def test_zero_length(self, silica):
         fiber = FiberSpec(0.0, 3e-4, 0.01, silica)
-        assert total_phase(fiber, 670.0, 771.0, 100.0) == 0.0
+        assert total_phase(fiber, 670.0, 771.0) == 0.0
 
     def test_signal_dependence_only_through_walkoff(self, paper_fiber):
         # total + walkoff must not depend on the signal wavelength
@@ -114,9 +91,8 @@ class TestTotalPhase:
 
     def test_constant_index_analytic_collapse(self, constant_index_model):
         fiber = FiberSpec(0.13, 0.0, 0.005, constant_index_model)
-        got = total_phase(fiber, 670.0, 771.0, 40.0)
-        expected = (phi_pump(fiber, 771.0) + phi_nonlinear(fiber, 40.0)
-                    - 2 * np.pi * 0.13 * 1.45 * 2.0 / 771e-9)
+        got = total_phase(fiber, 670.0, 771.0)
+        expected = phi_pump(fiber, 771.0) - 2 * np.pi * 0.13 * 1.45 * 2.0 / 771e-9
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_peak_to_peak_800_degrees(self, paper_fiber):
@@ -155,8 +131,9 @@ class TestCompensatorPhase:
         assert abs(compensator_phase(comp, 905.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_validation(self, quartz_material):
-        with pytest.raises(ValueError):
-            CompensatorSpec(-1.0, quartz_material, +1, "signal")
+        for length in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CompensatorSpec(length, quartz_material, +1, "signal")
         with pytest.raises(ValueError):
             CompensatorSpec(10.0, quartz_material, 2, "signal")
         with pytest.raises(ValueError):
@@ -198,6 +175,11 @@ class TestPhaseMap:
             phase_map(paper_fiber, None, [], [771.0])
         with pytest.raises(ValueError):
             phase_map(paper_fiber, None, [671.0, 670.0], [771.0])
+        # a NaN passes the sort test but not the wavelength checks
+        with pytest.raises(ValueError):
+            phase_map(paper_fiber, None, [670.0, np.nan], [771.0])
+        with pytest.raises(ValueError):
+            phase_map(paper_fiber, None, [670.0], [np.nan, 771.0])
 
     def test_open_axes_match_full_grid(self, paper_fiber, paper_compensators):
         # the map is evaluated on a signal column against a pump row; a full

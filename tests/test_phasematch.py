@@ -46,6 +46,13 @@ class TestIdlerWavelength:
             idler_wavelength(670.0, np.array([np.nan, -771.0]))
         assert idler_wavelength(np.empty(0), np.empty(0)).shape == (0,)
 
+    def test_nan_rejected(self, paper_fiber):
+        for ls, lp in ((np.nan, 771.0), (670.0, np.nan), ([670.0, np.nan], 771.0)):
+            with pytest.raises(ValueError, match="positive"):
+                idler_wavelength(ls, lp)
+        with pytest.raises(ValueError):
+            phase_mismatch(paper_fiber, 771.0, np.nan)
+
 
 class TestPhaseMatchPoint:
     def test_energy_conservation_enforced(self):

@@ -23,8 +23,8 @@ from xsplice import (
 )
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            _coherence, _interpolated_doubled_phase, _spectral_axes,
-                            spectral_grid)
+                            _DOUBLED, _coherence, _interpolated_doubled_phase,
+                            _spectral_axes, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -58,8 +58,10 @@ def _paper_phases(cfg):
 
 class TestGaussianSpectrum:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussianSpectrum(670.0, 0.0)
+        for center, fwhm in ((670.0, 0.0), (670.0, np.nan), (670.0, np.inf),
+                             (np.nan, 0.23), (np.inf, 0.23), (-np.inf, 0.23)):
+            with pytest.raises(ValueError):
+                GaussianSpectrum(center, fwhm)
 
     def test_density_normalized(self):
         spec = GaussianSpectrum(670.0, 0.23)
@@ -234,6 +236,17 @@ class TestSpectralMixture:
             phi = np.broadcast_to(phase(ls, lp), w.shape)
             interpolated = _coherence(_interpolated_doubled_phase(phi, ws, wp))
             assert abs(interpolated - _direct_doubled_rule(phase, sig, pump)) < 1e-9
+
+    def test_doubled_interpolation_matrix(self):
+        # 8 Lagrange taps per row: exact for degree 7, not for degree 8
+        x = np.linspace(-1.0, 1.0, QUAD_NODES)
+        t = np.linspace(-1.0, 1.0, 2 * QUAD_NODES)
+        assert _DOUBLED.shape == (2 * QUAD_NODES, QUAD_NODES)
+        assert not _DOUBLED.flags.writeable
+        assert np.max(np.abs(_DOUBLED.sum(axis=1) - 1.0)) < 1e-14
+        for k in range(8):
+            assert np.max(np.abs(_DOUBLED @ x**k - t**k)) < 1e-14
+        assert np.max(np.abs(_DOUBLED @ x**8 - t**8)) > 1e-12
 
     @pytest.mark.parametrize("amplitude, frequency",
                              [(1.0, 200.0), (0.01, 32.0), (0.01, 34.0), (0.01, 100.0)])
