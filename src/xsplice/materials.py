@@ -109,11 +109,12 @@ def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
         bad = lam[~((lo <= lam) & (lam <= hi))]
         if bad.size:
             worst = float(bad.flat[0])
+            valid = f"validity range [{lo:g}, {hi:g}] nm of {model.name or 'model'}"
+            if math.isnan(worst):
+                raise WavelengthRangeError(f"wavelength {worst:g} nm is not a number ({valid})")
             bound = lo if worst < lo else hi
             raise WavelengthRangeError(
-                f"wavelength {worst:g} nm outside validity range [{lo:g}, {hi:g}] nm "
-                f"of {model.name or 'model'} (violated bound: {bound:g} nm)"
-            )
+                f"wavelength {worst:g} nm outside {valid} (violated bound: {bound:g} nm)")
     return lam
 
 

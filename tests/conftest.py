@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from xsplice import (
@@ -64,3 +65,10 @@ def assert_close(actual, expected, tol, label=""):
     assert abs(actual - expected) <= tol, (
         f"{label}: {actual!r} differs from {expected!r} by more than {tol!r}"
     )
+
+
+def exact_quadratic_average(a, b=0.0, c=0.0, d=0.0, e=0.0):
+    """Gaussian average of e^{-i(a x + b y + c x^2 + d x y + e y^2)}, x and y in sigma."""
+    m = np.eye(2) + 2j * np.array([[c, d / 2], [d / 2, e]])
+    v = np.array([a, b])
+    return complex(np.exp(-0.5 * v @ np.linalg.solve(m, v)) / np.sqrt(np.linalg.det(m)))

@@ -57,7 +57,8 @@ def test_range_check_sees_past_a_nan(silica):
     with pytest.raises(WavelengthRangeError, match="wavelength 5000 nm .*bound: 3710 nm"):
         index(silica, np.array([670.0, 5000.0, np.nan, 100.0]))
     for lam in (np.nan, [700.0, np.nan], [np.nan, 670.0]):
-        with pytest.raises(WavelengthRangeError, match="wavelength nan nm"):
+        with pytest.raises(WavelengthRangeError, match="wavelength nan nm is not a number "
+                                                       r"\(validity range \[210, 3710\] nm"):
             index(silica, lam)
     assert index(silica, np.empty(0)).shape == (0,)
 

@@ -1,5 +1,8 @@
 """Property tests of physical invariants over drawn operating points."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,8 +15,12 @@ from xsplice.design import calibrate_birefringence, optimize_compensators, weigh
 from xsplice.materials import WavelengthRangeError, birefringence, index
 from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwidths,
                                 phase_mismatch, solve_signal_idler, tuning_curve)
-from xsplice.states import concurrence, mixed_state_over_spectra, relabel_signal_flip
+from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, _PROBE_X, _alias_check,
+                            _spectral_axes, concurrence, mixed_state_over_spectra,
+                            relabel_signal_flip)
 from xsplice.tomography import _neg_log_likelihood, _params_to_rho, _projector_stack
+
+from conftest import exact_quadratic_average
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
 # ms each.
@@ -229,6 +236,58 @@ def test_mean_referenced_state_ignores_the_offset(signal_spectrum, pump_spectrum
     referenced = state(offset, True)
     assert np.max(np.abs(referenced - state(0.0, True))) <= 1e-9
     assert abs(abs(referenced[0, 3]) - abs(state(offset, False)[0, 3])) <= 1e-12
+
+
+def _sigma_phase(signal, pump, a, b, c, d, e, offset=0.0):
+    """The phase offset + a x + b y + c x^2 + d x y + e y^2, x and y in sigma."""
+    def fn(s, p):
+        x = (s - signal.center_nm) / signal.sigma_nm
+        y = (p - pump.center_nm) / pump.sigma_nm
+        return offset + a * x + b * y + c * x * x + d * x * y + e * y * y
+    return fn
+
+
+def _recorded(build):
+    """Call ``build`` and return its result and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = build()
+    return result, [str(w.message) for w in caught]
+
+
+@CHEAP
+@given(a=st.floats(0.0, 80.0), b=st.floats(0.0, 80.0), c=st.floats(-8.0, 8.0),
+       d=st.floats(-8.0, 8.0), e=st.floats(-8.0, 8.0))
+def test_state_warns_where_the_node_rule_errs(signal_spectrum, pump_spectrum, a, b, c, d, e):
+    # linear, quadratic and cross-term phases: wherever the nodes miss the
+    # exact Gaussian average by more than 2e-6, the state warns
+    phase = _sigma_phase(signal_spectrum, pump_spectrum, a, b, c, d, e)
+    state, messages = _recorded(
+        lambda: mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum))
+    assert all(m.startswith("spectral quadrature not converged") for m in messages)
+    error = abs(2 * state.matrix[0, 3] - exact_quadratic_average(a, b, c, d, e))
+    assert error <= 2e-6 or messages
+
+
+@CHEAP
+@given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6), c=st.floats(-1e4, 1e4),
+       d=st.floats(-1e4, 1e4), e=st.floats(-1e4, 1e4), offset=st.floats(-1e5, 1e5))
+def test_alias_estimate_finite_on_extreme_fits(signal_spectrum, pump_spectrum,
+                                                a, b, c, d, e, offset):
+    # slopes up to 1e6 rad/sigma, curvatures up to 1e4 and offsets up to
+    # 1e5: no numpy warning, and the estimate, where it applies, is finite
+    phase = _sigma_phase(signal_spectrum, pump_spectrum, a, b, c, d, e, offset)
+    ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
+                                    QUAD_SPAN_SIGMAS)
+    probe_s = signal_spectrum.center_nm + signal_spectrum.sigma_nm * _PROBE_X[:, None]
+    probe_p = pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :]
+    moved, messages = _recorded(
+        lambda: _alias_check(phase(ls, lp), phase(probe_s, lp), phase(ls, probe_p), ws, wp))
+    assert not messages
+    assert moved is None or math.isfinite(moved)
+    _, messages = _recorded(
+        lambda: mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum))
+    assert all(m.startswith("spectral quadrature not converged") for m in messages)
 
 
 SETTINGS = standard_settings()

@@ -21,10 +21,12 @@ from xsplice import (
     visibility,
     werner_state,
 )
+from conftest import exact_quadratic_average
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            _DOUBLED, _coherence, _interpolated_doubled_phase,
-                            _spectral_axes, spectral_grid)
+                            _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
+                            _PROBES, _alias_check, _alias_estimate, _coherence, _fit_lines,
+                            _probe_misfit, _spectral_axes, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -54,6 +56,17 @@ def _paper_phases(cfg):
                                         * (1.0 + cfg.noise.spm_coeff * power))
                 mean = spectral_mean_phase(fn, cfg.signal, pump)
                 yield (lambda s, p, fn=fn, mean=mean: fn(s, p) - mean), pump
+
+
+#: Reference rule for phases with no closed form: the state's window
+#: with 64 times its nodes, so its aliases lie past 2,100 rad/sigma.
+_FINE_X = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, 64 * QUAD_NODES + 1)
+_FINE_W = np.exp(-0.5 * _FINE_X ** 2) / np.sum(np.exp(-0.5 * _FINE_X ** 2))
+
+
+def _exact_1d(f):
+    """Gaussian average of e^{-i f(x)}, x in sigma, on the reference rule."""
+    return complex(np.sum(_FINE_W * np.exp(-1j * f(_FINE_X))))
 
 
 class TestGaussianSpectrum:
@@ -195,74 +208,164 @@ class TestSpectralMixture:
             mixed_state_over_spectra(lambda s, p: 30.0 * (s - c) / sigma,
                                      signal_spectrum, pump_spectrum)
 
-    def test_check_verdict_matches_direct_doubled_rule(self, paper_config):
-        # the check warns exactly where a second evaluation of the phase on
-        # the doubled grid moves the coherence magnitude by more than 1e-6
+    def test_found_verdicts(self, paper_config):
+        # the scan of 8,001 linear signal slopes over 0-80 rad/sigma that
+        # motivated the alias estimate: the direct 128-node rule warned at
+        # 71.23-71.74 rad/sigma, where the nodes are within 1e-6 of exact,
+        # and missed the nodes' 1.016e-6 error at 60.72 rad/sigma
+        sig, pump = paper_config.signal, paper_config.pump
+        for a, aliased in ((60.72, True), (71.23, False), (71.5, False), (71.74, False)):
+            phase = lambda s, p, a=a: a * (s - sig.center_nm) / sig.sigma_nm + 0 * p
+            warned, coh = _warns_unconverged(phase, sig, pump)
+            assert (abs(coh - np.exp(-0.5 * a * a)) > 1e-6) == aliased
+            assert warned == aliased
+            direct = abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) > 1e-6
+            assert direct != aliased
+
+    def test_check_verdict_against_exact_errors(self, paper_config):
+        # subsampled scans against the exact error of the node rule. In
+        # full (2,001 linear slopes over 0-80 rad/sigma; 41 curvatures over
+        # 0-8 x 2,001 slopes; 161^2 separable slope pairs) the direct
+        # 128-node rule missed 1, 191 and 8 errors above 1e-6 and raised
+        # 13, 84 and 49 false alarms; the estimate misses none, and raises
+        # only the 54 false alarms of slope pairs that alias on both axes,
+        # where the cross terms enter both axes' estimates
         sig, pump = paper_config.signal, paper_config.pump
         xs = lambda s: (s - sig.center_nm) / sig.sigma_nm
         xp = lambda p: (p - pump.center_nm) / pump.sigma_nm
-        cases = [(lambda s, p, a=a: a * xs(s), pump) for a in np.linspace(0.0, 80.0, 801)]
-        cases += [(lambda s, p, a=a, b=b, c=c, d=d: a * xs(s) + b * xs(s) ** 2
-                   + c * xs(s) ** 3 + d * xs(s) * xp(p), pump)
-                  for a in (0.0, 5.0, 20.0) for b in (0.0, 0.5, 2.0, 6.0)
-                  for c in (0.0, 0.1, 0.5, 1.5) for d in (0.0, 1.0, 4.0)]
-        cases += list(_paper_phases(paper_config))
-        # ripples from resolved to aliased on the nodes, on either axis
-        cases += [(lambda s, p, a=a, f=f, x=x: a * np.sin(f * x(s, p)), pump)
-                  for a in (0.001, 0.01, 1.0) for f in (2.0, 10.0, 20.0, 32.0, 34.0, 40.0, 100.0, 200.0)
-                  for x in (lambda s, p: xs(s) + 0 * p, lambda s, p: xp(p) + 0 * s)]
-        # converged: a smooth ripple, a large constant offset, and a ripple
-        # whose interpolation alone would move the doubled rule by 6e-6
-        quiet = [(lambda s, p: 0.001 * np.sin(2.0 * xs(s)), pump),
-                 (lambda s, p: 1e5 + 0.5 * xs(s) ** 2 + xs(s) * xp(p), pump),
-                 (lambda s, p: 0.05 * np.sin(40.0 * xs(s)), pump)]
+        cases = [(a, 0.0, 0.0) for a in np.linspace(0.0, 80.0, 161)]
+        cases += [(a, 0.0, c) for c in (0.5, 2.0, 8.0) for a in np.linspace(0.0, 80.0, 41)]
+        cases += [(a, b, 0.0) for a in np.linspace(0.0, 80.0, 17)
+                  for b in np.linspace(5.0, 80.0, 16)]
         verdicts = []
-        for phase, p in cases + quiet:
-            warned, coh = _warns_unconverged(phase, sig, p)
-            direct = abs(abs(_direct_doubled_rule(phase, sig, p)) - abs(coh)) > 1e-6
-            verdicts.append((warned, direct))
-        assert all(warned == direct for warned, direct in verdicts)
-        assert not any(warned for warned, _ in verdicts[len(cases):])
-        # the scan covers both verdicts
-        assert 0 < sum(direct for _, direct in verdicts) < len(verdicts)
+        for a, b, c in cases:
+            warned, coh = _warns_unconverged(
+                lambda s, p: a * xs(s) + c * xs(s) ** 2 + b * xp(p), sig, pump)
+            verdicts.append((a, b, c, warned, abs(coh - exact_quadratic_average(a, b, c))))
+        assert not [v for v in verdicts if v[4] > 1e-6 and not v[3]]
+        # no false alarm on one axis; on two, the estimate is within a factor 2
+        assert not [v for v in verdicts if v[3] and v[4] <= (0.5e-6 if v[1] else 1e-6)]
+        assert sum(v[3] for v in verdicts) > 100
 
-    def test_interpolated_doubled_rule_accuracy(self, paper_config):
-        # on the paper phases the interpolated doubled rule reproduces the
-        # directly evaluated one to 1e-9 in the coherence
+    def test_check_verdict_on_rough_phases(self, paper_config):
+        # phases that no quadratic fits: localised curvature (a 1e-3 rad
+        # Gaussian bump, whose spectrum reaches the alias where the fits'
+        # closed form does not, and a log-cosh kink), cubic and quartic
+        # terms that the fits' closed form misses, sine ripples from
+        # resolved to aliased on either axis, and ripples localised to 0.2
+        # sigma. The check catches every error above 1e-6 that the direct
+        # 128-node rule catches, and raises no more false alarms
+        sig, pump = paper_config.signal, paper_config.pump
+        on_signal = lambda s, p: (s - sig.center_nm) / sig.sigma_nm + 0 * p
+        on_pump = lambda s, p: (p - pump.center_nm) / pump.sigma_nm + 0 * s
+        slopes = np.linspace(0.0, 80.0, 41)
+        cases = [(lambda x, a=a: a * x + 1e-3 * np.exp(-2.0 * x ** 2), on_signal)
+                 for a in slopes]
+        cases += [(lambda x, a=a: a * x + 3.0 * np.log(np.cosh((x - 1.0) / 0.6)), on_signal)
+                  for a in slopes]
+        cases += [(lambda x, a=a: a * x + 0.6 * x ** 3, on_signal) for a in slopes[::2]]
+        cases += [(lambda x, a=a: a * x + 0.08 * x ** 4, on_signal) for a in slopes[::2]]
+        cases += [(lambda x, a=a, f=f: a * np.sin(f * x), axis)
+                  for a in (0.001, 0.01, 1.0)
+                  for f in (2.0, 10.0, 20.0, 32.0, 34.0, 40.0, 100.0, 200.0)
+                  for axis in (on_signal, on_pump)]
+        cases += [(lambda x, f=f, x0=x0: 0.01 * np.sin(f * x)
+                   * np.exp(-0.5 * ((x - x0) / 0.2) ** 2), on_signal)
+                  for f in (10.0, 32.0, 100.0) for x0 in (-2.5, -0.9, 0.4, 1.6)]
+        verdicts = []
+        for f, x in cases:
+            phase = lambda s, p, f=f, x=x: f(x(s, p))
+            warned, coh = _warns_unconverged(phase, sig, pump)
+            big = abs(coh - _exact_1d(f)) > 1e-6
+            direct = abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) > 1e-6
+            verdicts.append((warned, direct, big))
+        assert not [v for v in verdicts if v == (False, True, True)]
+        false = sum(warned and not big for warned, _, big in verdicts)
+        assert false <= sum(direct and not big for _, direct, big in verdicts)
+        assert sum(direct and big for _, direct, big in verdicts) > 50
+
+    def test_quiet_phases(self, paper_config):
+        # converged: a smooth ripple, a large constant offset, and a ripple
+        # on the node scale that the probes send to the direct rerun
+        sig, pump = paper_config.signal, paper_config.pump
+        xs = lambda s: (s - sig.center_nm) / sig.sigma_nm
+        xp = lambda p: (p - pump.center_nm) / pump.sigma_nm
+        for phase in (lambda s, p: 0.001 * np.sin(2.0 * xs(s)) + 0 * p,
+                      lambda s, p: 1e5 + 0.5 * xs(s) ** 2 + xs(s) * xp(p),
+                      lambda s, p: 0.05 * np.sin(40.0 * xs(s)) + 0 * p):
+            assert not _warns_unconverged(phase, sig, pump)[0]
+
+    def test_alias_estimate_on_paper_phases(self, paper_config):
+        # the paper phases take the estimate, which reads below 1e-9, as
+        # does the direct doubled rule
         sig = paper_config.signal
+        n = QUAD_NODES
         for phase, pump in _paper_phases(paper_config):
-            ls, lp, w = spectral_grid(sig, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
-            ws, wp = _spectral_axes(sig, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)[2:]
-            phi = np.broadcast_to(phase(ls, lp), w.shape)
-            interpolated = _coherence(_interpolated_doubled_phase(phi, ws, wp))
-            assert abs(interpolated - _direct_doubled_rule(phase, sig, pump)) < 1e-9
+            ls, lp, ws, wp = _spectral_axes(sig, pump, n, QUAD_SPAN_SIGMAS)
+            probe_s = sig.center_nm + sig.sigma_nm * _PROBE_X[:, None]
+            probe_p = pump.center_nm + pump.sigma_nm * _PROBE_X[None, :]
+            phi = np.broadcast_to(phase(ls, lp), (n, n))
+            moved = _alias_check(phi, phase(probe_s, lp), phase(ls, probe_p), ws, wp)
+            assert moved is not None and moved < 1e-9
+            coh = _coherence([(phi, ws * wp)])
+            assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-9
 
     def test_doubled_interpolation_matrix(self):
-        # 8 Lagrange taps per row: exact for degree 7, not for degree 8
+        # the probe rows of the doubled rule's interpolation, 8 Lagrange
+        # taps per row: exact for degree 7, not for degree 8
         x = np.linspace(-1.0, 1.0, QUAD_NODES)
-        t = np.linspace(-1.0, 1.0, 2 * QUAD_NODES)
-        assert _DOUBLED.shape == (2 * QUAD_NODES, QUAD_NODES)
-        assert not _DOUBLED.flags.writeable
-        assert np.max(np.abs(_DOUBLED.sum(axis=1) - 1.0)) < 1e-14
+        t = _PROBE_X / QUAD_SPAN_SIGMAS
+        assert _PROBE_ROWS.shape == (len(_PROBES), QUAD_NODES)
+        assert np.max(np.abs(t - np.linspace(-1.0, 1.0, 2 * QUAD_NODES)[_PROBES])) < 1e-15
+        assert not _PROBE_ROWS.flags.writeable
+        assert np.max(np.abs(_PROBE_ROWS.sum(axis=1) - 1.0)) < 1e-14
         for k in range(8):
-            assert np.max(np.abs(_DOUBLED @ x**k - t**k)) < 1e-14
-        assert np.max(np.abs(_DOUBLED @ x**8 - t**8)) > 1e-12
+            assert np.max(np.abs(_PROBE_ROWS @ x**k - t**k)) < 1e-14
+        assert np.max(np.abs(_PROBE_ROWS @ x**8 - t**8)) > 1e-12
+
+    def test_alias_estimate_matches_exact_error(self):
+        # on one quadratic line the estimate is the node rule's complex
+        # error: closed-form orders with their signs where the line's own
+        # integral counts, the node sum where it is negligible
+        x = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, QUAD_NODES)
+        w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
+        for a, c in ((20.0, 2.0), (40.0, 4.0), (60.0, 8.0), (0.0, 8.0), (16.5, 0.6),
+                     (28.0, 0.0), (62.0, 0.0)):
+            line = (a * x + c * x * x)[None, :]
+            error = np.sum(w * np.exp(-1j * line[0])) - exact_quadratic_average(a, c=c)
+            estimate = _alias_estimate(_fit_lines(line, w)[0], line, w, np.ones(1))
+            assert abs(estimate - error) <= 1e-4 * abs(error) + 1e-9, (a, c, estimate, error)
+
+    def test_quadratic_fit(self):
+        # the line fit recovers alpha + a x + c x^2 with a zero residual,
+        # and sees a cubic term
+        x = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, QUAD_NODES)
+        w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
+        fit, residual = _fit_lines((1e5 + 30.0 * x - 2.5 * x ** 2)[None, :], w)
+        assert np.allclose(fit, [[1e5, 30.0, -2.5]], rtol=1e-12)
+        assert residual < 1e-9
+        assert _fit_lines((0.01 * x ** 3)[None, :], w)[1] > 1e-2
+        assert not _LINE_FIT.flags.writeable and not _LINE_POWERS.flags.writeable
 
     @pytest.mark.parametrize("amplitude, frequency",
                              [(1.0, 200.0), (0.01, 32.0), (0.01, 34.0), (0.01, 100.0)])
     def test_node_scale_alias_warns(self, signal_spectrum, pump_spectrum,
                                     amplitude, frequency):
-        # on the nodes these ripples equal a smooth alias, so the doubled
-        # rule on the interpolated phase stays put; the probes off the
-        # nodes see the ripple and the doubled rule is evaluated directly
+        # on the nodes these ripples equal a smooth alias, so the estimate
+        # from the line fits stays put; the probes off the nodes see the
+        # ripple and the doubled rule is evaluated directly
         c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
         phase = lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma) + 0 * p
-        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
-        ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, 2 * QUAD_NODES,
-                                QUAD_SPAN_SIGMAS)[2:]
-        phi = phase(ls, lp)
-        interpolated = _coherence(_interpolated_doubled_phase(phi, ws, wp))
-        assert abs(abs(interpolated) - abs(np.sum(w * np.exp(-1j * phi)))) < 1e-6
+        ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
+                                        QUAD_SPAN_SIGMAS)
+        phi = np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))
+        fit_s, fit_p = _fit_lines(phi.T, ws[:, 0])[0], _fit_lines(phi, wp[0])[0]
+        assert (abs(_alias_estimate(fit_s, phi.T, ws[:, 0], wp[0]))
+                + abs(_alias_estimate(fit_p, phi, wp[0], ws[:, 0]))) < 1e-6
+        probe_s = c + sigma * _PROBE_X[:, None]
+        probe_p = pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :]
+        misfit = _probe_misfit(phi, phase(probe_s, lp), phase(ls, probe_p), ws, wp)
+        assert misfit > _INTERPOLATION_TOL
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
 
