@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace, fields as dc_fields
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .states import (
     GaussianSpectrum,
@@ -218,6 +217,8 @@ def fit_params(targets, base: NoiseParams, free=_DEFAULT_FREE) -> tuple:
     targets spanning decades weigh equally. Returns ``(params,
     residuals)`` with residuals as relative errors per target.
     """
+    from scipy.optimize import least_squares  # loaded on first use: import xsplice stays scipy-free
+
     free = tuple(free)
     if len(targets) < len(free):
         raise FitError(

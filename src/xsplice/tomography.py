@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import ANALYZER_KETS, TwoQubitState, bell_state, fidelity, tangle
 
@@ -166,6 +165,12 @@ def _neg_log_likelihood(t: np.ndarray, pis: np.ndarray, counts: np.ndarray,
 def _check_informationally_complete(pis: np.ndarray):
     if np.linalg.matrix_rank(pis.reshape(len(pis), 16), tol=1e-10) < 16:
         raise ValueError("settings are not informationally complete (rank < 16)")
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: ``import xsplice`` stays scipy-free."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def reconstruct_mle(data: TomographyData, restarts: int = 3) -> TwoQubitState:

@@ -4,6 +4,7 @@ Each test prints one PASS line (with the measured runtime where the
 criterion bounds it) after its assertions hold.
 """
 
+import statistics
 import subprocess
 import sys
 import time
@@ -263,15 +264,18 @@ def test_criterion_10_cli_determinism(tmp_path):
         (("tomography-demo", "--counts-per-setting", "2000", "--seed", "5",
           "--bootstrap", "3"), "out"),
     ]
+    cold = []  # (subcommand, median wall seconds of its cold runs)
     for args, outdir in invocations:
-        outputs = []
+        outputs, walls = [], []
         for run in range(2):
             cmd = [sys.executable, "-m", "xsplice", *args]
             out = None
             if outdir is not None:
                 out = tmp_path / f"{args[0]}-{run}"
                 cmd += ["--out", str(out)]
+            t_run = time.perf_counter()
             res = subprocess.run(cmd, capture_output=True, text=True)
+            walls.append(time.perf_counter() - t_run)
             assert res.returncode == 0, (args, res.stderr)
             if out is None:
                 outputs.append(res.stdout)
@@ -279,5 +283,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 blob = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
                 outputs.append(blob)
         assert outputs[0] == outputs[1], f"non-deterministic output for {args[0]}"
+        cold.append((args[0], statistics.median(walls)))
     elapsed = time.perf_counter() - t0
-    report(10, elapsed, "all seven subcommands byte-identical across reruns")
+    report(10, elapsed, "all seven subcommands byte-identical across reruns; median cold "
+           "wall s: " + ", ".join(f"{cmd} {wall:.2f}" for cmd, wall in cold))

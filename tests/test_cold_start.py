@@ -1,0 +1,111 @@
+"""What a fresh interpreter pays for ``import xsplice``.
+
+Each check runs in a new ``python -c`` process: pytest's own
+``LinAlgWarning`` filter has already loaded ``scipy.linalg`` here, and
+this process's allocator has long been warmed by earlier tests.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import xsplice
+
+SRC = Path(xsplice.__file__).resolve().parents[1]
+PAPER_INI = Path(__file__).resolve().parents[1] / "configs" / "paper.ini"
+
+PRELUDE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import xsplice as xs
+"""
+
+
+def run_fresh(script: str):
+    """Run ``script`` after PRELUDE in a new interpreter; its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    res = subprocess.run([sys.executable, "-c", PRELUDE + script], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def test_import_and_calibrate_leave_scipy_unloaded():
+    seen = run_fresh("""
+import contextlib, io, runpy
+after_import = scipy_modules()
+sys.argv = ["xsplice", "calibrate", "--pump", "771", "--signal", "670"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_module("xsplice", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([after_import, code, json.loads(out.getvalue()), scipy_modules()]))
+""")
+    after_import, code, calibration, after_cli = seen
+    assert after_import == []
+    assert code == 0 and calibration["birefringence"] > 0
+    assert after_cli == []
+
+
+SOLVER_RUNS = {
+    "reconstruct_mle": """
+data = xs.simulate_counts(xs.werner_state(0.9), xs.standard_settings(), 2000.0, seed=3)
+result = xs.reconstruct_mle(data, restarts=1).matrix.real.tolist()
+""",
+    "fit_params": """
+truth = xs.NoiseParams(41.0, 150.0, 900.0, 1200.0, 1200.0, 0.24, 0.16)
+targets = [(50.0, "car", xs.car(truth, 50.0)), (10.0, "car", xs.car(truth, 10.0)),
+           (33.0, "pair_rate", xs.expected_rates(truth, 33.0)["pairs"])]
+start = xs.NoiseParams(10.0, 500.0, 2000.0, 1200.0, 1200.0, 0.24, 0.16)
+fitted = xs.fit_params(targets, start)[0]
+result = [fitted.pair_rate_coeff, fitted.raman_s, fitted.raman_i]
+""",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_RUNS))
+def test_solver_loads_scipy_on_first_use(solver):
+    before, result, optimize_loaded = run_fresh(
+        "before = scipy_modules()\n" + SOLVER_RUNS[solver]
+        + 'print(json.dumps([before, result, "scipy.optimize" in sys.modules]))')
+    assert before == []
+    assert optimize_loaded
+    # the same result as in this process, where scipy was loaded all along
+    namespace = {"xs": xsplice}
+    exec(SOLVER_RUNS[solver], namespace)
+    assert result == namespace["result"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the warm-up targets glibc's dynamic mmap threshold")
+def test_design_pass_does_not_fault_after_warm_up():
+    # without the warm-up in xsplice/__init__.py each pass faulted 483
+    # times: the scan arrays were mmapped and the heap trimmed anew
+    faults = run_fresh(f"""
+import resource
+cfg = xs.load_config({str(PAPER_INI)!r})
+fiber, lp = cfg.fiber, cfg.pump.center_nm
+signal_axis = xs.bandwidth_grid(cfg.signal.center_nm, cfg.signal.fwhm_nm, 101)
+pump_axis = xs.bandwidth_grid(lp, cfg.pump.fwhm_nm, 101)
+
+def design_pass():
+    xs.tuning_curve(fiber, (lp - 6.0, lp + 6.0), 13)
+    sig, idl, _ = xs.optimize_compensators(fiber, cfg.material, cfg.pump, cfg.signal)
+    xs.phase_map(fiber, (sig, idl), signal_axis, pump_axis)
+
+design_pass()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    design_pass()
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start))
+""")
+    assert faults / 10 < 50

@@ -208,6 +208,20 @@ class TestSpectralMixture:
             mixed_state_over_spectra(lambda s, p: 30.0 * (s - c) / sigma,
                                      signal_spectrum, pump_spectrum)
 
+    def test_warning_names_what_it_measured(self, signal_spectrum, pump_spectrum):
+        # a linear phase takes the alias estimate, which doubles no rule;
+        # a ripple that the probes see takes the direct doubled rule
+        c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
+        prefix = "spectral quadrature not converged: "
+        for phase, measure in (
+                (lambda s, p: 30.0 * (s - c) / sigma,
+                 "the nodes' coherence has an estimated aliasing error of "),
+                (lambda s, p: 0.01 * np.sin(32.0 * (s - c) / sigma) + 0 * p,
+                 "doubling nodes moved the coherence magnitude by ")):
+            with pytest.warns(RuntimeWarning, match="not converged") as caught:
+                mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
+            assert [str(w.message).startswith(prefix + measure) for w in caught] == [True]
+
     def test_found_verdicts(self, paper_config):
         # the scan of 8,001 linear signal slopes over 0-80 rad/sigma that
         # motivated the alias estimate: the direct 128-node rule warned at
