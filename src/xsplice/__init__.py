@@ -28,13 +28,14 @@ from .config import *
 
 __version__ = "0.1.0"
 
-# Allocator warm-up. Under glibc's dynamic mmap threshold (mallopt(3),
-# M_MMAP_THRESHOLD), freeing an mmapped block raises the mmap threshold
-# to its size and the trim threshold to twice that. Allocating and
-# freeing one block as large as the largest array the library makes by
-# design, a phase-matching scan block, therefore keeps the scans' and
-# design grids' arrays on the heap, instead of mmapping and unmapping
-# them, or trimming the heap, on every call. Counted with getrusage
+# Allocator warm-up, the library's one allocation policy: the kernels
+# are plain numpy expressions and rely on it. Under glibc's dynamic mmap
+# threshold (mallopt(3), M_MMAP_THRESHOLD), freeing an mmapped block
+# raises the mmap threshold to its size and the trim threshold to twice
+# that. Freeing one block as large as the largest array the library
+# makes by design, a phase-matching scan block, therefore keeps every
+# array up to that size on the heap, instead of mmapping and unmapping
+# it, or trimming the heap, on every call. Counted with getrusage
 # ru_minflt over 3 passes of 72 perfbench design inputs: 0 minor faults
 # per task with it, 707 without it. np.empty touches no page, so this
 # adds nothing to the resident set.

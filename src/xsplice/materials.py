@@ -119,26 +119,12 @@ def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
 
 
 def index(model: SellmeierModel, wavelength_nm):
-    """Refractive index n(lambda); accepts scalars or arrays (nm).
-
-    Every term is summed in place in four arrays of the input's shape,
-    allocated once per call and never the caller's own. The phase-matching
-    scan's (pumps, 2000) arrays lie above glibc's 128 KiB mmap threshold,
-    so each temporary there maps fresh pages: a plain expression raised
-    the minor page faults per design task from 221 to 443.
-    """
-    lam = _check_range(model, wavelength_nm)
-    lam2 = np.divide(lam, 1000.0, out=np.empty_like(lam))
-    lam2 *= lam2
+    """Refractive index n(lambda); accepts scalars or arrays (nm)."""
+    lam2 = (_check_range(model, wavelength_nm) / 1000.0) ** 2
     n2 = np.ones_like(lam2)
-    num, den = np.empty_like(lam2), np.empty_like(lam2)
     for b, c in model.terms:
-        np.multiply(b, lam2, out=num)
-        np.subtract(lam2, c, out=den)
-        num /= den
-        n2 += num
-    np.sqrt(n2, out=n2)
-    return n2 if n2.ndim else float(n2)
+        n2 += b * lam2 / (lam2 - c)
+    return np.sqrt(n2) if n2.ndim else float(np.sqrt(n2))
 
 
 def slow_axis_index(fiber: FiberSpec, wavelength_nm):
@@ -148,9 +134,7 @@ def slow_axis_index(fiber: FiberSpec, wavelength_nm):
 
 def birefringence(material: CompensatorMaterial, wavelength_nm):
     """n_e - n_o of a compensator crystal (positive for quartz)."""
-    dn = index(material.extraordinary, wavelength_nm)
-    dn -= index(material.ordinary, wavelength_nm)
-    return dn
+    return index(material.extraordinary, wavelength_nm) - index(material.ordinary, wavelength_nm)
 
 
 def _model_from_entry(key: str, entry: dict) -> SellmeierModel:

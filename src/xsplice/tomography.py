@@ -178,9 +178,11 @@ def reconstruct_mle(data: TomographyData, restarts: int = 3) -> TwoQubitState:
 
     Starts from the maximally mixed state and from ``restarts - 1``
     random Cholesky factors (a generator seeded with 0), keeps the best
-    optimum. Issues a RuntimeWarning (and still returns the best state
-    found) if no start converged.
+    optimum; ``restarts`` must be at least 1. Issues a RuntimeWarning
+    (and still returns the best state found) if no start converged.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     pis = _projector_stack(data.settings)
     _check_informationally_complete(pis)
     counts = np.asarray(data.counts)
@@ -188,7 +190,7 @@ def reconstruct_mle(data: TomographyData, restarts: int = 3) -> TwoQubitState:
 
     rng = np.random.default_rng(0)
     starts = [np.concatenate([np.full(4, 0.5), np.zeros(12)])]  # T = I/2, rho = I/4
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(rng.normal(scale=0.3, size=16))
 
     best = None

@@ -139,6 +139,14 @@ class TestPhaseMap:
         assert csv_lines[0] == "lambda_s,lambda_p,phase_deg"
         assert len(csv_lines) == 1 + 41 * 41
 
+    def test_one_point_sits_at_the_centres(self, run_cli):
+        cfg = load_config(None)
+        res = run_cli("phase-map", "--points", "1")
+        assert res.returncode == 0
+        assert res.stdout.splitlines() == [
+            "lambda_s,lambda_p,phase_deg",
+            f"{cfg.signal.center_nm!r},{cfg.pump.center_nm!r},0.0"]
+
     def test_uncompensated_swing(self, run_cli, tmp_path):
         res = run_cli("phase-map", "--points", "41", "--out", str(tmp_path))
         assert res.returncode == 0

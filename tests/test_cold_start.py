@@ -85,27 +85,40 @@ def test_solver_loads_scipy_on_first_use(solver):
     assert result == namespace["result"]
 
 
+FAULT_PASSES = {
+    "design": """
+signal_axis = xs.bandwidth_grid(cfg.signal.center_nm, cfg.signal.fwhm_nm, 101)
+pump_axis = xs.bandwidth_grid(lp, cfg.pump.fwhm_nm, 101)
+
+def one_pass():
+    xs.tuning_curve(fiber, (lp - 6.0, lp + 6.0), 13)
+    sig, idl, _ = xs.optimize_compensators(fiber, cfg.material, cfg.pump, cfg.signal)
+    xs.phase_map(fiber, (sig, idl), signal_axis, pump_axis)
+""",
+    # the 71-point node-and-probe grid of the state quadrature
+    "state": """
+def one_pass():
+    xs.effective_state_at_power(cfg.noise, fiber, cfg.compensators, cfg.signal, cfg.pump,
+                                30.0, baseline_noise=cfg.baseline_noise)
+""",
+}
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the warm-up targets glibc's dynamic mmap threshold")
-def test_design_pass_does_not_fault_after_warm_up():
-    # without the warm-up in xsplice/__init__.py each pass faulted 483
-    # times: the scan arrays were mmapped and the heap trimmed anew
+@pytest.mark.parametrize("kind", sorted(FAULT_PASSES))
+def test_pass_does_not_fault_after_warm_up(kind):
+    # without the warm-up in xsplice/__init__.py each design pass faulted
+    # 483 times: the scan arrays were mmapped and the heap trimmed anew
     faults = run_fresh(f"""
 import resource
 cfg = xs.load_config({str(PAPER_INI)!r})
 fiber, lp = cfg.fiber, cfg.pump.center_nm
-signal_axis = xs.bandwidth_grid(cfg.signal.center_nm, cfg.signal.fwhm_nm, 101)
-pump_axis = xs.bandwidth_grid(lp, cfg.pump.fwhm_nm, 101)
-
-def design_pass():
-    xs.tuning_curve(fiber, (lp - 6.0, lp + 6.0), 13)
-    sig, idl, _ = xs.optimize_compensators(fiber, cfg.material, cfg.pump, cfg.signal)
-    xs.phase_map(fiber, (sig, idl), signal_axis, pump_axis)
-
-design_pass()
+""" + FAULT_PASSES[kind] + """
+one_pass()
 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
-    design_pass()
+    one_pass()
 print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start))
 """)
     assert faults / 10 < 50

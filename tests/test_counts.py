@@ -379,9 +379,10 @@ def test_state_at_power_evaluates_the_phase_once(monkeypatch, paper_config):
 
 
 def test_state_at_power_memory_peak(paper_config):
-    # one phase call on the nodes and probes, and the doubled-node check
-    # interpolates the phase in blocks of columns; a tracemalloc peak, unlike
-    # a page-fault count, is the same on every run
+    # one phase call on the nodes and probes, and the convergence check
+    # estimates the aliasing error from that phase, with no second
+    # evaluation; a tracemalloc peak, unlike a page-fault count, is the
+    # same on every run
     cfg = paper_config
     args = (cfg.noise, cfg.fiber, cfg.compensators, cfg.signal, cfg.pump, 30.0)
     effective_state_at_power(*args, baseline_noise=cfg.baseline_noise)

@@ -40,6 +40,17 @@ def test_index_vectorized(silica):
     vals = index(silica, lams)
     assert vals.shape == (3,)
     assert vals[0] == index(silica, 670.0)
+    # a 2-D input keeps its shape, element by element
+    grid = np.array([[670.0, 771.0], [905.0, 1310.0], [700.0, 1550.0]])
+    assert np.array_equal(index(silica, grid), index(silica, grid.ravel()).reshape(3, 2))
+    # the caller's array is left as it was
+    before = grid.copy()
+    index(silica, grid)
+    assert np.array_equal(grid, before)
+    # a term-less model is n = 1 in the input's shape, and a float for a scalar
+    vacuum = SellmeierModel(terms=(), valid_range_nm=(200.0, 4000.0))
+    assert np.array_equal(index(vacuum, grid), np.ones((3, 2)))
+    assert type(index(vacuum, 771.0)) is float and index(vacuum, 771.0) == 1.0
 
 
 def test_out_of_range_raises(silica):

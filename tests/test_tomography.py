@@ -178,6 +178,13 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="informationally complete"):
             reconstruct_mle(data)
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, settings, werner_truth, restarts):
+        # no start at all would otherwise run silently as one
+        data = simulate_counts(werner_truth, settings, 1e4, seed=19)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            reconstruct_mle(data, restarts=restarts)
+
     def test_basis_consistency_under_local_unitary(self, settings, werner_truth):
         # rotate the truth and every analyzer by the same local unitary;
         # the reconstruction must co-rotate
