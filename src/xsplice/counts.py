@@ -134,8 +134,8 @@ def splice_transmission_bound(rec_first_fiber: CountRecord,
 
 def expected_rates(p: NoiseParams, avg_power_mw: float) -> dict:
     """Expectation rates (per second) at one average pump power."""
-    if avg_power_mw < 0:
-        raise ValueError("power must be >= 0")
+    if not 0.0 <= avg_power_mw < math.inf:
+        raise ValueError(f"power must be finite and >= 0, got {avg_power_mw!r}")
     pw = avg_power_mw
     pairs = p.pair_rate_coeff * pw * pw
     bg_s = p.raman_s * pw + p.dark_s
@@ -193,8 +193,8 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
 
 def car(p: NoiseParams, avg_power_mw: float) -> float:
     """Coincidences-to-accidentals ratio at one power (expectation)."""
-    if avg_power_mw <= 0:
-        raise ValueError("power must be > 0")
+    if not 0.0 < avg_power_mw < math.inf:
+        raise ValueError(f"power must be finite and > 0, got {avg_power_mw!r}")
     r = expected_rates(p, avg_power_mw)
     if r["accidentals"] == 0.0:
         return float("inf")
@@ -298,8 +298,12 @@ def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
     spectral state to (1 - w) F + w/4. With f0 the fidelity at the
     background weight bg alone, the extra weight that reaches the target
     is (f0 - target)(1 - bg)/(f0 - 1/4), in closed form from one state.
-    Returns 0 if the model alone is already at or below the target.
+    Returns 0 if the model alone is already at or below the target. A
+    target at or below 1/4 would need a total noise weight of 1 or more,
+    so the target must be finite and in (1/4, 1].
     """
+    if not 0.25 < target_fidelity <= 1.0:
+        raise ValueError(f"target fidelity must be in (1/4, 1], got {target_fidelity!r}")
     state = effective_state_at_power(p, fiber, comps, signal_spectrum,
                                      pump_spectrum, avg_power_mw)
     f0 = best_bell_fidelity(state)[0]

@@ -56,11 +56,37 @@ print(json.dumps([after_import, code, json.loads(out.getvalue()), scipy_modules(
     assert after_cli == []
 
 
-SOLVER_RUNS = {
-    "reconstruct_mle": """
+TOMOGRAPHY_RUN = """
 data = xs.simulate_counts(xs.werner_state(0.9), xs.standard_settings(), 2000.0, seed=3)
-result = xs.reconstruct_mle(data, restarts=1).matrix.real.tolist()
-""",
+result = [xs.reconstruct_mle(data).matrix.real.tolist(), list(xs.error_bars(data, 3, seed=4))]
+"""
+
+
+def test_tomography_leaves_scipy_unloaded():
+    # the MLE is a numpy solve: only counts.fit_params still needs scipy
+    seen = run_fresh(TOMOGRAPHY_RUN + """
+import contextlib, io, runpy
+after_solve = scipy_modules()
+sys.argv = ["xsplice", "tomography-demo", "--counts-per-setting", "2000", "--bootstrap", "3"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_module("xsplice", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([result, after_solve, code, json.loads(out.getvalue()), scipy_modules()]))
+""")
+    result, after_solve, code, metrics, after_cli = seen
+    assert after_solve == []
+    assert code == 0 and metrics["fidelity_std"] > 0
+    assert after_cli == []
+    # the same result as in this process
+    namespace = {"xs": xsplice}
+    exec(TOMOGRAPHY_RUN, namespace)
+    assert result == namespace["result"]
+
+
+SOLVER_RUNS = {
     "fit_params": """
 truth = xs.NoiseParams(41.0, 150.0, 900.0, 1200.0, 1200.0, 0.24, 0.16)
 targets = [(50.0, "car", xs.car(truth, 50.0)), (10.0, "car", xs.car(truth, 10.0)),

@@ -240,6 +240,16 @@ class TestCar:
         with pytest.raises(ValueError):
             car(fitted, 0.0)
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, fitted, power):
+        # a NaN or infinite power used to pass through to a NaN CAR or an
+        # infinite pair rate, and fail only in CountRecord
+        for rate in (car, expected_rates):
+            with pytest.raises(ValueError, match="power must be finite"):
+                rate(fitted, power)
+        with pytest.raises(ValueError, match="power must be finite"):
+            predict_counts(fitted, power, 1.0, expectation=True)
+
 
 class TestFitParams:
     def test_round_trip_recovery(self):
@@ -359,6 +369,14 @@ class TestBaselineCalibration:
                                           signal_spectrum, pump_spectrum,
                                           target_fidelity=0.99999)
         assert w0 == 0.0
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, 0.25, 0.2, -1.0, 1.0 + 1e-9])
+    def test_impossible_target_rejected(self, fitted, paper_fiber, paper_compensators,
+                                        signal_spectrum, pump_spectrum, target):
+        # any target <= 1/4 needs a white-noise weight >= 1; 0.2 returned 1.06
+        with pytest.raises(ValueError, match="target fidelity"):
+            calibrate_baseline_noise(fitted, paper_fiber, paper_compensators,
+                                     signal_spectrum, pump_spectrum, target_fidelity=target)
 
 
 def test_state_at_power_evaluates_the_phase_once(monkeypatch, paper_config):

@@ -18,7 +18,7 @@ from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwi
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, _PROBE_X, _alias_check,
                             _spectral_axes, concurrence, mixed_state_over_spectra,
                             relabel_signal_flip)
-from xsplice.tomography import _neg_log_likelihood, _params_to_rho, _projector_stack
+from xsplice.tomography import _deviance, _gradient, _projector_stack
 
 from conftest import exact_quadratic_average
 
@@ -307,22 +307,29 @@ def _random_state(entries):
     return TwoQubitState(rho / np.trace(rho))
 
 
+#: A basis of the 4x4 Hermitian matrices: 2 E_ii, and E_ij + E_ji and i (E_ji - E_ij) for i < j.
+HERMITIAN_BASIS = [m + m.conj().T for m in
+                   (np.eye(16) * np.where(np.tril(np.ones((4, 4)), -1), 1j, 1).ravel())
+                   .reshape(16, 4, 4)]
+
+
 @CHEAP
-@given(t=st.lists(unit_floats, min_size=16, max_size=16),
+@given(entries=st.lists(unit_floats, min_size=32, max_size=32),
        counts=st.lists(st.integers(0, 5000), min_size=36, max_size=36),
        n=st.sampled_from([1e3, 1e4, 1e5]))
-def test_nll_gradient_matches_central_difference(t, counts, n):
-    t, counts = np.array(t), np.array(counts, dtype=float)
-    assume(t @ t > 0.1)
-    # away from the 1e-12 probability floor, where the NLL has a kink
-    assume(np.einsum("kij,ji->k", PIS, _params_to_rho(t)).real.min() > 1e-6)
-    _, grad = _neg_log_likelihood(t, PIS, counts, n)
-    h = 1e-5
-    central = np.array([
-        (_neg_log_likelihood(t + h * e, PIS, counts, n)[0]
-         - _neg_log_likelihood(t - h * e, PIS, counts, n)[0]) / (2.0 * h)
-        for e in np.eye(16)])
-    assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
+def test_nll_rho_gradient_matches_central_difference(entries, counts, n):
+    rho, counts = _random_state(entries).matrix, np.array(counts, dtype=float)
+    flat = PIS.reshape(36, 16)
+    # well inside the states, where the step below keeps every lam > 0
+    assume(np.einsum("kij,ji->k", PIS, rho).real.min() > 1e-3)
+    grad = _gradient(rho, flat, counts, n)
+    assert np.abs(grad - grad.conj().T).max() <= 1e-9 * np.abs(grad).max()
+    h = 1e-7
+    central = np.array([(_deviance(rho + h * e, flat, counts, n)
+                         - _deviance(rho - h * e, flat, counts, n)) / (2.0 * h)
+                        for e in HERMITIAN_BASIS])
+    along = np.array([np.vdot(grad, e).real for e in HERMITIAN_BASIS])
+    assert np.linalg.norm(along - central) <= 1e-6 * np.linalg.norm(along)
 
 
 @SOLVER
