@@ -207,18 +207,49 @@ _OBSERVABLES = {
 }
 
 _DEFAULT_FREE = ("pair_rate_coeff", "raman_s", "raman_i")
+_LM_TRIALS = 200  # trial steps, taken or rejected, before a fit gives up
+
+
+def _levenberg_marquardt(fun, x):
+    """Levenberg-Marquardt (More, LNM 630, 1978) for ``min |fun(x)|^2``; ``(x, fun(x))``.
+
+    Forward-difference Jacobian, steps ``sqrt(eps) max(|x|, 1)``. A trial step solves
+    ``(J^T J + lam diag(J^T J)) dx = -J^T r`` and is taken if it lowers the cost (lam / 10;
+    else lam * 10). A column that no residual depends on takes no step. Stops when the
+    step no longer changes ``exp(x)``, x being log-parameters: no damped step lowers it.
+    """
+    r, lam, jac = fun(x), 1e-3, None
+    if not np.isfinite(r @ r):
+        raise FitError("the model is not finite at the start values")
+    for _ in range(_LM_TRIALS):
+        if jac is None:
+            h = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(x), 1.0)
+            jac = np.column_stack([(fun(x + hj * e) - r) / hj
+                                   for hj, e in zip(h, np.eye(len(x)))])
+            jtj, grad = jac.T @ jac, jac.T @ r
+            live = np.diag(jtj) > 0.0
+            sub = jtj[np.ix_(live, live)]
+        dx = np.zeros_like(x)
+        dx[live] = np.linalg.solve(sub + lam * np.diag(np.diag(sub)), -grad[live])
+        if np.array_equal(np.exp(x + dx), np.exp(x)):
+            return x, r
+        trial = fun(x + dx)
+        if trial @ trial < r @ r:
+            x, r, lam, jac = x + dx, trial, lam / 10.0, None
+        else:
+            lam *= 10.0
+    raise FitError(f"parameter fit did not converge in {_LM_TRIALS} trial steps")
 
 
 def fit_params(targets, base: NoiseParams, free=_DEFAULT_FREE) -> tuple:
     """Least-squares calibration of selected coefficients.
 
-    ``targets`` is a list of ``(power_mw, observable, value)`` with
-    observable car or pair_rate. Residuals are differences of logs, so
-    targets spanning decades weigh equally. Returns ``(params,
-    residuals)`` with residuals as relative errors per target.
+    ``targets`` is a list of ``(power_mw, observable, value)`` with observable car or
+    pair_rate. Residuals are differences of logs, so targets spanning decades weigh
+    equally. Returns ``(params, residuals)`` with residuals as relative errors per
+    target; a coefficient the fit leaves unmoved keeps its ``base`` value. ``FitError``
+    if the model is not finite at the start or a step leaves ``NoiseParams``' domain.
     """
-    from scipy.optimize import least_squares  # loaded on first use: import xsplice stays scipy-free
-
     free = tuple(free)
     if len(targets) < len(free):
         raise FitError(
@@ -227,29 +258,23 @@ def fit_params(targets, base: NoiseParams, free=_DEFAULT_FREE) -> tuple:
     for _, obs, val in targets:
         if obs not in _OBSERVABLES:
             raise ValueError(f"unknown observable {obs!r}; choose from {sorted(_OBSERVABLES)}")
-        if val <= 0:
-            raise ValueError("target values must be positive for a log-space fit")
+        if not 0.0 < val < math.inf:
+            raise ValueError("target values must be finite and positive for a log-space fit")
 
-    x0 = np.array([max(getattr(base, name), 1e-12) for name in free])
-
-    def with_values(logx):
-        return replace(base, **{name: float(np.exp(v)) for name, v in zip(free, logx)})
+    x0 = np.log([max(getattr(base, name), 1e-12) for name in free])
 
     def residuals(logx):
-        p = with_values(logx)
-        out = []
-        for pw, obs, val in targets:
-            model = _OBSERVABLES[obs](p, pw)
-            out.append(np.log(max(model, 1e-300)) - np.log(val))
-        return np.array(out)
+        try:
+            p = replace(base, **{name: float(np.exp(v)) for name, v in zip(free, logx)})
+        except ValueError as exc:
+            raise FitError(f"parameter fit left the model's domain: {exc}") from None
+        return np.array([np.log(max(_OBSERVABLES[obs](p, pw), 1e-300)) - np.log(val)
+                         for pw, obs, val in targets])
 
-    result = least_squares(residuals, np.log(x0), method="lm",
-                           xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
-    if not result.success:
-        raise FitError(f"parameter fit did not converge: {result.message}")
-    fitted = with_values(result.x)
-    rel = {f"{obs}@{pw:g}mW": float(np.expm1(r))
-           for (pw, obs, _), r in zip(targets, result.fun)}
+    x, r = _levenberg_marquardt(residuals, x0)
+    fitted = replace(base, **{name: float(np.exp(v))
+                              for name, v, v0 in zip(free, x, x0) if v != v0})
+    rel = {f"{obs}@{pw:g}mW": float(np.expm1(ri)) for (pw, obs, _), ri in zip(targets, r)}
     return fitted, rel
 
 

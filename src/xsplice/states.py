@@ -434,7 +434,7 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     spectrally weighted misfit exceeds 1e-7 rad, or a line's weighted
     fit residual exceeds ``_FIT_TOL``, the phase is evaluated again on
     the doubled rule instead, and the warning is issued if that moves
-    the coherence magnitude by more than 1e-6. The probes see a component
+    the complex coherence by more than 1e-6. The probes see a component
     that equals a smooth alias on the nodes, but not roughness confined
     to where no probe line runs.
     """
@@ -457,8 +457,8 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     if error is None:
         ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
         phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - mean
-        error = abs(abs(_coherence(phi2, w2)) - abs(coh))
-        measure = "doubling nodes moved the coherence magnitude by"
+        error = abs(_coherence(phi2, w2) - coh)
+        measure = "doubling nodes moved the coherence by"
     if error > 1e-6:
         warnings.warn(f"spectral quadrature not converged: {measure} {error:.2e}",
                       RuntimeWarning)

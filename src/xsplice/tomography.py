@@ -140,8 +140,8 @@ def _project(h: np.ndarray) -> np.ndarray:
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first call.
 
-    Unused: perfbench/tracing.py rebinds it here. ROADMAP item 1 removes it
-    with that pin.
+    Unused: perfbench/tracing.py rebinds it here; ROADMAP item 1 removes it with that
+    pin. It imports scipy, a test-only dependency (the ``test`` extra).
     """
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)

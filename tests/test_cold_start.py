@@ -5,6 +5,7 @@ Each check runs in a new ``python -c`` process: pytest's own
 this process's allocator has long been warmed by earlier tests.
 """
 
+import ast
 import json
 import os
 import platform
@@ -63,7 +64,7 @@ result = [xs.reconstruct_mle(data).matrix.real.tolist(), list(xs.error_bars(data
 
 
 def test_tomography_leaves_scipy_unloaded():
-    # the MLE is a numpy solve: only counts.fit_params still needs scipy
+    # the MLE is a numpy solve
     seen = run_fresh(TOMOGRAPHY_RUN + """
 import contextlib, io, runpy
 after_solve = scipy_modules()
@@ -99,16 +100,37 @@ result = [fitted.pair_rate_coeff, fitted.raman_s, fitted.raman_i]
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVER_RUNS))
-def test_solver_loads_scipy_on_first_use(solver):
-    before, result, optimize_loaded = run_fresh(
+def test_solver_leaves_scipy_unloaded(solver):
+    # fit_params loaded scipy.optimize on first use until it ran its own
+    # Levenberg-Marquardt
+    before, result, after = run_fresh(
         "before = scipy_modules()\n" + SOLVER_RUNS[solver]
-        + 'print(json.dumps([before, result, "scipy.optimize" in sys.modules]))')
-    assert before == []
-    assert optimize_loaded
+        + "print(json.dumps([before, result, scipy_modules()]))")
+    assert before == [] and after == []
     # the same result as in this process, where scipy was loaded all along
     namespace = {"xs": xsplice}
     exec(SOLVER_RUNS[solver], namespace)
     assert result == namespace["result"]
+
+
+def test_library_imports_no_scipy():
+    # scipy is a test dependency: only the unused tomography.minimize
+    # forwarder, which perfbench/tracing.py pins, still names it
+    found = []
+    for path in sorted((SRC / "xsplice").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append((path.stem, owners.get(id(node))))
+    assert found == [("tomography", "minimize")]
 
 
 FAULT_PASSES = {

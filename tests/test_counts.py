@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from xsplice import (
     visibility,
     visibility_vs_power,
 )
+from xsplice.config import load_config
 
 # the published 30 s / 30 mW count record
 PAPER_RECORD = CountRecord(
@@ -279,6 +281,80 @@ class TestFitParams:
         with pytest.raises(ValueError, match="unknown observable"):
             fit_params([(50.0, "visibility", 0.9)], base_params(),
                        free=("pair_rate_coeff",))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_target_must_be_finite_and_positive(self, value):
+        # a NaN target used to return the start values as the fit
+        with pytest.raises(ValueError, match="finite and positive"):
+            fit_params([(50.0, "car", value)], base_params(), free=("pair_rate_coeff",))
+
+    def test_infinite_model_is_a_fit_error(self):
+        # no background and no pairs: CAR is infinite at every eta_s
+        dark = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.24, 0.16)
+        with pytest.raises(FitError, match="not finite at the start"):
+            fit_params([(50.0, "car", 100.0)], dark, free=("eta_s",))
+
+    def test_step_out_of_domain_is_a_fit_error(self):
+        # an unreachable CAR drives eta_s above 1; NoiseParams' ValueError
+        # used to escape from inside the optimizer
+        with pytest.raises(FitError, match="efficiencies must be <= 1"):
+            fit_params([(50.0, "car", 1e9)], base_params(), free=("eta_s",))
+
+
+def _log_residuals(targets, params):
+    return np.array([np.log(counts_mod._OBSERVABLES[obs](params, pw) / val)
+                     for pw, obs, val in targets])
+
+
+def _scipy_fit(targets, base, free):
+    """The reference: MINPACK's Levenberg-Marquardt through scipy, run to rounding."""
+    from scipy.optimize import least_squares
+
+    def residuals(logx):
+        return _log_residuals(targets, replace(
+            base, **{name: float(np.exp(v)) for name, v in zip(free, logx)}))
+
+    x0 = np.log([getattr(base, name) for name in free])
+    result = least_squares(residuals, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                           max_nfev=20000)
+    assert result.success
+    return replace(base, **{name: float(np.exp(v)) for name, v in zip(free, result.x)})
+
+
+_TRUTH = NoiseParams(41.0, 150.0, 900.0, 1200.0, 1200.0, 0.24, 0.16)
+_ROUND_TRIP = [(50.0, "car", car(_TRUTH, 50.0)), (10.0, "car", car(_TRUTH, 10.0)),
+               (33.0, "pair_rate", expected_rates(_TRUTH, 33.0)["pairs"])]
+_FOUR = PAPER_TARGETS + [(30.0, "car", 170.0)]
+
+#: (targets, base, free, whether the fit reaches zero residuals)
+_ORACLE_CASES = {
+    "paper": (PAPER_TARGETS, base_params(), counts_mod._DEFAULT_FREE, True),
+    "round_trip": (_ROUND_TRIP, NoiseParams(10.0, 500.0, 2000.0, 1200.0, 1200.0, 0.24, 0.16),
+                   counts_mod._DEFAULT_FREE, True),
+    "config_defaults": (PAPER_TARGETS, load_config().noise, counts_mod._DEFAULT_FREE, True),
+    # exp(log(0.16)) != 0.16: a start value sent through the logs would show
+    "four_targets_free_spm": (_FOUR, replace(base_params(), spm_coeff=0.16),
+                              counts_mod._DEFAULT_FREE + ("spm_coeff",), False),
+    "raman_s_only": (PAPER_TARGETS, base_params(), ("raman_s",), False),
+    "pair_rate_coeff_only": (PAPER_TARGETS, base_params(), ("pair_rate_coeff",), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_fit_matches_scipy_levenberg_marquardt(case):
+    targets, base, free, exact = _ORACLE_CASES[case]
+    fitted, _ = fit_params(targets, base, free)
+    reference = _scipy_fit(targets, base, free)
+    cost, reference_cost = (float(np.sum(_log_residuals(targets, p) ** 2))
+                            for p in (fitted, reference))
+    if exact:
+        for name in free:
+            assert getattr(fitted, name) == pytest.approx(getattr(reference, name),
+                                                          rel=1e-12, abs=0.0)
+    else:
+        assert cost <= reference_cost * (1.0 + 1e-12)
+    # spm_coeff enters neither observable: it keeps its start value
+    assert fitted.spm_coeff == base.spm_coeff
 
 
 class TestVisibilityVsPower:

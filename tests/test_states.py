@@ -212,7 +212,7 @@ class TestSpectralMixture:
                 (lambda s, p: 30.0 * (s - c) / sigma,
                  "the nodes' coherence has an estimated aliasing error of "),
                 (lambda s, p: 0.01 * np.sin(32.0 * (s - c) / sigma) + 0 * p,
-                 "doubling nodes moved the coherence magnitude by ")):
+                 "doubling nodes moved the coherence by ")):
             with pytest.warns(RuntimeWarning, match="not converged") as caught:
                 mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
             assert [str(w.message).startswith(prefix + measure) for w in caught] == [True]
@@ -303,6 +303,18 @@ class TestSpectralMixture:
                       lambda s, p: 1e5 + 0.5 * xs(s) ** 2 + xs(s) * xp(p),
                       lambda s, p: 0.05 * np.sin(40.0 * xs(s)) + 0 * p):
             assert not _warns_unconverged(phase, sig, pump)[0]
+
+    def test_rerun_compares_complex_coherences(self, paper_config):
+        # a ripple localised to 0.2 sigma mostly turns the coherence: the
+        # doubled rule moves it by 4.0e-4 but its magnitude by 2.1e-7, so
+        # comparing magnitudes missed a node error of 4.0e-4
+        sig, pump = paper_config.signal, paper_config.pump
+        f = lambda x: 0.01 * np.sin(24.0 * x) * np.exp(-0.5 * ((x - 0.2) / 0.2) ** 2)
+        phase = lambda s, p: f((s - sig.center_nm) / sig.sigma_nm) + 0 * p
+        with pytest.warns(RuntimeWarning, match="doubling nodes moved the coherence by"):
+            coh = 2 * mixed_state_over_spectra(phase, sig, pump).matrix[0, 3]
+        assert abs(coh - _exact_1d(f)) > 1e-4
+        assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-6
 
     def test_alias_estimate_on_paper_phases(self, paper_config):
         # the paper phases take the estimate, which reads below 1e-9, as
