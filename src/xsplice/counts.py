@@ -165,6 +165,8 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
     totals are built as sums of their components so the per-channel
     background never exceeds the total.
     """
+    if not 0.0 <= duration_s < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration_s!r}")
     r = expected_rates(p, avg_power_mw)
     t = duration_s
     means = {
@@ -251,6 +253,9 @@ def fit_params(targets, base: NoiseParams, free=_DEFAULT_FREE) -> tuple:
     if the model is not finite at the start or a step leaves ``NoiseParams``' domain.
     """
     free = tuple(free)
+    names = {f.name for f in dc_fields(NoiseParams)}
+    if not free or len(set(free)) < len(free) or not names.issuperset(free):
+        raise ValueError(f"free must name distinct NoiseParams fields, got {free!r}")
     if len(targets) < len(free):
         raise FitError(
             f"underdetermined fit: {len(targets)} target(s) for {len(free)} free parameter(s)"
@@ -298,8 +303,11 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
     mean phase, which the tunable wedges absorb), and white noise is
     admixed with weight equal to the background fraction of coincidences
     plus ``baseline_noise`` (power-independent depolarization not caused
-    by counting statistics).
+    by counting statistics), a weight in [0, 1].
     """
+    w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))  # checks the power
+    if not 0.0 <= baseline_noise <= 1.0:
+        raise ValueError(f"baseline_noise must be in [0, 1], got {baseline_noise!r}")
     broadened = GaussianSpectrum(
         pump_spectrum.center_nm,
         pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw),
@@ -307,7 +315,6 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
     rho_spec = mixed_state_over_spectra(
         lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum, broadened,
         relative_to_mean=True)
-    w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))
     m = (1.0 - w) * rho_spec.matrix + w * np.eye(4) / 4.0
     return TwoQubitState(m)
 

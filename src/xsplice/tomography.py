@@ -10,6 +10,7 @@ the density matrix, by accelerated projected gradient over the states.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +46,6 @@ class MeasurementSetting:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    @property
-    def joint_vector(self) -> np.ndarray:
-        return np.kron(self.projector_signal, self.projector_idler)
-
 
 @dataclass(frozen=True)
 class TomographyData:
@@ -76,15 +73,14 @@ def _check_exposure(n_per_setting: float):
 
 def standard_settings() -> list:
     """All 36 product settings from the six analyzer states per arm."""
-    out = []
-    for a in "HVDARL":
-        for b in "HVDARL":
-            out.append(MeasurementSetting(ANALYZER_KETS[a], ANALYZER_KETS[b], label=a + b))
-    return out
+    return [MeasurementSetting(ANALYZER_KETS[a], ANALYZER_KETS[b], label=a + b)
+            for a in "HVDARL" for b in "HVDARL"]
 
 
 def _projector_stack(settings) -> np.ndarray:
-    vs = np.array([s.joint_vector for s in settings])
+    a = np.array([s.projector_signal for s in settings])
+    b = np.array([s.projector_idler for s in settings])
+    vs = (a[:, :, None] * b[:, None, :]).reshape(len(settings), 4)  # rows a (x) b
     return np.einsum("ki,kj->kij", vs, vs.conj())
 
 
@@ -96,7 +92,8 @@ def born_probabilities(state: TwoQubitState, settings) -> np.ndarray:
 
 def simulate_counts(state: TwoQubitState, settings, n_per_setting: float,
                     seed=None) -> TomographyData:
-    """Poisson counts with mean n_per_setting * Tr(rho Pi), seeded."""
+    """Poisson counts with mean n_per_setting * Tr(rho Pi), drawn from ``default_rng(seed)``:
+    a ``numpy.random.Generator`` passed as ``seed`` is drawn from in place."""
     _check_exposure(n_per_setting)
     probs = np.clip(born_probabilities(state, settings), 0.0, None)
     rng = np.random.default_rng(seed)
@@ -201,28 +198,20 @@ def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
                fidelity_target: str = "psi-") -> tuple:
     """Parametric-bootstrap uncertainties (fidelity_std, tangle_std).
 
-    Counts are resampled as Poisson draws around the reconstructed
-    means, each replicate is reconstructed again, and the standard
-    deviations of the Bell fidelity and tangle over replicates are
-    returned.
+    Each replicate is ``simulate_counts`` from the reconstructed state, drawn from one
+    generator seeded by ``seed``, then ``reconstruct_mle``; returns the standard
+    deviations of the Bell fidelity and tangle over the replicates.
     """
-    if n_bootstrap < 1:
-        raise ValueError("n_bootstrap must be >= 1")
+    if not isinstance(n_bootstrap, numbers.Integral) or n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be an integer >= 1, got {n_bootstrap!r}")
+    target = bell_state(fidelity_target)
     if n_bootstrap == 1:
         warnings.warn("n_bootstrap = 1 gives degenerate (zero) error bars", RuntimeWarning)
     rho_hat = reconstruct_mle(data)
-    means = data.total_per_setting * np.clip(
-        born_probabilities(rho_hat, data.settings), 0.0, None)
-    target = bell_state(fidelity_target)
     rng = np.random.default_rng(seed)
     fids, tangles = [], []
     for _ in range(n_bootstrap):
-        resampled = TomographyData(
-            settings=data.settings,
-            counts=rng.poisson(means),
-            total_per_setting=data.total_per_setting,
-        )
-        rep = reconstruct_mle(resampled)
+        rep = reconstruct_mle(simulate_counts(rho_hat, data.settings, data.total_per_setting, rng))
         fids.append(fidelity(rep, target))
         tangles.append(tangle(rep))
     return float(np.std(fids)), float(np.std(tangles))

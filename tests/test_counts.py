@@ -202,6 +202,13 @@ class TestPredictCounts:
             assert rec.idler_background <= rec.idler_total
             assert rec.coincidences_background <= rec.coincidences_total
 
+    @pytest.mark.parametrize("duration", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("expectation", [False, True])
+    def test_impossible_duration_rejected(self, fitted, duration, expectation):
+        # inf and NaN used to reach numpy's "lam value too large" and "lam < 0 or lam is NaN"
+        with pytest.raises(ValueError, match="duration must be finite"):
+            predict_counts(fitted, 30.0, duration, seed=1, expectation=expectation)
+
 
 class TestCar:
     def test_two_computation_paths_agree(self, fitted):
@@ -287,6 +294,19 @@ class TestFitParams:
         # a NaN target used to return the start values as the fit
         with pytest.raises(ValueError, match="finite and positive"):
             fit_params([(50.0, "car", value)], base_params(), free=("pair_rate_coeff",))
+
+    @pytest.mark.parametrize("free", [(), ("raman_s", "raman_s"), ("nope",)],
+                             ids=["empty", "repeated", "unknown"])
+    def test_free_names_checked_before_the_model(self, monkeypatch, free):
+        # a repeated name used to return raman_s = 0 with residuals of -33 % to
+        # -76 % and no error; an empty or unknown one, numpy's or an AttributeError
+        def no_model(p, pw):
+            raise AssertionError("the model ran before free was checked")
+
+        for obs in ("car", "pair_rate"):
+            monkeypatch.setitem(counts_mod._OBSERVABLES, obs, no_model)
+        with pytest.raises(ValueError, match="distinct NoiseParams fields"):
+            fit_params(PAPER_TARGETS, base_params(), free=free)
 
     def test_infinite_model_is_a_fit_error(self):
         # no background and no pairs: CAR is infinite at every eta_s
@@ -487,3 +507,37 @@ def test_state_at_power_memory_peak(paper_config):
     finally:
         tracemalloc.stop()
     assert peak <= 512 * 1024
+
+
+class TestStateAtPowerInputs:
+    """Checked before the spectral state, for every caller of effective_state_at_power."""
+
+    @pytest.fixture(autouse=True)
+    def no_spectral_state(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the spectral state was built before the inputs were checked")
+
+        monkeypatch.setattr(counts_mod, "mixed_state_over_spectra", fail)
+
+    # NaN used to give the maximally mixed state, a negative weight "matrix has
+    # a negative eigenvalue"
+    @pytest.mark.parametrize("baseline", [np.nan, np.inf, -0.01, 1.5])
+    def test_baseline_outside_unit_interval_rejected(self, paper_config, baseline):
+        cfg = paper_config
+        args = (cfg.noise, cfg.fiber, cfg.compensators)
+        with pytest.raises(ValueError, match="baseline_noise must be in"):
+            effective_state_at_power(*args, cfg.signal, cfg.pump, 30.0, baseline_noise=baseline)
+        with pytest.raises(ValueError, match="baseline_noise must be in"):
+            visibility_vs_power(*args, [30.0], cfg.signal, cfg.pump, baseline_noise=baseline)
+
+    # used to fail inside GaussianSpectrum with "need a finite center and a finite fwhm > 0"
+    @pytest.mark.parametrize("power", [np.nan, -1.0, np.inf])
+    def test_impossible_power_rejected(self, paper_config, power):
+        cfg = paper_config
+        args = (cfg.noise, cfg.fiber, cfg.compensators)
+        with pytest.raises(ValueError, match="power must be finite"):
+            effective_state_at_power(*args, cfg.signal, cfg.pump, power)
+        with pytest.raises(ValueError, match="power must be finite"):
+            visibility_vs_power(*args, [power], cfg.signal, cfg.pump)
+        with pytest.raises(ValueError, match="power must be finite"):
+            calibrate_baseline_noise(*args, cfg.signal, cfg.pump, avg_power_mw=power)

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
+from xsplice import tomography
 from xsplice import (
     MeasurementSetting,
     TomographyData,
     TwoQubitState,
     bell_state,
+    best_bell_fidelity,
     born_probabilities,
+    effective_state_at_power,
     error_bars,
     fidelity,
     pure_phi_state,
@@ -55,6 +58,16 @@ class TestSettings:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             MeasurementSetting(np.array([1.0, 1.0]), np.array([1.0, 0.0]), "bad")
+
+    def test_projector_stack_is_the_kron_construction(self, settings):
+        rng = np.random.default_rng(3)
+        kets = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
+        kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+        random = [MeasurementSetting(a, b) for a, b in kets]
+        for group in (settings, random):
+            vs = np.array([np.kron(s.projector_signal, s.projector_idler) for s in group])
+            assert np.array_equal(tomography._projector_stack(group),
+                                  np.einsum("ki,kj->kij", vs, vs.conj()))
 
 
 class TestSimulateCounts:
@@ -131,7 +144,7 @@ def multistart_cholesky_mle(data):
     the best optimum is kept."""
     from scipy.optimize import minimize
 
-    vs = np.array([s.joint_vector for s in data.settings])
+    vs = np.array([np.kron(s.projector_signal, s.projector_idler) for s in data.settings])
     flat = np.einsum("ki,kj->kij", vs.conj(), vs).reshape(-1, 16)  # row k . A.ravel() = tr(Pi_k A)
     counts, n = np.asarray(data.counts), data.total_per_setting
     lower = np.tril_indices(4, -1)
@@ -282,3 +295,46 @@ class TestErrorBars:
         for lo, hi in zip(stds[1:], stds[:-1]):
             ratio = hi / lo
             assert ratio == pytest.approx(np.sqrt(10.0), rel=0.30)
+
+    # (fidelity_std, tangle_std) as computed before the bootstrap drew its
+    # replicates through simulate_counts; the draws must not have moved
+    @pytest.mark.parametrize("case, expected", [
+        ("werner_1e3", (0.002328820713253928, 0.007723057464599826)),
+        ("model_30mw_1e4", (0.0004969345156157955, 0.0017301757380127091)),
+        ("pure_phi_1e5", (0.00017301859744164468, 0.00030564720363496873)),
+    ])
+    def test_pinned_replicates(self, settings, paper_config, case, expected):
+        if case == "werner_1e3":
+            truth, n, seed, n_bootstrap, boot_seed = werner_state(0.896, "psi-"), 1e3, 31, 5, 5
+        elif case == "model_30mw_1e4":
+            cfg = paper_config
+            truth = effective_state_at_power(cfg.noise, cfg.fiber, cfg.compensators,
+                                             cfg.signal, cfg.pump, 30.0,
+                                             baseline_noise=cfg.baseline_noise)
+            n, seed, n_bootstrap, boot_seed = 1e4, [7, 1], 4, [7, 2]
+        else:
+            truth, n, seed, n_bootstrap, boot_seed = pure_phi_state(0.3), 1e5, 41, 3, 43
+        target = best_bell_fidelity(truth)[1]
+        data = simulate_counts(truth, settings, n, seed=seed)
+        assert error_bars(data, n_bootstrap, seed=boot_seed, fidelity_target=target) == expected
+
+    def test_generator_seed_is_drawn_in_place(self, settings, werner_truth):
+        data = simulate_counts(werner_truth, settings, 1e3, seed=31)
+        rng = np.random.default_rng(5)
+        assert error_bars(data, 5, seed=rng) == error_bars(data, 5, seed=5)
+        assert rng.bit_generator.state != np.random.default_rng(5).bit_generator.state
+
+    @pytest.mark.parametrize("n_bootstrap, fidelity_target, match", [
+        (2.5, "psi-", "n_bootstrap"), (0, "psi-", "n_bootstrap"), ("3", "psi-", "n_bootstrap"),
+        (3, "psi", "unknown Bell state"), (3, "PSI-", "unknown Bell state"),
+    ], ids=["fractional", "zero", "string", "no-sign", "upper-case"])
+    def test_arguments_checked_before_reconstruction(self, monkeypatch, settings, werner_truth,
+                                                     n_bootstrap, fidelity_target, match):
+        data = simulate_counts(werner_truth, settings, 1e3, seed=29)
+
+        def no_solve(_):
+            raise AssertionError("reconstruct_mle ran before the arguments were checked")
+
+        monkeypatch.setattr(tomography, "reconstruct_mle", no_solve)
+        with pytest.raises(ValueError, match=match):
+            error_bars(data, n_bootstrap, seed=1, fidelity_target=fidelity_target)
