@@ -70,6 +70,17 @@ _NON_NEGATIVE_INT = _ranged(int, 0)
 _MAX_COUNTS_PER_SETTING = 1e18
 
 
+def _replicates(text: str) -> int:
+    """argparse type of ``--bootstrap``: 0 for no error bars, else at least two replicates."""
+    val = int(text)
+    if not (val == 0 or val >= 2):
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be 0 or an integer >= 2")
+    return val
+
+
+_replicates.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -294,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--counts-per-setting", default=1e5,
                    type=_ranged(float, 0.0, _MAX_COUNTS_PER_SETTING, strict=True))
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
-    p.add_argument("--bootstrap", type=_NON_NEGATIVE_INT, default=0)
+    p.add_argument("--bootstrap", type=_replicates, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tomography)
 

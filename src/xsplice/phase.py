@@ -109,14 +109,7 @@ def phi_pump(fiber: FiberSpec, lambda_p_nm):
 
 def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
     """Relative phase of the second-segment process versus the first."""
-    ls = np.asarray(lambda_s_nm, dtype=float)
-    out = _relative_phase(fiber, ls, lambda_p_nm, idler_wavelength(ls, lambda_p_nm))
-    return out if out.ndim else float(out)
-
-
-def _relative_phase(fiber: FiberSpec, ls: np.ndarray, lambda_p_nm, li) -> np.ndarray:
-    """``total_phase`` given the idler wavelength."""
-    return phi_pump(fiber, lambda_p_nm) - _pair_walkoff(fiber, ls, li)
+    return compensated_phase(fiber, None, lambda_s_nm, lambda_p_nm)
 
 
 def compensator_phase(comp: CompensatorSpec, wavelength_nm):
@@ -138,7 +131,7 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
     """
     ls = np.asarray(lambda_s_nm, dtype=float)
     li = idler_wavelength(ls, lambda_p_nm)
-    phase = _relative_phase(fiber, ls, lambda_p_nm, li)
+    phase = phi_pump(fiber, lambda_p_nm) - _pair_walkoff(fiber, ls, li)
     for comp in comps or ():
         phase += compensator_phase(comp, ls if comp.arm == "signal" else li)
     return phase if phase.ndim else float(phase)

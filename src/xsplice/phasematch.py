@@ -13,6 +13,8 @@ keeps dk negative everywhere below the pump.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,10 +263,12 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
     pump wavelengths for which no solution exists in the window. Each
     point equals ``solve_signal_idler`` at its pump.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    lo, hi = lambda_p_range
-    lps = np.linspace(float(lo), float(hi), int(steps))
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    lo, hi = (float(end) for end in lambda_p_range)
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"pump range ends must be finite and > 0, got {lambda_p_range!r}")
+    lps = np.linspace(lo, hi, steps)
     points, skipped = [], []
     for lp, result in zip(lps, _solve(fiber, lps)):
         if isinstance(result, Exception):
@@ -287,21 +291,23 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     idler width follows from the energy-conservation Jacobian
     |d(li)/d(ls)| = (li/ls)^2.
     """
+    if not 0.0 <= pump_fwhm_nm < math.inf:
+        raise ValueError(f"pump_fwhm_nm must be finite and >= 0, got {pump_fwhm_nm!r}")
     if abs(point.residual_mismatch) > 10 * MISMATCH_TOL:
         raise ValueError("point is not phase matched")
     if not fiber.length_m > 0:
         raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
     lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
     h = _DIFF_STEP_NM
-    dk_s = phase_mismatch(fiber, lp, np.array([ls0 - h, ls0 + h]))
-    dk_p = phase_mismatch(fiber, np.array([lp - h, lp + h]), ls0)
-    dk_dls, dk_dlp = (dk_s[1] - dk_s[0]) / (2 * h), (dk_p[1] - dk_p[0]) / (2 * h)
+    s_lo, s_hi, near, p_lo, p_hi = phase_mismatch(
+        fiber, np.array([lp, lp, lp, lp - h, lp + h]), np.array([ls0 - h, ls0 + h, ls0, ls0, ls0]))
+    dk_dls, dk_dlp = (s_hi - s_lo) / (2 * h), (p_hi - p_lo) / (2 * h)
 
     dk_half = 2.0 * X_HALF / fiber.length_m
     reach = 2.0 * dk_half / abs(dk_dls)
     # the lower edge, then the upper one
     level = np.array([-1.0, 1.0]) * np.sign(dk_dls) * dk_half
-    near, lower, upper = phase_mismatch(fiber, lp, np.array([ls0, ls0 - reach, ls0 + reach]))
+    lower, upper = phase_mismatch(fiber, lp, np.array([ls0 - reach, ls0 + reach]))
     f_near, f_far = near - level, np.array([lower, upper]) - level
     if not np.all(f_near * f_far < 0):
         raise BandwidthError("no half-maximum crossing within twice the linear estimate")

@@ -24,6 +24,7 @@ is (HH, HV, VH, VV).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -189,6 +190,12 @@ def pure_phi_state(phi: float) -> TwoQubitState:
 def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
                    span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
     """Axis covering +/- span_sigmas of a Gaussian given by its FWHM; one point is the centre."""
+    if not isinstance(points, numbers.Integral) or points < 1:
+        raise ValueError(f"points must be an integer >= 1, got {points!r}")
+    if not abs(center_nm) < math.inf:
+        raise ValueError(f"center must be finite, got {center_nm!r}")
+    if not (0.0 < fwhm_nm < math.inf and 0.0 < span_sigmas < math.inf):
+        raise ValueError(f"fwhm and span must be finite and > 0, got {fwhm_nm!r}, {span_sigmas!r}")
     if points == 1:
         return np.array([center_nm], dtype=float)
     half = span_sigmas * fwhm_nm / FWHM_PER_SIGMA

@@ -200,13 +200,13 @@ def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
 
     Each replicate is ``simulate_counts`` from the reconstructed state, drawn from one
     generator seeded by ``seed``, then ``reconstruct_mle``; returns the standard
-    deviations of the Bell fidelity and tangle over the replicates.
+    deviations of the Bell fidelity and tangle over the replicates, with the
+    B - 1 divisor of the bootstrap standard error (Efron & Tibshirani), so
+    at least two replicates are needed.
     """
-    if not isinstance(n_bootstrap, numbers.Integral) or n_bootstrap < 1:
-        raise ValueError(f"n_bootstrap must be an integer >= 1, got {n_bootstrap!r}")
+    if not isinstance(n_bootstrap, numbers.Integral) or n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be an integer >= 2, got {n_bootstrap!r}")
     target = bell_state(fidelity_target)
-    if n_bootstrap == 1:
-        warnings.warn("n_bootstrap = 1 gives degenerate (zero) error bars", RuntimeWarning)
     rho_hat = reconstruct_mle(data)
     rng = np.random.default_rng(seed)
     fids, tangles = [], []
@@ -214,4 +214,4 @@ def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
         rep = reconstruct_mle(simulate_counts(rho_hat, data.settings, data.total_per_setting, rng))
         fids.append(fidelity(rep, target))
         tangles.append(tangle(rep))
-    return float(np.std(fids)), float(np.std(tangles))
+    return float(np.std(fids, ddof=1)), float(np.std(tangles, ddof=1))

@@ -91,6 +91,7 @@ class TestUsage:
         (("tomography-demo", "--counts-per-setting", "-5"), "--counts-per-setting"),
         (("tomography-demo", "--counts-per-setting", "0"), "--counts-per-setting"),
         (("tomography-demo", "--counts-per-setting", "1e20"), "--counts-per-setting"),
+        (("tomography-demo", "--bootstrap", "1"), "--bootstrap"),
     ])
     def test_out_of_range_option_exits_64(self, run_cli, args, option):
         res = run_cli(*args)

@@ -14,6 +14,7 @@ from xsplice import (
 from xsplice import phasematch
 from xsplice.materials import WavelengthRangeError
 from xsplice.phasematch import MISMATCH_TOL
+from conftest import CALIBRATED_B
 
 
 class TestIdlerWavelength:
@@ -186,6 +187,20 @@ class TestTuningCurve:
         with pytest.raises(ValueError):
             tuning_curve(paper_fiber, (760.0, 790.0), 1)
 
+    @pytest.mark.parametrize("pump_range, steps, match", [
+        ((760.0, 790.0), 2.5, "steps"), ((760.0, 790.0), "3", "steps"),
+        ((np.nan, 790.0), 3, "range"), ((760.0, np.inf), 3, "range"),
+        ((-760.0, 790.0), 3, "range"), ((0.0, 790.0), 3, "range"),
+    ])
+    def test_arguments_checked_before_solving(self, monkeypatch, paper_fiber, pump_range,
+                                              steps, match):
+        def no_solve(*_):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(phasematch, "_solve", no_solve)
+        with pytest.raises(ValueError, match=match):
+            tuning_curve(paper_fiber, pump_range, steps)
+
 
 class TestBandwidths:
     def test_sinc_width_scales_inversely_with_length(self, paper_fiber):
@@ -216,3 +231,44 @@ class TestBandwidths:
         bad = PhaseMatchPoint(771.0, 670.0, 516570.0 / 569.0, 5.0)
         with pytest.raises(ValueError):
             output_bandwidths(paper_fiber, bad, 0.3)
+
+    @pytest.mark.parametrize("pump_fwhm_nm", [-0.3, np.nan, np.inf])
+    def test_pump_fwhm_checked_before_any_mismatch_call(self, monkeypatch, paper_fiber,
+                                                        pump_fwhm_nm):
+        point = solve_signal_idler(paper_fiber, 771.0)
+
+        def no_mismatch(*_):
+            raise AssertionError("phase_mismatch ran before the pump FWHM was checked")
+
+        monkeypatch.setattr(phasematch, "phase_mismatch", no_mismatch)
+        with pytest.raises(ValueError, match="pump_fwhm_nm"):
+            output_bandwidths(paper_fiber, point, pump_fwhm_nm)
+
+    # pinned while the slopes and the centre still took three phase_mismatch
+    # calls; the evaluation is elementwise, so sharing calls moves no bit
+    @pytest.mark.parametrize("length_m, birefringence, pump_nm, pump_fwhm_nm, expected", [
+        (0.13, CALIBRATED_B, 771.0, 0.3, (0.42010963665700307, 0.7713418000439317)),
+        (0.26, CALIBRATED_B, 771.0, 0.45, (0.3688689193103754, 0.6772613417421399)),
+        # calibrate_birefringence(silica, 774.0, 662.0)
+        (0.21, 0.000398548422148662, 774.0, 0.42, (0.34913899560139106, 0.6914406377440783)),
+    ], ids=["paper", "long-fiber", "design-range"])
+    def test_pinned_values(self, silica, length_m, birefringence, pump_nm, pump_fwhm_nm,
+                           expected):
+        fiber = FiberSpec(length_m, birefringence, 0.01, silica)
+        point = solve_signal_idler(fiber, pump_nm)
+        assert output_bandwidths(fiber, point, pump_fwhm_nm) == expected
+
+    def test_two_mismatch_calls_before_refinement(self, monkeypatch, paper_fiber):
+        point = solve_signal_idler(paper_fiber, 771.0)
+        calls = []
+
+        def log(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(phasematch, "phase_mismatch", log("mismatch", phase_mismatch))
+        monkeypatch.setattr(phasematch, "_refine", log("refine", phasematch._refine))
+        output_bandwidths(paper_fiber, point, 0.3)
+        assert calls[:calls.index("refine")] == ["mismatch", "mismatch"]

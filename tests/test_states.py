@@ -26,7 +26,7 @@ from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
                             _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
                             _PROBES, _alias_check, _alias_estimate, _coherence, _fit_lines,
-                            _probe_misfit, _spectral_axes, spectral_grid)
+                            _probe_misfit, _spectral_axes, bandwidth_grid, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -80,6 +80,26 @@ class TestGaussianSpectrum:
         spec = GaussianSpectrum(670.0, 0.23)
         grid = np.linspace(670.0 - 8 * spec.sigma_nm, 670.0 + 8 * spec.sigma_nm, 20001)
         assert np.trapezoid(spec.density(grid), grid) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestBandwidthGrid:
+    @pytest.mark.parametrize("args, match", [
+        ((670.0, 0.23, 0), "points"), ((670.0, 0.23, -3), "points"),
+        ((670.0, 0.23, 2.5), "points"), ((670.0, 0.23, "5"), "points"),
+        ((np.nan, 0.23, 5), "center"), ((-np.inf, 0.23, 5), "center"),
+        ((670.0, -0.2, 5), "fwhm"), ((670.0, 0.0, 5), "fwhm"),
+        ((670.0, np.nan, 5), "fwhm"), ((670.0, np.inf, 1), "fwhm"),
+        ((670.0, 0.23, 5, 0.0), "span"), ((670.0, 0.23, 5, np.nan), "span"),
+    ])
+    def test_nonsense_axes_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            bandwidth_grid(*args)
+
+    def test_ascending_and_centred(self):
+        ax = bandwidth_grid(670.0, 0.23, np.int64(5))
+        assert np.all(np.diff(ax) > 0)
+        assert ax[2] == 670.0
+        assert bandwidth_grid(670.0, 0.23, 1).tolist() == [670.0]
 
 
 class TestPureState:

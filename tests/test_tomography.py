@@ -273,12 +273,6 @@ class TestReconstruction:
 
 
 class TestErrorBars:
-    def test_single_round_degenerate(self, settings, werner_truth):
-        data = simulate_counts(werner_truth, settings, 1e3, seed=29)
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            f_std, t_std = error_bars(data, 1, seed=1)
-        assert f_std == 0.0 and t_std == 0.0
-
     def test_seeded(self, settings, werner_truth):
         data = simulate_counts(werner_truth, settings, 1e3, seed=31)
         a = error_bars(data, 5, seed=5)
@@ -297,7 +291,9 @@ class TestErrorBars:
             assert ratio == pytest.approx(np.sqrt(10.0), rel=0.30)
 
     # (fidelity_std, tangle_std) as computed before the bootstrap drew its
-    # replicates through simulate_counts; the draws must not have moved
+    # replicates through simulate_counts, with the B divisor of np.std's
+    # default; the draws must not have moved, so the B - 1 divisor scales
+    # each by exactly sqrt(B / (B - 1))
     @pytest.mark.parametrize("case, expected", [
         ("werner_1e3", (0.002328820713253928, 0.007723057464599826)),
         ("model_30mw_1e4", (0.0004969345156157955, 0.0017301757380127091)),
@@ -316,7 +312,9 @@ class TestErrorBars:
             truth, n, seed, n_bootstrap, boot_seed = pure_phi_state(0.3), 1e5, 41, 3, 43
         target = best_bell_fidelity(truth)[1]
         data = simulate_counts(truth, settings, n, seed=seed)
-        assert error_bars(data, n_bootstrap, seed=boot_seed, fidelity_target=target) == expected
+        got = error_bars(data, n_bootstrap, seed=boot_seed, fidelity_target=target)
+        scale = np.sqrt(n_bootstrap / (n_bootstrap - 1))
+        assert got == pytest.approx(tuple(v * scale for v in expected), rel=1e-12, abs=0)
 
     def test_generator_seed_is_drawn_in_place(self, settings, werner_truth):
         data = simulate_counts(werner_truth, settings, 1e3, seed=31)
@@ -327,7 +325,8 @@ class TestErrorBars:
     @pytest.mark.parametrize("n_bootstrap, fidelity_target, match", [
         (2.5, "psi-", "n_bootstrap"), (0, "psi-", "n_bootstrap"), ("3", "psi-", "n_bootstrap"),
         (3, "psi", "unknown Bell state"), (3, "PSI-", "unknown Bell state"),
-    ], ids=["fractional", "zero", "string", "no-sign", "upper-case"])
+        (1, "psi-", "n_bootstrap"),
+    ], ids=["fractional", "zero", "string", "no-sign", "upper-case", "one"])
     def test_arguments_checked_before_reconstruction(self, monkeypatch, settings, werner_truth,
                                                      n_bootstrap, fidelity_target, match):
         data = simulate_counts(werner_truth, settings, 1e3, seed=29)
