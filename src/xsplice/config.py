@@ -99,7 +99,10 @@ def load_config(path: str | None = None, materials_path: str | None = None) -> S
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
 

@@ -164,6 +164,8 @@ def load_materials(path: str | None = None) -> dict:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     db = json.loads(raw)
+    if not isinstance(db, dict):
+        raise ValueError(f"the top level must be a JSON object, not {type(db).__name__}")
     return {key: _model_from_entry(key, entry) for key, entry in db.items()}
 
 

@@ -93,8 +93,8 @@ def idler_wavelength(lambda_s_nm, lambda_p_nm):
     if not (ls.min(initial=np.inf) > 0 and lp.min(initial=np.inf) > 0) \
             and ((~(ls > 0)).any() or (~(lp > 0)).any()):
         if (ls <= 0).any() or (lp <= 0).any():
-            raise ValueError("wavelengths must be positive")
-        raise ValueError("wavelength is not a number")
+            raise WavelengthRangeError("wavelengths must be positive")
+        raise WavelengthRangeError("wavelength is not a number")
     denom = 2.0 * ls - lp
     if (denom == 0.0).any():
         raise PhaseMatchError("degenerate denominator: 2*lambda_s == lambda_p")

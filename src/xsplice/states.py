@@ -272,21 +272,6 @@ _PROBE_X = (2.0 * _PROBES / (2 * QUAD_NODES - 1) - 1.0) * QUAD_SPAN_SIGMAS
 _PROBE_ROWS = _lagrange_matrix(QUAD_NODES, _PROBES * (QUAD_NODES - 1) / (2 * QUAD_NODES - 1))
 
 
-def _probe_misfit(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
-                  ws: np.ndarray, wp: np.ndarray) -> float:
-    """Spectrally weighted misfit, in rad, of the phase interpolated onto the probes.
-
-    ``probed_s`` holds the phase evaluated at the probe signal positions
-    on the pump nodes, ``probed_p`` at the probe pump positions on the
-    signal nodes; ``ws`` and ``wp`` are the nodes' signal column and
-    pump row weights. Per probe line the misfit is weighted by the
-    spectrum along the line; the worst line of each axis stands for that
-    axis' interpolation, and the two axes add.
-    """
-    return float(np.max(np.abs(_PROBE_ROWS @ phi - probed_s) @ wp[0])
-                 + np.max(ws[:, 0] @ np.abs(phi @ _PROBE_ROWS.T - probed_p)))
-
-
 def _line_fit() -> tuple:
     """Weighted least-squares fit of ``alpha + a x + c x^2`` along one node line.
 
@@ -311,16 +296,6 @@ def _line_fit() -> tuple:
 
 
 _LINE_FIT, _LINE_POWERS = _line_fit()
-
-
-def _fit_lines(lines: np.ndarray, along: np.ndarray) -> tuple:
-    """``(alpha, a, c)`` per row of ``lines``, and the worst weighted residual of the fits.
-
-    Each row is the phase on one node line and ``along`` the node
-    weights along it; a line's residual is weighted by them.
-    """
-    fit = lines @ _LINE_FIT.T
-    return fit, float(np.max(np.abs(lines - fit @ _LINE_POWERS) @ along))
 
 
 #: Largest spectrally weighted residual, in rad, of the quadratic fit on
@@ -379,20 +354,29 @@ def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
                  ws: np.ndarray, wp: np.ndarray):
     """Estimated aliasing error of the nodes' coherence, or None where it does not hold.
 
-    ``phi`` is the phase on the nodes, ``probed_s`` and ``probed_p`` at
-    the probes as for ``_probe_misfit``, and ``ws`` and ``wp`` the
-    nodes' signal column and pump row weights. The two axes' estimates
-    add. None means the phase is not smooth on the node scale (probe
-    misfit above ``_INTERPOLATION_TOL``) or some line is not quadratic
-    enough (fit residual above ``_FIT_TOL``).
+    ``phi`` is the phase on the nodes, ``probed_s`` at the probe signal
+    positions on the pump nodes, ``probed_p`` at the probe pump positions
+    on the signal nodes, and ``ws`` and ``wp`` the nodes' signal column
+    and pump row weights. One pass per axis takes that axis' node lines,
+    one per row, with the probes on them, the weights ``along`` them and
+    those ``across`` them. It fits ``alpha + a x + c x^2`` to every line
+    (``_LINE_FIT``) and returns None if a line's weighted fit residual
+    exceeds ``_FIT_TOL``. It adds the worst probe line's misfit, the
+    phase interpolated onto the probes (``_PROBE_ROWS``) less its value
+    there, weighted by the spectrum along the probe line; and the size
+    of its ``_alias_estimate``. The two axes' misfits and estimates add;
+    None also means a misfit above ``_INTERPOLATION_TOL``, a phase not
+    smooth on the node scale.
     """
-    fit_s, residual_s = _fit_lines(phi.T, ws[:, 0])
-    fit_p, residual_p = _fit_lines(phi, wp[0])
-    if not (residual_s <= _FIT_TOL and residual_p <= _FIT_TOL
-            and _probe_misfit(phi, probed_s, probed_p, ws, wp) <= _INTERPOLATION_TOL):
-        return None
-    return (abs(_alias_estimate(fit_s, phi.T, ws[:, 0], wp[0]))
-            + abs(_alias_estimate(fit_p, phi, wp[0], ws[:, 0])))
+    misfit = error = 0.0
+    for lines, probed, along, across in ((phi.T, probed_s.T, ws[:, 0], wp[0]),
+                                         (phi, probed_p, wp[0], ws[:, 0])):
+        fit = lines @ _LINE_FIT.T
+        if not np.max(np.abs(lines - fit @ _LINE_POWERS) @ along) <= _FIT_TOL:
+            return None
+        misfit += np.max(across @ np.abs(lines @ _PROBE_ROWS.T - probed))
+        error += abs(_alias_estimate(fit, lines, along, across))
+    return error if misfit <= _INTERPOLATION_TOL else None
 
 
 def _coherence(phi: np.ndarray, w: np.ndarray) -> complex:

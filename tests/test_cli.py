@@ -66,6 +66,18 @@ class TestUsage:
             assert res.returncode == 2, ini
             assert "config error" in res.stderr, ini
 
+    @pytest.mark.parametrize("content", [b"length_m = 0.2\n",
+                                         b"[fiber]\nlength_m = 0.2\nlength_m = 0.3\n",
+                                         b"[fiber]\nlength_m\n",
+                                         b"[fiber]\ncore = s\xe9lica\n"],
+                             ids=["no-section", "duplicate", "no-value", "not-utf8"])
+    def test_unparsable_config_exits_2(self, run_cli, tmp_path, content):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(content)
+        res = run_cli("--config", str(bad), "calibrate")
+        assert res.returncode == 2
+        assert f"config error: cannot parse config file {bad}" in res.stderr
+
     def test_non_finite_option_exits_64(self, run_cli):
         res = run_cli("state", "--power", "nan")
         assert res.returncode == 64
@@ -109,6 +121,18 @@ class TestUsage:
         res = run_cli("calibrate", "--pump", "771", "--signal", "771")
         assert res.returncode == 3
         assert "numerical failure" in res.stderr
+
+    def test_pump_window_past_the_model_exits_3(self, run_cli, tmp_path):
+        # the broadened pump window leaves the Sellmeier range at 5000 mW and
+        # reaches non-positive wavelengths at 7000 mW or a 200 nm FWHM: the
+        # same model failure either way
+        wide = tmp_path / "wide.ini"
+        wide.write_text("[spectra]\npump_fwhm_nm = 200\n")
+        for args in (("state", "--power", "5000"), ("state", "--power", "7000"),
+                     ("--config", str(wide), "state")):
+            res = run_cli(*args)
+            assert res.returncode == 3, args
+            assert "numerical failure: wavelength" in res.stderr, args
 
 
 class TestCalibrate:
@@ -251,6 +275,14 @@ class TestMaterialsOverride:
         monkeypatch.setenv("XSPLICE_MATERIALS", str(dst))
         res = run_cli("calibrate")
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("content", ["[]", '"x"'])
+    def test_non_object_database_exits_2(self, run_cli, tmp_path, content):
+        db = tmp_path / "db.json"
+        db.write_text(content)
+        res = run_cli("--materials", str(db), "calibrate")
+        assert res.returncode == 2
+        assert "config error: cannot load material database: the top level must be" in res.stderr
 
 
 def test_defaults_mirror_paper_ini():

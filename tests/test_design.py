@@ -150,3 +150,5 @@ class TestCalibrateBirefringence:
     def test_out_of_range_target(self, silica):
         with pytest.raises(CalibrationError):
             calibrate_birefringence(silica, 771.0, 500.0, b_range=(1e-5, 2e-4))
+        with pytest.raises(CalibrationError, match="not a number"):
+            calibrate_birefringence(silica, 771.0, float("nan"))

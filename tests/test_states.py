@@ -25,8 +25,8 @@ from conftest import exact_quadratic_average
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
                             _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
-                            _PROBES, _alias_check, _alias_estimate, _coherence, _fit_lines,
-                            _probe_misfit, _spectral_axes, bandwidth_grid, spectral_grid)
+                            _PROBES, _alias_check, _alias_estimate, _coherence, _spectral_axes,
+                            bandwidth_grid, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -351,6 +351,38 @@ class TestSpectralMixture:
             coh = _coherence(phi, ws * wp)
             assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-9
 
+    def test_alias_check_recorded_values(self, paper_config):
+        # the values that the check returned before its two axes shared one
+        # pass: the cubic along the pump fails the pump pass's fit, the
+        # node-scale ripple the probes
+        sig, pump = paper_config.signal, paper_config.pump
+        xs = lambda s: (s - sig.center_nm) / sig.sigma_nm
+        xp = lambda p: (p - pump.center_nm) / pump.sigma_nm
+        # seven powers per pump scale, 1.0 the third scale, then the same uncompensated
+        paper = list(_paper_phases(paper_config))
+        cases = [
+            (*paper[2 * 7 + 3], 0.0),
+            (*paper[35 + 2 * 7], 0.0),
+            (lambda s, p: 60.72 * xs(s) + 0 * p, pump, 1.0161592086673488e-06),
+            (lambda s, p: 40.0 * xs(s) + 40.0 * xp(p), pump, 2.1658099433019712e-16),
+            (lambda s, p: 20.0 * xs(s) + 2.0 * xs(s) ** 2 + 0 * p, pump, 0.0034521997201255312),
+            (lambda s, p: 0.6 * xp(p) ** 3 + 0 * s, pump, None),
+            (lambda s, p: 0.01 * np.sin(32.0 * xs(s)) + 0 * p, pump, None),
+        ]
+        for phase, pmp, recorded in cases:
+            ls, lp, ws, wp = _spectral_axes(sig, pmp, QUAD_NODES, QUAD_SPAN_SIGMAS)
+            probes = len(_PROBE_X)
+            moved = _alias_check(
+                np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES)),
+                np.broadcast_to(phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp),
+                                (probes, QUAD_NODES)),
+                np.broadcast_to(phase(ls, pmp.center_nm + pmp.sigma_nm * _PROBE_X[None, :]),
+                                (QUAD_NODES, probes)), ws, wp)
+            if recorded is None:
+                assert moved is None
+            else:
+                assert moved == recorded
+
     def test_doubled_interpolation_matrix(self):
         # the probe rows of the doubled rule's interpolation, 8 Lagrange
         # taps per row: exact for degree 7, not for degree 8
@@ -374,7 +406,7 @@ class TestSpectralMixture:
                      (28.0, 0.0), (62.0, 0.0)):
             line = (a * x + c * x * x)[None, :]
             error = np.sum(w * np.exp(-1j * line[0])) - exact_quadratic_average(a, c=c)
-            estimate = _alias_estimate(_fit_lines(line, w)[0], line, w, np.ones(1))
+            estimate = _alias_estimate(line @ _LINE_FIT.T, line, w, np.ones(1))
             assert abs(estimate - error) <= 1e-4 * abs(error) + 1e-9, (a, c, estimate, error)
 
     def test_quadratic_fit(self):
@@ -382,10 +414,11 @@ class TestSpectralMixture:
         # and sees a cubic term
         x = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, QUAD_NODES)
         w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
-        fit, residual = _fit_lines((1e5 + 30.0 * x - 2.5 * x ** 2)[None, :], w)
-        assert np.allclose(fit, [[1e5, 30.0, -2.5]], rtol=1e-12)
-        assert residual < 1e-9
-        assert _fit_lines((0.01 * x ** 3)[None, :], w)[1] > 1e-2
+        residual = lambda line: w @ np.abs(line - line @ _LINE_FIT.T @ _LINE_POWERS)
+        quadratic = 1e5 + 30.0 * x - 2.5 * x ** 2
+        assert np.allclose(quadratic @ _LINE_FIT.T, [1e5, 30.0, -2.5], rtol=1e-12)
+        assert residual(quadratic) < 1e-9
+        assert residual(0.01 * x ** 3) > 1e-2
         assert not _LINE_FIT.flags.writeable and not _LINE_POWERS.flags.writeable
 
     @pytest.mark.parametrize("amplitude, frequency",
@@ -400,12 +433,14 @@ class TestSpectralMixture:
         ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
                                         QUAD_SPAN_SIGMAS)
         phi = np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))
-        fit_s, fit_p = _fit_lines(phi.T, ws[:, 0])[0], _fit_lines(phi, wp[0])[0]
-        assert (abs(_alias_estimate(fit_s, phi.T, ws[:, 0], wp[0]))
-                + abs(_alias_estimate(fit_p, phi, wp[0], ws[:, 0]))) < 1e-6
-        probe_s = c + sigma * _PROBE_X[:, None]
-        probe_p = pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :]
-        misfit = _probe_misfit(phi, phase(probe_s, lp), phase(ls, probe_p), ws, wp)
+        assert sum(abs(_alias_estimate(lines @ _LINE_FIT.T, lines, along, across))
+                   for lines, along, across in ((phi.T, ws[:, 0], wp[0]),
+                                                (phi, wp[0], ws[:, 0]))) < 1e-6
+        probed_s = phase(c + sigma * _PROBE_X[:, None], lp)
+        probed_p = phase(ls, pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :])
+        assert _alias_check(phi, probed_s, probed_p, ws, wp) is None
+        misfit = (np.max(np.abs(_PROBE_ROWS @ phi - probed_s) @ wp[0])
+                  + np.max(ws[:, 0] @ np.abs(phi @ _PROBE_ROWS.T - probed_p)))
         assert misfit > _INTERPOLATION_TOL
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
