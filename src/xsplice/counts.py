@@ -21,8 +21,10 @@ import numpy as np
 from .states import (
     GaussianSpectrum,
     TwoQubitState,
+    _coherence_matrix,
     best_bell_fidelity,
     mixed_state_over_spectra,
+    spectral_coherences,
     spectral_mean_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
     visibility,
 )
@@ -291,6 +293,26 @@ def _background_fraction(p: NoiseParams, avg_power_mw: float) -> float:
     return r["accidentals"] / total
 
 
+def _noise_weight(p: NoiseParams, avg_power_mw: float, baseline_noise: float) -> float:
+    """White-noise weight at one power; checks the power, then ``baseline_noise``."""
+    w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))  # checks the power
+    if not 0.0 <= baseline_noise <= 1.0:
+        raise ValueError(f"baseline_noise must be in [0, 1], got {baseline_noise!r}")
+    return w
+
+
+def _broadened(p: NoiseParams, pump_spectrum: GaussianSpectrum,
+               avg_power_mw: float) -> GaussianSpectrum:
+    """The pump spectrum with its FWHM broadened by (1 + spm_coeff * P)."""
+    return GaussianSpectrum(pump_spectrum.center_nm,
+                            pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw))
+
+
+def _with_white_noise(spectral: np.ndarray, w: float) -> TwoQubitState:
+    """The spectral density matrix with white noise of weight ``w`` admixed."""
+    return TwoQubitState((1.0 - w) * spectral + w * np.eye(4) / 4.0)
+
+
 def effective_state_at_power(p: NoiseParams, fiber, comps,
                              signal_spectrum: GaussianSpectrum,
                              pump_spectrum: GaussianSpectrum,
@@ -305,18 +327,11 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
     plus ``baseline_noise`` (power-independent depolarization not caused
     by counting statistics), a weight in [0, 1].
     """
-    w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))  # checks the power
-    if not 0.0 <= baseline_noise <= 1.0:
-        raise ValueError(f"baseline_noise must be in [0, 1], got {baseline_noise!r}")
-    broadened = GaussianSpectrum(
-        pump_spectrum.center_nm,
-        pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw),
-    )
+    w = _noise_weight(p, avg_power_mw, baseline_noise)
     rho_spec = mixed_state_over_spectra(
-        lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum, broadened,
-        relative_to_mean=True)
-    m = (1.0 - w) * rho_spec.matrix + w * np.eye(4) / 4.0
-    return TwoQubitState(m)
+        lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum,
+        _broadened(p, pump_spectrum, avg_power_mw), relative_to_mean=True)
+    return _with_white_noise(rho_spec.matrix, w)
 
 
 def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
@@ -354,13 +369,22 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
                         baseline_noise: float = 0.0) -> list:
     """Rectilinear and diagonal visibilities across a power sweep.
 
-    Returns a list of ``(power_mw, v_rect, v_diag)`` tuples built from
-    ``effective_state_at_power`` at each power.
+    Returns a list of ``(power_mw, v_rect, v_diag)`` tuples, one per
+    power of the iterable ``powers_mw``; each is read from the state
+    that ``effective_state_at_power`` returns at that power, bit for
+    bit. Every power and ``baseline_noise`` are checked before any phase
+    is evaluated. The spectral coherences of all powers come from one
+    ``spectral_coherences`` call, which evaluates the phase once per
+    group of broadened pump spectra, and each power's state is built
+    once.
     """
+    powers = [float(pw) for pw in powers_mw]
+    weights = [_noise_weight(p, pw, baseline_noise) for pw in powers]
+    cohs = spectral_coherences(
+        lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum,
+        [_broadened(p, pump_spectrum, pw) for pw in powers], relative_to_mean=True)
     rows = []
-    for pw in powers_mw:
-        state = effective_state_at_power(
-            p, fiber, comps, signal_spectrum, pump_spectrum, float(pw),
-            baseline_noise=baseline_noise)
-        rows.append((float(pw), visibility(state, "rectilinear"), visibility(state, "diagonal")))
+    for pw, w, coh in zip(powers, weights, cohs):
+        state = _with_white_noise(_coherence_matrix(coh), w)
+        rows.append((pw, visibility(state, "rectilinear"), visibility(state, "diagonal")))
     return rows

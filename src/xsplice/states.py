@@ -17,8 +17,10 @@ estimates that error from quadratic fits of the phase along each node
 line. It evaluates the phase only once, on the nodes plus a few probe
 positions between them that test the phase's smoothness on the node
 scale; a phase that fails that test, or that no quadratic fits, is
-evaluated again on a rule with twice the nodes. Basis order throughout
-is (HH, HV, VH, VV).
+evaluated again on a rule with twice the nodes. Pump spectra that share
+one signal spectrum, such as a power sweep's, share that evaluation in
+groups (``spectral_coherences``). Basis order throughout is
+(HH, HV, VH, VV).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "pure_phi_state",
     "bandwidth_grid",
     "spectral_grid",
+    "spectral_coherences",
     "mixed_state_over_spectra",
     "spectral_mean_phase",
     "fidelity",
@@ -67,6 +70,13 @@ QUAD_NODES = 64
 #: tails and the unhalved end points perturb the coherence at the 1e-9
 #: level, far below the 1e-6 accuracy contract.
 QUAD_SPAN_SIGMAS = 6.0
+
+#: Pump spectra per phase call of ``spectral_coherences``: the group's
+#: pump rows lie side by side against one signal column, so the phase
+#: model's fixed cost per call is shared. A 16-power paper-config sweep
+#: took 7.1 ms in fours, 10.0 ms one at a time and 7.5 ms in eights
+#: (2 vCPUs); larger stacks fall out of cache.
+_PUMP_GROUP = 4
 
 #: Nodes read per row of the banded Lagrange matrix that interpolates
 #: the phase onto the probes; exact for polynomials up to degree 7.
@@ -218,10 +228,15 @@ def spectral_grid(signal: GaussianSpectrum, pump: GaussianSpectrum,
 def _spectral_axes(signal: GaussianSpectrum, pump: GaussianSpectrum,
                    points: int, span_sigmas: float) -> tuple:
     """The open axes of ``spectral_grid`` and the weights on each, normalised to sum 1."""
-    ls = bandwidth_grid(signal.center_nm, signal.fwhm_nm, points, span_sigmas)[:, None]
-    lp = bandwidth_grid(pump.center_nm, pump.fwhm_nm, points, span_sigmas)[None, :]
-    ws, wp = signal.density(ls), pump.density(lp)
-    return ls, lp, ws / ws.sum(), wp / wp.sum()
+    (ls, ws), (lp, wp) = (_axis(s, points, span_sigmas) for s in (signal, pump))
+    return ls[:, None], lp[None, :], ws[:, None], wp[None, :]
+
+
+def _axis(spectrum: GaussianSpectrum, points: int, span_sigmas: float) -> tuple:
+    """One axis of ``spectral_grid`` and its weights normalised to sum 1, both flat."""
+    grid = bandwidth_grid(spectrum.center_nm, spectrum.fwhm_nm, points, span_sigmas)
+    weights = spectrum.density(grid)
+    return grid, weights / weights.sum()
 
 
 def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
@@ -321,75 +336,193 @@ _ALIAS_REACH = math.sqrt(60.0)
 
 
 def _alias_estimate(fit: np.ndarray, lines: np.ndarray, along: np.ndarray,
-                    across: np.ndarray) -> complex:
-    """Aliasing error of the node rule along one axis.
+                    across: np.ndarray) -> list:
+    """Aliasing error of the node rule along one axis, for each phase of a stack.
 
-    ``lines`` holds the phase on the node lines along the axis, one line
-    per row, ``fit`` their ``(alpha, a, c)`` as columns, ``along`` the
-    node weights along the axis and ``across`` those of the other axis.
-    By Poisson summation a line's node sum is its Gaussian integral plus,
-    per order k, the integral at the frequency shifted by ``k nu``; for
-    the fitted phase that term is ``e^{-i alpha} (1 + 2ic)^{-1/2}
+    ``lines`` holds each phase on the node lines along the axis, one
+    line per row, ``fit`` their ``(alpha, a, c)`` in its last axis,
+    ``along`` the node weights along the axis and ``across`` those of
+    the other axis, one row per phase or one row for all. By Poisson
+    summation a line's node sum is its Gaussian integral plus, per
+    order k, the integral at the frequency shifted by ``k nu``; for the
+    fitted phase that term is ``e^{-i alpha} (1 + 2ic)^{-1/2}
     exp(-(a + k nu)^2 / (2 (1 + 2ic)))``; negligible orders are skipped.
     Where the line's own integral is negligible, its node sum is all
     alias and stands for it. The lines' terms are summed with the
     ``across`` weights, so lines may cancel.
+    Returns one complex per phase; where a term is left, the sums run
+    phase by phase, each as for that phase alone.
     """
-    alpha, a, c = fit.T
+    alpha, a, c = fit.transpose(2, 0, 1)
     reach = _ALIAS_REACH * np.hypot(1.0, 2.0 * c)
     aliased = np.abs(a) >= reach
-    shift = a + _ALIAS_ORDERS[:, None] * _ALIAS_NU
-    k, j = np.nonzero((np.abs(shift) < reach) & ~aliased)
-    total = 0j
-    if len(k):
-        q = 1.0 + 2j * c[j]
-        total += np.sum(_ALIAS_SIGNS[k] * across[j]
-                        * np.exp(-0.5 * shift[k, j] ** 2 / q - 1j * alpha[j]) / np.sqrt(q))
-    if aliased.any():
-        total += across[aliased] @ (np.exp(-1j * lines[aliased]) @ along)
-    return complex(total)
+    shift = a[:, None, :] + _ALIAS_ORDERS[:, None] * _ALIAS_NU
+    live = (np.abs(shift) < reach[:, None, :]) & ~aliased[:, None, :]
+    totals = [0j] * len(fit)
+    if not (live.any() or aliased.any()):
+        return totals
+    along, across = (np.broadcast_to(x, (len(fit), x.shape[-1])) for x in (along, across))
+    for g in range(len(fit)):
+        k, j = np.nonzero(live[g])
+        total = 0j
+        if len(k):
+            q = 1.0 + 2j * c[g][j]
+            total += np.sum(_ALIAS_SIGNS[k] * across[g][j]
+                            * np.exp(-0.5 * shift[g][k, j] ** 2 / q - 1j * alpha[g][j])
+                            / np.sqrt(q))
+        if aliased[g].any():
+            total += across[g][aliased[g]] @ (np.exp(-1j * lines[g][aliased[g]]) @ along[g])
+        totals[g] = complex(total)
+    return totals
 
 
 def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
-                 ws: np.ndarray, wp: np.ndarray):
-    """Estimated aliasing error of the nodes' coherence, or None where it does not hold.
+                 ws: np.ndarray, wp: np.ndarray) -> list:
+    """Estimated aliasing error of each phase's node coherence, or None where it does not hold.
 
-    ``phi`` is the phase on the nodes, ``probed_s`` at the probe signal
-    positions on the pump nodes, ``probed_p`` at the probe pump positions
-    on the signal nodes, and ``ws`` and ``wp`` the nodes' signal column
-    and pump row weights. One pass per axis takes that axis' node lines,
-    one per row, with the probes on them, the weights ``along`` them and
-    those ``across`` them. It fits ``alpha + a x + c x^2`` to every line
-    (``_LINE_FIT``) and returns None if a line's weighted fit residual
-    exceeds ``_FIT_TOL``. It adds the worst probe line's misfit, the
-    phase interpolated onto the probes (``_PROBE_ROWS``) less its value
-    there, weighted by the spectrum along the probe line; and the size
-    of its ``_alias_estimate``. The two axes' misfits and estimates add;
-    None also means a misfit above ``_INTERPOLATION_TOL``, a phase not
-    smooth on the node scale.
+    ``phi`` stacks the phases on the nodes, one ``(signal, pump)`` block
+    per pump spectrum; ``probed_s`` holds them at the probe signal
+    positions on the pump nodes, ``probed_p`` at the probe pump
+    positions on the signal nodes, stacked alike. ``ws`` is the nodes'
+    signal column weights, shared, and ``wp`` the stack of pump row
+    weights. One pass per axis takes that axis' node lines, one per
+    row, with the probes on them, the weights ``along`` them and those
+    ``across`` them. It fits ``alpha + a x + c x^2`` to every line
+    (``_LINE_FIT``); a phase whose weighted fit residual on a line
+    exceeds ``_FIT_TOL`` gets None. It adds the worst probe line's
+    misfit, the phase interpolated onto the probes (``_PROBE_ROWS``)
+    less its value there, weighted by the spectrum along the probe line;
+    and the size of its ``_alias_estimate``. The two axes' misfits and
+    estimates add; None also means a misfit above
+    ``_INTERPOLATION_TOL``, a phase not smooth on the node scale.
     """
+    ws, wp = ws.T, wp[:, 0]
+    held = np.ones(len(phi), dtype=bool)
     misfit = error = 0.0
-    for lines, probed, along, across in ((phi.T, probed_s.T, ws[:, 0], wp[0]),
-                                         (phi, probed_p, wp[0], ws[:, 0])):
+    for lines, probed, along, across in ((phi.transpose(0, 2, 1), probed_s.transpose(0, 2, 1),
+                                          ws, wp),
+                                         (phi, probed_p, wp, ws)):
         fit = lines @ _LINE_FIT.T
-        if not np.max(np.abs(lines - fit @ _LINE_POWERS) @ along) <= _FIT_TOL:
-            return None
-        misfit += np.max(across @ np.abs(lines @ _PROBE_ROWS.T - probed))
-        error += abs(_alias_estimate(fit, lines, along, across))
-    return error if misfit <= _INTERPOLATION_TOL else None
+        residual = np.abs(lines - fit @ _LINE_POWERS) @ along[:, :, None]
+        held &= residual.max(axis=(1, 2)) <= _FIT_TOL
+        misfit += (across[:, None] @ np.abs(lines @ _PROBE_ROWS.T - probed)).max(axis=(1, 2))
+        error += np.array([abs(e) for e in _alias_estimate(fit, lines, along, across)])
+    held &= misfit <= _INTERPOLATION_TOL
+    return [float(e) if h else None for e, h in zip(error, held)]
 
 
-def _coherence(phi: np.ndarray, w: np.ndarray) -> complex:
-    """``sum(w e^{-i phi})`` over one rule.
+def _coherence(phi: np.ndarray, w: np.ndarray) -> list:
+    """``sum(w e^{-i phi})`` over one rule, for each phase of a stack.
 
     Real ``cos`` and ``sin``, not a complex ``exp``, which also
     exponentiates the zero real part: the doubled-rule check took 10-30 %
     longer with it (64 nodes, 2 vCPUs). ``0.0 - im`` keeps the imaginary
     part of a zero phase +0.0.
     """
-    re = np.einsum("ij,ij->", w, np.cos(phi))
-    im = np.einsum("ij,ij->", w, np.sin(phi))
-    return complex(re, 0.0 - im)
+    re = np.einsum("kij,kij->k", w, np.cos(phi))
+    im = np.einsum("kij,kij->k", w, np.sin(phi))
+    return [complex(r, 0.0 - i) for r, i in zip(re, im)]
+
+
+def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
+                        relative_to_mean: bool = False) -> list:
+    """Spectral average of ``e^{-i phi}`` under one signal spectrum and each pump spectrum.
+
+    ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
+    arrays (a signal column and a pump row) and return the relative
+    phase in radians. ``pumps`` is a sequence of pump spectra; the
+    result holds one complex coherence per pump, each the same bit for
+    bit as for that pump alone. The rule is the ``QUAD_NODES``-point
+    one, with a few probe positions appended to each axis. Pumps are
+    taken ``_PUMP_GROUP`` at a time, and each group costs one
+    ``phase_fn`` call: the shared signal column against the group's
+    pump rows laid side by side. The mean, the coherence and the
+    convergence check then run on the stack of the group's phases. A
+    constant phase gives ``e^{-i phi}`` exactly.
+
+    With ``relative_to_mean`` each pump's phase is referenced to its
+    spectral mean, the constant that the compensator wedges absorb in
+    practice: the same value as ``spectral_mean_phase``, taken from the
+    nodes' evaluation and subtracted before anything else reads the
+    phase.
+
+    A warning is issued for each pump whose node rule is not converged
+    to 1e-6 in the coherence. The check runs on the nodes' phase, which
+    is unwrapped and smooth even where its phasor aliases. Each node
+    line along either axis is fitted with ``alpha + a x + c x^2``
+    (weighted least squares, x in sigma), and the node rule's aliasing
+    error is estimated from that fit by Poisson summation
+    (``_alias_estimate``): in closed form per alias order, or by the
+    line's own node sum where its integral is negligible. The estimates
+    are summed over the lines with the other axis' weights, so lines may
+    cancel, and the two axes add. The estimate presumes a phase smooth
+    on the node scale that a quadratic describes along each line. The
+    probes test the first: they are doubled-rule nodes, and along each
+    axis the phase evaluated at them on every node line of the other
+    axis is compared with its interpolation from the nodes (banded
+    Lagrange, 8 taps). Where that spectrally weighted misfit exceeds
+    1e-7 rad, or a line's weighted fit residual exceeds ``_FIT_TOL``,
+    that pump's phase is evaluated again on the doubled rule instead,
+    and the warning is issued if that moves the complex coherence by
+    more than 1e-6. The probes see a component that equals a smooth
+    alias on the nodes, but not roughness confined to where no probe
+    line runs. Reruns and warnings go pump by pump, in order.
+    """
+    pumps = list(pumps)
+    ls, ws = _axis(signal, QUAD_NODES, QUAD_SPAN_SIGMAS)
+    column = np.concatenate((ls, signal.center_nm + signal.sigma_nm * _PROBE_X))[:, None]
+    cohs = []
+    for start in range(0, len(pumps), _PUMP_GROUP):
+        cohs += _group_coherences(phase_fn, signal, column, ws[:, None],
+                                  pumps[start:start + _PUMP_GROUP], relative_to_mean)
+    return cohs
+
+
+def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, ws: np.ndarray,
+                      group: list, relative_to_mean: bool) -> list:
+    """``spectral_coherences`` for one group of pumps.
+
+    ``column`` holds the signal nodes and probes and ``ws`` the signal
+    weights, both as columns. The group's arrays are freed on return,
+    before the next group's phase call.
+    """
+    n, size = QUAD_NODES, QUAD_NODES + len(_PROBES)
+    axes = [_axis(pump, n, QUAD_SPAN_SIGMAS) for pump in group]
+    row = np.concatenate([np.concatenate((lp, pump.center_nm + pump.sigma_nm * _PROBE_X))
+                          for (lp, _), pump in zip(axes, group)])[None, :]
+    sampled = np.broadcast_to(phase_fn(column, row), (size, len(group) * size))
+    # a C-ordered copy: each pump's block is laid out as one pump's phase
+    # alone, so every reduction over it sums in the same order, bit for bit
+    stack = np.array(sampled.reshape(size, len(group), size).transpose(1, 0, 2), order="C")
+    wp = np.array([weights for _, weights in axes])[:, None, :]
+    w = ws * wp
+    mean = np.zeros(len(group))
+    if relative_to_mean:
+        mean = np.sum(w * stack[:, :n, :n], axis=(1, 2))
+        stack -= mean[:, None, None]
+    phi = stack[:, :n, :n]
+    errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:], ws, wp)
+    cohs = _coherence(phi, w)
+    for pump, coh, error, offset in zip(group, cohs, errors, mean):
+        measure = "the nodes' coherence has an estimated aliasing error of"
+        if error is None:
+            ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
+            phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - offset
+            error = abs(_coherence(phi2[None], w2[None])[0] - coh)
+            measure = "doubling nodes moved the coherence by"
+        if error > 1e-6:
+            warnings.warn(f"spectral quadrature not converged: {measure} {error:.2e}",
+                          RuntimeWarning)
+    return cohs
+
+
+def _coherence_matrix(coh: complex) -> np.ndarray:
+    """Populations 1/2 on HH and VV, and ``coh / 2`` between them."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = 0.5
+    m[0, 3] = 0.5 * coh
+    m[3, 0] = np.conj(m[0, 3])
+    return m
 
 
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
@@ -397,67 +530,14 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
                              relative_to_mean: bool = False) -> TwoQubitState:
     """Average the pure-state projector over both spectra.
 
-    ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
-    arrays (a signal column and a pump row) and return the relative
-    phase in radians. It is evaluated on the ``QUAD_NODES``-point rule,
-    with a few probe positions appended to each axis, in one call. A
-    constant phase reproduces ``pure_phi_state`` exactly.
-
-    With ``relative_to_mean`` the phase is referenced to its spectral
-    mean, the constant that the compensator wedges absorb in practice:
-    the same value as ``spectral_mean_phase``, taken from the nodes'
-    evaluation and subtracted before anything else reads the phase.
-
-    A warning is issued if the node rule is not converged to 1e-6 in
-    the coherence. The check runs on the nodes' phase, which is
-    unwrapped and smooth even where its phasor aliases. Each node line
-    along either axis is fitted with ``alpha + a x + c x^2`` (weighted
-    least squares, x in sigma), and the node rule's aliasing error is
-    estimated from that fit by Poisson summation (``_alias_estimate``):
-    in closed form per alias order, or by the line's own node sum where
-    its integral is negligible. The estimates are summed over the lines
-    with the other axis' weights, so lines may cancel, and the two axes
-    add. The estimate presumes a phase smooth on the node scale that a
-    quadratic describes along each line. The probes test the first: they
-    are doubled-rule nodes, and along each axis the phase evaluated at
-    them on every node line of the other axis is compared with its
-    interpolation from the nodes (banded Lagrange, 8 taps). Where that
-    spectrally weighted misfit exceeds 1e-7 rad, or a line's weighted
-    fit residual exceeds ``_FIT_TOL``, the phase is evaluated again on
-    the doubled rule instead, and the warning is issued if that moves
-    the complex coherence by more than 1e-6. The probes see a component
-    that equals a smooth alias on the nodes, but not roughness confined
-    to where no probe line runs.
+    The one-pump case of ``spectral_coherences``, whose arguments and
+    convergence warning it shares: the populations stay 1/2 on HH and
+    VV, and the coherence is the spectral average of ``e^{-i phi}``,
+    from one ``phase_fn`` call. A constant phase reproduces
+    ``pure_phi_state`` exactly.
     """
-    n = QUAD_NODES
-    ls, lp, ws, wp = _spectral_axes(signal, pump, n, QUAD_SPAN_SIGMAS)
-    w = ws * wp
-    size = n + len(_PROBES)
-    sampled = np.broadcast_to(phase_fn(
-        np.concatenate((ls, signal.center_nm + signal.sigma_nm * _PROBE_X[:, None])),
-        np.concatenate((lp, pump.center_nm + pump.sigma_nm * _PROBE_X[None, :]), axis=1)),
-        (size, size))
-    mean = 0.0
-    if relative_to_mean:
-        mean = np.sum(w * sampled[:n, :n])
-        sampled = sampled - mean
-    phi = sampled[:n, :n]
-    coh = _coherence(phi, w)
-    error = _alias_check(phi, sampled[n:, :n], sampled[:n, n:], ws, wp)
-    measure = "the nodes' coherence has an estimated aliasing error of"
-    if error is None:
-        ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
-        phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - mean
-        error = abs(_coherence(phi2, w2) - coh)
-        measure = "doubling nodes moved the coherence by"
-    if error > 1e-6:
-        warnings.warn(f"spectral quadrature not converged: {measure} {error:.2e}",
-                      RuntimeWarning)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 0.5
-    m[0, 3] = 0.5 * coh
-    m[3, 0] = np.conj(m[0, 3])
-    return TwoQubitState(m)
+    coh, = spectral_coherences(phase_fn, signal, [pump], relative_to_mean=relative_to_mean)
+    return TwoQubitState(_coherence_matrix(coh))
 
 
 def fidelity(state: TwoQubitState, target: np.ndarray) -> float:

@@ -22,6 +22,7 @@ from xsplice import (
     visibility_vs_power,
 )
 from xsplice.config import load_config
+from xsplice.states import _PUMP_GROUP
 
 # the published 30 s / 30 mW count record
 PAPER_RECORD = CountRecord(
@@ -492,6 +493,42 @@ def test_state_at_power_evaluates_the_phase_once(monkeypatch, paper_config):
     assert len(calls) == 1
 
 
+#: The benchmark's sweep: 16 powers from 1 to 56 mW.
+SWEEP_POWERS = np.linspace(1.0, 56.0, 16)
+
+
+def test_power_sweep_evaluates_the_phase_once_per_group(monkeypatch, paper_config):
+    # the powers share the signal axis: one phase call per group of pump
+    # spectra, each on the nodes and probes of its pumps side by side
+    real = counts_mod.compensated_phase
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.broadcast(args[2], args[3]).size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counts_mod, "compensated_phase", counted)
+    cfg = paper_config
+    visibility_vs_power(cfg.noise, cfg.fiber, cfg.compensators, SWEEP_POWERS, cfg.signal,
+                        cfg.pump, baseline_noise=cfg.baseline_noise)
+    assert len(calls) == -(-len(SWEEP_POWERS) // _PUMP_GROUP)
+    assert sum(calls) == len(SWEEP_POWERS) * 71 ** 2
+
+
+def test_power_sweep_memory_peak(paper_config):
+    # a group's phase block and its temporaries, not all 16 powers' at once
+    cfg = paper_config
+    args = (cfg.noise, cfg.fiber, cfg.compensators, SWEEP_POWERS, cfg.signal, cfg.pump)
+    visibility_vs_power(*args, baseline_noise=cfg.baseline_noise)
+    tracemalloc.start()
+    try:
+        visibility_vs_power(*args, baseline_noise=cfg.baseline_noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024
+
+
 def test_state_at_power_memory_peak(paper_config):
     # one phase call on the nodes and probes, and the convergence check
     # estimates the aliasing error from that phase, with no second
@@ -517,7 +554,9 @@ class TestStateAtPowerInputs:
         def fail(*args, **kwargs):
             raise AssertionError("the spectral state was built before the inputs were checked")
 
+        # the power sweep evaluates the phase without mixed_state_over_spectra
         monkeypatch.setattr(counts_mod, "mixed_state_over_spectra", fail)
+        monkeypatch.setattr(counts_mod, "compensated_phase", fail)
 
     # NaN used to give the maximally mixed state, a negative weight "matrix has
     # a negative eigenvalue"
@@ -539,5 +578,13 @@ class TestStateAtPowerInputs:
             effective_state_at_power(*args, cfg.signal, cfg.pump, power)
         with pytest.raises(ValueError, match="power must be finite"):
             visibility_vs_power(*args, [power], cfg.signal, cfg.pump)
+        # every power is checked before the first is evaluated
+        with pytest.raises(ValueError, match="power must be finite"):
+            visibility_vs_power(*args, [30.0, power], cfg.signal, cfg.pump)
         with pytest.raises(ValueError, match="power must be finite"):
             calibrate_baseline_noise(*args, cfg.signal, cfg.pump, avg_power_mw=power)
+
+    def test_empty_sweep_evaluates_nothing(self, paper_config):
+        cfg = paper_config
+        assert visibility_vs_power(cfg.noise, cfg.fiber, cfg.compensators, iter(()),
+                                   cfg.signal, cfg.pump) == []

@@ -282,7 +282,8 @@ def test_alias_estimate_finite_on_extreme_fits(signal_spectrum, pump_spectrum,
     probe_s = signal_spectrum.center_nm + signal_spectrum.sigma_nm * _PROBE_X[:, None]
     probe_p = pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :]
     moved, messages = _recorded(
-        lambda: _alias_check(phase(ls, lp), phase(probe_s, lp), phase(ls, probe_p), ws, wp))
+        lambda: _alias_check(phase(ls, lp)[None], phase(probe_s, lp)[None],
+                             phase(ls, probe_p)[None], ws, wp[None])[0])
     assert not messages
     assert moved is None or math.isfinite(moved)
     _, messages = _recorded(

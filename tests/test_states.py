@@ -13,6 +13,7 @@ from xsplice import (
     mixed_state_over_spectra,
     pure_phi_state,
     relabel_signal_flip,
+    spectral_coherences,
     spectral_mean_phase,
     state_fidelity,
     tangle,
@@ -25,8 +26,8 @@ from conftest import exact_quadratic_average
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
                             _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
-                            _PROBES, _alias_check, _alias_estimate, _coherence, _spectral_axes,
-                            bandwidth_grid, spectral_grid)
+                            _PROBES, _PUMP_GROUP, _alias_check, _alias_estimate, _coherence,
+                            _spectral_axes, bandwidth_grid, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -346,9 +347,10 @@ class TestSpectralMixture:
             probe_s = sig.center_nm + sig.sigma_nm * _PROBE_X[:, None]
             probe_p = pump.center_nm + pump.sigma_nm * _PROBE_X[None, :]
             phi = np.broadcast_to(phase(ls, lp), (n, n))
-            moved = _alias_check(phi, phase(probe_s, lp), phase(ls, probe_p), ws, wp)
+            moved, = _alias_check(phi[None], phase(probe_s, lp)[None], phase(ls, probe_p)[None],
+                                  ws, wp[None])
             assert moved is not None and moved < 1e-9
-            coh = _coherence(phi, ws * wp)
+            coh, = _coherence(phi[None], (ws * wp)[None])
             assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-9
 
     def test_alias_check_recorded_values(self, paper_config):
@@ -372,12 +374,12 @@ class TestSpectralMixture:
         for phase, pmp, recorded in cases:
             ls, lp, ws, wp = _spectral_axes(sig, pmp, QUAD_NODES, QUAD_SPAN_SIGMAS)
             probes = len(_PROBE_X)
-            moved = _alias_check(
-                np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES)),
+            moved, = _alias_check(
+                np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))[None],
                 np.broadcast_to(phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp),
-                                (probes, QUAD_NODES)),
+                                (probes, QUAD_NODES))[None],
                 np.broadcast_to(phase(ls, pmp.center_nm + pmp.sigma_nm * _PROBE_X[None, :]),
-                                (QUAD_NODES, probes)), ws, wp)
+                                (QUAD_NODES, probes))[None], ws, wp[None])
             if recorded is None:
                 assert moved is None
             else:
@@ -406,7 +408,8 @@ class TestSpectralMixture:
                      (28.0, 0.0), (62.0, 0.0)):
             line = (a * x + c * x * x)[None, :]
             error = np.sum(w * np.exp(-1j * line[0])) - exact_quadratic_average(a, c=c)
-            estimate = _alias_estimate(line @ _LINE_FIT.T, line, w, np.ones(1))
+            estimate, = _alias_estimate((line @ _LINE_FIT.T)[None], line[None], w[None],
+                                        np.ones((1, 1)))
             assert abs(estimate - error) <= 1e-4 * abs(error) + 1e-9, (a, c, estimate, error)
 
     def test_quadratic_fit(self):
@@ -433,12 +436,13 @@ class TestSpectralMixture:
         ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
                                         QUAD_SPAN_SIGMAS)
         phi = np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))
-        assert sum(abs(_alias_estimate(lines @ _LINE_FIT.T, lines, along, across))
+        assert sum(abs(_alias_estimate((lines @ _LINE_FIT.T)[None], lines[None], along[None],
+                                       across[None])[0])
                    for lines, along, across in ((phi.T, ws[:, 0], wp[0]),
                                                 (phi, wp[0], ws[:, 0]))) < 1e-6
         probed_s = phase(c + sigma * _PROBE_X[:, None], lp)
         probed_p = phase(ls, pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :])
-        assert _alias_check(phi, probed_s, probed_p, ws, wp) is None
+        assert _alias_check(phi[None], probed_s[None], probed_p[None], ws, wp[None]) == [None]
         misfit = (np.max(np.abs(_PROBE_ROWS @ phi - probed_s) @ wp[0])
                   + np.max(ws[:, 0] @ np.abs(phi @ _PROBE_ROWS.T - probed_p)))
         assert misfit > _INTERPOLATION_TOL
@@ -506,6 +510,71 @@ class TestRelativeToMean:
                                              baseline_noise=cfg.baseline_noise)
             assert (pw, v_rect, v_diag) == (power, visibility(state, "rectilinear"),
                                             visibility(state, "diagonal"))
+
+
+class TestSpectralCoherences:
+    """A stack of pump spectra gives what each pump gives alone, warnings included."""
+
+    SIGNAL = GaussianSpectrum(670.0, 0.23)
+
+    #: 760 nm: a ripple on the signal node scale, which the probes send to
+    #: the doubled rule; 790 nm: a signal slope whose alias estimate
+    #: exceeds 1e-6; near 771 nm: smooth. Seven pumps fill one group and
+    #: part of the next.
+    PUMPS = [GaussianSpectrum(c, 0.3) for c in (771.0, 760.0, 790.0, 771.5, 790.2, 759.8, 772.0)]
+
+    @classmethod
+    def _phase(cls, s, p):
+        x = (s - cls.SIGNAL.center_nm) / cls.SIGNAL.sigma_nm
+        bump = lambda c: np.exp(-0.5 * ((p - c) / 2.0) ** 2)
+        return (0.1 * x * (p - 771.0) + 0.01 * np.sin(32.0 * x) * bump(760.0)
+                + 61.0 * x * bump(790.0))
+
+    @staticmethod
+    def _messages(build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = build()
+        return result, [str(w.message) for w in caught]
+
+    def _one_at_a_time(self, phase, relative_to_mean):
+        cohs, messages = [], []
+        for pump in self.PUMPS:
+            state, caught = self._messages(lambda: mixed_state_over_spectra(
+                phase, self.SIGNAL, pump, relative_to_mean=relative_to_mean))
+            cohs.append(2 * state.matrix[0, 3])
+            messages += caught
+        return cohs, messages
+
+    @pytest.mark.parametrize("relative_to_mean", [False, True])
+    def test_stack_matches_each_pump_alone(self, relative_to_mean):
+        calls = []
+
+        def phase(s, p):
+            calls.append(np.broadcast(s, p).shape)
+            return self._phase(s, p)
+
+        stacked, messages = self._messages(lambda: spectral_coherences(
+            phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean))
+        # one call per group, and one doubled-rule rerun per rippled pump
+        assert len(calls) == -(-len(self.PUMPS) // _PUMP_GROUP) + 2
+        assert len(self.PUMPS) % _PUMP_GROUP
+        alone, alone_messages = self._one_at_a_time(self._phase, relative_to_mean)
+        assert stacked == alone
+        assert messages == alone_messages
+        assert [m.split(": ")[1].rsplit(" ", 1)[0] for m in messages] == [
+            "doubling nodes moved the coherence by",
+            "the nodes' coherence has an estimated aliasing error of",
+            "the nodes' coherence has an estimated aliasing error of",
+            "doubling nodes moved the coherence by"]
+
+    @pytest.mark.parametrize("relative_to_mean", [False, True])
+    def test_scalar_phase(self, relative_to_mean):
+        phase = lambda s, p: 0.3
+        stacked, messages = self._messages(lambda: spectral_coherences(
+            phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean))
+        assert (stacked, messages) == self._one_at_a_time(phase, relative_to_mean)
+        assert not messages
 
 
 class TestFidelity:
