@@ -301,9 +301,9 @@ def _nll(rho, counts, n):
     return float(-(counts * np.log(lam) - lam).sum())
 
 
-def _random_state(entries):
+def _random_state(entries, rank=4):
     g = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
-    rho = g @ g.conj().T
+    rho = g[:, :rank] @ g[:, :rank].conj().T
     assume(np.trace(rho).real > 1e-3)
     return TwoQubitState(rho / np.trace(rho))
 
@@ -347,3 +347,19 @@ def test_mle_is_a_state_at_least_as_likely_as_the_truth(entries, n, seed):
     nll_truth = _nll(truth.matrix, counts, n)
     # margin for rounding only: both sums are of 36 terms of size ~n
     assert _nll(rho, counts, n) <= nll_truth + 1e-12 * abs(nll_truth)
+
+
+@CHEAP
+@given(entries=st.lists(unit_floats, min_size=32, max_size=32), rank=st.integers(1, 4),
+       n=st.sampled_from([1e3, 1e4, 1e5]), seed=st.integers(0, 2**32 - 1))
+def test_mle_meets_the_optimality_conditions(entries, rank, n, seed):
+    # The NLL is convex and the states are {rho >= 0, tr rho = 1}, so rho is
+    # optimal iff, with G = dNLL/drho and mu = Re tr(G rho), G - mu I >= 0
+    # and (G - mu I) rho = 0. Checked from the gradient alone, with no solver.
+    data = simulate_counts(_random_state(entries, rank), SETTINGS, n, seed=seed)
+    rho = reconstruct_mle(data).matrix
+    g = _gradient(rho, PIS.reshape(36, 16), np.asarray(data.counts), n)
+    slack = g - np.trace(g @ rho).real * np.eye(4)
+    tol = 1e-4 * np.linalg.norm(g)
+    assert np.linalg.eigvalsh(slack).min() >= -tol
+    assert np.linalg.norm(slack @ rho) <= tol
