@@ -21,12 +21,10 @@ import numpy as np
 from .states import (
     GaussianSpectrum,
     TwoQubitState,
-    _coherence_matrix,
     best_bell_fidelity,
     mixed_state_over_spectra,
     spectral_coherences,
     spectral_mean_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
-    visibility,
 )
 from .phase import compensated_phase
 
@@ -308,11 +306,6 @@ def _broadened(p: NoiseParams, pump_spectrum: GaussianSpectrum,
                             pump_spectrum.fwhm_nm * (1.0 + p.spm_coeff * avg_power_mw))
 
 
-def _with_white_noise(spectral: np.ndarray, w: float) -> TwoQubitState:
-    """The spectral density matrix with white noise of weight ``w`` admixed."""
-    return TwoQubitState((1.0 - w) * spectral + w * np.eye(4) / 4.0)
-
-
 def effective_state_at_power(p: NoiseParams, fiber, comps,
                              signal_spectrum: GaussianSpectrum,
                              pump_spectrum: GaussianSpectrum,
@@ -331,7 +324,7 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
     rho_spec = mixed_state_over_spectra(
         lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum,
         _broadened(p, pump_spectrum, avg_power_mw), relative_to_mean=True)
-    return _with_white_noise(rho_spec.matrix, w)
+    return TwoQubitState((1.0 - w) * rho_spec.matrix + w * np.eye(4) / 4.0)
 
 
 def calibrate_baseline_noise(p: NoiseParams, fiber, comps,
@@ -370,21 +363,21 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
     """Rectilinear and diagonal visibilities across a power sweep.
 
     Returns a list of ``(power_mw, v_rect, v_diag)`` tuples, one per
-    power of the iterable ``powers_mw``; each is read from the state
-    that ``effective_state_at_power`` returns at that power, bit for
-    bit. Every power and ``baseline_noise`` are checked before any phase
-    is evaluated. The spectral coherences of all powers come from one
+    power of the iterable ``powers_mw``, in closed form from the noise
+    weight w and the spectral coherence c at that power. The state of
+    ``effective_state_at_power`` is the X state (1 - w) rho_spec + w I/4,
+    where rho_spec has 1/2 on HH and VV and c/2 between them. HH holds
+    (2 - w)/4 and HV w/4 of their sum 1/2, so V_rect = 1 - w; DD and DA
+    hold (1 +- (1 - w) Re c)/4, so V_diag = (1 - w)|Re c|, exactly.
+    Every power and ``baseline_noise`` are checked before any phase is
+    evaluated. The coherences of all powers come from one
     ``spectral_coherences`` call, which evaluates the phase once per
-    group of broadened pump spectra, and each power's state is built
-    once.
+    group of broadened pump spectra; no state is built.
     """
     powers = [float(pw) for pw in powers_mw]
     weights = [_noise_weight(p, pw, baseline_noise) for pw in powers]
     cohs = spectral_coherences(
         lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum,
         [_broadened(p, pump_spectrum, pw) for pw in powers], relative_to_mean=True)
-    rows = []
-    for pw, w, coh in zip(powers, weights, cohs):
-        state = _with_white_noise(_coherence_matrix(coh), w)
-        rows.append((pw, visibility(state, "rectilinear"), visibility(state, "diagonal")))
-    return rows
+    return [(pw, 1.0 - w, (1.0 - w) * abs(coh.real))
+            for pw, w, coh in zip(powers, weights, cohs)]

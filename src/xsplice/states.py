@@ -516,15 +516,6 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, ws
     return cohs
 
 
-def _coherence_matrix(coh: complex) -> np.ndarray:
-    """Populations 1/2 on HH and VV, and ``coh / 2`` between them."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 0.5
-    m[0, 3] = 0.5 * coh
-    m[3, 0] = np.conj(m[0, 3])
-    return m
-
-
 def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
                              pump: GaussianSpectrum, *,
                              relative_to_mean: bool = False) -> TwoQubitState:
@@ -537,7 +528,11 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     ``pure_phi_state`` exactly.
     """
     coh, = spectral_coherences(phase_fn, signal, [pump], relative_to_mean=relative_to_mean)
-    return TwoQubitState(_coherence_matrix(coh))
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = 0.5
+    m[0, 3] = 0.5 * coh
+    m[3, 0] = np.conj(m[0, 3])
+    return TwoQubitState(m)
 
 
 def fidelity(state: TwoQubitState, target: np.ndarray) -> float:

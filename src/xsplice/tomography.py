@@ -237,6 +237,8 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
             fz = _deviance(z, flat, counts, n)
             if fz <= fy + np.vdot(grad, step).real + 0.5 * lip * np.vdot(step, step).real:
                 break
+            if np.linalg.norm(step) <= 1e-10:
+                break  # a step the loop stops at: its test is decided by rounding
             lip *= 2.0
         if y is x and fz >= fx:
             break  # a plain step no longer lowers the NLL: x is optimal to rounding

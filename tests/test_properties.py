@@ -2,15 +2,17 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState,
                      compensated_phase, compensator_phase, reconstruct_mle,
-                     simulate_counts, standard_settings, total_phase)
+                     simulate_counts, standard_settings, total_phase, visibility)
+from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
 from xsplice.materials import WavelengthRangeError, birefringence, index
 from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwidths,
@@ -236,6 +238,27 @@ def test_mean_referenced_state_ignores_the_offset(signal_spectrum, pump_spectrum
     referenced = state(offset, True)
     assert np.max(np.abs(referenced - state(0.0, True))) <= 1e-9
     assert abs(abs(referenced[0, 3]) - abs(state(offset, False)[0, 3])) <= 1e-12
+
+
+@CHEAP
+@given(r=st.floats(0.0, 1.0), angle=st.floats(-math.pi, math.pi), w=st.floats(0.0, 1.0))
+@example(r=1.0, angle=math.pi, w=0.0)
+@example(r=1.0, angle=2.0, w=0.25)
+def test_sweep_closed_form_is_the_x_states_visibilities(paper_config, r, angle, w):
+    # the sweep's (1 - w, (1 - w)|Re c|) against visibility() of the state that
+    # effective_state_at_power builds from the same coherence c and weight w;
+    # 4 ulps of 1, the visibilities' scale, since |Re c| may be near 0
+    coh = r * complex(math.cos(angle), math.sin(angle))
+    cfg = paper_config
+    args = (cfg.noise, cfg.fiber, cfg.compensators)
+    cohs = lambda phase_fn, signal, pumps, relative_to_mean: [coh] * len(pumps)
+    with mock.patch("xsplice.states.spectral_coherences", cohs), \
+            mock.patch("xsplice.counts.spectral_coherences", cohs), \
+            mock.patch("xsplice.counts._noise_weight", lambda p, pw, baseline: w):
+        (_, v_rect, v_diag), = visibility_vs_power(*args, [30.0], cfg.signal, cfg.pump)
+        state = effective_state_at_power(*args, cfg.signal, cfg.pump, 30.0)
+    assert abs(v_rect - visibility(state, "rectilinear")) <= 4 * math.ulp(1.0)
+    assert abs(v_diag - visibility(state, "diagonal")) <= 4 * math.ulp(1.0)
 
 
 def _sigma_phase(signal, pump, a, b, c, d, e, offset=0.0):

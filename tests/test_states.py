@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from xsplice import (
     werner_state,
 )
 from conftest import exact_quadratic_average
+from xsplice import counts
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
                             _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
@@ -508,8 +510,22 @@ class TestRelativeToMean:
         for (pw, v_rect, v_diag), power in zip(rows, powers):
             state = effective_state_at_power(*args, cfg.signal, cfg.pump, power,
                                              baseline_noise=cfg.baseline_noise)
-            assert (pw, v_rect, v_diag) == (power, visibility(state, "rectilinear"),
-                                            visibility(state, "diagonal"))
+            # the closed form and the 4x4 state round differently, by ulps
+            assert pw == power
+            for v, basis in ((v_rect, "rectilinear"), (v_diag, "diagonal")):
+                expected = visibility(state, basis)
+                assert abs(v - expected) <= 4 * math.ulp(expected)
+
+    def test_power_sweep_builds_no_state(self, paper_config, monkeypatch):
+        cfg = paper_config
+        args = (cfg.noise, cfg.fiber, cfg.compensators, (5.0, 30.0, 60.0), cfg.signal, cfg.pump)
+        rows = visibility_vs_power(*args, baseline_noise=cfg.baseline_noise)
+
+        def no_state(matrix):
+            raise AssertionError("visibility_vs_power built a TwoQubitState")
+
+        monkeypatch.setattr(counts, "TwoQubitState", no_state)
+        assert visibility_vs_power(*args, baseline_noise=cfg.baseline_noise) == rows
 
 
 class TestSpectralCoherences:
