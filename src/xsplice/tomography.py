@@ -6,6 +6,10 @@ complete). Counts are independent Poisson draws per setting. The
 reconstruction maximizes the Poisson log-likelihood, which is concave in
 the density matrix: damped Newton steps inside the states, then
 accelerated projected gradient over the states from where they stop.
+Where the projections settle on states of rank r < 4, damped Newton
+steps on the rank-r factor rho = A A^dagger / tr(A A^dagger) finish the
+solve, and their result is kept only where the likelihood's gradient
+certifies it optimal to rounding.
 """
 
 from __future__ import annotations
@@ -129,19 +133,24 @@ def _rate_deviance(lam: np.ndarray, counts: np.ndarray) -> float:
 
 def _gradient(rho: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:
     """d NLL / d rho = sum_k n (1 - c_k / lam_k) Pi_k."""
-    lam = n * (flat @ rho.T.ravel()).real
+    return _rate_gradient(n * (flat @ rho.T.ravel()).real, flat, counts, n)
+
+
+def _rate_gradient(lam: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:
+    """``_gradient`` from the expected counts lam_k."""
     g = n - np.divide(n * counts, lam, out=np.zeros_like(lam), where=counts > 0)
     return (g @ flat).reshape(4, 4)
 
 
-def _project(h: np.ndarray) -> np.ndarray:
-    """The density matrix nearest to Hermitian ``h``: its eigenvalues go onto
-    the simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012))."""
+def _project(h: np.ndarray) -> tuple:
+    """The density matrix nearest to Hermitian ``h``, and its rank: the
+    eigenvalues go onto the simplex (Smolin, Gambetta & Smith, PRL 108,
+    070502 (2012))."""
     w, v = np.linalg.eigh(h)
     u = w[::-1]
     shift = (np.cumsum(u) - 1.0) / np.arange(1, 5)
     w = np.maximum(w - shift[np.nonzero(u > shift)[0][-1]], 0.0)
-    return (v * w) @ v.conj().T
+    return (v * w) @ v.conj().T, np.count_nonzero(w)
 
 
 def _is_positive_definite(m: np.ndarray) -> bool:
@@ -194,6 +203,99 @@ def _newton_start(flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:
     return x
 
 
+def _face_newton(x: np.ndarray, rank: int, flat: np.ndarray, counts: np.ndarray,
+                 n: float) -> tuple:
+    """Damped Newton steps on the states of rank <= ``rank``, from ``x``.
+
+    rho = A A^dagger / tr(A A^dagger) with A in C^{4 x rank}, in the real
+    coordinates a_c = [Re A_c; Im A_c] of each column (James, Kwiat, Munro &
+    White, PRA 64, 052312 (2001); Burer & Monteiro, Math. Program. 95, 329
+    (2003)). With B_k = [[Re Pi_k, -Im Pi_k], [Im Pi_k, Re Pi_k]],
+    q_k = sum_c a_c^T B_k a_c and t = |a|^2, lam_k = n q_k / t, and with
+    phi_k = 1 - c_k / lam_k the NLL's gradient is g = sum_k phi_k dlam_k,
+    dlam_k = (2n/t)(B_k a - (q_k/t) a). Its Hessian is
+    sum_k (c_k / lam_k^2) dlam_k dlam_k^T + (2n/t)[(sum_k phi_k B_k) (x) I
+    - (sum_k phi_k q_k / t) I] - (2/t)(g a^T + a g^T). The U(rank) gauge
+    A -> A U and the scale of a leave the NLL unchanged; a step is taken on
+    the complement of those rank^2 + 1 directions, where the last term
+    vanishes, with the Hessian's eigenvalues inverted by their magnitude.
+    Step halving, the Armijo test and the stop at a decrement below
+    eps sum_k |lam_k - c_k| are ``_newton_start``'s. Returns rho and the
+    lam_k of the factor, sums of squares free of the cancellation in
+    n tr(Pi_k rho) where lam_k is small.
+    """
+    p, v = np.linalg.eigh(x)
+    a = np.concatenate([v.real[:, -rank:], v.imag[:, -rank:]]) * np.sqrt(p[-rank:])
+    pis = flat.reshape(-1, 4, 4)
+    bs = np.block([[pis.real, -pis.imag], [pis.imag, pis.real]])
+    e = np.eye(rank)[:, None, :, None] * np.eye(rank)[None, :, None, :]  # E_jk
+    j, k = np.triu_indices(rank, 1)
+    j0, k0 = np.triu_indices(rank)
+    skew = np.concatenate([e[j, k] - e[k, j], 1j * (e[j0, k0] + e[k0, j0])])  # a basis of u(rank)
+
+    def rates(a):
+        ba = bs @ a
+        q = np.einsum("kic,ic->k", ba, a)
+        t = np.vdot(a, a)
+        return ba, q, t, (n / t) * q
+
+    ba, q, t, lam = rates(a)
+    f = _rate_deviance(lam, counts)
+    for _ in range(100):  # about 5 steps
+        w = np.divide(counts, lam, out=np.zeros_like(lam), where=counts > 0)
+        phi = 1.0 - w
+        dlam = ((2.0 * n / t) * (ba - (q / t)[:, None, None] * a)).reshape(len(lam), -1)
+        grad = phi @ dlam
+        kron = (phi @ bs.reshape(len(phi), -1)).reshape(8, 1, 8, 1) * np.eye(rank)[:, None, :]
+        hess = ((dlam.T * np.divide(w, lam, out=np.zeros_like(lam), where=counts > 0)) @ dlam
+                + (2.0 * n / t) * (kron.reshape(a.size, a.size) - (phi @ q / t) * np.eye(a.size)))
+        orbit = (a[:4] + 1j * a[4:]) @ skew  # the gauge directions A K
+        orbit = np.concatenate([orbit.real, orbit.imag], axis=1).reshape(len(skew), -1)
+        free = np.linalg.qr(np.vstack([orbit, a.ravel()]).T, mode="complete")[0][:, len(skew) + 1:]
+        ew, ev = np.linalg.eigh(free.T @ hess @ free)
+        keep = np.abs(ew) > np.finfo(float).eps * len(ew) * np.abs(ew).max()
+        ev = free @ ev[:, keep]
+        step = (ev @ ((grad @ ev) / np.abs(ew[keep]))).reshape(a.shape)
+        dec = grad @ step.ravel()
+        last = dec <= np.finfo(float).eps * np.abs(lam - counts).sum()
+        for alpha in (1.0, 0.5, 0.25, 0.125):
+            trial = a - alpha * step
+            rated = rates(trial)
+            f_t = _rate_deviance(rated[3], counts)
+            if last or f_t <= f - 0.25 * alpha * dec:
+                break
+        else:
+            break
+        a, f = trial, f_t
+        ba, q, t, lam = rated
+        if last:
+            break
+    m = a[:4] + 1j * a[4:]
+    return (m @ m.conj().T) / t, lam
+
+
+def _finish_on_face(x: np.ndarray, fx: float, rank: int, flat: np.ndarray,
+                    counts: np.ndarray, n: float):
+    """``_face_newton`` from ``x``, or None unless its result is certified.
+
+    The NLL is convex, so with G = ``_gradient`` at rho and mu = Re tr(G rho),
+    every state s has NLL(s) >= NLL(rho) + tr(G s) - mu >= NLL(rho) +
+    lambda_min(G - mu I): rho is within max(0, -lambda_min(G - mu I)) of the
+    optimum. The result is kept when that bound is at most one ulp of the
+    NLL's terms, eps sum_k (lam_k + c_k |log lam_k|), below which no
+    likelihood tells two states apart, and its deviance is no higher than
+    ``fx``, that of ``x``. G is taken at the factor's lam_k.
+    """
+    rho, lam = _face_newton(x, rank, flat, counts, n)
+    if _rate_deviance(lam, counts) > fx:
+        return None
+    grad = _rate_gradient(lam, flat, counts, n)
+    gap = -np.linalg.eigvalsh(grad - np.vdot(grad, rho).real * np.eye(4))[0]
+    seen = counts > 0
+    ulp = np.finfo(float).eps * (lam.sum() + counts[seen] @ np.abs(np.log(lam[seen])))
+    return rho if gap <= ulp else None
+
+
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first call.
 
@@ -219,6 +321,15 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     most 1e-10 (Frobenius), or when a step from the iterate itself no
     longer lowers the NLL. Issues a RuntimeWarning (and still returns the
     iterate) if neither happens within 5000 steps.
+
+    FISTA's projection also reports the rank of each iterate. Once two
+    accepted steps in a row land on one rank r < 4, damped Newton steps
+    on the states of rank <= r finish from there (``_face_newton``). Their
+    result is returned only if it is certified (``_finish_on_face``): its
+    gap bound -lambda_min(G - mu I) is at most one ulp of the NLL, and its
+    deviance is no higher than FISTA's iterate. Otherwise FISTA goes on,
+    and tries the face again after twice as many steps on one rank. A
+    solve whose projections all have rank 4 runs FISTA alone.
     """
     flat = _projector_stack(data.settings).reshape(len(data.settings), 16)
     if np.linalg.matrix_rank(flat, tol=1e-10) < 16:
@@ -229,10 +340,11 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     x = _newton_start(flat, counts, n)
     fx = _deviance(x, flat, counts, n)
     y, fy, t, lip = x, fx, 1.0, n
+    face, streak, wait = 4, 0, 2  # rank of the last steps, their number, the next try
     for _ in range(5000):
         grad = _gradient(y, flat, counts, n)
         while True:  # backtrack until the quadratic model bounds the NLL
-            z = _project(y - grad / lip)
+            z, rank = _project(y - grad / lip)
             step = z - y
             fz = _deviance(z, flat, counts, n)
             if fz <= fy + np.vdot(grad, step).real + 0.5 * lip * np.vdot(step, step).real:
@@ -248,6 +360,13 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
         restart = np.vdot(step, z - x).real < 0.0
         x_old, x, fx = x, z, fz
         lip *= 0.9
+        streak, face = (streak + 1 if rank == face else 1), rank
+        if face < 4 and streak == wait:  # on one face for `wait` steps: finish there
+            wait *= 2
+            rho = _finish_on_face(x, fx, face, flat, counts, n)
+            if rho is not None:
+                x = rho
+                break
         if np.linalg.norm(step) <= 1e-10:
             break
         t_old, t = t, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))

@@ -378,11 +378,15 @@ def test_mle_is_a_state_at_least_as_likely_as_the_truth(entries, n, seed):
 def test_mle_meets_the_optimality_conditions(entries, rank, n, seed):
     # The NLL is convex and the states are {rho >= 0, tr rho = 1}, so rho is
     # optimal iff, with G = dNLL/drho and mu = Re tr(G rho), G - mu I >= 0
-    # and (G - mu I) rho = 0. Checked from the gradient alone, with no solver.
+    # and (G - mu I) rho = 0; and NLL(rho) is within the certified gap
+    # -lambda_min(G - mu I) of the optimum. Checked from the gradient alone,
+    # with no solver. On these draws the gap reaches 6.1e-12 |G| and the
+    # residual 2.1e-12 |G| (rank 4; finished by FISTA); where FISTA also
+    # finished the boundary optima of ranks 1-3, the gap reached 3.8e-7 |G|.
     data = simulate_counts(_random_state(entries, rank), SETTINGS, n, seed=seed)
     rho = reconstruct_mle(data).matrix
     g = _gradient(rho, PIS.reshape(36, 16), np.asarray(data.counts), n)
     slack = g - np.trace(g @ rho).real * np.eye(4)
-    tol = 1e-4 * np.linalg.norm(g)
-    assert np.linalg.eigvalsh(slack).min() >= -tol
+    tol = 1e-10 * np.linalg.norm(g)
+    assert -np.linalg.eigvalsh(slack).min() <= tol
     assert np.linalg.norm(slack @ rho) <= tol

@@ -136,6 +136,55 @@ REPLICATE_COUNTS = [
 ]
 
 
+# The first bootstrap replicate of the pure_phi_1e5 case of
+# test_pinned_replicates, at 1e5 counts per setting: a rank-one optimum.
+PURE_PHI_REPLICATE = (
+    50064, 0, 25194, 24815, 24876, 24956, 1, 49886, 25012, 25376, 24632, 25067,
+    24913, 25073, 48892, 1068, 32403, 17604, 24731, 24699, 1035, 49134, 17456, 32245,
+    24720, 25202, 32349, 17722, 1089, 48887, 25275, 25011, 17701, 32618, 49077, 1117,
+)
+
+
+def fista_to_step(data, step_tol, max_steps=100_000):
+    """Reference: FISTA alone (backtracked step, restart when the NLL
+    rises) from I/4, run until a step moves the state by at most
+    ``step_tol`` (Frobenius). No Newton steps."""
+    flat = tomography._projector_stack(data.settings).reshape(len(data.settings), 16)
+    counts, n = np.asarray(data.counts), data.total_per_setting
+
+    def nll(rho):
+        return tomography._deviance(rho, flat, counts, n)
+
+    x = y = np.eye(4, dtype=complex) / 4
+    fx = fy = nll(x)
+    t, lip = 1.0, n
+    for _ in range(max_steps):
+        g = tomography._gradient(y, flat, counts, n)
+        while True:
+            z = tomography._project(y - g / lip)[0]
+            step = z - y
+            fz = nll(z)
+            if (fz <= fy + np.vdot(g, step).real + 0.5 * lip * np.vdot(step, step).real
+                    or np.linalg.norm(step) <= step_tol):
+                break
+            lip *= 2.0
+        if fz > fx:
+            if y is x:
+                break
+            y, fy, t = x, fx, 1.0
+            continue
+        x_old, x, fx = x, z, fz
+        lip *= 0.9
+        if np.linalg.norm(step) <= step_tol:
+            break
+        t_old, t = t, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x + ((t_old - 1.0) / t) * (x - x_old)
+        fy = nll(y)
+        if fy == np.inf:
+            y, fy, t = x, fx, 1.0
+    return x
+
+
 def multistart_cholesky_mle(data):
     """Oracle: the NLL over rho = T T^dagger / tr(T T^dagger), T lower
     triangular with a real diagonal (16 real parameters; James, Kwiat,
@@ -272,6 +321,35 @@ class TestReconstruction:
             reconstruct_mle(simulate_counts(werner_state(0.9), settings, 1e4, seed=seed))
             assert len(calls) <= 5, seed
 
+    def test_boundary_estimates_take_few_projections(self, monkeypatch, settings):
+        # "fd" and "rounding" have interior optima, one projection each;
+        # "stalled" and the pure_phi_1e5 estimate of test_pinned_replicates
+        # have rank-one optima. FISTA finished those in 56 and 44
+        # projections; two steps onto one face hand them to Newton steps on
+        # it, and each takes 10 projections in all
+        draws = [TomographyData(settings=tuple(settings), counts=counts, total_per_setting=1e3)
+                 for counts in REPLICATE_COUNTS]
+        draws += [simulate_counts(pure_phi_state(0.3), settings, 1e4, seed=[1619, 99]),
+                  simulate_counts(pure_phi_state(0.3), settings, 1e5, seed=41)]
+        project, calls = tomography._project, []
+        monkeypatch.setattr(tomography, "_project", lambda h: calls.append(h) or project(h))
+        for data in draws:
+            reconstruct_mle(data)
+        assert len(calls) <= 30  # 22 here; 102 where FISTA finished
+
+    def test_boundary_optimum_is_not_left_to_the_step_stop(self, settings):
+        # FISTA's 1e-10 step stop left this rank-one solve 2.6e-7 above
+        # FISTA run on to a 1e-15 step (1264 steps)
+        data = TomographyData(settings=tuple(settings), counts=PURE_PHI_REPLICATE,
+                              total_per_setting=1e5)
+        flat = tomography._projector_stack(settings).reshape(36, 16)
+        counts = np.asarray(data.counts)
+        reference = fista_to_step(data, step_tol=1e-15)
+        lam = 1e5 * (flat @ reference.T.ravel()).real
+        rounding = np.finfo(float).eps * np.abs(lam - counts).sum()
+        got = tomography._deviance(reconstruct_mle(data).matrix, flat, counts, 1e5)
+        assert got <= tomography._deviance(reference, flat, counts, 1e5) + rounding
+
     def test_informationally_incomplete_rejected(self, settings, werner_truth):
         subset = settings[:10]
         data = simulate_counts(werner_truth, subset, 1e4, seed=19)
@@ -321,14 +399,16 @@ class TestErrorBars:
     # (fidelity_std, tangle_std) with the B divisor of np.std's default,
     # scaled here by sqrt(B / (B - 1)) to the B - 1 divisor. They pin the
     # replicate draws (simulate_counts from the estimate, on one generator)
-    # and the solve that starts FISTA from the Newton iterate. Against the
-    # FISTA-from-I/4 solve, the draws were the same and the values moved
-    # within the two solves' stopping errors: 1e-8 relative on werner_1e3,
-    # 3.6e-4 on pure_phi_1e5, whose optima are on the boundary.
+    # and the solve. werner_1e3 and model_30mw_1e4 have interior optima,
+    # which FISTA finishes; pure_phi_1e5's four optima are on the boundary,
+    # where Newton steps on the face finish them at a certified optimum.
+    # FISTA's own stop had left them up to 2.6e-7 above it; against that
+    # finish the draws were the same and the values moved by -1.7e-4 and
+    # -5.8e-6 relative.
     @pytest.mark.parametrize("case, expected", [
         ("werner_1e3", (0.0023288207248321068, 0.0077230573739875095)),
         ("model_30mw_1e4", (0.0004969345159843845, 0.0017301757385986454)),
-        ("pure_phi_1e5", (0.0001730802358167219, 0.00030564592658470513)),
+        ("pure_phi_1e5", (0.00017305138159731724, 0.00030564415078506205)),
     ])
     def test_pinned_replicates(self, settings, paper_config, case, expected):
         if case == "werner_1e3":
