@@ -31,6 +31,7 @@ __all__ = [
     "FiberSpec",
     "CompensatorMaterial",
     "index",
+    "index_and_group_index",
     "slow_axis_index",
     "birefringence",
     "load_materials",
@@ -125,6 +126,27 @@ def index(model: SellmeierModel, wavelength_nm):
     for b, c in model.terms:
         n2 += b * lam2 / (lam2 - c)
     return np.sqrt(n2) if n2.ndim else float(np.sqrt(n2))
+
+
+def index_and_group_index(model: SellmeierModel, wavelength_nm) -> tuple:
+    """``(n, n_g)``: the index and the group index n - lambda dn/dlambda.
+
+    Differentiating the Sellmeier sum gives dn/dlambda = -(1/n) sum_j
+    B_j C_j lambda / (lambda^2 - C_j)^2, so n_g = n + (1/n) sum_j
+    B_j C_j lambda^2 / (lambda^2 - C_j)^2, from the same terms in the
+    same pass. ``n`` is bit for bit ``index(model, wavelength_nm)``.
+    """
+    lam2 = (_check_range(model, wavelength_nm) / 1000.0) ** 2
+    n2 = np.ones_like(lam2)
+    slope = np.zeros_like(lam2)  # sum_j B_j C_j lambda^2 / (lambda^2 - C_j)^2
+    for b, c in model.terms:
+        d = lam2 - c
+        term = b * lam2 / d
+        n2 += term
+        slope += term * c / d
+    n = np.sqrt(n2)
+    n_g = n + slope / n
+    return (n, n_g) if n.ndim else (float(n), float(n_g))
 
 
 def slow_axis_index(fiber: FiberSpec, wavelength_nm):

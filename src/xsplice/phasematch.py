@@ -9,6 +9,18 @@ with all wavelengths in metres and the idler fixed by energy
 conservation, li = ls*lp / (2*ls - lp). The birefringence term 4*pi*B/lp
 is what opens a non-degenerate solution: without it normal dispersion
 keeps dk negative everywhere below the pump.
+
+Both slopes of dk are group-index differences, from the analytic
+Sellmeier group index n_g = n - lambda dn/dlambda (``materials``). At
+fixed pump, d(n/lambda)/dlambda = -n_g/lambda^2 and d(li)/d(ls) =
+-(li/ls)^2 give
+
+    d dk/d ls = 2*pi * [ n_g(ls) - n_g(li) ] / ls^2,
+
+the signal-idler walk-off; at fixed signal, d(li)/d(lp) = 2 (li/lp)^2
+gives
+
+    d dk/d lp = 4*pi * [ n_g(li) - n_g(lp) - B ] / lp^2.
 """
 
 from __future__ import annotations
@@ -19,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FiberSpec, WavelengthRangeError, index, slow_axis_index
+from .materials import (FiberSpec, WavelengthRangeError, index, index_and_group_index,
+                        slow_axis_index)
 
 __all__ = [
     "PhaseMatchError",
@@ -42,9 +55,6 @@ SCAN_POINTS = 2000
 
 #: sinc^2(x) = 1/2 at x = X_HALF.
 X_HALF = 1.3915573782515103
-
-#: Step of the central differences of dk in either wavelength, nm.
-_DIFF_STEP_NM = 0.01
 
 _ENERGY_RTOL = 1e-12
 
@@ -106,17 +116,53 @@ def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0)
     """Vector phase mismatch dk in rad/m at the given signal wavelength(s)."""
     ls = np.asarray(lambda_s_nm, dtype=float)
     li = idler_wavelength(ls, lambda_p_nm)
-    n_p = slow_axis_index(fiber, lambda_p_nm)
-    n_s = index(fiber.core_model, ls)
-    n_i = index(fiber.core_model, li)
-    m = 1e-9
-    dk = 2.0 * np.pi * (
-        2.0 * n_p / (lambda_p_nm * m)
-        - n_s / (ls * m)
-        - n_i / (li * m)
-    )
+    pump = _pump_term(slow_axis_index(fiber, lambda_p_nm), lambda_p_nm)
+    core = fiber.core_model
+    dk = _mismatch(pump, index(core, ls), ls, index(core, li), li)
     dk = dk + 2.0 * fiber.gamma * peak_power_w
     return dk if np.ndim(dk) else float(dk)
+
+
+def _pump_term(n_p, lp):
+    """2 n_p / lp in 1/m, the pump's share of dk / 2 pi; ``n_p`` is the
+    slow-axis index at ``lp`` nm."""
+    return 2.0 * n_p / (lp * 1e-9)
+
+
+def _mismatch(pump, n_s, ls, n_i, li):
+    """dk at zero peak power from the pump term and the pair's indices:
+    the one expression behind ``phase_mismatch`` and the refinement."""
+    m = 1e-9
+    return 2.0 * np.pi * (pump - n_s / (ls * m) - n_i / (li * m))
+
+
+def _signal_slope(g_s, ls, g_i):
+    """d dk/d ls at fixed pump, rad/m per nm, from the signal and idler
+    group indices: the signal-idler walk-off."""
+    return 2.0 * np.pi * (g_s - g_i) / (ls * ls * 1e-9)
+
+
+def _pair(fiber: FiberSpec, pump, lp, ls):
+    """dk at zero peak power and d dk/d ls on 1-D signals.
+
+    Signal and idler go through one Sellmeier pass, which gives their
+    group indices with their indices.
+    """
+    li = idler_wavelength(ls, lp)
+    n, n_g = index_and_group_index(fiber.core_model, np.concatenate((ls, li)))
+    k = ls.size
+    return _mismatch(pump, n[:k], ls, n[k:], li), _signal_slope(n_g[:k], ls, n_g[k:])
+
+
+def _point_slopes(fiber: FiberSpec, lp: float, ls: float) -> tuple:
+    """dk at zero peak power, d dk/d ls and d dk/d lp (rad/m per nm) at
+    one point, from one Sellmeier pass at signal, idler and pump."""
+    li = idler_wavelength(ls, lp)
+    (n_s, n_i, n_p), (g_s, g_i, g_p) = index_and_group_index(fiber.core_model,
+                                                             np.array([ls, li, lp]))
+    b = fiber.birefringence
+    dk = _mismatch(_pump_term(n_p + b, lp), n_s, ls, n_i, li)
+    return dk, _signal_slope(g_s, ls, g_i), 4.0 * np.pi * (g_i - g_p - b) / (lp * lp * 1e-9)
 
 
 def _scan_window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
@@ -146,37 +192,48 @@ def _last(mask):
 def _refine(fiber, lp, a, b, fa, fb, level):
     """Roots of dk(lp, ls) - level on the brackets a < ls < b, in lockstep.
 
-    Illinois regula falsi: each round takes the secant step through the
-    bracket ends, or the midpoint where that step does not land strictly
-    inside, and keeps the sub-bracket with the sign change. An end kept
-    twice in a row has its value halved, which stops one end from
-    sticking. ``fa`` and ``fb`` are dk - level at the ends and have
-    opposite signs, so ``fb - fa`` is never zero. An element leaves the
-    active set once |dk - level| < MISMATCH_TOL. Every operation is
+    Newton steps on the analytic slope d dk/d ls, safeguarded by the
+    bracket as in rtsafe (Numerical Recipes, section 9.4). The first
+    point is the secant through the bracket ends, or the midpoint where
+    that does not land strictly inside; ``fa`` and ``fb`` are dk - level
+    at the ends and have opposite signs, so ``fb - fa`` is never zero.
+    Each round evaluates dk and its slope at the point, keeps the
+    sub-bracket with the sign change, and steps to the Newton point. It
+    takes the midpoint instead where the Newton point leaves the bracket,
+    where the step is more than half the last one, or where the slope is
+    zero or NaN. An element leaves the active set once
+    |dk - level| < MISMATCH_TOL; its f is then exactly
+    ``phase_mismatch(fiber, lp, x) - level``. Every operation is
     elementwise, so a root does not depend on what else is refined with
     it. Returns ``(x, f)``, both NaN where the tolerance was not reached.
     """
     x_out = np.full(a.shape, np.nan)
     f_out = np.full(a.shape, np.nan)
     act = np.arange(a.size)
-    kept = np.zeros(a.size)  # +1: b kept last round, -1: a kept
+    pump = _pump_term(slow_axis_index(fiber, lp), lp)
+    x = a - fa * (b - a) / (fb - fa)
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    last = b - a  # the step before the first Newton step: the bracket
     for _ in range(_MAX_ROUNDS):
         if not act.size:
             break
-        x = a - fa * (b - a) / (fb - fa)
-        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        f = phase_mismatch(fiber, lp, x) - level
+        dk, slope = _pair(fiber, pump, lp, x)
+        f = dk - level
         done = np.abs(f) < MISMATCH_TOL
         x_out[act[done]], f_out[act[done]] = x[done], f[done]
         left = ~done
-        act, lp, level, kept = act[left], lp[left], level[left], kept[left]
-        a, b, fa, fb, x, f = a[left], b[left], fa[left], fb[left], x[left], f[left]
+        act, lp, pump, level, last = act[left], lp[left], pump[left], level[left], last[left]
+        a, b, fa, x, f, slope = a[left], b[left], fa[left], x[left], f[left], slope[left]
         move_a = (f < 0) == (fa < 0)
-        fb = np.where(move_a & (kept > 0), 0.5 * fb, fb)
-        fa = np.where(~move_a & (kept < 0), 0.5 * fa, fa)
         a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
-        b, fb = np.where(move_a, b, x), np.where(move_a, fb, f)
-        kept = np.where(move_a, 1.0, -1.0)
+        b = np.where(move_a, b, x)
+        # x - f/slope lies strictly inside (a, b), and |f/slope| <= last/2;
+        # both tests multiply, so a zero or NaN slope fails them
+        newton = ((((x - a) * slope - f) * ((x - b) * slope - f) < 0)
+                  & (np.abs(2.0 * f) <= np.abs(last * slope)))
+        step = np.divide(f, slope, out=np.zeros_like(f), where=newton)
+        x = np.where(newton, x - step, 0.5 * (a + b))
+        last = np.where(newton, np.abs(step), 0.5 * (b - a))
     return x_out, f_out
 
 
@@ -240,9 +297,11 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
     A coarse scan of ``SCAN_POINTS`` points over the (validity-clipped)
     signal window brackets the sign changes. Only the root closest to
     the pump is refined, the branch continuously connected to
-    degeneracy: a bracketed secant (Illinois regula falsi) runs until
-    |dk| < 1e-6 rad/m. This is the one-pump case of the solver behind
-    ``tuning_curve``.
+    degeneracy: Newton steps on the analytic slope d dk/d ls, kept
+    inside the bracket, run until |dk| < 1e-6 rad/m, which takes two
+    evaluations per root on the design range. The reported residual is
+    exactly ``phase_mismatch(fiber, lp, ls)``. This is the one-pump case
+    of the solver behind ``tuning_curve``.
 
     Raises
     ------
@@ -284,10 +343,12 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     The intrinsic width is that of the sinc^2(dk L / 2) phase-matching
     profile in the signal wavelength. Its half-maximum edges are the
     roots of dk(ls) = +/- 2 X_HALF / L, both refined in one call of the
-    solver's bracketed secant on brackets twice the linear estimate
-    wide. The pump bandwidth adds in quadrature after propagation
-    through the slope of the solution curve, d(ls)/d(lp) =
-    -(d dk/d lp) / (d dk/d ls) by the implicit-function theorem. The
+    solver's safeguarded Newton iteration on brackets twice the linear
+    estimate wide. The pump bandwidth adds in quadrature after
+    propagation through the slope of the solution curve, d(ls)/d(lp) =
+    -(d dk/d lp) / (d dk/d ls) by the implicit-function theorem. Both
+    partials are the analytic group-index differences of the module
+    docstring, from one Sellmeier pass at signal, idler and pump. The
     idler width follows from the energy-conservation Jacobian
     |d(li)/d(ls)| = (li/ls)^2.
     """
@@ -298,10 +359,7 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     if not fiber.length_m > 0:
         raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
     lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
-    h = _DIFF_STEP_NM
-    s_lo, s_hi, near, p_lo, p_hi = phase_mismatch(
-        fiber, np.array([lp, lp, lp, lp - h, lp + h]), np.array([ls0 - h, ls0 + h, ls0, ls0, ls0]))
-    dk_dls, dk_dlp = (s_hi - s_lo) / (2 * h), (p_hi - p_lo) / (2 * h)
+    near, dk_dls, dk_dlp = _point_slopes(fiber, lp, ls0)
 
     dk_half = 2.0 * X_HALF / fiber.length_m
     reach = 2.0 * dk_half / abs(dk_dls)

@@ -125,10 +125,13 @@ def _deviance(rho: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -
 def _rate_deviance(lam: np.ndarray, counts: np.ndarray) -> float:
     """``_deviance`` from the expected counts lam_k."""
     seen = counts > 0
-    if not (lam[seen] > 0.0).all():
-        return math.inf
     excess = lam - counts
-    return float(excess.sum() - counts[seen] @ np.log1p(excess[seen] / counts[seen]))
+    e, c = excess[seen], counts[seen]
+    # the excess, not lam_k > 0: a lam_k below half an ulp of c_k has
+    # excess -c_k, and log1p(-1) would warn before giving the same inf
+    if not (e > -c).all():
+        return math.inf
+    return float(excess.sum() - c @ np.log1p(e / c))
 
 
 def _gradient(rho: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:

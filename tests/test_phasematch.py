@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from xsplice import (
     FiberSpec,
     PhaseMatchError,
     PhaseMatchPoint,
+    calibrate_birefringence,
     idler_wavelength,
     output_bandwidths,
     phase_mismatch,
     solve_signal_idler,
     tuning_curve,
 )
-from xsplice import phasematch
+from xsplice import design, phasematch
 from xsplice.materials import WavelengthRangeError
 from xsplice.phasematch import MISMATCH_TOL
 from conftest import CALIBRATED_B
@@ -113,6 +116,55 @@ class TestSolver:
         a = solve_signal_idler(paper_fiber, 771.0)
         b = solve_signal_idler(paper_fiber, 771.0)
         assert a == b
+
+
+class TestRefinement:
+    def test_residual_is_the_mismatch_at_the_root(self, monkeypatch, paper_fiber, silica):
+        points = [solve_signal_idler(paper_fiber, 771.0),
+                  *tuning_curve(paper_fiber, (765.0, 777.0), 13)[0]]
+        solved = [(paper_fiber, p) for p in points]
+
+        def confirming(fiber, lp):
+            point = solve_signal_idler(fiber, lp)
+            solved.append((fiber, point))
+            return point
+
+        monkeypatch.setattr(design, "solve_signal_idler", confirming)
+        calibrate_birefringence(silica, 774.0, 662.0)
+        assert len(solved) == len(points) + 1
+        for fiber, p in solved:
+            assert p.residual_mismatch == phase_mismatch(fiber, p.lambda_p_nm, p.lambda_s_nm)
+
+    def test_two_evaluations_per_root(self, monkeypatch, paper_fiber):
+        sizes = []
+        pair = phasematch._pair
+
+        def counted(fiber, pump, lp, ls):
+            sizes.append(ls.size)
+            return pair(fiber, pump, lp, ls)
+
+        monkeypatch.setattr(phasematch, "_pair", counted)
+        points, _ = tuning_curve(paper_fiber, (765.0, 777.0), 13)
+        assert len(points) == 13
+        # lockstep: each call evaluates every root still refining once
+        assert sizes[0] == 13 and len(sizes) <= 2
+
+    @pytest.mark.parametrize("slope", [0.0, np.nan])
+    def test_flat_or_undefined_slope_bisects(self, monkeypatch, paper_fiber, slope):
+        expected = solve_signal_idler(paper_fiber, 771.0)
+        pair = phasematch._pair
+
+        def flat(*args):
+            dk, _ = pair(*args)
+            return dk, np.full_like(dk, slope)
+
+        monkeypatch.setattr(phasematch, "_pair", flat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = solve_signal_idler(paper_fiber, 771.0)
+        assert abs(point.residual_mismatch) < MISMATCH_TOL
+        # both within MISMATCH_TOL / (118 rad/m/nm) of the root
+        assert point.lambda_s_nm == pytest.approx(expected.lambda_s_nm, abs=2e-8)
 
 
 def _nearest_root_reference(fiber, lp):
@@ -244,13 +296,12 @@ class TestBandwidths:
         with pytest.raises(ValueError, match="pump_fwhm_nm"):
             output_bandwidths(paper_fiber, point, pump_fwhm_nm)
 
-    # pinned while the slopes and the centre still took three phase_mismatch
-    # calls; the evaluation is elementwise, so sharing calls moves no bit
+    # pinned with the analytic group-index slopes and the Newton-refined roots
     @pytest.mark.parametrize("length_m, birefringence, pump_nm, pump_fwhm_nm, expected", [
-        (0.13, CALIBRATED_B, 771.0, 0.3, (0.42010963665700307, 0.7713418000439317)),
-        (0.26, CALIBRATED_B, 771.0, 0.45, (0.3688689193103754, 0.6772613417421399)),
+        (0.13, CALIBRATED_B, 771.0, 0.3, (0.42010963709935006, 0.7713418008562632)),
+        (0.26, CALIBRATED_B, 771.0, 0.45, (0.36886892045613384, 0.6772613438459495)),
         # calibrate_birefringence(silica, 774.0, 662.0)
-        (0.21, 0.000398548422148662, 774.0, 0.42, (0.34913899560139106, 0.6914406377440783)),
+        (0.21, 0.000398548422148662, 774.0, 0.42, (0.34913899635564416, 0.6914406392751011)),
     ], ids=["paper", "long-fiber", "design-range"])
     def test_pinned_values(self, silica, length_m, birefringence, pump_nm, pump_fwhm_nm,
                            expected):
@@ -259,6 +310,7 @@ class TestBandwidths:
         assert output_bandwidths(fiber, point, pump_fwhm_nm) == expected
 
     def test_two_mismatch_calls_before_refinement(self, monkeypatch, paper_fiber):
+        # the point with both slopes in one Sellmeier pass, then the reach ends
         point = solve_signal_idler(paper_fiber, 771.0)
         calls = []
 
@@ -269,6 +321,7 @@ class TestBandwidths:
             return wrapped
 
         monkeypatch.setattr(phasematch, "phase_mismatch", log("mismatch", phase_mismatch))
+        monkeypatch.setattr(phasematch, "_point_slopes", log("slopes", phasematch._point_slopes))
         monkeypatch.setattr(phasematch, "_refine", log("refine", phasematch._refine))
         output_bandwidths(paper_fiber, point, 0.3)
-        assert calls[:calls.index("refine")] == ["mismatch", "mismatch"]
+        assert calls[:calls.index("refine")] == ["slopes", "mismatch"]

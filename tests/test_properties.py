@@ -14,9 +14,9 @@ from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState
                      simulate_counts, standard_settings, total_phase, visibility)
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
-from xsplice.materials import WavelengthRangeError, birefringence, index
-from xsplice.phasematch import (PhaseMatchError, idler_wavelength, output_bandwidths,
-                                phase_mismatch, solve_signal_idler, tuning_curve)
+from xsplice.materials import WavelengthRangeError, birefringence, index, index_and_group_index
+from xsplice.phasematch import (PhaseMatchError, _point_slopes, idler_wavelength,
+                                output_bandwidths, phase_mismatch, solve_signal_idler, tuning_curve)
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, _PROBE_X, _alias_check,
                             _spectral_axes, concurrence, mixed_state_over_spectra,
                             relabel_signal_flip)
@@ -74,6 +74,37 @@ def test_mismatch_linear_in_birefringence(silica, pump, signal, b):
     dk = phase_mismatch(FiberSpec(0.13, b, 0.0, silica), pump, signal)
     expected = 4.0 * np.pi * b / (pump * 1e-9)
     assert dk - dk0 == pytest.approx(expected, rel=1e-9)
+
+
+@CHEAP
+@given(name=st.sampled_from(["fused_silica", "quartz_o", "quartz_e"]),
+       where=st.floats(0.0, 1.0))
+def test_group_index_matches_central_differences(materials_db, name, where):
+    model = materials_db[name]
+    lo, hi = model.valid_range_nm
+    rel_step = 1e-5
+    lam = lo * (1.0 + 2 * rel_step) + where * (hi - lo) * (1.0 - 4 * rel_step)
+    h = rel_step * lam
+    n, n_g = index_and_group_index(model, lam)
+    dn_dlam = (index(model, lam + h) - index(model, lam - h)) / (2.0 * h)
+    assert n == index(model, lam)
+    # truncation and rounding are both about 1e-10 at this step
+    assert n_g == pytest.approx(n - lam * dn_dlam, abs=1e-9)
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, b=st.floats(1e-5, 1e-3))
+def test_mismatch_slopes_match_central_differences(silica, pump, signal, b):
+    fiber = FiberSpec(0.13, b, 0.0, silica)
+    dk, dk_dls, dk_dlp = _point_slopes(fiber, pump, signal)
+    assert dk == phase_mismatch(fiber, pump, signal)
+    h = 0.01  # nm; these central differences agree to 3e-8 relative
+    central_s = (phase_mismatch(fiber, pump, signal + h)
+                 - phase_mismatch(fiber, pump, signal - h)) / (2.0 * h)
+    central_p = (phase_mismatch(fiber, pump + h, signal)
+                 - phase_mismatch(fiber, pump - h, signal)) / (2.0 * h)
+    assert dk_dls == pytest.approx(central_s, rel=1e-6)
+    assert dk_dlp == pytest.approx(central_p, rel=1e-6)
 
 
 @SOLVER
@@ -204,6 +235,73 @@ def test_compensators_never_worsen_the_phase(silica, quartz_material, pump, targ
     _, _, residual = optimize_compensators(fiber, quartz_material, pump_spec, signal_spec)
     uncompensated = weighted_phase_std(fiber, None, pump_spec, signal_spec)
     assert residual <= uncompensated + 1e-6
+
+
+SPEED_OF_LIGHT = 299792458.0  # m/s
+
+
+def _relative_group_delays_fs(fiber, comps, signal, pump):
+    """(tau_s, tau_p) in fs: d phi/d omega_s at fixed pump and d phi/d
+    omega_p at fixed signal, from the analytic group indices alone.
+
+    With omega_i = 2 omega_p - omega_s, the second segment's pair (slow
+    axis, n_g + B) and the first segment's two pump photons (fast axis)
+    give tau_s = L [n_g(li) - n_g(ls)] / c and tau_p = 2 L [n_g(lp) -
+    n_g(li) - B] / c. A crystal of signed length l adds l dn_g / c at its
+    arm's frequency, with dn_g = n_g,e - n_g,o.
+    """
+    idler = idler_wavelength(signal, pump)
+    _, (g_s, g_i, g_p) = index_and_group_index(fiber.core_model,
+                                               np.array([signal, idler, pump]))
+    tau_s = fiber.length_m * (g_i - g_s)
+    tau_p = 2.0 * fiber.length_m * (g_p - g_i - fiber.birefringence)
+    for comp in comps:
+        lam = signal if comp.arm == "signal" else idler
+        dn_g = (index_and_group_index(comp.material.extraordinary, lam)[1]
+                - index_and_group_index(comp.material.ordinary, lam)[1])
+        delay = comp.orientation_sign * comp.length_mm * 1e-3 * dn_g
+        if comp.arm == "signal":
+            tau_s += delay
+        else:
+            tau_s, tau_p = tau_s - delay, tau_p + 2.0 * delay
+    return tau_s / SPEED_OF_LIGHT * 1e15, tau_p / SPEED_OF_LIGHT * 1e15
+
+
+@pytest.mark.parametrize("with_crystals", [False, True])
+def test_group_delays_are_the_phase_slopes(paper_fiber, paper_compensators, with_crystals):
+    # the oracle below against central differences of the phase model,
+    # through d lambda / d omega = -lambda^2 / (2 pi c)
+    comps = paper_compensators if with_crystals else ()
+    signal, pump, h = 670.0, 771.0, 0.01
+
+    def per_omega(dphi_dlam, lam):
+        return -dphi_dlam * (lam * 1e-9) ** 2 / (2.0 * np.pi * SPEED_OF_LIGHT) * 1e9 * 1e15
+
+    def phase(s, p):
+        return compensated_phase(paper_fiber, comps, s, p)
+
+    tau_s = per_omega((phase(signal + h, pump) - phase(signal - h, pump)) / (2.0 * h), signal)
+    tau_p = per_omega((phase(signal, pump + h) - phase(signal, pump - h)) / (2.0 * h), pump)
+    got = _relative_group_delays_fs(paper_fiber, comps, signal, pump)
+    assert got == pytest.approx((tau_s, tau_p), abs=1e-3)
+    # uncompensated, each delay is about one coherence time of the pair;
+    # the paper's crystals leave -9.5 and -56 fs
+    assert min(abs(t) for t in got) > (5.0 if with_crystals else 2900.0)
+
+
+@SOLVER
+@given(pump=pumps, target=targets, length=lengths, pump_fwhm=st.floats(0.1, 1.0),
+       signal_fwhm=st.floats(0.05, 0.5))
+def test_designed_compensators_null_the_walk_off(silica, quartz_material, pump, target,
+                                                 length, pump_fwhm, signal_fwhm):
+    # the variance design is the walk-off design: both relative group
+    # delays vanish at the spectral centres, from thousands of fs
+    fiber, point = _calibrated(silica, pump, target, length)
+    signal = point.lambda_s_nm
+    comps = optimize_compensators(fiber, quartz_material, GaussianSpectrum(pump, pump_fwhm),
+                                  GaussianSpectrum(signal, signal_fwhm))[:2]
+    tau_s, tau_p = _relative_group_delays_fs(fiber, comps, signal, pump)
+    assert abs(tau_s) <= 1.0 and abs(tau_p) <= 1.0
 
 
 @CHEAP

@@ -226,6 +226,18 @@ def multistart_cholesky_mle(data):
     return TwoQubitState(a / np.trace(a).real)
 
 
+class TestDeviance:
+    def test_expected_count_below_half_an_ulp(self):
+        # 1e-20 - 1 rounds to -1, where log1p(-1) = -inf would warn
+        counts = np.array([1.0, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tomography._rate_deviance(np.array([1e-20, 2.0, 3.0]), counts) == np.inf
+            assert tomography._rate_deviance(np.array([0.0, 2.0, 3.0]), counts) == np.inf
+            got = tomography._rate_deviance(np.array([0.5, 2.0, 3.0]), counts)
+        assert got == pytest.approx(2.5 - np.log(0.5) - 2.0 * np.log(1.5), rel=1e-15)
+
+
 class TestReconstruction:
     def test_exact_data_rank_one(self, settings):
         truth = pure_phi_state(0.0)
