@@ -88,8 +88,8 @@ def standard_settings() -> list:
 
 
 def _projector_stack(settings) -> np.ndarray:
-    a = np.array([s.projector_signal for s in settings])
-    b = np.array([s.projector_idler for s in settings])
+    a = np.array([s.projector_signal for s in settings], dtype=complex).reshape(-1, 2)
+    b = np.array([s.projector_idler for s in settings], dtype=complex).reshape(-1, 2)
     vs = (a[:, :, None] * b[:, None, :]).reshape(len(settings), 4)  # rows a (x) b
     return np.einsum("ki,kj->kij", vs, vs.conj())
 
@@ -164,40 +164,56 @@ def _is_positive_definite(m: np.ndarray) -> bool:
     return True
 
 
-def _newton_start(flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:
+def _newton_start(flat: np.ndarray, jac: np.ndarray, counts: np.ndarray,
+                  n: float) -> np.ndarray:
     """Damped Newton steps from I/4 that keep the state positive definite.
 
     On the trace-one plane rho = I/4 + sum_j theta_j E_j (``_TRACELESS``),
-    lam = n tr(Pi rho) is affine, lam = lam0 + J theta; the NLL's gradient
-    is J^T (1 - c/lam) and its Hessian J^T diag(c/lam^2) J. A step halves
-    alpha from 1 until rho stays positive definite and the NLL falls by
-    alpha/4 of the Newton decrement (Armijo). Returns the last iterate when
-    alpha would fall below 0.1 (the boundary binds) or when the Hessian is
-    not positive definite (settings without counts leave the NLL flat along
-    some direction). Once the decrement is below the NLL's rounding, no
+    lam = n tr(Pi rho) is affine, lam = lam0 + J theta with J = ``jac``
+    (J_kj = n tr(Pi_k E_j)); the NLL's gradient is J^T (1 - c/lam) and its
+    Hessian J_seen^T diag(c/lam^2) J_seen, over the settings with counts.
+    With lam > 0 that Hessian is positive definite exactly when J_seen has
+    rank 15, whatever the iterate, so this is decided once: where it fails,
+    settings without counts leave the NLL flat along some direction and I/4
+    is returned. The rows of ``jac`` are taken to have rank 15 (the
+    completeness check of ``reconstruct_mle``), so J_seen's rank is only
+    computed where some setting has no counts.
+
+    A step halves alpha from 1 until the NLL falls by alpha/4 of the Newton
+    decrement (Armijo) and the state, formed only once that test passes,
+    stays positive definite. Returns the last iterate when alpha would fall
+    below 0.1 (the boundary binds), or when the step cannot be solved for
+    or is not finite. Once the decrement is below the NLL's rounding, no
     decrease can be verified: that last step is taken unchecked but for
     positive definiteness, and it ends the steps.
     """
-    x, theta = np.eye(4, dtype=complex) / 4, np.zeros(15)
-    jac = n * (flat @ _TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real  # n tr(Pi_k E_j)
+    x = start = np.eye(4, dtype=complex) / 4
+    seen = counts > 0
+    if not seen.all() and np.linalg.matrix_rank(jac[seen], tol=1e-10 * n) < 15:
+        return x
+    theta, basis = np.zeros(15), _TRACELESS.reshape(15, 16)
     lam0 = n * (flat @ x.T.ravel()).real
     lam, f = lam0, _rate_deviance(lam0, counts)
     for _ in range(100):  # about 5 steps to an interior optimum
-        w = np.divide(counts, lam, out=np.zeros_like(lam), where=counts > 0)
+        w = np.divide(counts, lam, out=np.zeros_like(lam), where=seen)
         grad = jac.T @ (1.0 - w)
         hess = (jac.T * (w / lam)) @ jac
-        if not _is_positive_definite(hess):
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
             break
-        step = np.linalg.solve(hess, grad)
         dec = grad @ step
+        if not math.isfinite(dec):  # also where the step is not: grad is finite
+            break
         last = dec <= np.finfo(float).eps * np.abs(lam - counts).sum()
         for alpha in (1.0, 0.5, 0.25, 0.125):
             trial = theta - alpha * step
-            x_t = np.eye(4) / 4 + np.tensordot(trial, _TRACELESS, 1)
             lam_t = lam0 + jac @ trial
             f_t = _rate_deviance(lam_t, counts)
-            if (last or f_t <= f - 0.25 * alpha * dec) and _is_positive_definite(x_t):
-                break
+            if last or f_t <= f - 0.25 * alpha * dec:
+                x_t = start + (trial @ basis).reshape(4, 4)
+                if _is_positive_definite(x_t):
+                    break
         else:
             break
         theta, x, lam, f = trial, x_t, lam_t, f_t
@@ -312,6 +328,12 @@ def minimize(*args, **kwargs):
 def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     """Maximum-likelihood state estimate from tomography counts.
 
+    The settings must be informationally complete: the real matrix of
+    tr(Pi_k B) over the orthonormal Hermitian basis B = I/2, E_j has the
+    singular values of the projectors, and 16 of them must exceed 1e-10.
+    Its 15 columns E_j, scaled by the exposure, are the Jacobian J of the
+    Newton steps, whose rank is thereby known when every setting has counts.
+
     One deterministic solve from the maximally mixed state. Damped Newton
     steps on the trace-one plane (``_newton_start``) run while the state
     stays positive definite: about 5 of them reach an interior optimum.
@@ -319,10 +341,10 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     backtracked step and adaptive momentum restart (O'Donoghue & Candes,
     Found. Comput. Math. 15, 715 (2015)) starts from their last iterate:
     at an interior optimum it stops within a few steps, and where the
-    boundary binds, or settings without counts leave the Newton Hessian
-    singular, it does the rest. It stops when a step moves the state by at
-    most 1e-10 (Frobenius), or when a step from the iterate itself no
-    longer lowers the NLL. Issues a RuntimeWarning (and still returns the
+    boundary binds, or settings without counts leave the likelihood flat
+    along some direction (no Newton step is taken), it does the rest. It
+    stops when a step moves the state by at most 1e-10 (Frobenius), or
+    when a step from the iterate itself no longer lowers the NLL. Issues a RuntimeWarning (and still returns the
     iterate) if neither happens within 5000 steps.
 
     FISTA's projection also reports the rank of each iterate. Once two
@@ -335,12 +357,15 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     solve whose projections all have rank 4 runs FISTA alone.
     """
     flat = _projector_stack(data.settings).reshape(len(data.settings), 16)
-    if np.linalg.matrix_rank(flat, tol=1e-10) < 16:
+    coords = (flat @ _TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real  # tr(Pi_k E_j)
+    # flat in the orthonormal basis I/2, E_j: real, with the singular values of flat
+    design = np.column_stack([(flat @ np.eye(4).ravel()).real / 2, coords])
+    if np.count_nonzero(np.linalg.svd(design, compute_uv=False) > 1e-10) < 16:
         raise ValueError("settings are not informationally complete (rank < 16)")
     counts = np.asarray(data.counts)
     n = data.total_per_setting
 
-    x = _newton_start(flat, counts, n)
+    x = _newton_start(flat, n * coords, counts, n)
     fx = _deviance(x, flat, counts, n)
     y, fy, t, lip = x, fx, 1.0, n
     face, streak, wait = 4, 0, 2  # rank of the last steps, their number, the next try

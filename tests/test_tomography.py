@@ -69,6 +69,10 @@ class TestSettings:
             assert np.array_equal(tomography._projector_stack(group),
                                   np.einsum("ki,kj->kij", vs, vs.conj()))
 
+    def test_no_settings(self, werner_truth):
+        assert tomography._projector_stack([]).shape == (0, 4, 4)
+        assert born_probabilities(werner_truth, []).shape == (0,)
+
 
 class TestSimulateCounts:
     def test_orthogonal_setting_is_dark(self, settings):
@@ -91,6 +95,10 @@ class TestSimulateCounts:
         data = simulate_counts(werner_truth, settings, n, seed=3)
         for c, p in zip(data.counts, probs):
             assert abs(c - n * p) <= 3 * np.sqrt(max(n * p, 1.0)) + 1
+
+    def test_no_settings_give_empty_data(self, werner_truth):
+        data = simulate_counts(werner_truth, [], 1e3, seed=1)
+        assert data.settings == () and data.counts == ()
 
     def test_seeded(self, settings, werner_truth):
         a = simulate_counts(werner_truth, settings, 1e4, seed=7)
@@ -224,6 +232,138 @@ def multistart_cholesky_mle(data):
                 for t0 in starts), key=lambda res: res.fun)
     a = factor(best.x) @ factor(best.x).conj().T
     return TwoQubitState(a / np.trace(a).real)
+
+
+def newton_inputs(data):
+    """``reconstruct_mle``'s arguments to ``_newton_start``: flat, J, counts, n."""
+    flat = tomography._projector_stack(data.settings).reshape(len(data.settings), 16)
+    n = data.total_per_setting
+    jac = n * (flat @ tomography._TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real
+    return flat, jac, np.asarray(data.counts), n
+
+
+def newton_start_reference(flat, counts, n):
+    """Reference: the Newton start as it was before its Hessian's rank was
+    decided once per solve. Each step tests the Hessian by a Cholesky
+    factorisation, and each trial state is formed by ``np.tensordot``
+    before its likelihood is tested."""
+    def positive_definite(m):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    x, theta = np.eye(4, dtype=complex) / 4, np.zeros(15)
+    jac = n * (flat @ tomography._TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real
+    lam0 = n * (flat @ x.T.ravel()).real
+    lam, f = lam0, tomography._rate_deviance(lam0, counts)
+    for _ in range(100):
+        w = np.divide(counts, lam, out=np.zeros_like(lam), where=counts > 0)
+        grad = jac.T @ (1.0 - w)
+        hess = (jac.T * (w / lam)) @ jac
+        if not positive_definite(hess):
+            break
+        step = np.linalg.solve(hess, grad)
+        dec = grad @ step
+        last = dec <= np.finfo(float).eps * np.abs(lam - counts).sum()
+        for alpha in (1.0, 0.5, 0.25, 0.125):
+            trial = theta - alpha * step
+            x_t = np.eye(4) / 4 + np.tensordot(trial, tomography._TRACELESS, 1)
+            lam_t = lam0 + jac @ trial
+            f_t = tomography._rate_deviance(lam_t, counts)
+            if (last or f_t <= f - 0.25 * alpha * dec) and positive_definite(x_t):
+                break
+        else:
+            break
+        theta, x, lam, f = trial, x_t, lam_t, f_t
+        if last:
+            break
+    return x
+
+
+# A draw with 19 settings at zero whose 17 seen settings leave J_seen of
+# rank 14: rounding let the reference's Cholesky test pass a singular
+# Hessian, and np.linalg.solve then raised LinAlgError out of reconstruct_mle.
+SINGULAR_SEEN = (
+    843, 0, 0, 425, 470, 487, 0, 0, 506, 0, 493, 0, 0, 485, 113, 866, 0, 543,
+    0, 496, 0, 100, 461, 0, 0, 464, 0, 0, 842, 0, 0, 0, 489, 0, 126, 0,
+)
+SINGULAR_SEEN_EXPOSURE = 1942.0609824511573
+
+
+class TestNewtonStart:
+    @staticmethod
+    def draws(settings):
+        """(name, data, rank of the seen rows of J) of seeded draws."""
+        labels = [s.label for s in settings]
+        for n in (1e3, 1e4, 1e5):
+            for purity, fam, seed in ((0.6, "phi+", 1), (0.9, "psi-", 2), (0.99, "phi-", 3)):
+                data = simulate_counts(werner_state(purity, fam), settings, n, seed=[seed, int(n)])
+                yield f"werner_{purity}_{n:.0e}", data, 15
+        for i, counts in enumerate(REPLICATE_COUNTS):
+            yield f"replicate_{i}", TomographyData(tuple(settings), counts, 1e3), 15
+        yield "pure_phi", TomographyData(tuple(settings), PURE_PHI_REPLICATE, 1e5), 15
+        base = simulate_counts(werner_state(0.9, "psi-"), settings, 1e4, seed=7).counts
+        for unseen, rank in ((("HH", "VV"), 15), (("RR", "LL", "DA"), 15),
+                             (["L" + b for b in "HVDARL"], 15),
+                             (("RR", "RL", "LR", "LL"), 14),
+                             ([a + b for a in "RL" for b in "HVDARL"], 11),
+                             ([lab for lab in labels if lab not in ("HH", "VV")], 2)):
+            counts = tuple(0.0 if lab in unseen else c for lab, c in zip(labels, base))
+            yield f"unseen_{'_'.join(unseen)}", TomographyData(tuple(settings), counts, 1e4), rank
+
+    def test_same_iterate_as_the_reference(self, settings):
+        for name, data, expected_rank in self.draws(settings):
+            flat, jac, counts, n = newton_inputs(data)
+            rank = np.linalg.matrix_rank(jac[counts > 0], tol=1e-10 * n)
+            assert rank == expected_rank, name
+            got = tomography._newton_start(flat, jac, counts, n)
+            assert got.tobytes() == newton_start_reference(flat, counts, n).tobytes(), name
+            assert (rank == 15) != np.array_equal(got, np.eye(4) / 4), name
+
+    def test_singular_seen_rows_take_no_step(self, settings):
+        data = TomographyData(tuple(settings), SINGULAR_SEEN, SINGULAR_SEEN_EXPOSURE)
+        flat, jac, counts, n = newton_inputs(data)
+        assert np.linalg.matrix_rank(jac[counts > 0], tol=1e-10 * n) == 14
+        with pytest.raises(np.linalg.LinAlgError):
+            newton_start_reference(flat, counts, n)
+        assert np.array_equal(tomography._newton_start(flat, jac, counts, n), np.eye(4) / 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = reconstruct_mle(data)
+        oracle = multistart_cholesky_mle(data)
+        nll, best = -poisson_log_likelihood(data, rho), -poisson_log_likelihood(data, oracle)
+        assert nll <= best + 1e-9 * abs(best)
+
+    def test_only_states_that_pass_are_formed_and_tested(self, monkeypatch, settings):
+        # the Hessian is never factorised, and a trial state is formed
+        # (without np.tensordot) and tested only once its NLL passes: each
+        # Cholesky test is of a 4 x 4 state and passes, so there is at most
+        # one per accepted step. The reference made two per step.
+        cholesky, tests, passed = np.linalg.cholesky, [], []
+
+        def counted_cholesky(m):
+            tests.append(m.shape)
+            factor = cholesky(m)  # raises where the test fails
+            passed.append(m.shape)
+            return factor
+
+        def no_tensordot(*args, **kwargs):
+            raise AssertionError("np.tensordot called in _newton_start")
+
+        monkeypatch.setattr(np, "tensordot", no_tensordot)
+        for seed in range(10):
+            data = simulate_counts(werner_state(0.9), settings, 1e4, seed=seed)
+            flat, jac, counts, n = newton_inputs(data)
+            tests.clear()
+            passed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "cholesky", counted_cholesky)
+                x = tomography._newton_start(flat, jac, counts, n)
+            assert not np.array_equal(x, np.eye(4) / 4), seed  # steps were taken
+            assert 1 <= len(tests) == len(passed), seed
+            assert set(tests) == {(4, 4)}, seed
 
 
 class TestDeviance:
@@ -363,10 +503,18 @@ class TestReconstruction:
         assert got <= tomography._deviance(reference, flat, counts, 1e5) + rounding
 
     def test_informationally_incomplete_rejected(self, settings, werner_truth):
-        subset = settings[:10]
-        data = simulate_counts(werner_truth, subset, 1e4, seed=19)
-        with pytest.raises(ValueError, match="informationally complete"):
-            reconstruct_mle(data)
+        for subset in (settings[:10], []):
+            data = simulate_counts(werner_truth, subset, 1e4, seed=19)
+            with pytest.raises(ValueError, match=r"^settings are not informationally "
+                                                 r"complete \(rank < 16\)$"):
+                reconstruct_mle(data)
+
+    def test_minimal_complete_set(self, settings, werner_truth):
+        # {H, V, D, R} (x) {H, V, D, R}: 16 settings, the fewest that are complete
+        minimal = [s for s in settings if set(s.label) <= set("HVDR")]
+        assert len(minimal) == 16
+        data = simulate_counts(werner_truth, minimal, 1e5, seed=43)
+        assert state_fidelity(reconstruct_mle(data), werner_truth) > 0.99
 
     def test_basis_consistency_under_local_unitary(self, settings, werner_truth):
         # rotate the truth and every analyzer by the same local unitary;
