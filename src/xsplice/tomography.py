@@ -4,12 +4,11 @@ Measurements are product projectors assembled from the six standard
 single-qubit analyzer states H, V, D, A, R, L (36 settings, over-
 complete). Counts are independent Poisson draws per setting. The
 reconstruction maximizes the Poisson log-likelihood, which is concave in
-the density matrix: damped Newton steps inside the states, then
-accelerated projected gradient over the states from where they stop.
-Where the projections settle on states of rank r < 4, damped Newton
-steps on the rank-r factor rho = A A^dagger / tr(A A^dagger) finish the
-solve, and their result is kept only where the likelihood's gradient
-certifies it optimal to rounding.
+the density matrix: damped Newton steps inside the states, then, where
+the boundary binds, damped Newton steps on the rank-r factor
+rho = A A^dagger / tr(A A^dagger) of the rank r that the Newton step points
+to. A state is returned once the likelihood's gradient certifies it
+optimal to rounding.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ def _deviance(rho: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -
 
     With lam_k = n tr(Pi_k rho), each setting adds (lam - c) - c log(lam / c),
     accurate far below one ulp of the NLL. Infinite where a setting with
-    counts gets lam <= 0: the momentum point can leave the state set.
+    counts gets lam <= 0.
     """
     return _rate_deviance(n * (flat @ rho.T.ravel()).real, counts)
 
@@ -165,39 +164,46 @@ def _is_positive_definite(m: np.ndarray) -> bool:
 
 
 def _newton_start(flat: np.ndarray, jac: np.ndarray, counts: np.ndarray,
-                  n: float) -> np.ndarray:
+                  n: float) -> tuple:
     """Damped Newton steps from I/4 that keep the state positive definite.
 
     On the trace-one plane rho = I/4 + sum_j theta_j E_j (``_TRACELESS``),
     lam = n tr(Pi rho) is affine, lam = lam0 + J theta with J = ``jac``
-    (J_kj = n tr(Pi_k E_j)); the NLL's gradient is J^T (1 - c/lam) and its
-    Hessian J_seen^T diag(c/lam^2) J_seen, over the settings with counts.
-    With lam > 0 that Hessian is positive definite exactly when J_seen has
-    rank 15, whatever the iterate, so this is decided once: where it fails,
-    settings without counts leave the NLL flat along some direction and I/4
-    is returned. The rows of ``jac`` are taken to have rank 15 (the
-    completeness check of ``reconstruct_mle``), so J_seen's rank is only
-    computed where some setting has no counts.
+    (J_kj = n tr(Pi_k E_j)); the NLL's gradient is g = J^T (1 - c/lam) and
+    its Hessian H = J_seen^T diag(c/lam^2) J_seen, over the settings with
+    counts. With lam > 0, H is positive definite exactly when J_seen has
+    rank 15, whatever the iterate, so this is decided once, and only where
+    some setting has no counts (``reconstruct_mle`` checks that J has rank
+    15). Where J_seen has rank r < 15, the steps are the minimum-norm Newton
+    steps H^+ g: theta stays in the span of J_seen's r leading right
+    singular vectors.
 
     A step halves alpha from 1 until the NLL falls by alpha/4 of the Newton
     decrement (Armijo) and the state, formed only once that test passes,
-    stays positive definite. Returns the last iterate when alpha would fall
-    below 0.1 (the boundary binds), or when the step cannot be solved for
-    or is not finite. Once the decrement is below the NLL's rounding, no
-    decrease can be verified: that last step is taken unchecked but for
-    positive definiteness, and it ends the steps.
+    stays positive definite. Stops when alpha would fall below 0.1 (the
+    boundary binds), or when the step cannot be solved for or is not
+    finite. Once the decrement is below the NLL's rounding, no decrease can
+    be verified: that last step is taken unchecked but for positive
+    definiteness, and it ends the steps.
+
+    Returns the last iterate and the Newton target I/4 + sum_j (theta -
+    H^+ g)_j E_j of the last step solved for (the iterate if none was).
     """
     x = start = np.eye(4, dtype=complex) / 4
     seen = counts > 0
-    if not seen.all() and np.linalg.matrix_rank(jac[seen], tol=1e-10 * n) < 15:
-        return x
     theta, basis = np.zeros(15), _TRACELESS.reshape(15, 16)
+    if not seen.all():
+        s, vt = np.linalg.svd(jac[seen], full_matrices=False)[1:]
+        rank = np.count_nonzero(s > 1e-10 * n)
+        if rank < 15:
+            theta, jac, basis = np.zeros(rank), jac @ vt[:rank].T, vt[:rank] @ basis
+    target = theta
     lam0 = n * (flat @ x.T.ravel()).real
     lam, f = lam0, _rate_deviance(lam0, counts)
     for _ in range(100):  # about 5 steps to an interior optimum
         w = np.divide(counts, lam, out=np.zeros_like(lam), where=seen)
         grad = jac.T @ (1.0 - w)
-        hess = (jac.T * (w / lam)) @ jac
+        hess = (jac.T * np.divide(w, lam, out=np.zeros_like(lam), where=seen)) @ jac
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -205,6 +211,7 @@ def _newton_start(flat: np.ndarray, jac: np.ndarray, counts: np.ndarray,
         dec = grad @ step
         if not math.isfinite(dec):  # also where the step is not: grad is finite
             break
+        target = theta - step
         last = dec <= np.finfo(float).eps * np.abs(lam - counts).sum()
         for alpha in (1.0, 0.5, 0.25, 0.125):
             trial = theta - alpha * step
@@ -219,7 +226,7 @@ def _newton_start(flat: np.ndarray, jac: np.ndarray, counts: np.ndarray,
         theta, x, lam, f = trial, x_t, lam_t, f_t
         if last:
             break
-    return x
+    return x, start + (target @ basis).reshape(4, 4)
 
 
 def _face_newton(x: np.ndarray, rank: int, flat: np.ndarray, counts: np.ndarray,
@@ -238,13 +245,23 @@ def _face_newton(x: np.ndarray, rank: int, flat: np.ndarray, counts: np.ndarray,
     A -> A U and the scale of a leave the NLL unchanged; a step is taken on
     the complement of those rank^2 + 1 directions, where the last term
     vanishes, with the Hessian's eigenvalues inverted by their magnitude.
-    Step halving, the Armijo test and the stop at a decrement below
-    eps sum_k |lam_k - c_k| are ``_newton_start``'s. Returns rho and the
-    lam_k of the factor, sums of squares free of the cancellation in
-    n tr(Pi_k rho) where lam_k is small.
+    No step is taken along an eigenvector v whose gradient component g.v
+    is within its rounding, eps sum_k |phi_k| |dlam_k|.|v|: settings
+    without counts can leave the NLL flat along directions besides the
+    gauge's, and a step there would follow rounding alone. The Armijo test
+    is ``_newton_start``'s, but with no boundary to meet, alpha halves
+    until the decrease the test asks for, alpha dec / 4, is below the
+    rounding eps sum_k |lam_k - c_k|. Where the decrement itself is, no
+    decrease can be verified: that last step is taken unchecked, and it
+    ends the steps.
+    Returns rho and the lam_k of the factor, sums of squares free of the
+    cancellation in n tr(Pi_k rho) where lam_k is small; or None where the
+    factor of ``x`` leaves a setting with counts at lam_k = 0, where the
+    Hessian is not finite.
     """
     p, v = np.linalg.eigh(x)
-    a = np.concatenate([v.real[:, -rank:], v.imag[:, -rank:]]) * np.sqrt(p[-rank:])
+    p = np.maximum(p[-rank:], 0.0)  # a semidefinite x can round below 0
+    a = np.concatenate([v.real[:, -rank:], v.imag[:, -rank:]]) * np.sqrt(p)
     pis = flat.reshape(-1, 4, 4)
     bs = np.block([[pis.real, -pis.imag], [pis.imag, pis.real]])
     e = np.eye(rank)[:, None, :, None] * np.eye(rank)[None, :, None, :]  # E_jk
@@ -260,6 +277,8 @@ def _face_newton(x: np.ndarray, rank: int, flat: np.ndarray, counts: np.ndarray,
 
     ba, q, t, lam = rates(a)
     f = _rate_deviance(lam, counts)
+    if f == math.inf:
+        return None
     for _ in range(100):  # about 5 steps
         w = np.divide(counts, lam, out=np.zeros_like(lam), where=counts > 0)
         phi = 1.0 - w
@@ -272,18 +291,23 @@ def _face_newton(x: np.ndarray, rank: int, flat: np.ndarray, counts: np.ndarray,
         orbit = np.concatenate([orbit.real, orbit.imag], axis=1).reshape(len(skew), -1)
         free = np.linalg.qr(np.vstack([orbit, a.ravel()]).T, mode="complete")[0][:, len(skew) + 1:]
         ew, ev = np.linalg.eigh(free.T @ hess @ free)
+        ev = free @ ev
+        comp = grad @ ev
+        noise = np.finfo(float).eps * (np.abs(phi) @ np.abs(dlam)) @ np.abs(ev)  # comp's rounding
         keep = np.abs(ew) > np.finfo(float).eps * len(ew) * np.abs(ew).max()
-        ev = free @ ev[:, keep]
-        step = (ev @ ((grad @ ev) / np.abs(ew[keep]))).reshape(a.shape)
+        keep &= np.abs(comp) > noise
+        step = (ev[:, keep] @ (comp[keep] / np.abs(ew[keep]))).reshape(a.shape)
         dec = grad @ step.ravel()
-        last = dec <= np.finfo(float).eps * np.abs(lam - counts).sum()
-        for alpha in (1.0, 0.5, 0.25, 0.125):
+        rounding = 4.0 * np.finfo(float).eps * np.abs(lam - counts).sum()  # on dec, not dec/4
+        last = dec <= rounding
+        for alpha in 0.5 ** np.arange(53):  # the second test ends it first
             trial = a - alpha * step
             rated = rates(trial)
             f_t = _rate_deviance(rated[3], counts)
-            if last or f_t <= f - 0.25 * alpha * dec:
+            passed = last or f_t <= f - 0.25 * alpha * dec
+            if passed or alpha * dec <= rounding:
                 break
-        else:
+        if not passed:
             break
         a, f = trial, f_t
         ba, q, t, lam = rated
@@ -293,26 +317,24 @@ def _face_newton(x: np.ndarray, rank: int, flat: np.ndarray, counts: np.ndarray,
     return (m @ m.conj().T) / t, lam
 
 
-def _finish_on_face(x: np.ndarray, fx: float, rank: int, flat: np.ndarray,
-                    counts: np.ndarray, n: float):
-    """``_face_newton`` from ``x``, or None unless its result is certified.
+def _certified(rho: np.ndarray, lam: np.ndarray, flat: np.ndarray, counts: np.ndarray,
+               n: float) -> bool:
+    """Whether the likelihood's gradient certifies ``rho`` optimal to rounding.
 
     The NLL is convex, so with G = ``_gradient`` at rho and mu = Re tr(G rho),
     every state s has NLL(s) >= NLL(rho) + tr(G s) - mu >= NLL(rho) +
     lambda_min(G - mu I): rho is within max(0, -lambda_min(G - mu I)) of the
-    optimum. The result is kept when that bound is at most one ulp of the
-    NLL's terms, eps sum_k (lam_k + c_k |log lam_k|), below which no
-    likelihood tells two states apart, and its deviance is no higher than
-    ``fx``, that of ``x``. G is taken at the factor's lam_k.
+    optimum. It is certified when that bound is at most 16 ulp of the NLL's
+    terms, eps sum_k (lam_k + c_k |log lam_k|): no likelihood tells two
+    states apart below one ulp, and the gap is itself a rounded sum of 36
+    terms, which Newton steps on a factor with a small column leave a few
+    ulp from 0. G is taken at the expected counts ``lam`` of rho.
     """
-    rho, lam = _face_newton(x, rank, flat, counts, n)
-    if _rate_deviance(lam, counts) > fx:
-        return None
     grad = _rate_gradient(lam, flat, counts, n)
     gap = -np.linalg.eigvalsh(grad - np.vdot(grad, rho).real * np.eye(4))[0]
     seen = counts > 0
     ulp = np.finfo(float).eps * (lam.sum() + counts[seen] @ np.abs(np.log(lam[seen])))
-    return rho if gap <= ulp else None
+    return gap <= 16.0 * ulp
 
 
 def minimize(*args, **kwargs):
@@ -334,27 +356,21 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     Its 15 columns E_j, scaled by the exposure, are the Jacobian J of the
     Newton steps, whose rank is thereby known when every setting has counts.
 
-    One deterministic solve from the maximally mixed state. Damped Newton
-    steps on the trace-one plane (``_newton_start``) run while the state
-    stays positive definite: about 5 of them reach an interior optimum.
-    FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2, 183 (2009)) with a
-    backtracked step and adaptive momentum restart (O'Donoghue & Candes,
-    Found. Comput. Math. 15, 715 (2015)) starts from their last iterate:
-    at an interior optimum it stops within a few steps, and where the
-    boundary binds, or settings without counts leave the likelihood flat
-    along some direction (no Newton step is taken), it does the rest. It
-    stops when a step moves the state by at most 1e-10 (Frobenius), or
-    when a step from the iterate itself no longer lowers the NLL. Issues a RuntimeWarning (and still returns the
-    iterate) if neither happens within 5000 steps.
-
-    FISTA's projection also reports the rank of each iterate. Once two
-    accepted steps in a row land on one rank r < 4, damped Newton steps
-    on the states of rank <= r finish from there (``_face_newton``). Their
-    result is returned only if it is certified (``_finish_on_face``): its
-    gap bound -lambda_min(G - mu I) is at most one ulp of the NLL, and its
-    deviance is no higher than FISTA's iterate. Otherwise FISTA goes on,
-    and tries the face again after twice as many steps on one rank. A
-    solve whose projections all have rank 4 runs FISTA alone.
+    One deterministic solve from the maximally mixed state; every state it
+    returns without a warning is certified optimal (``_certified``).
+    Damped Newton steps on the trace-one plane (``_newton_start``) run while
+    the state stays positive definite; about 5 of them reach an interior
+    optimum, returned once certified. Otherwise the boundary binds: the
+    Newton target is projected onto the states once (``_project``), and its
+    rank r is the first guess at the optimum's. Damped Newton steps on the
+    states of rank <= r (``_face_newton``) start from that projection.
+    Failing a certificate, the higher ranks are tried in turn from the
+    Newton iterate, then the lower ones, downwards, from the projection: at
+    most four tries. A start that leaves a setting with counts at zero
+    expected counts is skipped. Where no rank is certified, the
+    lowest-deviance state of the solve is returned with a RuntimeWarning.
+    No iteration budget decides the result: the Newton loops end on their
+    own tests, far inside their caps.
     """
     flat = _projector_stack(data.settings).reshape(len(data.settings), 16)
     coords = (flat @ _TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real  # tr(Pi_k E_j)
@@ -365,47 +381,26 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     counts = np.asarray(data.counts)
     n = data.total_per_setting
 
-    x = _newton_start(flat, n * coords, counts, n)
-    fx = _deviance(x, flat, counts, n)
-    y, fy, t, lip = x, fx, 1.0, n
-    face, streak, wait = 4, 0, 2  # rank of the last steps, their number, the next try
-    for _ in range(5000):
-        grad = _gradient(y, flat, counts, n)
-        while True:  # backtrack until the quadratic model bounds the NLL
-            z, rank = _project(y - grad / lip)
-            step = z - y
-            fz = _deviance(z, flat, counts, n)
-            if fz <= fy + np.vdot(grad, step).real + 0.5 * lip * np.vdot(step, step).real:
+    x, target = _newton_start(flat, n * coords, counts, n)
+    lam = n * (flat @ x.T.ravel()).real
+    best, f_best = x, _rate_deviance(lam, counts)
+    if not _certified(x, lam, flat, counts, n):
+        z, rank = _project(target)
+        for r in sorted(range(1, 5), key=lambda r: (r < rank, abs(r - rank))):
+            face = _face_newton(x if r > rank else z, r, flat, counts, n)
+            if face is None:
+                continue
+            rho, lam = face
+            if _certified(rho, lam, flat, counts, n):
+                best = rho
                 break
-            if np.linalg.norm(step) <= 1e-10:
-                break  # a step the loop stops at: its test is decided by rounding
-            lip *= 2.0
-        if y is x and fz >= fx:
-            break  # a plain step no longer lowers the NLL: x is optimal to rounding
-        if fz > fx:  # the momentum overshot
-            y, fy, t = x, fx, 1.0
-            continue
-        restart = np.vdot(step, z - x).real < 0.0
-        x_old, x, fx = x, z, fz
-        lip *= 0.9
-        streak, face = (streak + 1 if rank == face else 1), rank
-        if face < 4 and streak == wait:  # on one face for `wait` steps: finish there
-            wait *= 2
-            rho = _finish_on_face(x, fx, face, flat, counts, n)
-            if rho is not None:
-                x = rho
-                break
-        if np.linalg.norm(step) <= 1e-10:
-            break
-        t_old, t = t, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x + ((t_old - 1.0) / t) * (x - x_old)
-        fy = math.inf if restart else _deviance(y, flat, counts, n)
-        if fy == math.inf:
-            y, fy, t = x, fx, 1.0
-    else:
-        warnings.warn("likelihood maximization did not converge; returning best iterate",
-                      RuntimeWarning)
-    return TwoQubitState(0.5 * (x + x.conj().T))  # exactly Hermitian: a real diagonal
+            f = _rate_deviance(lam, counts)
+            if f < f_best:
+                best, f_best = rho, f
+        else:
+            warnings.warn("likelihood maximization did not converge; returning best iterate",
+                          RuntimeWarning)
+    return TwoQubitState(0.5 * (best + best.conj().T))  # exactly Hermitian: a real diagonal
 
 
 def error_bars(data: TomographyData, n_bootstrap: int, seed=None,

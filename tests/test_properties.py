@@ -478,9 +478,10 @@ def test_mle_meets_the_optimality_conditions(entries, rank, n, seed):
     # optimal iff, with G = dNLL/drho and mu = Re tr(G rho), G - mu I >= 0
     # and (G - mu I) rho = 0; and NLL(rho) is within the certified gap
     # -lambda_min(G - mu I) of the optimum. Checked from the gradient alone,
-    # with no solver. On these draws the gap reaches 6.1e-12 |G| and the
-    # residual 2.1e-12 |G| (rank 4; finished by FISTA); where FISTA also
-    # finished the boundary optima of ranks 1-3, the gap reached 3.8e-7 |G|.
+    # with no solver. Over 400 seeded draws of ranks 1-4 at 1e3-1e5 counts,
+    # the gap reaches 5.4e-13 |G| and the residual 5.1e-13 |G|; where
+    # projected gradient steps alone finished the boundary optima of ranks
+    # 1-3, the gap had reached 3.8e-7 |G|.
     data = simulate_counts(_random_state(entries, rank), SETTINGS, n, seed=seed)
     rho = reconstruct_mle(data).matrix
     g = _gradient(rho, PIS.reshape(36, 16), np.asarray(data.counts), n)

@@ -292,6 +292,17 @@ SINGULAR_SEEN = (
 SINGULAR_SEEN_EXPOSURE = 1942.0609824511573
 
 
+def assert_minimum_norm_steps(x, flat, jac, counts, n, rank, name):
+    """Where the rows of J with counts have rank < 15, Newton steps were
+    taken (x has a lower NLL than I/4), each the minimum-norm step H^+ g:
+    x - I/4 has no component along the null space of those rows."""
+    theta = np.einsum("jab,ba->j", tomography._TRACELESS, x).real  # tr(E_j x) = theta_j
+    null = np.linalg.svd(jac[counts > 0])[2][rank:]
+    assert np.abs(null @ theta).max() <= 1e-14, name
+    start = tomography._deviance(np.eye(4) / 4, flat, counts, n)
+    assert tomography._deviance(x, flat, counts, n) < start, name
+
+
 class TestNewtonStart:
     @staticmethod
     def draws(settings):
@@ -318,17 +329,20 @@ class TestNewtonStart:
             flat, jac, counts, n = newton_inputs(data)
             rank = np.linalg.matrix_rank(jac[counts > 0], tol=1e-10 * n)
             assert rank == expected_rank, name
-            got = tomography._newton_start(flat, jac, counts, n)
-            assert got.tobytes() == newton_start_reference(flat, counts, n).tobytes(), name
-            assert (rank == 15) != np.array_equal(got, np.eye(4) / 4), name
+            got = tomography._newton_start(flat, jac, counts, n)[0]
+            if rank == 15:
+                assert got.tobytes() == newton_start_reference(flat, counts, n).tobytes(), name
+            else:
+                assert_minimum_norm_steps(got, flat, jac, counts, n, rank, name)
 
-    def test_singular_seen_rows_take_no_step(self, settings):
+    def test_singular_seen_rows_take_minimum_norm_steps(self, settings):
         data = TomographyData(tuple(settings), SINGULAR_SEEN, SINGULAR_SEEN_EXPOSURE)
         flat, jac, counts, n = newton_inputs(data)
         assert np.linalg.matrix_rank(jac[counts > 0], tol=1e-10 * n) == 14
         with pytest.raises(np.linalg.LinAlgError):
             newton_start_reference(flat, counts, n)
-        assert np.array_equal(tomography._newton_start(flat, jac, counts, n), np.eye(4) / 4)
+        got = tomography._newton_start(flat, jac, counts, n)[0]
+        assert_minimum_norm_steps(got, flat, jac, counts, n, 14, "singular_seen")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rho = reconstruct_mle(data)
@@ -360,10 +374,105 @@ class TestNewtonStart:
             passed.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "cholesky", counted_cholesky)
-                x = tomography._newton_start(flat, jac, counts, n)
+                x = tomography._newton_start(flat, jac, counts, n)[0]
             assert not np.array_equal(x, np.eye(4) / 4), seed  # steps were taken
             assert 1 <= len(tests) == len(passed), seed
             assert set(tests) == {(4, 4)}, seed
+
+
+# (counts, exposure) of draws from a 9000-solve stress run whose solves
+# reach the edge cases of the Newton steps:
+FACE_DRAWS = {
+    # the expected count of a setting without counts rounds to 0 in the
+    # Newton start, where c/lam^2 would be 0/0
+    "two_counts": ((0,) * 26 + (1, 0, 0, 1) + (0,) * 6, 3.0),
+    # the Newton iterate is singular to rounding: a face start from it has
+    # an eigenvalue below 0, of which no square root is taken
+    "four_counts": ((0,) * 15 + (88, 0, 0, 0, 0, 302) + (0,) * 8 + (416, 0, 0, 0, 0, 257, 0),
+                    1000.0),
+    # far from the optimum, the face steps need alpha below 1/8
+    "sparse_3": ((0, 0, 0, 0, 1, 0, 1, 0, 3, 0, 4, 0, 3, 1, 1, 2, 2, 0,
+                  0, 1, 1, 1, 1, 0, 5, 0, 0, 0, 1, 0, 0, 1, 2, 0, 1, 0), 3.0),
+    # the last face step has a decrement between 1 and 4 times the rounding,
+    # where the Armijo test's alpha/4 of it cannot be verified
+    "rank3_100": ((21, 20, 29, 13, 46, 4, 15, 44, 12, 44, 25, 22, 32, 22, 21, 32, 53, 5,
+                   4, 38, 18, 20, 23, 17, 9, 47, 20, 41, 64, 18, 22, 4, 14, 14, 12, 14), 100.0),
+    # a rank-3 optimum with an eigenvalue of 0.0015, whose gap is 6.8 ulp
+    "rank3_10": ((3, 3, 1, 2, 2, 2, 1, 1, 3, 1, 0, 4, 3, 0, 0, 1, 0, 1,
+                  3, 12, 1, 8, 0, 5, 1, 4, 1, 2, 2, 1, 3, 4, 0, 2, 2, 1), 10.0),
+}
+
+
+class TestCertificate:
+    @staticmethod
+    def draws(settings):
+        """(name, data): seeded random truths of ranks 1-4 at 1e3-1e5 counts,
+        every draw of ``TestNewtonStart.draws`` with settings at zero, and
+        ``FACE_DRAWS``."""
+        rng = np.random.default_rng(2001)
+        for i in range(96):
+            rank, n = 1 + i % 4, (1e3, 1e4, 1e5)[i // 4 % 3]
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            truth = TwoQubitState(g @ g.conj().T / np.vdot(g, g).real)
+            yield f"rank{rank}_{n:.0e}_{i}", simulate_counts(truth, settings, n, seed=[i, 2001])
+        for name, data, _ in TestNewtonStart.draws(settings):
+            if 0.0 in data.counts:
+                yield name, data
+        for name, (counts, n) in FACE_DRAWS.items():
+            yield name, TomographyData(tuple(settings), counts, n)
+
+    def test_every_solve_is_certified(self, monkeypatch, settings):
+        # the state returned is one the gap certificate passed, and no
+        # solve falls back to its lowest-deviance state with a warning
+        certify, passed = tomography._certified, []
+
+        def recorded(rho, *args):
+            ok = certify(rho, *args)
+            if ok:
+                passed.append(rho)
+            return ok
+
+        monkeypatch.setattr(tomography, "_certified", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, data in self.draws(settings):
+                passed.clear()
+                rho = reconstruct_mle(data).matrix
+                assert len(passed) == 1, name
+                assert np.array_equal(rho, 0.5 * (passed[0] + passed[0].conj().T)), name
+
+    def test_counts_in_hh_and_vv_only_give_the_closed_form(self, settings):
+        # the seen rows have rank 2 and 34 settings are dark: the likelihood
+        # fixes rho_11 and rho_44 alone, and the minimum-norm steps keep the
+        # HH-VV coherence of I/4 at 0
+        (data,) = [data for _, data, rank in TestNewtonStart.draws(settings) if rank == 2]
+        c_hh, c_vv = data.counts[0], data.counts[7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = reconstruct_mle(data).matrix
+        assert np.abs(rho - np.diag([c_hh, 0.0, 0.0, c_vv]) / (c_hh + c_vv)).max() <= 1e-12
+
+    def test_uncertified_solve_returns_its_lowest_deviance_state(self, monkeypatch, settings):
+        monkeypatch.setattr(tomography, "_certified", lambda *args: False)
+        faces, face_newton = [], tomography._face_newton
+
+        def recorded(*args):
+            face = face_newton(*args)
+            faces.append(face)
+            return face
+
+        monkeypatch.setattr(tomography, "_face_newton", recorded)
+        data = simulate_counts(pure_phi_state(0.3), settings, 1e4, seed=[1619, 99])
+        with pytest.warns(RuntimeWarning, match="^likelihood maximization did not converge; "
+                                                "returning best iterate$"):
+            rho = reconstruct_mle(data).matrix
+        flat, jac, counts, n = newton_inputs(data)
+        x = tomography._newton_start(flat, jac, counts, n)[0]
+        candidates = [(tomography._deviance(x, flat, counts, n), x)]
+        candidates += [(tomography._rate_deviance(lam, counts), m) for m, lam in filter(None, faces)]
+        assert len(candidates) == 5  # the Newton start and the four ranks
+        best = min(candidates, key=lambda c: c[0])[1]
+        assert np.array_equal(rho, 0.5 * (best + best.conj().T))
 
 
 class TestDeviance:
@@ -445,14 +554,17 @@ class TestReconstruction:
         # and the oracle is an optimum too, so the bound above has teeth
         assert oracle <= nll + 1e-9 * abs(nll)
 
-    # Settings without counts leave the Newton Hessian singular, so FISTA
-    # starts from I/4. With counts in HH and VV only, the HH-VV coherence
-    # does not change the likelihood; the solve keeps the 0 of I/4.
+    # Settings without counts leave the Newton Hessian singular, and the
+    # Newton steps are its minimum-norm ones. With counts in HH and VV only,
+    # the HH-VV coherence does not change the likelihood; the solve keeps
+    # the 0 of I/4.
     @pytest.mark.parametrize("seen, expected", [
         ({}, np.eye(4) / 4),
         ({"HH": 1000.0}, np.diag([1.0, 0.0, 0.0, 0.0])),
         ({"HH": 500.0, "VV": 500.0}, np.diag([0.5, 0.0, 0.0, 0.5])),
-    ], ids=["no-counts", "HH", "HH-VV"])
+        ({"HH": 256.0, "VV": 236.0}, np.diag([256.0, 0.0, 0.0, 236.0]) / 492.0),
+        ({"HH": 700.0, "VV": 300.0}, np.diag([0.7, 0.0, 0.0, 0.3])),
+    ], ids=["no-counts", "HH", "HH-VV", "HH-VV-256-236", "HH-VV-700-300"])
     def test_degenerate_counts(self, settings, seen, expected):
         data = TomographyData(settings=tuple(settings),
                               counts=tuple(seen.get(s.label, 0.0) for s in settings),
@@ -463,35 +575,39 @@ class TestReconstruction:
         assert np.abs(rho - expected).max() <= 1e-12
 
     def test_interior_estimates_take_few_projections(self, monkeypatch, settings):
-        # Newton steps reach these interior optima, and FISTA stops within
-        # a few steps of them, without backtracking on rounding; FISTA from
-        # I/4 took 550 projections here in all
+        # Newton steps reach these interior optima, certified where they
+        # stop, with no projection; projected gradient steps from I/4 took
+        # 550 projections here in all
         project, calls = tomography._project, []
         monkeypatch.setattr(tomography, "_project", lambda h: calls.append(h) or project(h))
         for seed in range(10):
             calls.clear()
             reconstruct_mle(simulate_counts(werner_state(0.9), settings, 1e4, seed=seed))
-            assert len(calls) <= 5, seed
+            assert len(calls) == 0, seed
 
     def test_boundary_estimates_take_few_projections(self, monkeypatch, settings):
-        # "fd" and "rounding" have interior optima, one projection each;
+        # "fd" and "rounding" have interior optima, no projection each;
         # "stalled" and the pure_phi_1e5 estimate of test_pinned_replicates
-        # have rank-one optima. FISTA finished those in 56 and 44
-        # projections; two steps onto one face hand them to Newton steps on
-        # it, and each takes 10 projections in all
+        # have rank-one optima. Projected gradient steps took 56 and 44
+        # projections on those; one projection of the Newton target now
+        # gives the rank where Newton steps on the face finish them
         draws = [TomographyData(settings=tuple(settings), counts=counts, total_per_setting=1e3)
                  for counts in REPLICATE_COUNTS]
         draws += [simulate_counts(pure_phi_state(0.3), settings, 1e4, seed=[1619, 99]),
                   simulate_counts(pure_phi_state(0.3), settings, 1e5, seed=41)]
         project, calls = tomography._project, []
         monkeypatch.setattr(tomography, "_project", lambda h: calls.append(h) or project(h))
+        per_solve = []
         for data in draws:
+            calls.clear()
             reconstruct_mle(data)
-        assert len(calls) <= 30  # 22 here; 102 where FISTA finished
+            per_solve.append(len(calls))
+        assert per_solve == [0, 0, 1, 1]
 
     def test_boundary_optimum_is_not_left_to_the_step_stop(self, settings):
-        # FISTA's 1e-10 step stop left this rank-one solve 2.6e-7 above
-        # FISTA run on to a 1e-15 step (1264 steps)
+        # a projected gradient solve stopped at a 1e-10 step had ended this
+        # rank-one solve 2.6e-7 above the reference, the same steps run on
+        # to a 1e-15 step (1264 steps)
         data = TomographyData(settings=tuple(settings), counts=PURE_PHI_REPLICATE,
                               total_per_setting=1e5)
         flat = tomography._projector_stack(settings).reshape(36, 16)
@@ -559,16 +675,16 @@ class TestErrorBars:
     # (fidelity_std, tangle_std) with the B divisor of np.std's default,
     # scaled here by sqrt(B / (B - 1)) to the B - 1 divisor. They pin the
     # replicate draws (simulate_counts from the estimate, on one generator)
-    # and the solve. werner_1e3 and model_30mw_1e4 have interior optima,
-    # which FISTA finishes; pure_phi_1e5's four optima are on the boundary,
-    # where Newton steps on the face finish them at a certified optimum.
-    # FISTA's own stop had left them up to 2.6e-7 above it; against that
-    # finish the draws were the same and the values moved by -1.7e-4 and
-    # -5.8e-6 relative.
+    # and the solve. werner_1e3 and model_30mw_1e4 have interior optima;
+    # pure_phi_1e5's four optima are on the boundary, where Newton steps on
+    # the face finish them at a certified optimum. Their zero eigenvalues
+    # are rounding, which the tangle's square roots lift to about 1e-8: a
+    # change of path that moved those states by 2e-16 moved its tangle_std
+    # by -2.7e-6 relative.
     @pytest.mark.parametrize("case, expected", [
         ("werner_1e3", (0.0023288207248321068, 0.0077230573739875095)),
         ("model_30mw_1e4", (0.0004969345159843845, 0.0017301757385986454)),
-        ("pure_phi_1e5", (0.00017305138159731724, 0.00030564415078506205)),
+        ("pure_phi_1e5", (0.0001730513815973629, 0.0003056433200701093)),
     ])
     def test_pinned_replicates(self, settings, paper_config, case, expected):
         if case == "werner_1e3":
