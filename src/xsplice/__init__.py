@@ -32,12 +32,11 @@ __version__ = "0.1.0"
 # are plain numpy expressions and rely on it. Under glibc's dynamic mmap
 # threshold (mallopt(3), M_MMAP_THRESHOLD), freeing an mmapped block
 # raises the mmap threshold to its size and the trim threshold to twice
-# that. Freeing one block as large as the largest array the library
-# makes by design, a phase-matching scan block, therefore keeps every
-# array up to that size on the heap, instead of mmapping and unmapping
-# it, or trimming the heap, on every call. Counted with getrusage
-# ru_minflt over 3 passes of 72 perfbench design inputs: 0 minor faults
-# per task with it, 707 without it. np.empty touches no page, so this
-# adds nothing to the resident set.
-_np.empty((phasematch._PUMPS_PER_SCAN, phasematch.SCAN_POINTS))
+# that, so freeing this 1 MiB block keeps every array up to 1 MiB on the
+# heap, instead of mmapping it, or trimming the heap, on every call. The
+# largest are the power sweep's grouped phase temporaries, 544-640 KiB.
+# Per pass on the paper config (getrusage ru_minflt), a 16-power sweep
+# faults 0 times with it and 4,100 without, a design pass 0 and 204.
+# np.empty touches no page, so this adds nothing to the resident set.
+_np.empty(1 << 17)  # float64
 del _np

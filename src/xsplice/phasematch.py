@@ -49,18 +49,10 @@ __all__ = [
 #: root refinement stops on this residual, not on a bracket width.
 MISMATCH_TOL = 1e-6
 
-#: Points per pump in the coarse scan that brackets the roots of dk in
-#: the signal window.
-SCAN_POINTS = 2000
-
 #: sinc^2(x) = 1/2 at x = X_HALF.
 X_HALF = 1.3915573782515103
 
 _ENERGY_RTOL = 1e-12
-
-#: Pumps per broadcast scan: bounds the (pumps, scan points) arrays of a
-#: long tuning curve to a few MB.
-_PUMPS_PER_SCAN = 64
 
 #: Lockstep rounds after which a root still above MISMATCH_TOL fails.
 _MAX_ROUNDS = 100
@@ -165,7 +157,7 @@ def _point_slopes(fiber: FiberSpec, lp: float, ls: float) -> tuple:
     return dk, _signal_slope(g_s, ls, g_i), 4.0 * np.pi * (g_i - g_p - b) / (lp * lp * 1e-9)
 
 
-def _scan_window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
+def _window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
     lo_model, hi_model = fiber.core_model.valid_range_nm
     lo = max(400.0, lo_model)
     if lambda_p_nm < 2.0 * hi_model:
@@ -184,25 +176,21 @@ def _scan_window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
     return lo, hi
 
 
-def _last(mask):
-    """Column of the last True in each row of ``mask``, -1 where none."""
-    return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1)
-
-
 def _refine(fiber, lp, a, b, fa, fb, level):
     """Roots of dk(lp, ls) - level on the brackets a < ls < b, in lockstep.
 
     Newton steps on the analytic slope d dk/d ls, safeguarded by the
-    bracket as in rtsafe (Numerical Recipes, section 9.4). The first
-    point is the secant through the bracket ends, or the midpoint where
-    that does not land strictly inside; ``fa`` and ``fb`` are dk - level
-    at the ends and have opposite signs, so ``fb - fa`` is never zero.
-    Each round evaluates dk and its slope at the point, keeps the
-    sub-bracket with the sign change, and steps to the Newton point. It
-    takes the midpoint instead where the Newton point leaves the bracket,
-    where the step is more than half the last one, or where the slope is
-    zero or NaN. An element leaves the active set once
-    |dk - level| < MISMATCH_TOL; its f is then exactly
+    bracket as in rtsafe (Numerical Recipes, section 9.4). Its callers,
+    ``output_bandwidths``' edges and the solver's overshoots, hold
+    brackets, so the first point is the secant through the bracket ends,
+    or the midpoint where that does not land strictly inside; ``fa`` and
+    ``fb`` are dk - level at the ends and have opposite signs, so
+    ``fb - fa`` is never zero. Each round evaluates dk and its slope at
+    the point, keeps the sub-bracket with the sign change, and steps to
+    the Newton point. It takes the midpoint instead where the Newton
+    point leaves the bracket, where the step is more than half the last
+    one, or where the slope is zero or NaN. An element leaves the active
+    set once |dk - level| < MISMATCH_TOL; its f is then exactly
     ``phase_mismatch(fiber, lp, x) - level``. Every operation is
     elementwise, so a root does not depend on what else is refined with
     it. Returns ``(x, f)``, both NaN where the tolerance was not reached.
@@ -240,74 +228,86 @@ def _refine(fiber, lp, a, b, fa, fb, level):
 def _solve(fiber: FiberSpec, lps) -> list:
     """The root closest to each pump, as a PhaseMatchPoint or the error.
 
-    Each pump's window is checked on its own, so one pump without a
-    window fails alone. The valid pumps are scanned in one broadcast
-    ``phase_mismatch`` call on a (pumps, SCAN_POINTS) grid. Per pump only
-    the root closest to the pump is kept: the last sign-change bracket,
-    or an exact zero of the scan after it. All kept brackets are then
-    refined together by ``_refine``.
+    Signal and idler share the core index, so dk is a function g(x) of
+    x = delta^2, delta = 1/ls - 1/lp (1/nm), with g'(x) =
+    -(d dk/d ls) ls^2 / (2 delta). All pumps take Newton steps in x in
+    lockstep from their window's inner end, ls = lp - 0.25 nm, one
+    ``_pair`` pass per round. Where g is convex, as on the design range,
+    they walk monotonically onto the nearest root; where it is concave,
+    as for pumps below about 610 nm, a step can overshoot it. A pump
+    stops at |dk| < MISMATCH_TOL, or at dk < 0 after a positive iterate,
+    where ``_refine`` finishes the bracket of the last two. It has no
+    solution in its window at dk <= 0 at the inner end, at a slope
+    d dk/d ls not positive and finite, or at dk > 0 at the outer end, to
+    which a Newton point past it is moved. Each window is checked on its
+    own, so one pump fails alone.
     """
     results = [None] * len(lps)
     windows = []
     for k, lp in enumerate(lps):
         try:
-            windows.append((k, *_scan_window(fiber, lp)))
+            windows.append((k, *_window(fiber, lp)))
         except (PhaseMatchError, WavelengthRangeError) as exc:
             results[k] = exc
-    for start in range(0, len(windows), _PUMPS_PER_SCAN):
-        ks, lo, hi = (np.array(c) for c in zip(*windows[start:start + _PUMPS_PER_SCAN]))
-        lp = lps[ks]
-        grid = np.linspace(lo, hi, SCAN_POINTS, axis=-1)
-        vals = phase_mismatch(fiber, lp[:, None], grid)
-        sign = np.sign(vals)
-        flip = _last(sign[:, :-1] * sign[:, 1:] < 0)
-        zero = _last(vals == 0.0)
-
-        ls = np.full(len(ks), np.nan)
-        dk = np.zeros(len(ks))
-        exact = zero > flip
-        ls[exact] = grid[exact, zero[exact]]
-        rows = np.nonzero(~exact & (flip >= 0))[0]
-        i = flip[rows]
-        ls[rows], dk[rows] = _refine(
-            fiber, lp[rows], grid[rows, i], grid[rows, i + 1], vals[rows, i],
-            vals[rows, i + 1], np.zeros(len(rows)))
-
-        ok = ~np.isnan(ls)
-        li = np.full(len(ks), np.nan)
-        li[ok] = idler_wavelength(ls[ok], lp[ok])
-        for j, k in enumerate(ks):
-            if ok[j]:
-                results[k] = PhaseMatchPoint(float(lp[j]), float(ls[j]), float(li[j]),
-                                             float(dk[j]))
-            elif flip[j] >= 0:
-                results[k] = PhaseMatchError("root refinement did not reach the "
-                                             "mismatch tolerance")
-            else:
-                results[k] = PhaseMatchError(
-                    f"no phase-matched solution in window ({lo[j]:g}, {hi[j]:g}) nm "
-                    f"for pump {lp[j]:g} nm"
-                )
+    if not windows:
+        return results
+    ks, lo, hi = (np.array(c) for c in zip(*windows))
+    lp = lps[ks]
+    ls_out, dk_out = np.full(len(ks), np.nan), np.full(len(ks), np.nan)
+    refined = np.zeros(len(ks), dtype=bool)
+    # the pumps still stepping: rows, pumps, outer ends, pump terms, signals
+    act, p, end, pump = np.arange(len(ks)), lp, lo, _pump_term(slow_axis_index(fiber, lp), lp)
+    ls, delta = hi, 1.0 / hi - 1.0 / lp
+    for rnd in range(_MAX_ROUNDS):
+        if not act.size:
+            break
+        dk, slope = _pair(fiber, pump, p, ls)
+        done = np.abs(dk) < MISMATCH_TOL
+        ls_out[act[done]], dk_out[act[done]] = ls[done], dk[done]
+        over = ~done & (dk < 0) & (rnd > 0)
+        if over.any():
+            rows = act[over]
+            refined[rows] = True
+            ls_out[rows], dk_out[rows] = _refine(fiber, p[over], ls[over], last_ls[over],
+                                                 dk[over], last_dk[over], np.zeros(rows.size))
+        step = np.nonzero(~done & (dk > 0) & (slope > 0) & (slope < np.inf) & (ls > end))[0]
+        last_ls, last_dk, d = ls[step], dk[step], delta[step]
+        act, p, end, pump = act[step], p[step], end[step], pump[step]
+        delta = np.sqrt(d * d + 2.0 * d * last_dk / (slope[step] * last_ls ** 2))
+        # a pump whose Newton point is past its outer end stops there
+        ls = np.maximum(1.0 / (1.0 / p + delta), end)
+    refined[act] = True
+    ok = ~np.isnan(ls_out)
+    li = np.full(len(ks), np.nan)
+    li[ok] = idler_wavelength(ls_out[ok], lp[ok])
+    for j, k in enumerate(ks):
+        if ok[j]:
+            results[k] = PhaseMatchPoint(float(lp[j]), float(ls_out[j]), float(li[j]),
+                                         float(dk_out[j]))
+        elif refined[j]:
+            results[k] = PhaseMatchError("root refinement did not reach the mismatch tolerance")
+        else:
+            results[k] = PhaseMatchError(f"no phase-matched solution in window ({lo[j]:g}, "
+                                         f"{hi[j]:g}) nm for pump {lp[j]:g} nm")
     return results
 
 
 def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
     """Solve dk = 0 at zero peak power for the signal below the pump.
 
-    A coarse scan of ``SCAN_POINTS`` points over the (validity-clipped)
-    signal window brackets the sign changes. Only the root closest to
-    the pump is refined, the branch continuously connected to
-    degeneracy: Newton steps on the analytic slope d dk/d ls, kept
-    inside the bracket, run until |dk| < 1e-6 rad/m, which takes two
-    evaluations per root on the design range. The reported residual is
-    exactly ``phase_mismatch(fiber, lp, ls)``. This is the one-pump case
-    of the solver behind ``tuning_curve``.
+    Only the root closest to the pump is returned, the branch
+    continuously connected to degeneracy. Newton steps in the squared
+    offset (1/ls - 1/lp)^2 from lp - 0.25 nm, on the analytic slope
+    d dk/d ls, reach |dk| < 1e-6 rad/m in four Sellmeier passes on the
+    design range; the residual is exactly ``phase_mismatch(fiber, lp, ls)``.
+    This is the one-pump case of the solver behind ``tuning_curve``.
 
     Raises
     ------
     PhaseMatchError
-        If no sign change exists in the window (e.g. B = 0, where only
-        the degenerate solution at the pump remains).
+        If the window holds no root on that branch (e.g. B = 0, where
+        only the degenerate solution remains, or a root within 0.25 nm
+        of the pump).
     """
     result = _solve(fiber, np.array([float(lambda_p_nm)]))[0]
     if isinstance(result, Exception):

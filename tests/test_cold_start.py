@@ -149,6 +149,14 @@ def one_pass():
     xs.effective_state_at_power(cfg.noise, fiber, cfg.compensators, cfg.signal, cfg.pump,
                                 30.0, baseline_noise=cfg.baseline_noise)
 """,
+    # the power sweep's grouped coherence pass
+    "sweep": """
+powers = [1.0 + 11.0 * k / 3.0 for k in range(16)]  # 1 to 56 mW
+
+def one_pass():
+    xs.visibility_vs_power(cfg.noise, fiber, cfg.compensators, powers, cfg.signal, cfg.pump,
+                           baseline_noise=cfg.baseline_noise)
+""",
 }
 
 
@@ -156,8 +164,9 @@ def one_pass():
                     reason="the warm-up targets glibc's dynamic mmap threshold")
 @pytest.mark.parametrize("kind", sorted(FAULT_PASSES))
 def test_pass_does_not_fault_after_warm_up(kind):
-    # without the warm-up in xsplice/__init__.py each design pass faulted
-    # 483 times: the scan arrays were mmapped and the heap trimmed anew
+    # without the warm-up in xsplice/__init__.py each pass faulted: the
+    # arrays above glibc's default 128 KiB mmap threshold were mmapped, and
+    # the heap trimmed, anew on every call
     faults = run_fresh(f"""
 import resource
 cfg = xs.load_config({str(PAPER_INI)!r})

@@ -105,13 +105,6 @@ class TestSolver:
         with pytest.raises(PhaseMatchError, match="no phase-matched solution"):
             solve_signal_idler(fiber, 771.0)
 
-    def test_root_independent_of_scan_resolution(self, paper_fiber, monkeypatch):
-        monkeypatch.setattr(phasematch, "SCAN_POINTS", 1200)
-        a = solve_signal_idler(paper_fiber, 771.0)
-        monkeypatch.setattr(phasematch, "SCAN_POINTS", 4000)
-        b = solve_signal_idler(paper_fiber, 771.0)
-        assert a.lambda_s_nm == pytest.approx(b.lambda_s_nm, abs=5e-7)
-
     def test_result_is_deterministic(self, paper_fiber):
         a = solve_signal_idler(paper_fiber, 771.0)
         b = solve_signal_idler(paper_fiber, 771.0)
@@ -135,7 +128,7 @@ class TestRefinement:
         for fiber, p in solved:
             assert p.residual_mismatch == phase_mismatch(fiber, p.lambda_p_nm, p.lambda_s_nm)
 
-    def test_two_evaluations_per_root(self, monkeypatch, paper_fiber):
+    def test_four_lockstep_passes_per_tuning_curve(self, monkeypatch, paper_fiber):
         sizes = []
         pair = phasematch._pair
 
@@ -143,15 +136,28 @@ class TestRefinement:
             sizes.append(ls.size)
             return pair(fiber, pump, lp, ls)
 
+        def no_mismatch(*_):
+            raise AssertionError("the solve called phase_mismatch")
+
         monkeypatch.setattr(phasematch, "_pair", counted)
+        monkeypatch.setattr(phasematch, "phase_mismatch", no_mismatch)
         points, _ = tuning_curve(paper_fiber, (765.0, 777.0), 13)
         assert len(points) == 13
-        # lockstep: each call evaluates every root still refining once
-        assert sizes[0] == 13 and len(sizes) <= 2
+        # lockstep: each pass evaluates every pump still stepping once
+        assert sizes[0] == 13 and len(sizes) <= 4 and max(sizes) <= 13
 
     @pytest.mark.parametrize("slope", [0.0, np.nan])
     def test_flat_or_undefined_slope_bisects(self, monkeypatch, paper_fiber, slope):
-        expected = solve_signal_idler(paper_fiber, 771.0)
+        point = solve_signal_idler(paper_fiber, 771.0)
+        edges = []
+        refine = phasematch._refine
+
+        def recorded(*args):
+            edges.append(refine(*args))
+            return edges[-1]
+
+        monkeypatch.setattr(phasematch, "_refine", recorded)
+        expected = output_bandwidths(paper_fiber, point, 0.3)
         pair = phasematch._pair
 
         def flat(*args):
@@ -161,10 +167,45 @@ class TestRefinement:
         monkeypatch.setattr(phasematch, "_pair", flat)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            point = solve_signal_idler(paper_fiber, 771.0)
+            found = output_bandwidths(paper_fiber, point, 0.3)
+            # the solver's Newton steps need the slope: no step, no root
+            with pytest.raises(PhaseMatchError, match="no phase-matched solution in window"):
+                solve_signal_idler(paper_fiber, 771.0)
+        (unpatched, _), (bisected, f) = edges
+        assert np.all(np.abs(f) < MISMATCH_TOL)
+        # each edge within MISMATCH_TOL / (118 rad/m/nm) of its root
+        np.testing.assert_allclose(bisected, unpatched, rtol=0.0, atol=2e-8)
+        assert found == pytest.approx(expected, abs=4e-8)
+
+    def test_overshoot_is_refined_on_its_bracket(self, monkeypatch, silica):
+        # at a 500 nm pump g(x) is concave, and the Newton steps in x from
+        # the pump side step over the root once
+        fiber = FiberSpec(0.13, 2.3e-5, 0.0, silica)
+        brackets = []
+        refine = phasematch._refine
+
+        def recorded(fiber, lp, a, b, fa, fb, level):
+            brackets.append((a, b, fa, fb))
+            return refine(fiber, lp, a, b, fa, fb, level)
+
+        monkeypatch.setattr(phasematch, "_refine", recorded)
+        point = solve_signal_idler(fiber, 500.0)
+        [(a, b, fa, fb)] = brackets
+        assert a < point.lambda_s_nm < b and fa < -MISMATCH_TOL < MISMATCH_TOL < fb
+        assert point.residual_mismatch == phase_mismatch(fiber, 500.0, point.lambda_s_nm)
         assert abs(point.residual_mismatch) < MISMATCH_TOL
-        # both within MISMATCH_TOL / (118 rad/m/nm) of the root
-        assert point.lambda_s_nm == pytest.approx(expected.lambda_s_nm, abs=2e-8)
+        grid = np.linspace(point.lambda_s_nm, 499.75, 20001)[1:]
+        assert np.all(phase_mismatch(fiber, 500.0, grid) > 0)
+
+    def test_newton_point_past_the_outer_end_is_taken_at_the_end(self, silica):
+        # the root lies 0.016 nm inside the window's 400 nm end, and the
+        # first Newton step from the inner end lands at 399.992 nm
+        fiber = FiberSpec(0.13, 7e-4, 0.0, silica)
+        point = solve_signal_idler(fiber, 446.0)
+        assert 400.0 < point.lambda_s_nm < 400.02
+        assert abs(point.residual_mismatch) < MISMATCH_TOL
+        grid = np.linspace(point.lambda_s_nm, 445.75, 20001)[1:]
+        assert np.all(phase_mismatch(fiber, 446.0, grid) > 0)
 
 
 def _nearest_root_reference(fiber, lp):
@@ -204,6 +245,18 @@ class TestBranchSelection:
             assert abs(point.residual_mismatch) < MISMATCH_TOL
             assert abs(phase_mismatch(fiber, point.lambda_p_nm,
                                       point.lambda_s_nm)) < MISMATCH_TOL
+
+    # At B <= 1e-10 dk is already negative at the window's inner end: the
+    # root connected to degeneracy lies inside the 0.25 nm exclusion, and
+    # the root near 633 nm belongs to the other branch.
+    @pytest.mark.parametrize("b", [1e-10, 1e-11, 1e-12])
+    def test_near_root_inside_the_exclusion_is_no_solution(self, silica, b):
+        fiber = FiberSpec(0.13, b, 0.0, silica)
+        assert phase_mismatch(fiber, 1064.0, 1063.75) < 0
+        with pytest.raises(PhaseMatchError, match="no phase-matched solution in window"):
+            solve_signal_idler(fiber, 1064.0)
+        points, skipped = tuning_curve(fiber, (1064.0, 1064.0), 2)
+        assert not points and skipped == [1064.0, 1064.0]
 
 
 class TestTuningCurve:
@@ -296,12 +349,12 @@ class TestBandwidths:
         with pytest.raises(ValueError, match="pump_fwhm_nm"):
             output_bandwidths(paper_fiber, point, pump_fwhm_nm)
 
-    # pinned with the analytic group-index slopes and the Newton-refined roots
+    # pinned with the analytic group-index slopes and the roots of the Newton steps in x
     @pytest.mark.parametrize("length_m, birefringence, pump_nm, pump_fwhm_nm, expected", [
-        (0.13, CALIBRATED_B, 771.0, 0.3, (0.42010963709935006, 0.7713418008562632)),
-        (0.26, CALIBRATED_B, 771.0, 0.45, (0.36886892045613384, 0.6772613438459495)),
+        (0.13, CALIBRATED_B, 771.0, 0.3, (0.4201096370888082, 0.7713418008367484)),
+        (0.26, CALIBRATED_B, 771.0, 0.45, (0.3688689204380834, 0.677261343812668)),
         # calibrate_birefringence(silica, 774.0, 662.0)
-        (0.21, 0.000398548422148662, 774.0, 0.42, (0.34913899635564416, 0.6914406392751011)),
+        (0.21, 0.000398548422148662, 774.0, 0.42, (0.3491389963556529, 0.6914406392750961)),
     ], ids=["paper", "long-fiber", "design-range"])
     def test_pinned_values(self, silica, length_m, birefringence, pump_nm, pump_fwhm_nm,
                            expected):

@@ -67,6 +67,17 @@ def test_calibrate_then_solve_returns_target(silica, pump, target, length):
     assert abs(point.lambda_s_nm - target) < 1e-6
 
 
+@SOLVER
+@given(pump=pumps, target=targets, length=lengths)
+def test_no_root_between_the_inner_end_and_the_solved_root(silica, pump, target, length):
+    # dk is even in delta = 1/ls - 1/lp: a grid uniform in x = delta^2, from
+    # the window's inner end (ls = lp - 0.25 nm) to the returned root
+    fiber, point = _calibrated(silica, pump, target, length)
+    x = np.linspace((1.0 / (pump - 0.25) - 1.0 / pump) ** 2,
+                    (1.0 / point.lambda_s_nm - 1.0 / pump) ** 2, 20001)
+    assert np.all(phase_mismatch(fiber, pump, 1.0 / (1.0 / pump + np.sqrt(x[:-1]))) > 0)
+
+
 @CHEAP
 @given(pump=pumps, signal=targets, b=st.floats(1e-5, 1e-3))
 def test_mismatch_linear_in_birefringence(silica, pump, signal, b):
