@@ -2,8 +2,8 @@
 
 Builds the relative-phase map between the two pair-creation processes
 across the pump and signal bandwidths, shows the ~900 degree swing of
-the bare source, then optimizes one quartz crystal per output arm and
-shows the map flatten to a degree-level residual.
+the bare source, then cuts one quartz crystal per output arm to cancel
+the walk-off and shows the map flatten to a degree-level residual.
 """
 
 from xsplice import (
@@ -31,12 +31,12 @@ print(f"  phase deviation peak-to-peak over +/-3 sigma: {bare.peak_to_peak_deg:.
 print("  A phase swinging by hundreds of degrees across the bandwidths")
 print("  scrambles the |HH>+|VV> superposition into a nearly even mixture.")
 
-print("\n== optimizing the compensators ==")
+print("\n== designing the compensators from the walk-off ==")
 sig_comp, idl_comp, std_deg = optimize_compensators(fiber, qz, pump, signal)
 orient = {+1: "slow axis vertical", -1: "slow axis horizontal"}
 print(f"  signal arm: {sig_comp.length_mm:6.2f} mm quartz, {orient[sig_comp.orientation_sign]}")
 print(f"  idler arm:  {idl_comp.length_mm:6.2f} mm quartz, {orient[idl_comp.orientation_sign]}")
-print(f"  weighted phase std at the optimum: {std_deg:.3f} deg")
+print(f"  weighted phase std at the walk-off design: {std_deg:.3f} deg")
 
 flat = phase_map(fiber, (sig_comp, idl_comp), s_ax, p_ax)
 print(f"  compensated peak-to-peak: {flat.peak_to_peak_deg:.2f} deg")

@@ -1,12 +1,17 @@
 """Compensator-length design and fiber-birefringence calibration.
 
-The compensated phase is exactly linear in the two signed compensator
-lengths (a, b) in mm, so its spectrum-weighted variance over a
-wavelength grid is an exact quadratic form in them:
-``v00 + 2 [a, b]·c + [a, b]·G·[a, b]``. Its minimum solves the 2x2
-normal equations ``G·[a, b] = -c``; no iterative optimizer is involved.
-The reported residual is read off the same centred columns at the
-solved lengths, so the phase model is evaluated once per design.
+The compensators are cut from a model of the temporal walk-off in the
+fibers. With omega_s + omega_i = 2 omega_p, the phase's slope in one
+photon's frequency, the other's held, is a group delay over L: the
+first segment's pump on the fast axis, n_g(lp), against the second
+segment's photon on the slow axis, n_g + B. A crystal of signed length
+l in that photon's arm adds l dn_g, with dn_g = n_g,e - n_g,o. So the
+two arms decouple, and each arm's length at the spectral centres is
+one ratio of group indices,
+
+    l = L [n_g(lambda) + B - n_g(lp)] / dn_g(lambda),
+
+whose sign is the crystal's orientation. No linear system is solved.
 """
 
 from __future__ import annotations
@@ -14,9 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .materials import (CompensatorMaterial, FiberSpec, SellmeierModel,
-                        WavelengthRangeError)
-from .phase import (CompensatorSpec, compensated_phase, compensator_phase,
-                    total_phase)
+                        WavelengthRangeError, index_and_group_index)
+from .phase import (
+    CompensatorSpec,
+    compensated_phase,
+    compensator_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
+    total_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
+)
 from .phasematch import (PhaseMatchError, idler_wavelength, phase_mismatch,
                          solve_signal_idler)
 from .states import DESIGN_POINTS, DESIGN_SPAN_SIGMAS, GaussianSpectrum, spectral_grid
@@ -29,10 +38,6 @@ __all__ = [
     "calibrate_birefringence",
 ]
 
-#: Below this value of det(G) / (G00 G11) = 1 - corr^2 the signal- and
-#: idler-arm columns are collinear to rounding and the design is singular.
-_SINGULAR_RTOL = 1e-12
-
 #: A confirming solve farther than this from the calibration target has
 #: found another root of dk, nm. The solver's own root lies within
 #: MISMATCH_TOL / |d dk/d ls|, a few 1e-9 nm, of the target.
@@ -40,8 +45,9 @@ _BRANCH_TOL_NM = 0.01
 
 
 class OptimizationError(RuntimeError):
-    """The compensator design is singular: the wavelength grid cannot
-    tell the signal-arm and idler-arm compensators apart."""
+    """The compensator design is singular: a crystal has no group
+    birefringence at its arm's wavelength, so no length cancels the
+    walk-off."""
 
 
 class CalibrationError(RuntimeError):
@@ -60,43 +66,33 @@ def weighted_phase_std(fiber: FiberSpec, comps, pump: GaussianSpectrum,
 
 def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
                           pump: GaussianSpectrum, signal: GaussianSpectrum) -> tuple:
-    """Flatten the phase map with one crystal per output arm.
+    """Cancel the walk-off with one crystal per output arm.
 
-    Minimizes the spectrum-weighted phase variance over the
-    ``DESIGN_POINTS`` x ``DESIGN_POINTS`` +/- 3 sigma grid in closed
-    form, over unbounded signed lengths so that both orientation signs
-    per arm are covered.
+    Each arm's crystal cancels, over the fiber length L, the group delay
+    between that arm's photon on the slow axis and the pump on the fast
+    axis, at the spectral centres. In mm, the signed lengths are
+    ``1e3 L [n_g(ls) + B - n_g(lp)] / dn_g(ls)`` (signal) and
+    ``1e3 L [n_g(li) + B - n_g(lp)] / dn_g(li)`` (idler), from one
+    group-index pass on the core and one per crystal ray.
     Returns ``(signal_comp, idler_comp, weighted_std_deg)`` with
-    non-negative lengths and the orientation carried by each
-    CompensatorSpec. Raises OptimizationError when the grid cannot tell
-    the two arms apart (for instance a crystal without birefringence).
+    non-negative lengths, the orientation (the length's sign) carried by
+    each CompensatorSpec, and ``weighted_phase_std`` at that design.
+    Raises OptimizationError where dn_g is 0 at either arm (for instance
+    a crystal without birefringence).
     """
-    ls, lp, w = spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
-    base = total_phase(fiber, ls, lp)
-    per_mm_s = compensator_phase(CompensatorSpec(1.0, material, +1, "signal"), ls)
-    per_mm_i = compensator_phase(CompensatorSpec(1.0, material, +1, "idler"),
-                                 idler_wavelength(ls, lp))
-
-    def centered(f):
-        return f - np.sum(w * f)
-
-    b0, xs, yi = centered(base), centered(per_mm_s), centered(per_mm_i)
-    vxx, vyy, cxy = np.sum(w * xs * xs), np.sum(w * yi * yi), np.sum(w * xs * yi)
-    det = vxx * vyy - cxy * cxy
-    if not det > _SINGULAR_RTOL * vxx * vyy:
+    ls, lp = signal.center_nm, pump.center_nm
+    arms = np.array([ls, idler_wavelength(ls, lp)])
+    _, n_g = index_and_group_index(fiber.core_model, np.append(arms, lp))
+    dn_g = (index_and_group_index(material.extraordinary, arms)[1]
+            - index_and_group_index(material.ordinary, arms)[1])
+    if not np.all(dn_g != 0.0):
         raise OptimizationError(
-            "singular compensator design: the signal and idler arms are "
-            f"indistinguishable on a {DESIGN_POINTS}x{DESIGN_POINTS} grid")
-    gram = np.array([[vxx, cxy], [cxy, vyy]])
-    c = np.array([np.sum(w * b0 * xs), np.sum(w * b0 * yi)])
-    a, b = np.linalg.solve(gram, -c)
-
-    signal_comp = CompensatorSpec(abs(float(a)), material,
-                                  +1 if a >= 0 else -1, "signal")
-    idler_comp = CompensatorSpec(abs(float(b)), material,
-                                 +1 if b >= 0 else -1, "idler")
-    r = b0 + a * xs + b * yi
-    return signal_comp, idler_comp, float(np.degrees(np.sqrt(np.sum(w * r * r))))
+            "singular compensator design: the crystal has no group "
+            "birefringence at the signal or idler wavelength")
+    lengths = 1e3 * fiber.length_m * (n_g[:2] + fiber.birefringence - n_g[2]) / dn_g
+    comps = tuple(CompensatorSpec(abs(float(mm)), material, +1 if mm >= 0 else -1, arm)
+                  for mm, arm in zip(lengths, ("signal", "idler")))
+    return (*comps, weighted_phase_std(fiber, comps, pump, signal))
 
 
 def calibrate_birefringence(core_model: SellmeierModel, lambda_p_nm: float,

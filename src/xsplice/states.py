@@ -7,8 +7,8 @@ by the spectral characteristic function of the phase:
 
     rho_HH,VV = (1/2) < e^{-i phi(ls, lp)} >_{p_s p_p}.
 
-This average and the phase variance of compensator design share one
-rule, ``spectral_grid``: uniform signal and pump axes kept open (a
+This average and the weighted phase std of a compensator design share
+one rule, ``spectral_grid``: uniform signal and pump axes kept open (a
 column and a row) with normalised Gaussian weights. It converges
 exponentially on smooth integrands (Trefethen & Weideman, SIAM Rev. 56,
 385, 2014), and by Poisson summation its error is the aliasing of the

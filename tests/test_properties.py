@@ -17,9 +17,9 @@ from xsplice.design import calibrate_birefringence, optimize_compensators, weigh
 from xsplice.materials import WavelengthRangeError, birefringence, index, index_and_group_index
 from xsplice.phasematch import (PhaseMatchError, _point_slopes, idler_wavelength,
                                 output_bandwidths, phase_mismatch, solve_signal_idler, tuning_curve)
-from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, _PROBE_X, _alias_check,
-                            _spectral_axes, concurrence, mixed_state_over_spectra,
-                            relabel_signal_flip)
+from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
+                            _PROBE_X, _alias_check, _spectral_axes, concurrence,
+                            mixed_state_over_spectra, relabel_signal_flip, spectral_grid)
 from xsplice.tomography import _deviance, _gradient, _projector_stack
 
 from conftest import exact_quadratic_average
@@ -255,6 +255,10 @@ def _relative_group_delays_fs(fiber, comps, signal, pump):
     """(tau_s, tau_p) in fs: d phi/d omega_s at fixed pump and d phi/d
     omega_p at fixed signal, from the analytic group indices alone.
 
+    ``optimize_compensators`` nulls the same slopes in other coordinates,
+    (omega_s, omega_i), where each arm's delay involves only its own
+    crystal; this oracle shares only ``index_and_group_index`` with it.
+
     With omega_i = 2 omega_p - omega_s, the second segment's pair (slow
     axis, n_g + B) and the first segment's two pump photons (fast axis)
     give tau_s = L [n_g(li) - n_g(ls)] / c and tau_p = 2 L [n_g(lp) -
@@ -305,14 +309,58 @@ def test_group_delays_are_the_phase_slopes(paper_fiber, paper_compensators, with
        signal_fwhm=st.floats(0.05, 0.5))
 def test_designed_compensators_null_the_walk_off(silica, quartz_material, pump, target,
                                                  length, pump_fwhm, signal_fwhm):
-    # the variance design is the walk-off design: both relative group
-    # delays vanish at the spectral centres, from thousands of fs
+    # the design is the walk-off design: both relative group delays vanish
+    # at the spectral centres to rounding, from thousands of fs
     fiber, point = _calibrated(silica, pump, target, length)
     signal = point.lambda_s_nm
     comps = optimize_compensators(fiber, quartz_material, GaussianSpectrum(pump, pump_fwhm),
                                   GaussianSpectrum(signal, signal_fwhm))[:2]
     tau_s, tau_p = _relative_group_delays_fs(fiber, comps, signal, pump)
-    assert abs(tau_s) <= 1.0 and abs(tau_p) <= 1.0
+    assert abs(tau_s) <= 1e-6 and abs(tau_p) <= 1e-6
+
+
+def _variance_design(fiber, material, pump, signal):
+    """Signed lengths (mm) and std (deg) of the variance design.
+
+    The compensated phase is linear in the signed lengths (a, b), so its
+    weighted variance on the design grid is a quadratic whose minimum
+    solves the 2x2 normal equations G [a, b] = -c of the centred columns.
+    """
+    ls, lp, w = spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
+
+    def centred(f):
+        return f - np.sum(w * f)
+
+    base = centred(total_phase(fiber, ls, lp))
+    x = centred(compensator_phase(CompensatorSpec(1.0, material, +1, "signal"), ls))
+    y = centred(compensator_phase(CompensatorSpec(1.0, material, +1, "idler"),
+                                  idler_wavelength(ls, lp)))
+    gram = np.array([[np.sum(w * x * x), np.sum(w * x * y)],
+                     [np.sum(w * x * y), np.sum(w * y * y)]])
+    a, b = np.linalg.solve(gram, -np.array([np.sum(w * base * x), np.sum(w * base * y)]))
+    r = base + a * x + b * y
+    return float(a), float(b), float(np.degrees(np.sqrt(np.sum(w * r * r))))
+
+
+@SOLVER
+@given(pump=st.floats(766.0, 776.0), target=st.floats(655.0, 685.0),
+       length=st.floats(0.08, 0.30), pump_fwhm=st.floats(0.2, 0.5),
+       signal_fwhm=st.floats(0.15, 0.35))
+def test_walk_off_design_is_near_the_variance_minimum(silica, quartz_material, pump, target,
+                                                      length, pump_fwhm, signal_fwhm):
+    # on the design workload's ranges the walk-off lengths lie within 1e-3 mm
+    # of the variance minimum and their std exceeds its by at most 1e-5
+    # relative; on the wider ranges of the properties above (pump FWHM up to
+    # 1 nm) the lengths differ by up to 5e-3 mm
+    fiber, point = _calibrated(silica, pump, target, length)
+    pump_spec = GaussianSpectrum(pump, pump_fwhm)
+    signal_spec = GaussianSpectrum(point.lambda_s_nm, signal_fwhm)
+    sig, idl, std = optimize_compensators(fiber, quartz_material, pump_spec, signal_spec)
+    a, b, oracle_std = _variance_design(fiber, quartz_material, pump_spec, signal_spec)
+    assert (sig.orientation_sign, idl.orientation_sign) == (np.sign(a), np.sign(b))
+    assert abs(sig.orientation_sign * sig.length_mm - a) <= 1e-3
+    assert abs(idl.orientation_sign * idl.length_mm - b) <= 1e-3
+    assert oracle_std * (1.0 - 1e-12) <= std <= oracle_std * (1.0 + 1e-5)
 
 
 @CHEAP
