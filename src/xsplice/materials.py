@@ -8,6 +8,13 @@ with lambda in micrometres and C_j in micrometres squared. A constant
 offset in n^2 (as used by some quartz parameterizations) is expressed as
 a term with C_j = 0.
 
+One kernel, ``_sellmeier``, evaluates every expansion. It works in the
+squared wavenumber v = 1/lambda^2 (1/um^2), where each term is
+B_j / (1 - C_j v) and a C_j = 0 term is the constant B_j, so no
+division by lambda is needed. ``index``, ``index_and_group_index`` and
+the phase model of ``phase`` all call it; the phase model passes
+wavenumbers straight from energy conservation.
+
 The built-in database ships fused silica (Malitson) for the fiber core
 and crystalline quartz o/e rays for the compensators. It can be replaced
 wholesale with a JSON file of the same schema, either through
@@ -119,34 +126,53 @@ def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
     return lam
 
 
+def _sellmeier(model: SellmeierModel, v, group: bool = False):
+    """``n``, or ``(n, n_g)`` with ``group``, at squared wavenumbers ``v`` (1/um^2).
+
+    n^2 = 1 + sum_j B_j / (1 - C_j v). The group index n - lambda
+    dn/dlambda is n + 2 v dn/dv = n + (1/n) sum_j t_j C_j v / (1 - C_j v),
+    with t_j = B_j / (1 - C_j v) the term itself. ``v`` is a float, a
+    numpy scalar or an array, and is left as it was; the results take its
+    shape. Every array is combined in place once allocated here, so a
+    large ``v`` costs at most three more arrays of its size.
+    """
+    n2 = 1.0 + sum(b for b, c in model.terms if not c)  # the C = 0 terms
+    slope = 0.0
+    for b, c in model.terms:
+        if not c:
+            continue
+        d = v * -c
+        d += 1.0  # 1 - C v
+        if not group:
+            n2 += b / d
+            continue
+        t = b / d
+        n2 += t
+        slope += t * (c * v) / d
+    if isinstance(n2, float):  # no dispersive term: a constant index
+        n2 = np.full_like(v, n2)
+    n = np.sqrt(n2)
+    return (n, n + slope / n) if group else n
+
+
 def index(model: SellmeierModel, wavelength_nm):
     """Refractive index n(lambda); accepts scalars or arrays (nm)."""
-    lam2 = (_check_range(model, wavelength_nm) / 1000.0) ** 2
-    n2 = np.ones_like(lam2)
-    for b, c in model.terms:
-        n2 += b * lam2 / (lam2 - c)
-    return np.sqrt(n2) if n2.ndim else float(np.sqrt(n2))
+    lam = _check_range(model, wavelength_nm)
+    k = 1000.0 / lam  # 1/um
+    n = _sellmeier(model, k * k)
+    return n if lam.ndim else float(n)
 
 
 def index_and_group_index(model: SellmeierModel, wavelength_nm) -> tuple:
     """``(n, n_g)``: the index and the group index n - lambda dn/dlambda.
 
-    Differentiating the Sellmeier sum gives dn/dlambda = -(1/n) sum_j
-    B_j C_j lambda / (lambda^2 - C_j)^2, so n_g = n + (1/n) sum_j
-    B_j C_j lambda^2 / (lambda^2 - C_j)^2, from the same terms in the
-    same pass. ``n`` is bit for bit ``index(model, wavelength_nm)``.
+    Both come from the same terms in one ``_sellmeier`` pass, and ``n``
+    is bit for bit ``index(model, wavelength_nm)``.
     """
-    lam2 = (_check_range(model, wavelength_nm) / 1000.0) ** 2
-    n2 = np.ones_like(lam2)
-    slope = np.zeros_like(lam2)  # sum_j B_j C_j lambda^2 / (lambda^2 - C_j)^2
-    for b, c in model.terms:
-        d = lam2 - c
-        term = b * lam2 / d
-        n2 += term
-        slope += term * c / d
-    n = np.sqrt(n2)
-    n_g = n + slope / n
-    return (n, n_g) if n.ndim else (float(n), float(n_g))
+    lam = _check_range(model, wavelength_nm)
+    k = 1000.0 / lam
+    n, n_g = _sellmeier(model, k * k, group=True)
+    return (n, n_g) if lam.ndim else (float(n), float(n_g))
 
 
 def slow_axis_index(fiber: FiberSpec, wavelength_nm):

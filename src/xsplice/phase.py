@@ -8,6 +8,19 @@ the two amplitudes of the entangled state; its variation across the pump
 and signal spectra is what mixes the two-qubit state, and is what the
 output-arm birefringent compensators are cut to cancel.
 
+The relative phase is evaluated in wavenumbers k = 1/lambda (1/um).
+Energy conservation, omega_s + omega_i = 2 omega_p, is linear there:
+k_i = 2 k_p - k_s. Splitting the pump's 2 k_p the same way, the two
+segments' phases of about 1.7e6 rad each cancel term by term, and what
+is left is
+
+    phi = 2 pi L [k_s (n_p - B - n_s) + k_i (n_p - B - n_i)],
+
+with n the core's fast-axis index at each wavelength and B the fiber
+birefringence. A compensator crystal of length l in either arm then
+adds sign * 2 pi l k dn(k) at its arm's wavenumber, dn = n_e - n_o.
+No idler wavelength is formed.
+
 All phase functions accept scalars or numpy arrays and return radians;
 maps are reported in degrees as deviation from the grid mean.
 """
@@ -19,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CompensatorMaterial, FiberSpec, birefringence, index, slow_axis_index
+from .materials import (CompensatorMaterial, FiberSpec, _check_range, _sellmeier, index,
+                        slow_axis_index)
 from .phasematch import idler_wavelength
 from .states import bandwidth_grid
 
@@ -84,16 +98,11 @@ def phi_pair_walkoff(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
     (2 pi L / ls) [n(ls) + B] + (2 pi L / li) [n(li) + B].
     """
     ls = np.asarray(lambda_s_nm, dtype=float)
-    out = _pair_walkoff(fiber, ls, idler_wavelength(ls, lambda_p_nm))
-    return out if out.ndim else float(out)
-
-
-def _pair_walkoff(fiber: FiberSpec, ls: np.ndarray, li) -> np.ndarray:
-    """``phi_pair_walkoff`` given the idler wavelength."""
-    m = 1e-9
+    li = idler_wavelength(ls, lambda_p_nm)
     two_pi_l = 2.0 * np.pi * fiber.length_m
-    return (two_pi_l / (ls * m) * slow_axis_index(fiber, ls)
-            + two_pi_l / (li * m) * slow_axis_index(fiber, li))
+    out = (two_pi_l / (ls * 1e-9) * slow_axis_index(fiber, ls)
+           + two_pi_l / (li * 1e-9) * slow_axis_index(fiber, li))
+    return out if out.ndim else float(out)
 
 
 def phi_pump(fiber: FiberSpec, lambda_p_nm):
@@ -115,26 +124,106 @@ def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
 def compensator_phase(comp: CompensatorSpec, wavelength_nm):
     """Phase added by one compensator: sign * 2 pi l dn(lambda) / lambda."""
     lam = np.asarray(wavelength_nm, dtype=float)
-    out = (birefringence(comp.material, lam)
-           * (comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)) / (lam * 1e-9))
-    return out if np.ndim(out) else float(out)
+    for ray in (comp.material.extraordinary, comp.material.ordinary):
+        _check_range(ray, lam)
+    k = 1000.0 / lam
+    out = _crystal_phase(comp, k, k * k)
+    return out if lam.ndim else float(out)
+
+
+def _crystal_phase(comp: CompensatorSpec, k, v):
+    """``compensator_phase`` at wavenumbers ``k`` (1/um), with ``v`` = k^2."""
+    dn = _sellmeier(comp.material.extraordinary, v)
+    dn -= _sellmeier(comp.material.ordinary, v)
+    dn *= k
+    dn *= comp.orientation_sign * 2e3 * np.pi * comp.length_mm
+    return dn
 
 
 def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
     """Total phase including the arm compensators.
 
     ``comps`` is an iterable of CompensatorSpec, or None for no crystals;
-    signal-arm entries are evaluated at the signal wavelength, idler-arm
-    entries at the idler wavelength fixed by energy conservation. The
-    idler wavelength is computed once, and every term is added in place
-    to the one array that holds the result.
+    signal-arm entries are evaluated at the signal wavenumber, idler-arm
+    entries at the idler wavenumber 2 k_p - k_s that energy conservation
+    fixes (module docstring). The crystals are added after the fiber
+    phase, so the result differs from ``total_phase`` by their phase
+    alone, to rounding. Inputs fail as in ``idler_wavelength`` and
+    ``index``, with the same errors. Arrays are combined in place and
+    freed once used: a grid of full-size inputs holds at most seven
+    arrays of the output's size at once.
     """
     ls = np.asarray(lambda_s_nm, dtype=float)
-    li = idler_wavelength(ls, lambda_p_nm)
-    phase = phi_pump(fiber, lambda_p_nm) - _pair_walkoff(fiber, ls, li)
-    for comp in comps or ():
-        phase += compensator_phase(comp, ls if comp.arm == "signal" else li)
-    return phase if phase.ndim else float(phase)
+    lp = np.asarray(lambda_p_nm, dtype=float)
+    comps = tuple(comps or ())
+    _check_wavelengths(fiber, comps, ls, lp)
+    core = fiber.core_model
+    kp, ks = 1000.0 / lp, 1000.0 / ls  # 1/um
+    ki = 2.0 * kp - ks
+    kp *= kp
+    a = _sellmeier(core, kp)
+    a -= fiber.birefringence  # n_p - B
+    del kp
+    out = a - _sellmeier(core, ks * ks)
+    out *= ks
+    del ks
+    vi = ki * ki  # shared by the core and every idler-arm crystal
+    term = _sellmeier(core, vi)
+    term -= a
+    term *= ki
+    out -= term  # k_i (n_p - B - n_i)
+    del a, term
+    out *= 2e6 * np.pi * fiber.length_m
+    for comp in comps:
+        if comp.arm == "idler":
+            out += _crystal_phase(comp, ki, vi)
+    del ki, vi
+    if any(comp.arm == "signal" for comp in comps):
+        ks = 1000.0 / ls  # again, rather than kept beside the idler's arrays
+        vs = ks * ks
+        for comp in comps:
+            if comp.arm == "signal":
+                out += _crystal_phase(comp, ks, vs)
+    return out if np.ndim(out) else float(out)
+
+
+def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray):
+    """Raise the error that ``idler_wavelength`` or ``index`` would raise.
+
+    The ranges are tested on the extremes of each axis; the idler's pair
+    those of the signal and the pump, which is exact on open axes and a
+    bound elsewhere. Only if that test fails are the inputs checked
+    element by element, in the order of the errors' precedence: positive
+    and not NaN, not degenerate, then each model's validity range at the
+    pump, signal and idler wavelengths.
+    """
+    if ls.size and lp.size and _within_ranges(fiber, comps, ls, lp):
+        return
+    li = idler_wavelength(ls, lp)
+    _check_range(fiber.core_model, lp)
+    _check_range(fiber.core_model, ls)
+    _check_range(fiber.core_model, li)
+    for comp in comps:
+        for ray in (comp.material.extraordinary, comp.material.ordinary):
+            _check_range(ray, ls if comp.arm == "signal" else li)
+
+
+def _within_ranges(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray) -> bool:
+    """Whether every wavelength lies in its models' ranges, from the axes' extremes."""
+    s_lo, s_hi, p_lo, p_hi = float(ls.min()), float(ls.max()), float(lp.min()), float(lp.max())
+    if not (s_lo > 0.0 and p_lo > 0.0):
+        return False  # NaN fails here too
+    k_lo = 2.0 * (1000.0 / p_hi) - 1000.0 / s_lo
+    k_hi = 2.0 * (1000.0 / p_lo) - 1000.0 / s_hi
+    if not k_lo > 0.0:
+        return False
+    i_lo, i_hi = 1000.0 / k_hi, 1000.0 / k_lo
+    spans = [(fiber.core_model, p_lo, p_hi), (fiber.core_model, s_lo, s_hi),
+             (fiber.core_model, i_lo, i_hi)]
+    for comp in comps:
+        lo, hi = (s_lo, s_hi) if comp.arm == "signal" else (i_lo, i_hi)
+        spans += [(comp.material.extraordinary, lo, hi), (comp.material.ordinary, lo, hi)]
+    return all(m.valid_range_nm[0] <= lo and hi <= m.valid_range_nm[1] for m, lo, hi in spans)
 
 
 def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap:

@@ -571,11 +571,17 @@ _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence from the spin-flipped spectrum."""
+    """Wootters concurrence from the spin-flipped spectrum.
+
+    Eigenvalues of rho rho~ within 16 eps of its largest are rounding of
+    a zero (a rank-deficient state has them) and are set to 0 before the
+    square root, which would lift a 1e-16 to 1e-8.
+    """
     rho = state.matrix
     r = rho @ _SY_SY @ rho.conj() @ _SY_SY
-    eig = np.linalg.eigvals(r).real
-    mu = np.sqrt(np.clip(np.sort(eig)[::-1], 0.0, None))
+    eig = np.sort(np.linalg.eigvals(r).real)[::-1]
+    eig[np.abs(eig) <= 16.0 * np.finfo(float).eps * max(eig[0], 0.0)] = 0.0
+    mu = np.sqrt(np.clip(eig, 0.0, None))
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 

@@ -72,3 +72,39 @@ def exact_quadratic_average(a, b=0.0, c=0.0, d=0.0, e=0.0):
     m = np.eye(2) + 2j * np.array([[c, d / 2], [d / 2, e]])
     v = np.array([a, b])
     return complex(np.exp(-0.5 * v @ np.linalg.solve(m, v)) / np.sqrt(np.linalg.det(m)))
+
+
+def _lambda_form_index(model, lam):
+    """n(lambda) from n^2 = 1 + sum_j B_j lambda^2 / (lambda^2 - C_j), lambda in nm."""
+    lam2 = (lam / 1000.0) ** 2
+    n2 = np.ones_like(lam2)
+    for b, c in model.terms:
+        n2 += b * lam2 / (lam2 - c)
+    return np.sqrt(n2)
+
+
+def lambda_form_phase(fiber, comps, lambda_s_nm, lambda_p_nm):
+    """Reference for ``compensated_phase``: the relative phase in wavelengths.
+
+    The idler wavelength ls lp / (2 ls - lp) comes from energy
+    conservation, and the phase is the difference of the two segments'
+    phases, (4 pi L / lp) n(lp) - sum over signal and idler of
+    (2 pi L / l) [n(l) + B], plus each crystal's sign 2 pi l dn / lambda,
+    with the index from its wavelength-form Sellmeier sum. No input is
+    checked.
+    """
+    ls = np.asarray(lambda_s_nm, dtype=float)
+    lp = np.asarray(lambda_p_nm, dtype=float)
+    li = ls * lp / (2.0 * ls - lp)
+    core, b = fiber.core_model, fiber.birefringence
+    two_pi_l = 2.0 * np.pi * fiber.length_m
+    phase = (2.0 * (two_pi_l / (lp * 1e-9)) * _lambda_form_index(core, lp)
+             - (two_pi_l / (ls * 1e-9) * (_lambda_form_index(core, ls) + b)
+                + two_pi_l / (li * 1e-9) * (_lambda_form_index(core, li) + b)))
+    for comp in comps or ():
+        lam = ls if comp.arm == "signal" else li
+        dn = (_lambda_form_index(comp.material.extraordinary, lam)
+              - _lambda_form_index(comp.material.ordinary, lam))
+        phase = phase + dn * (comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)) \
+            / (lam * 1e-9)
+    return phase

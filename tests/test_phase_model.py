@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import lambda_form_phase
 from xsplice import (
     CompensatorSpec,
     FiberSpec,
@@ -16,6 +19,8 @@ from xsplice import (
     phi_pump,
     total_phase,
 )
+from xsplice.materials import WavelengthRangeError
+from xsplice.phasematch import PhaseMatchError
 
 
 def paper_axes():
@@ -194,3 +199,63 @@ class TestPhaseMap:
             full = full - full.mean()
             pmap = phase_map(paper_fiber, comps, s_ax, p_ax)
             assert np.array_equal(pmap.deviation_deg, full)
+
+
+class TestWavenumberKernel:
+    def test_paper_grid_matches_wavelength_form(self, paper_fiber, paper_compensators):
+        s_ax, p_ax = paper_axes()
+        tol = 8.0 * np.spacing(phi_pump(paper_fiber, p_ax).max())
+        for comps in ((), paper_compensators):
+            got = compensated_phase(paper_fiber, comps, s_ax[:, None], p_ax[None, :])
+            ref = lambda_form_phase(paper_fiber, comps, s_ax[:, None], p_ax[None, :])
+            assert np.abs(got - ref).max() <= tol
+
+    # each failure as the wavelength form reports it, first offender first
+    @pytest.mark.parametrize("signal, pump, crystals, error, message", [
+        (480.0, 800.0, True, WavelengthRangeError,
+         "wavelength 2400 nm outside validity range [198, 2050] nm of quartz_e "
+         "(violated bound: 2050 nm)"),
+        (440.0, 800.0, False, WavelengthRangeError,
+         "wavelength 4400 nm outside validity range [210, 3710] nm of fused_silica "
+         "(violated bound: 3710 nm)"),
+        (np.linspace(460.0, 700.0, 5)[:, None], [[771.0, 800.0]], True, WavelengthRangeError,
+         "wavelength 2380.27 nm outside validity range [198, 2050] nm of quartz_e "
+         "(violated bound: 2050 nm)"),
+        (300.0, 771.0, False, WavelengthRangeError,
+         "wavelength -1352.63 nm outside validity range [210, 3710] nm of fused_silica "
+         "(violated bound: 210 nm)"),
+        ([670.0, 190.0], 771.0, True, WavelengthRangeError,
+         "wavelength 190 nm outside validity range [210, 3710] nm of fused_silica "
+         "(violated bound: 210 nm)"),
+        (670.0, [771.0, 4000.0], True, WavelengthRangeError,
+         "wavelength 4000 nm outside validity range [210, 3710] nm of fused_silica "
+         "(violated bound: 3710 nm)"),
+        (np.empty(0), 5000.0, False, WavelengthRangeError,
+         "wavelength 5000 nm outside validity range [210, 3710] nm of fused_silica "
+         "(violated bound: 3710 nm)"),
+        (np.nan, 771.0, True, WavelengthRangeError, "wavelength is not a number"),
+        (670.0, [771.0, np.nan], False, WavelengthRangeError, "wavelength is not a number"),
+        (-670.0, 771.0, True, WavelengthRangeError, "wavelengths must be positive"),
+        (670.0, 0.0, False, WavelengthRangeError, "wavelengths must be positive"),
+        (385.5, 771.0, True, PhaseMatchError, "degenerate denominator: 2*lambda_s == lambda_p"),
+    ], ids=["idler-crystal", "idler-core", "idler-grid", "negative-idler", "signal", "pump",
+            "empty-signal", "nan-signal", "nan-pump", "negative", "zero", "degenerate"])
+    def test_errors_match_the_wavelength_form(self, paper_fiber, paper_compensators, signal,
+                                              pump, crystals, error, message):
+        comps = paper_compensators if crystals else None
+        with pytest.raises(error) as err:
+            compensated_phase(paper_fiber, comps, signal, pump)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_full_grid_memory(self, paper_fiber, paper_compensators):
+        # full-size inputs make every intermediate full size; each is freed
+        # once used
+        S, P = np.meshgrid(bandwidth_grid(670.0, 0.23, 301), bandwidth_grid(771.0, 0.3, 301),
+                           indexing="ij")
+        tracemalloc.start()
+        try:
+            out = compensated_phase(paper_fiber, paper_compensators, S, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * out.nbytes

@@ -349,12 +349,13 @@ class TestBandwidths:
         with pytest.raises(ValueError, match="pump_fwhm_nm"):
             output_bandwidths(paper_fiber, point, pump_fwhm_nm)
 
-    # pinned with the analytic group-index slopes and the roots of the Newton steps in x
+    # pinned with the analytic group-index slopes, the roots of the Newton steps in x
+    # and the Sellmeier sums evaluated in squared wavenumber
     @pytest.mark.parametrize("length_m, birefringence, pump_nm, pump_fwhm_nm, expected", [
-        (0.13, CALIBRATED_B, 771.0, 0.3, (0.4201096370888082, 0.7713418008367484)),
-        (0.26, CALIBRATED_B, 771.0, 0.45, (0.3688689204380834, 0.677261343812668)),
-        # calibrate_birefringence(silica, 774.0, 662.0)
-        (0.21, 0.000398548422148662, 774.0, 0.42, (0.3491389963556529, 0.6914406392750961)),
+        (0.13, CALIBRATED_B, 771.0, 0.3, (0.4201096370622189, 0.7713418007879265)),
+        (0.26, CALIBRATED_B, 771.0, 0.45, (0.36886892044109754, 0.6772613438181998)),
+        # calibrate_birefringence(silica, 774.0, 662.0), to 1e-18
+        (0.21, 0.000398548422148662, 774.0, 0.42, (0.3491389963617783, 0.6914406392873368)),
     ], ids=["paper", "long-fiber", "design-range"])
     def test_pinned_values(self, silica, length_m, birefringence, pump_nm, pump_fwhm_nm,
                            expected):

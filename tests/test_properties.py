@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState,
-                     compensated_phase, compensator_phase, reconstruct_mle,
+                     compensated_phase, compensator_phase, phi_pump, reconstruct_mle,
                      simulate_counts, standard_settings, total_phase, visibility)
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
@@ -22,7 +22,7 @@ from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_
                             mixed_state_over_spectra, relabel_signal_flip, spectral_grid)
 from xsplice.tomography import _deviance, _gradient, _projector_stack
 
-from conftest import exact_quadratic_average
+from conftest import exact_quadratic_average, lambda_form_phase
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
 # ms each.
@@ -202,6 +202,23 @@ def test_compensated_phase_linear_in_lengths(paper_fiber, quartz_material, pump,
                                           crystal(b, sign_b, "idler")), signal, pump)
     rounding = 8.0 * np.finfo(float).eps * (abs(base) + abs(a * x) + abs(b * y))
     assert abs(got - (base + a * x + b * y)) <= rounding
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, length=lengths, b=st.floats(*B_RANGE), a=crystal_mm,
+       c=crystal_mm, sign_a=signs, sign_c=signs)
+def test_wavenumber_phase_matches_the_wavelength_form(silica, quartz_material, pump, signal,
+                                                      length, b, a, c, sign_a, sign_c):
+    # the wavenumber form cancels the two segments' phases term by term;
+    # the wavelength form subtracts them whole, so both carry the rounding
+    # of phi_pump's size, a few ulp of it
+    fiber = FiberSpec(length, b, 0.0, silica)
+    comps = (CompensatorSpec(a, quartz_material, sign_a, "signal"),
+             CompensatorSpec(c, quartz_material, sign_c, "idler"))
+    tol = 8.0 * np.spacing(abs(phi_pump(fiber, pump)))
+    for crystals in ((), comps):
+        got = compensated_phase(fiber, crystals, signal, pump)
+        assert abs(got - lambda_form_phase(fiber, crystals, signal, pump)) <= tol
 
 
 @CHEAP

@@ -625,6 +625,20 @@ class TestTangle:
     def test_maximally_mixed(self):
         assert tangle(TwoQubitState(np.eye(4, dtype=complex) / 4)) == 0.0
 
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 2.0])
+    def test_rank_deficient_state_ignores_rounding(self, phi):
+        # the three zero eigenvalues of a pure state's rho rho~ are rounding;
+        # moving the state by 1e-16 must not move its tangle by the 1e-8
+        # that square roots of +-1e-16 would give
+        pure = pure_phi_state(phi)
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        h -= np.trace(h) / 4 * np.eye(4)
+        moved = TwoQubitState(pure.matrix + 1e-16 * h / np.abs(h).max())
+        assert not np.array_equal(moved.matrix, pure.matrix)
+        assert tangle(moved) == pytest.approx(tangle(pure), abs=1e-12)
+
     def test_werner_analytic(self):
         # concurrence (3p-1)/2 for a Werner state, here 0.844
         p = 0.896

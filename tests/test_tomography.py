@@ -678,13 +678,12 @@ class TestErrorBars:
     # and the solve. werner_1e3 and model_30mw_1e4 have interior optima;
     # pure_phi_1e5's four optima are on the boundary, where Newton steps on
     # the face finish them at a certified optimum. Their zero eigenvalues
-    # are rounding, which the tangle's square roots lift to about 1e-8: a
-    # change of path that moved those states by 2e-16 moved its tangle_std
-    # by -2.7e-6 relative.
+    # are rounding, which the concurrence sets to 0 rather than let its
+    # square roots lift them to about 1e-8.
     @pytest.mark.parametrize("case, expected", [
         ("werner_1e3", (0.0023288207248321068, 0.0077230573739875095)),
         ("model_30mw_1e4", (0.0004969345159843845, 0.0017301757385986454)),
-        ("pure_phi_1e5", (0.0001730513815973629, 0.0003056433200701093)),
+        ("pure_phi_1e5", (0.0001730513815973629, 0.00030564973333903296)),
     ])
     def test_pinned_replicates(self, settings, paper_config, case, expected):
         if case == "werner_1e3":
