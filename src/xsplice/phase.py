@@ -195,7 +195,9 @@ def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.nd
     bound elsewhere. Only if that test fails are the inputs checked
     element by element, in the order of the errors' precedence: positive
     and not NaN, not degenerate, then each model's validity range at the
-    pump, signal and idler wavelengths.
+    pump, signal and idler wavelengths. The first test takes the idler
+    wavelength as 1000 / k_i, so within an ulp of a validity bound it
+    can pass an idler that ``idler_wavelength`` puts just outside.
     """
     if ls.size and lp.size and _within_ranges(fiber, comps, ls, lp):
         return
