@@ -11,9 +11,9 @@ a term with C_j = 0.
 One kernel, ``_sellmeier``, evaluates every expansion. It works in the
 squared wavenumber v = 1/lambda^2 (1/um^2), where each term is
 B_j / (1 - C_j v) and a C_j = 0 term is the constant B_j, so no
-division by lambda is needed. ``index``, ``index_and_group_index`` and
-the phase model of ``phase`` all call it; the phase model passes
-wavenumbers straight from energy conservation.
+division by lambda is needed. ``index``, ``index_and_group_index``,
+the mismatch of ``phasematch`` and the phase model of ``phase`` all call
+it; the last two pass wavenumbers straight from energy conservation.
 
 The built-in database ships fused silica (Malitson) for the fiber core
 and crystalline quartz o/e rays for the compensators. It can be replaced

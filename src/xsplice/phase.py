@@ -17,9 +17,11 @@ is left is
     phi = 2 pi L [k_s (n_p - B - n_s) + k_i (n_p - B - n_i)],
 
 with n the core's fast-axis index at each wavelength and B the fiber
-birefringence. A compensator crystal of length l in either arm then
-adds sign * 2 pi l k dn(k) at its arm's wavenumber, dn = n_e - n_o.
-No idler wavelength is formed.
+birefringence. This is L dk, the ``phasematch`` mismatch with the pump
+on the fast axis and the pair on the slow one (B -> -B):
+phi = L [dk(B = 0) - 4 pi B / lp]. A compensator crystal of length l in
+either arm then adds sign * 2 pi l k dn(k) at its arm's wavenumber,
+dn = n_e - n_o. No idler wavelength is formed.
 
 All phase functions accept scalars or numpy arrays and return radians;
 maps are reported in degrees as deviation from the grid mean.
@@ -34,7 +36,7 @@ import numpy as np
 
 from .materials import (CompensatorMaterial, FiberSpec, _check_range, _sellmeier, index,
                         slow_axis_index)
-from .phasematch import idler_wavelength
+from .phasematch import _check_wavelengths, idler_wavelength
 from .states import bandwidth_grid
 
 __all__ = [
@@ -185,47 +187,6 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
             if comp.arm == "signal":
                 out += _crystal_phase(comp, ks, vs)
     return out if np.ndim(out) else float(out)
-
-
-def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray):
-    """Raise the error that ``idler_wavelength`` or ``index`` would raise.
-
-    The ranges are tested on the extremes of each axis; the idler's pair
-    those of the signal and the pump, which is exact on open axes and a
-    bound elsewhere. Only if that test fails are the inputs checked
-    element by element, in the order of the errors' precedence: positive
-    and not NaN, not degenerate, then each model's validity range at the
-    pump, signal and idler wavelengths. The first test takes the idler
-    wavelength as 1000 / k_i, so within an ulp of a validity bound it
-    can pass an idler that ``idler_wavelength`` puts just outside.
-    """
-    if ls.size and lp.size and _within_ranges(fiber, comps, ls, lp):
-        return
-    li = idler_wavelength(ls, lp)
-    _check_range(fiber.core_model, lp)
-    _check_range(fiber.core_model, ls)
-    _check_range(fiber.core_model, li)
-    for comp in comps:
-        for ray in (comp.material.extraordinary, comp.material.ordinary):
-            _check_range(ray, ls if comp.arm == "signal" else li)
-
-
-def _within_ranges(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray) -> bool:
-    """Whether every wavelength lies in its models' ranges, from the axes' extremes."""
-    s_lo, s_hi, p_lo, p_hi = float(ls.min()), float(ls.max()), float(lp.min()), float(lp.max())
-    if not (s_lo > 0.0 and p_lo > 0.0):
-        return False  # NaN fails here too
-    k_lo = 2.0 * (1000.0 / p_hi) - 1000.0 / s_lo
-    k_hi = 2.0 * (1000.0 / p_lo) - 1000.0 / s_hi
-    if not k_lo > 0.0:
-        return False
-    i_lo, i_hi = 1000.0 / k_hi, 1000.0 / k_lo
-    spans = [(fiber.core_model, p_lo, p_hi), (fiber.core_model, s_lo, s_hi),
-             (fiber.core_model, i_lo, i_hi)]
-    for comp in comps:
-        lo, hi = (s_lo, s_hi) if comp.arm == "signal" else (i_lo, i_hi)
-        spans += [(comp.material.extraordinary, lo, hi), (comp.material.ordinary, lo, hi)]
-    return all(m.valid_range_nm[0] <= lo and hi <= m.valid_range_nm[1] for m, lo, hi in spans)
 
 
 def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap:

@@ -1,26 +1,32 @@
 """Birefringence-assisted vector phase matching in PM fiber.
 
 The pump propagates on the slow axis, the signal/idler pair on the fast
-axis. With a degenerate pump, momentum conservation reads
+axis. In wavenumbers k = 1/lambda (1/um), where energy conservation for
+a degenerate pump is linear, k_i = 2 k_p - k_s, momentum conservation
+reads
 
-    dk = 2*pi * [ 2*(n(lp) + B)/lp - n(ls)/ls - n(li)/li ] + 2*gamma*P,
+    dk = 2*pi*1e6 * [ k_s (n_p + B - n_s) + k_i (n_p + B - n_i) ] + 2*gamma*P
 
-with all wavelengths in metres and the idler fixed by energy
-conservation, li = ls*lp / (2*ls - lp). The birefringence term 4*pi*B/lp
-is what opens a non-degenerate solution: without it normal dispersion
-keeps dk negative everywhere below the pump.
+in rad/m, with n the core's fast-axis index at each wavenumber: the
+pump's 2 k_p (n_p + B), split as (k_s + k_i)(n_p + B), less the pair's
+k_s n_s + k_i n_i. The birefringence term 4*pi*1e6 B k_p is what opens
+a non-degenerate solution: without it normal dispersion keeps dk
+negative everywhere below the pump. With B -> -B, the pump on the fast
+axis and the pair on the slow one, L dk is the relative phase of
+``phase``.
 
 Both slopes of dk are group-index differences, from the analytic
-Sellmeier group index n_g = n - lambda dn/dlambda (``materials``). At
-fixed pump, d(n/lambda)/dlambda = -n_g/lambda^2 and d(li)/d(ls) =
--(li/ls)^2 give
+Sellmeier group index n_g = d(k n)/dk = n - lambda dn/dlambda
+(``materials``): at fixed pump
 
-    d dk/d ls = 2*pi * [ n_g(ls) - n_g(li) ] / ls^2,
+    d dk/d k_s = 2*pi*1e6 * [ n_g(k_i) - n_g(k_s) ],
 
-the signal-idler walk-off; at fixed signal, d(li)/d(lp) = 2 (li/lp)^2
-gives
+the signal-idler walk-off, and at fixed signal
 
-    d dk/d lp = 4*pi * [ n_g(li) - n_g(lp) - B ] / lp^2.
+    d dk/d k_p = 4*pi*1e6 * [ n_g(k_p) + B - n_g(k_i) ].
+
+The solver and the bandwidths take them per nm, through dk/dlambda =
+-k^2/1000.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import (FiberSpec, WavelengthRangeError, index, index_and_group_index,
-                        slow_axis_index)
+from .materials import FiberSpec, WavelengthRangeError, _check_range, _sellmeier, index
 
 __all__ = [
     "PhaseMatchError",
@@ -91,12 +96,14 @@ def idler_wavelength(lambda_s_nm, lambda_p_nm):
     """Idler wavelength from energy conservation, ls*lp/(2*ls - lp)."""
     ls = np.asarray(lambda_s_nm, dtype=float)
     lp = np.asarray(lambda_p_nm, dtype=float)
-    # one min pass per input; a NaN fails it and falls through to the elementwise test
-    if not (ls.min(initial=np.inf) > 0 and lp.min(initial=np.inf) > 0) \
-            and ((~(ls > 0)).any() or (~(lp > 0)).any()):
+    # a min and a max pass per input; a NaN fails them and falls through to
+    # the elementwise tests
+    if not all(0.0 < x.min(initial=np.inf) and x.max(initial=0.0) < np.inf for x in (ls, lp)):
         if (ls <= 0).any() or (lp <= 0).any():
             raise WavelengthRangeError("wavelengths must be positive")
-        raise WavelengthRangeError("wavelength is not a number")
+        if np.isnan(ls).any() or np.isnan(lp).any():
+            raise WavelengthRangeError("wavelength is not a number")
+        raise WavelengthRangeError("wavelengths must be finite")
     denom = 2.0 * ls - lp
     if (denom == 0.0).any():
         raise PhaseMatchError("degenerate denominator: 2*lambda_s == lambda_p")
@@ -104,57 +111,81 @@ def idler_wavelength(lambda_s_nm, lambda_p_nm):
     return out if out.ndim else float(out)
 
 
-def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0):
-    """Vector phase mismatch dk in rad/m at the given signal wavelength(s)."""
-    ls = np.asarray(lambda_s_nm, dtype=float)
-    li = idler_wavelength(ls, lambda_p_nm)
-    pump = _pump_term(slow_axis_index(fiber, lambda_p_nm), lambda_p_nm)
-    core = fiber.core_model
-    dk = _mismatch(pump, index(core, ls), ls, index(core, li), li)
-    dk = dk + 2.0 * fiber.gamma * peak_power_w
-    return dk if np.ndim(dk) else float(dk)
+def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray):
+    """Raise the error that ``idler_wavelength`` or ``index`` would raise.
 
-
-def _pump_term(n_p, lp):
-    """2 n_p / lp in 1/m, the pump's share of dk / 2 pi; ``n_p`` is the
-    slow-axis index at ``lp`` nm."""
-    return 2.0 * n_p / (lp * 1e-9)
-
-
-def _mismatch(pump, n_s, ls, n_i, li):
-    """dk at zero peak power from the pump term and the pair's indices:
-    the one expression behind ``phase_mismatch`` and the refinement."""
-    m = 1e-9
-    return 2.0 * np.pi * (pump - n_s / (ls * m) - n_i / (li * m))
-
-
-def _signal_slope(g_s, ls, g_i):
-    """d dk/d ls at fixed pump, rad/m per nm, from the signal and idler
-    group indices: the signal-idler walk-off."""
-    return 2.0 * np.pi * (g_s - g_i) / (ls * ls * 1e-9)
-
-
-def _pair(fiber: FiberSpec, pump, lp, ls):
-    """dk at zero peak power and d dk/d ls on 1-D signals.
-
-    Signal and idler go through one Sellmeier pass, which gives their
-    group indices with their indices.
+    The ranges are tested on the extremes of each axis; the idler's pair
+    those of the signal and the pump, which is exact on open axes and a
+    bound elsewhere. Only if that test fails are the inputs checked
+    element by element, in the order of the errors' precedence: positive,
+    not NaN and finite, not degenerate, then each model's validity range
+    at the pump, signal and idler wavelengths. The first test takes the
+    idler wavelength as 1000 / k_i, so within an ulp of a validity bound
+    it can pass an idler that ``idler_wavelength`` puts just outside.
     """
+    if ls.size and lp.size and _within_ranges(fiber, comps, ls, lp):
+        return
     li = idler_wavelength(ls, lp)
-    n, n_g = index_and_group_index(fiber.core_model, np.concatenate((ls, li)))
-    k = ls.size
-    return _mismatch(pump, n[:k], ls, n[k:], li), _signal_slope(n_g[:k], ls, n_g[k:])
+    _check_range(fiber.core_model, lp)
+    _check_range(fiber.core_model, ls)
+    _check_range(fiber.core_model, li)
+    for comp in comps:
+        for ray in (comp.material.extraordinary, comp.material.ordinary):
+            _check_range(ray, ls if comp.arm == "signal" else li)
 
 
-def _point_slopes(fiber: FiberSpec, lp: float, ls: float) -> tuple:
-    """dk at zero peak power, d dk/d ls and d dk/d lp (rad/m per nm) at
-    one point, from one Sellmeier pass at signal, idler and pump."""
-    li = idler_wavelength(ls, lp)
-    (n_s, n_i, n_p), (g_s, g_i, g_p) = index_and_group_index(fiber.core_model,
-                                                             np.array([ls, li, lp]))
+def _within_ranges(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray) -> bool:
+    """Whether every wavelength lies in its models' ranges, from the axes' extremes."""
+    s_lo, s_hi, p_lo, p_hi = float(ls.min()), float(ls.max()), float(lp.min()), float(lp.max())
+    if not (s_lo > 0.0 and p_lo > 0.0):
+        return False  # NaN fails here too
+    k_lo = 2.0 * (1000.0 / p_hi) - 1000.0 / s_lo
+    k_hi = 2.0 * (1000.0 / p_lo) - 1000.0 / s_hi
+    if not k_lo > 0.0:
+        return False
+    i_lo, i_hi = 1000.0 / k_hi, 1000.0 / k_lo
+    spans = [(fiber.core_model, p_lo, p_hi), (fiber.core_model, s_lo, s_hi),
+             (fiber.core_model, i_lo, i_hi)]
+    for comp in comps:
+        lo, hi = (s_lo, s_hi) if comp.arm == "signal" else (i_lo, i_hi)
+        spans += [(comp.material.extraordinary, lo, hi), (comp.material.ordinary, lo, hi)]
+    return all(m.valid_range_nm[0] <= lo and hi <= m.valid_range_nm[1] for m, lo, hi in spans)
+
+
+def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0):
+    """Vector phase mismatch dk in rad/m at the given signal wavelength(s).
+
+    Inputs fail as in ``compensated_phase``, with the same errors.
+    """
+    ls = np.asarray(lambda_s_nm, dtype=float)
+    lp = np.asarray(lambda_p_nm, dtype=float)
+    _check_wavelengths(fiber, (), ls, lp)
+    shape = np.broadcast_shapes(ls.shape, lp.shape)
+    lp = lp.ravel() if lp.size == 1 else np.broadcast_to(lp, shape).ravel()
+    dk = _mismatch(fiber, lp, np.broadcast_to(ls, shape).ravel())[0]
+    dk += 2.0 * fiber.gamma * peak_power_w
+    return dk.reshape(shape) if shape else float(dk[0])
+
+
+def _mismatch(fiber: FiberSpec, lp, ls) -> tuple:
+    """dk at zero peak power (rad/m), d dk/d ls and d dk/d lp (rad/m per nm)
+    on 1-D signals ``ls`` and pumps ``lp`` (nm) that the caller has checked;
+    ``lp`` has the size of ``ls`` or size one.
+
+    One Sellmeier pass at the signal, idler and pump wavenumbers gives
+    every index and group index (module docstring).
+    """
+    ks, kp = 1000.0 / ls, 1000.0 / lp  # 1/um
+    ki = 2.0 * kp - ks
+    k = np.concatenate((ks, ki, kp))
+    n, n_g = _sellmeier(fiber.core_model, k * k, group=True)
+    m = ks.size
+    n_s, n_i, n_p, g_s, g_i, g_p = n[:m], n[m:2 * m], n[2 * m:], n_g[:m], n_g[m:2 * m], n_g[2 * m:]
     b = fiber.birefringence
-    dk = _mismatch(_pump_term(n_p + b, lp), n_s, ls, n_i, li)
-    return dk, _signal_slope(g_s, ls, g_i), 4.0 * np.pi * (g_i - g_p - b) / (lp * lp * 1e-9)
+    a = n_p + b
+    dk = 2e6 * np.pi * (ks * (a - n_s) + ki * (a - n_i))
+    # d k/d lambda = -k^2 / 1000 per nm
+    return dk, 2e3 * np.pi * ks * ks * (g_s - g_i), 4e3 * np.pi * kp * kp * (g_i - g_p - b)
 
 
 def _window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
@@ -198,19 +229,18 @@ def _refine(fiber, lp, a, b, fa, fb, level):
     x_out = np.full(a.shape, np.nan)
     f_out = np.full(a.shape, np.nan)
     act = np.arange(a.size)
-    pump = _pump_term(slow_axis_index(fiber, lp), lp)
     x = a - fa * (b - a) / (fb - fa)
     x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
     last = b - a  # the step before the first Newton step: the bracket
     for _ in range(_MAX_ROUNDS):
         if not act.size:
             break
-        dk, slope = _pair(fiber, pump, lp, x)
+        dk, slope, _ = _mismatch(fiber, lp, x)
         f = dk - level
         done = np.abs(f) < MISMATCH_TOL
         x_out[act[done]], f_out[act[done]] = x[done], f[done]
         left = ~done
-        act, lp, pump, level, last = act[left], lp[left], pump[left], level[left], last[left]
+        act, lp, level, last = act[left], lp[left], level[left], last[left]
         a, b, fa, x, f, slope = a[left], b[left], fa[left], x[left], f[left], slope[left]
         move_a = (f < 0) == (fa < 0)
         a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
@@ -232,7 +262,7 @@ def _solve(fiber: FiberSpec, lps) -> list:
     x = delta^2, delta = 1/ls - 1/lp (1/nm), with g'(x) =
     -(d dk/d ls) ls^2 / (2 delta). All pumps take Newton steps in x in
     lockstep from their window's inner end, ls = lp - 0.25 nm, one
-    ``_pair`` pass per round. Where g is convex, as on the design range,
+    ``_mismatch`` pass per round. Where g is convex, as on the design range,
     they walk monotonically onto the nearest root; where it is concave,
     as for pumps below about 610 nm, a step can overshoot it. A pump
     stops at |dk| < MISMATCH_TOL, or at dk < 0 after a positive iterate,
@@ -255,13 +285,13 @@ def _solve(fiber: FiberSpec, lps) -> list:
     lp = lps[ks]
     ls_out, dk_out = np.full(len(ks), np.nan), np.full(len(ks), np.nan)
     refined = np.zeros(len(ks), dtype=bool)
-    # the pumps still stepping: rows, pumps, outer ends, pump terms, signals
-    act, p, end, pump = np.arange(len(ks)), lp, lo, _pump_term(slow_axis_index(fiber, lp), lp)
+    # the pumps still stepping: rows, pumps, outer ends, signals
+    act, p, end = np.arange(len(ks)), lp, lo
     ls, delta = hi, 1.0 / hi - 1.0 / lp
     for rnd in range(_MAX_ROUNDS):
         if not act.size:
             break
-        dk, slope = _pair(fiber, pump, p, ls)
+        dk, slope, _ = _mismatch(fiber, p, ls)
         done = np.abs(dk) < MISMATCH_TOL
         ls_out[act[done]], dk_out[act[done]] = ls[done], dk[done]
         over = ~done & (dk < 0) & (rnd > 0)
@@ -272,7 +302,7 @@ def _solve(fiber: FiberSpec, lps) -> list:
                                                  dk[over], last_dk[over], np.zeros(rows.size))
         step = np.nonzero(~done & (dk > 0) & (slope > 0) & (slope < np.inf) & (ls > end))[0]
         last_ls, last_dk, d = ls[step], dk[step], delta[step]
-        act, p, end, pump = act[step], p[step], end[step], pump[step]
+        act, p, end = act[step], p[step], end[step]
         delta = np.sqrt(d * d + 2.0 * d * last_dk / (slope[step] * last_ls ** 2))
         # a pump whose Newton point is past its outer end stops there
         ls = np.maximum(1.0 / (1.0 / p + delta), end)
@@ -359,7 +389,8 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     if not fiber.length_m > 0:
         raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
     lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
-    near, dk_dls, dk_dlp = _point_slopes(fiber, lp, ls0)
+    _check_wavelengths(fiber, (), np.array(ls0), np.array(lp))
+    (near,), (dk_dls,), (dk_dlp,) = _mismatch(fiber, np.array([lp]), np.array([ls0]))
 
     dk_half = 2.0 * X_HALF / fiber.length_m
     reach = 2.0 * dk_half / abs(dk_dls)

@@ -12,6 +12,9 @@ Regenerate after a change that is meant to move an output, and record
 which outputs moved, by how much and why::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints, for each artefact it writes, how many numbers moved against
+the old golden and the largest relative move.
 """
 
 import contextlib
@@ -93,6 +96,18 @@ def mismatches(golden: str, actual: str) -> list:
     return found
 
 
+def moved_numbers(golden: str, actual: str) -> str:
+    """How many numbers moved from ``golden`` to ``actual``, and the largest relative move."""
+    if _NUMBER.split(golden) != _NUMBER.split(actual):
+        return "text or layout changed"
+    pairs = list(zip(_NUMBER.findall(golden), _NUMBER.findall(actual)))
+    moves = [abs(float(a) - float(g)) / max(abs(float(g)), abs(float(a)))
+             for g, a in pairs if g != a]
+    if not moves:
+        return "unchanged"
+    return f"{len(moves)} of {len(pairs)} numbers moved, largest relative move {max(moves):.2e}"
+
+
 def test_goldens_match_their_digests():
     files = {str(p.relative_to(GOLDEN)): p.read_bytes()
              for p in sorted(GOLDEN.rglob("*")) if p.is_file() and p != SUMS}
@@ -123,11 +138,22 @@ def test_mismatches_reads_numbers():
     assert mismatches("1.0,2.0", "1.0,2.0,3.0")
 
 
+def test_moved_numbers_counts_and_scales_the_moves():
+    assert moved_numbers("x,1.0,2\n", "x,1.0,2\n") == "unchanged"
+    assert moved_numbers("1.0,4.0,-2.0", "1.5,4.0,-3.0") == \
+        "2 of 3 numbers moved, largest relative move 3.33e-01"
+    assert moved_numbers("1.0", "1.0,2.0") == "text or layout changed"
+
+
 if __name__ == "__main__":
+    old = {str(p.relative_to(GOLDEN)): p.read_text() for p in sorted(GOLDEN.rglob("*"))
+           if p.is_file() and p != SUMS}
     shutil.rmtree(GOLDEN, ignore_errors=True)
     blobs = run_invocations(GOLDEN)
     for rel, blob in blobs.items():
         (GOLDEN / rel).parent.mkdir(parents=True, exist_ok=True)
         (GOLDEN / rel).write_bytes(blob)
+        moved = moved_numbers(old[rel], blob.decode()) if rel in old else "new"
+        sys.stdout.write(f"{rel}: {moved}\n")
     SUMS.write_text(digest_lines(blobs))
     sys.stdout.write(f"wrote {len(blobs)} files under {GOLDEN}\n")

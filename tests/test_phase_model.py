@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from xsplice import (
     total_phase,
 )
 from xsplice.materials import WavelengthRangeError
-from xsplice.phasematch import PhaseMatchError
+from xsplice.phasematch import PhaseMatchError, phase_mismatch
 
 
 def paper_axes():
@@ -238,14 +239,26 @@ class TestWavenumberKernel:
         (-670.0, 771.0, True, WavelengthRangeError, "wavelengths must be positive"),
         (670.0, 0.0, False, WavelengthRangeError, "wavelengths must be positive"),
         (385.5, 771.0, True, PhaseMatchError, "degenerate denominator: 2*lambda_s == lambda_p"),
+        (np.inf, 771.0, True, WavelengthRangeError, "wavelengths must be finite"),
+        ([670.0, 680.0], [[771.0], [np.inf]], False, WavelengthRangeError,
+         "wavelengths must be finite"),
+        (-np.inf, 771.0, False, WavelengthRangeError, "wavelengths must be positive"),
+        (670.0, -np.inf, True, WavelengthRangeError, "wavelengths must be positive"),
     ], ids=["idler-crystal", "idler-core", "idler-grid", "negative-idler", "signal", "pump",
-            "empty-signal", "nan-signal", "nan-pump", "negative", "zero", "degenerate"])
+            "empty-signal", "nan-signal", "nan-pump", "negative", "zero", "degenerate",
+            "inf-signal", "inf-pump", "minus-inf-signal", "minus-inf-pump"])
     def test_errors_match_the_wavelength_form(self, paper_fiber, paper_compensators, signal,
                                               pump, crystals, error, message):
-        comps = paper_compensators if crystals else None
-        with pytest.raises(error) as err:
-            compensated_phase(paper_fiber, comps, signal, pump)
-        assert type(err.value) is error and str(err.value) == message
+        # phase_mismatch shares the check: it fails as the no-crystal phase does
+        calls = [lambda: compensated_phase(paper_fiber, paper_compensators if crystals else None,
+                                           signal, pump)]
+        if not crystals:
+            calls.append(lambda: phase_mismatch(paper_fiber, pump, signal))
+        for call in calls:
+            with warnings.catch_warnings(), pytest.raises(error) as err:
+                warnings.simplefilter("error")
+                call()
+            assert type(err.value) is error and str(err.value) == message
 
     def test_full_grid_memory(self, paper_fiber, paper_compensators):
         # full-size inputs make every intermediate full size; each is freed

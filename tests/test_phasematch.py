@@ -50,6 +50,21 @@ class TestIdlerWavelength:
             idler_wavelength(670.0, np.array([np.nan, -771.0]))
         assert idler_wavelength(np.empty(0), np.empty(0)).shape == (0,)
 
+    @pytest.mark.parametrize("ls, lp, message", [
+        (np.inf, 771.0, "^wavelengths must be finite$"),
+        (670.0, np.inf, "^wavelengths must be finite$"),
+        ([670.0, np.inf], 771.0, "^wavelengths must be finite$"),
+        (-np.inf, 771.0, "^wavelengths must be positive$"),
+        (670.0, -np.inf, "^wavelengths must be positive$"),
+    ])
+    def test_infinite_rejected_without_a_warning(self, paper_fiber, ls, lp, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavelengthRangeError, match=message):
+                idler_wavelength(ls, lp)
+            with pytest.raises(WavelengthRangeError, match=message):
+                phase_mismatch(paper_fiber, lp, ls)
+
     def test_nan_rejected(self, paper_fiber):
         for ls, lp in ((np.nan, 771.0), (670.0, np.nan), ([670.0, np.nan], 771.0)):
             with pytest.raises(ValueError, match="^wavelength is not a number$"):
@@ -85,7 +100,7 @@ class TestPhaseMismatch:
         vals = phase_mismatch(paper_fiber, 771.0, grid)
         assert vals[0] < 0 < vals[-1]
         # exactly one negative-to-positive transition (the calibrated B
-        # puts the root exactly on the 670.0 grid node, where dk == 0.0)
+        # puts the root on the 670.0 grid node, where dk is -2.1e-9 rad/m)
         assert np.count_nonzero(np.diff(np.signbit(vals))) == 1
 
     def test_nonlinear_term(self, paper_fiber):
@@ -130,16 +145,16 @@ class TestRefinement:
 
     def test_four_lockstep_passes_per_tuning_curve(self, monkeypatch, paper_fiber):
         sizes = []
-        pair = phasematch._pair
+        mismatch = phasematch._mismatch
 
-        def counted(fiber, pump, lp, ls):
+        def counted(fiber, lp, ls):
             sizes.append(ls.size)
-            return pair(fiber, pump, lp, ls)
+            return mismatch(fiber, lp, ls)
 
         def no_mismatch(*_):
             raise AssertionError("the solve called phase_mismatch")
 
-        monkeypatch.setattr(phasematch, "_pair", counted)
+        monkeypatch.setattr(phasematch, "_mismatch", counted)
         monkeypatch.setattr(phasematch, "phase_mismatch", no_mismatch)
         points, _ = tuning_curve(paper_fiber, (765.0, 777.0), 13)
         assert len(points) == 13
@@ -151,24 +166,28 @@ class TestRefinement:
         point = solve_signal_idler(paper_fiber, 771.0)
         edges = []
         refine = phasematch._refine
+        mismatch = phasematch._mismatch
+        flat = []  # non-empty while the refinement or the solver runs
+
+        def flattened(*args):
+            dk, dk_dls, dk_dlp = mismatch(*args)
+            return dk, np.full_like(dk, slope) if flat else dk_dls, dk_dlp
 
         def recorded(*args):
+            flat.append(True)
             edges.append(refine(*args))
+            flat.pop()
             return edges[-1]
 
         monkeypatch.setattr(phasematch, "_refine", recorded)
         expected = output_bandwidths(paper_fiber, point, 0.3)
-        pair = phasematch._pair
-
-        def flat(*args):
-            dk, _ = pair(*args)
-            return dk, np.full_like(dk, slope)
-
-        monkeypatch.setattr(phasematch, "_pair", flat)
+        # the bandwidths' own slopes at the point stay exact
+        monkeypatch.setattr(phasematch, "_mismatch", flattened)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             found = output_bandwidths(paper_fiber, point, 0.3)
             # the solver's Newton steps need the slope: no step, no root
+            flat.append(True)
             with pytest.raises(PhaseMatchError, match="no phase-matched solution in window"):
                 solve_signal_idler(paper_fiber, 771.0)
         (unpatched, _), (bisected, f) = edges
@@ -350,12 +369,12 @@ class TestBandwidths:
             output_bandwidths(paper_fiber, point, pump_fwhm_nm)
 
     # pinned with the analytic group-index slopes, the roots of the Newton steps in x
-    # and the Sellmeier sums evaluated in squared wavenumber
+    # and the mismatch and its slopes evaluated in wavenumbers
     @pytest.mark.parametrize("length_m, birefringence, pump_nm, pump_fwhm_nm, expected", [
-        (0.13, CALIBRATED_B, 771.0, 0.3, (0.4201096370622189, 0.7713418007879265)),
-        (0.26, CALIBRATED_B, 771.0, 0.45, (0.36886892044109754, 0.6772613438181998)),
+        (0.13, CALIBRATED_B, 771.0, 0.3, (0.4201096370908702, 0.7713418008404725)),
+        (0.26, CALIBRATED_B, 771.0, 0.45, (0.36886892044517655, 0.6772613438256372)),
         # calibrate_birefringence(silica, 774.0, 662.0), to 1e-18
-        (0.21, 0.000398548422148662, 774.0, 0.42, (0.3491389963617783, 0.6914406392873368)),
+        (0.21, 0.000398548422148662, 774.0, 0.42, (0.34913899636289997, 0.6914406392894392)),
     ], ids=["paper", "long-fiber", "design-range"])
     def test_pinned_values(self, silica, length_m, birefringence, pump_nm, pump_fwhm_nm,
                            expected):
@@ -364,7 +383,8 @@ class TestBandwidths:
         assert output_bandwidths(fiber, point, pump_fwhm_nm) == expected
 
     def test_two_mismatch_calls_before_refinement(self, monkeypatch, paper_fiber):
-        # the point with both slopes in one Sellmeier pass, then the reach ends
+        # the point with both slopes in one Sellmeier pass, then the reach ends,
+        # which phase_mismatch checks and evaluates through the same helper
         point = solve_signal_idler(paper_fiber, 771.0)
         calls = []
 
@@ -375,7 +395,7 @@ class TestBandwidths:
             return wrapped
 
         monkeypatch.setattr(phasematch, "phase_mismatch", log("mismatch", phase_mismatch))
-        monkeypatch.setattr(phasematch, "_point_slopes", log("slopes", phasematch._point_slopes))
+        monkeypatch.setattr(phasematch, "_mismatch", log("slopes", phasematch._mismatch))
         monkeypatch.setattr(phasematch, "_refine", log("refine", phasematch._refine))
         output_bandwidths(paper_fiber, point, 0.3)
-        assert calls[:calls.index("refine")] == ["slopes", "mismatch"]
+        assert calls[:calls.index("refine")] == ["slopes", "mismatch", "slopes"]

@@ -15,8 +15,8 @@ from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
 from xsplice.materials import WavelengthRangeError, birefringence, index, index_and_group_index
-from xsplice.phasematch import (PhaseMatchError, _point_slopes, idler_wavelength,
-                                output_bandwidths, phase_mismatch, solve_signal_idler, tuning_curve)
+from xsplice.phasematch import (PhaseMatchError, _mismatch, idler_wavelength, output_bandwidths,
+                                phase_mismatch, solve_signal_idler, tuning_curve)
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
                             _PROBE_X, _alias_check, _spectral_axes, concurrence,
                             mixed_state_over_spectra, relabel_signal_flip, spectral_grid)
@@ -107,7 +107,7 @@ def test_group_index_matches_central_differences(materials_db, name, where):
 @given(pump=pumps, signal=targets, b=st.floats(1e-5, 1e-3))
 def test_mismatch_slopes_match_central_differences(silica, pump, signal, b):
     fiber = FiberSpec(0.13, b, 0.0, silica)
-    dk, dk_dls, dk_dlp = _point_slopes(fiber, pump, signal)
+    (dk,), (dk_dls,), (dk_dlp,) = _mismatch(fiber, np.array([pump]), np.array([signal]))
     assert dk == phase_mismatch(fiber, pump, signal)
     h = 0.01  # nm; these central differences agree to 3e-8 relative
     central_s = (phase_mismatch(fiber, pump, signal + h)
@@ -219,6 +219,17 @@ def test_wavenumber_phase_matches_the_wavelength_form(silica, quartz_material, p
     for crystals in ((), comps):
         got = compensated_phase(fiber, crystals, signal, pump)
         assert abs(got - lambda_form_phase(fiber, crystals, signal, pump)) <= tol
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, length=lengths, b=st.floats(*B_RANGE))
+def test_relative_phase_is_the_mismatch_with_the_pump_fast(silica, pump, signal, length, b):
+    # phi = L dk with B -> -B, and dk is linear in B: L [dk(B=0) - 4 pi B / lp]
+    fiber = FiberSpec(length, b, 0.0, silica)
+    fiber_b0 = FiberSpec(length, 0.0, 0.0, silica)
+    expected = length * (phase_mismatch(fiber_b0, pump, signal) - 4.0 * np.pi * b / (pump * 1e-9))
+    tol = 2.0 * np.spacing(abs(phi_pump(fiber, pump)))
+    assert abs(compensated_phase(fiber, None, signal, pump) - expected) <= tol
 
 
 @CHEAP
