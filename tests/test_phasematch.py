@@ -356,6 +356,14 @@ class TestBandwidths:
         with pytest.raises(ValueError):
             output_bandwidths(paper_fiber, bad, 0.3)
 
+    def test_point_outside_the_model_is_rejected_before_evaluation(self, paper_fiber):
+        # at 110 nm the silica sum is negative: evaluated, its square root would warn
+        point = PhaseMatchPoint(115.0, 110.0, 110.0 * 115.0 / 105.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavelengthRangeError, match="outside validity range"):
+                output_bandwidths(paper_fiber, point, 0.3)
+
     @pytest.mark.parametrize("pump_fwhm_nm", [-0.3, np.nan, np.inf])
     def test_pump_fwhm_checked_before_any_mismatch_call(self, monkeypatch, paper_fiber,
                                                         pump_fwhm_nm):
