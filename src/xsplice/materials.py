@@ -14,6 +14,9 @@ B_j / (1 - C_j v) and a C_j = 0 term is the constant B_j, so no
 division by lambda is needed. ``index``, ``index_and_group_index``,
 the mismatch of ``phasematch`` and the phase model of ``phase`` all call
 it; the last two pass wavenumbers straight from energy conservation.
+Floats stay floats: the phase-matching solver steps on Python floats,
+where each numpy call would cost more in dispatch than in arithmetic,
+and an array gives the same values element by element, bit for bit.
 
 The built-in database ships fused silica (Malitson) for the fiber core
 and crystalline quartz o/e rays for the compensators. It can be replaced
@@ -67,7 +70,16 @@ class SellmeierModel:
         lo, hi = self.valid_range_nm
         if not lo < hi:
             raise ValueError(f"invalid validity range {self.valid_range_nm!r}")
-        object.__setattr__(self, "valid_range_nm", (float(lo), float(hi)))
+        lo, hi = float(lo), float(hi)
+        object.__setattr__(self, "valid_range_nm", (lo, hi))
+        for _, c in self.terms:
+            if c > 0.0 and lo <= 1000.0 * math.sqrt(c) <= hi:
+                raise ValueError(f"pole at {1000.0 * math.sqrt(c):g} nm inside the "
+                                 f"validity range {self.valid_range_nm!r}")
+        # the kernel's split of the terms, made once: n^2 at v = 0 (1 plus
+        # the C = 0 terms) and the dispersive terms
+        object.__setattr__(self, "_n2_constant", 1.0 + sum(b for b, c in self.terms if not c))
+        object.__setattr__(self, "_dispersive", tuple((b, c) for b, c in self.terms if c))
 
 
 @dataclass(frozen=True)
@@ -132,15 +144,14 @@ def _sellmeier(model: SellmeierModel, v, group: bool = False):
     n^2 = 1 + sum_j B_j / (1 - C_j v). The group index n - lambda
     dn/dlambda is n + 2 v dn/dv = n + (1/n) sum_j t_j C_j v / (1 - C_j v),
     with t_j = B_j / (1 - C_j v) the term itself. ``v`` is a float, a
-    numpy scalar or an array, and is left as it was; the results take its
-    shape. Every array is combined in place once allocated here, so a
-    large ``v`` costs at most three more arrays of its size.
+    numpy scalar or an array, and is left as it was. A float gives floats,
+    in float arithmetic throughout; an array gives arrays of its shape,
+    each combined in place once allocated here, so a large ``v`` costs at
+    most three more arrays of its size.
     """
-    n2 = 1.0 + sum(b for b, c in model.terms if not c)  # the C = 0 terms
+    n2 = model._n2_constant
     slope = 0.0
-    for b, c in model.terms:
-        if not c:
-            continue
+    for b, c in model._dispersive:
         d = v * -c
         d += 1.0  # 1 - C v
         if not group:
@@ -149,9 +160,12 @@ def _sellmeier(model: SellmeierModel, v, group: bool = False):
         t = b / d
         n2 += t
         slope += t * (c * v) / d
-    if isinstance(n2, float):  # no dispersive term: a constant index
-        n2 = np.full_like(v, n2)
-    n = np.sqrt(n2)
+    if isinstance(v, float):
+        n = math.sqrt(n2) if n2 >= 0.0 else math.nan  # numpy's NaN where n^2 < 0
+    else:
+        if isinstance(n2, float):  # no dispersive term: a constant index
+            n2 = np.full_like(v, n2)
+        n = np.sqrt(n2)
     return (n, n + slope / n) if group else n
 
 

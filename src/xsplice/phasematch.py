@@ -5,7 +5,7 @@ axis. In wavenumbers k = 1/lambda (1/um), where energy conservation for
 a degenerate pump is linear, k_i = 2 k_p - k_s, momentum conservation
 reads
 
-    dk = 2*pi*1e6 * [ k_s (n_p + B - n_s) + k_i (n_p + B - n_i) ] + 2*gamma*P
+    dk = 2*pi*1e6 * [ k_s (n_p + B - n_s) + k_i (n_p + B - n_i) ]
 
 in rad/m, with n the core's fast-axis index at each wavenumber: the
 pump's 2 k_p (n_p + B), split as (k_s + k_i)(n_p + B), less the pair's
@@ -59,7 +59,7 @@ X_HALF = 1.3915573782515103
 
 _ENERGY_RTOL = 1e-12
 
-#: Lockstep rounds after which a root still above MISMATCH_TOL fails.
+#: Newton rounds after which a root still above MISMATCH_TOL fails.
 _MAX_ROUNDS = 100
 
 
@@ -152,7 +152,7 @@ def _within_ranges(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarra
     return all(m.valid_range_nm[0] <= lo and hi <= m.valid_range_nm[1] for m, lo, hi in spans)
 
 
-def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0):
+def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm):
     """Vector phase mismatch dk in rad/m at the given signal wavelength(s).
 
     Inputs fail as in ``compensated_phase``, with the same errors.
@@ -161,26 +161,24 @@ def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm, peak_power_w=0.0)
     lp = np.asarray(lambda_p_nm, dtype=float)
     _check_wavelengths(fiber, (), ls, lp)
     shape = np.broadcast_shapes(ls.shape, lp.shape)
-    lp = lp.ravel() if lp.size == 1 else np.broadcast_to(lp, shape).ravel()
-    dk = _mismatch(fiber, lp, np.broadcast_to(ls, shape).ravel())[0]
-    dk += 2.0 * fiber.gamma * peak_power_w
-    return dk.reshape(shape) if shape else float(dk[0])
+    dk = _mismatch(fiber, lp, ls)[0]
+    return dk if shape else float(dk)
 
 
 def _mismatch(fiber: FiberSpec, lp, ls) -> tuple:
-    """dk at zero peak power (rad/m), d dk/d ls and d dk/d lp (rad/m per nm)
-    on 1-D signals ``ls`` and pumps ``lp`` (nm) that the caller has checked;
-    ``lp`` has the size of ``ls`` or size one.
+    """dk (rad/m), d dk/d ls and d dk/d lp (rad/m per nm) at pumps ``lp``
+    and signals ``ls`` (nm) that the caller has checked.
 
-    One Sellmeier pass at the signal, idler and pump wavenumbers gives
-    every index and group index (module docstring).
+    Floats give floats and arrays broadcast. One Sellmeier call each at
+    the signal, idler and pump wavenumbers gives every index and group
+    index (module docstring).
     """
     ks, kp = 1000.0 / ls, 1000.0 / lp  # 1/um
     ki = 2.0 * kp - ks
-    k = np.concatenate((ks, ki, kp))
-    n, n_g = _sellmeier(fiber.core_model, k * k, group=True)
-    m = ks.size
-    n_s, n_i, n_p, g_s, g_i, g_p = n[:m], n[m:2 * m], n[2 * m:], n_g[:m], n_g[m:2 * m], n_g[2 * m:]
+    core = fiber.core_model
+    n_s, g_s = _sellmeier(core, ks * ks, group=True)
+    n_i, g_i = _sellmeier(core, ki * ki, group=True)
+    n_p, g_p = _sellmeier(core, kp * kp, group=True)
     b = fiber.birefringence
     a = n_p + b
     dk = 2e6 * np.pi * (ks * (a - n_s) + ki * (a - n_i))
@@ -207,8 +205,8 @@ def _window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
     return lo, hi
 
 
-def _refine(fiber, lp, a, b, fa, fb, level):
-    """Roots of dk(lp, ls) - level on the brackets a < ls < b, in lockstep.
+def _refine(fiber, lp, a, b, fa, fb, level) -> tuple:
+    """The root of dk(lp, ls) - level on the bracket a < ls < b, as ``(x, f)``.
 
     Newton steps on the analytic slope d dk/d ls, safeguarded by the
     bracket as in rtsafe (Numerical Recipes, section 9.4). Its callers,
@@ -220,117 +218,82 @@ def _refine(fiber, lp, a, b, fa, fb, level):
     the point, keeps the sub-bracket with the sign change, and steps to
     the Newton point. It takes the midpoint instead where the Newton
     point leaves the bracket, where the step is more than half the last
-    one, or where the slope is zero or NaN. An element leaves the active
-    set once |dk - level| < MISMATCH_TOL; its f is then exactly
-    ``phase_mismatch(fiber, lp, x) - level``. Every operation is
-    elementwise, so a root does not depend on what else is refined with
-    it. Returns ``(x, f)``, both NaN where the tolerance was not reached.
+    one, or where the slope is zero or NaN. It stops once |dk - level| <
+    MISMATCH_TOL; ``f`` is then exactly ``phase_mismatch(fiber, lp, x) -
+    level``. Raises PhaseMatchError if no round reaches the tolerance.
     """
-    x_out = np.full(a.shape, np.nan)
-    f_out = np.full(a.shape, np.nan)
-    act = np.arange(a.size)
     x = a - fa * (b - a) / (fb - fa)
-    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    if not a < x < b:
+        x = 0.5 * (a + b)
     last = b - a  # the step before the first Newton step: the bracket
     for _ in range(_MAX_ROUNDS):
-        if not act.size:
-            break
         dk, slope, _ = _mismatch(fiber, lp, x)
         f = dk - level
-        done = np.abs(f) < MISMATCH_TOL
-        x_out[act[done]], f_out[act[done]] = x[done], f[done]
-        left = ~done
-        act, lp, level, last = act[left], lp[left], level[left], last[left]
-        a, b, fa, x, f, slope = a[left], b[left], fa[left], x[left], f[left], slope[left]
-        move_a = (f < 0) == (fa < 0)
-        a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
-        b = np.where(move_a, b, x)
+        if abs(f) < MISMATCH_TOL:
+            return x, f
+        if (f < 0) == (fa < 0):
+            a, fa = x, f
+        else:
+            b = x
         # x - f/slope lies strictly inside (a, b), and |f/slope| <= last/2;
         # both tests multiply, so a zero or NaN slope fails them
-        newton = ((((x - a) * slope - f) * ((x - b) * slope - f) < 0)
-                  & (np.abs(2.0 * f) <= np.abs(last * slope)))
-        step = np.divide(f, slope, out=np.zeros_like(f), where=newton)
-        x = np.where(newton, x - step, 0.5 * (a + b))
-        last = np.where(newton, np.abs(step), 0.5 * (b - a))
-    return x_out, f_out
+        if (((x - a) * slope - f) * ((x - b) * slope - f) < 0
+                and abs(2.0 * f) <= abs(last * slope)):
+            step = f / slope
+            x, last = x - step, abs(step)
+        else:
+            x, last = 0.5 * (a + b), 0.5 * (b - a)
+    raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
 
 
-def _solve(fiber: FiberSpec, lps) -> list:
-    """The root closest to each pump, as a PhaseMatchPoint or the error.
+def _solve(fiber: FiberSpec, lp: float) -> PhaseMatchPoint:
+    """The root closest to the pump ``lp`` (a float, nm).
 
     Signal and idler share the core index, so dk is a function g(x) of
     x = delta^2, delta = 1/ls - 1/lp (1/nm), with g'(x) =
-    -(d dk/d ls) ls^2 / (2 delta). All pumps take Newton steps in x in
-    lockstep from their window's inner end, ls = lp - 0.25 nm, one
-    ``_mismatch`` pass per round. Where g is convex, as on the design range,
-    they walk monotonically onto the nearest root; where it is concave,
-    as for pumps below about 610 nm, a step can overshoot it. A pump
-    stops at |dk| < MISMATCH_TOL, or at dk < 0 after a positive iterate,
-    where ``_refine`` finishes the bracket of the last two. It has no
-    solution in its window at dk <= 0 at the inner end, at a slope
-    d dk/d ls not positive and finite, or at dk > 0 at the outer end, to
-    which a Newton point past it is moved. Each window is checked on its
-    own, so one pump fails alone.
+    -(d dk/d ls) ls^2 / (2 delta). The solve takes Newton steps in x on
+    Python floats from the window's inner end, ls = lp - 0.25 nm, one
+    ``_mismatch`` call per round. Where g is convex, as on the design
+    range, they walk monotonically onto the nearest root; where it is
+    concave, as for pumps below about 610 nm, a step can overshoot it.
+    The solve stops at |dk| < MISMATCH_TOL, or at dk < 0 after a positive
+    iterate, where ``_refine`` finishes the bracket of the last two. It
+    raises PhaseMatchError where the window holds no solution: at dk <= 0
+    at the inner end, at a slope d dk/d ls not positive and finite, or
+    at dk > 0 at the outer end, to which a Newton point past it is moved.
+    ``_window``'s errors pass through.
     """
-    results = [None] * len(lps)
-    windows = []
-    for k, lp in enumerate(lps):
-        try:
-            windows.append((k, *_window(fiber, lp)))
-        except (PhaseMatchError, WavelengthRangeError) as exc:
-            results[k] = exc
-    if not windows:
-        return results
-    ks, lo, hi = (np.array(c) for c in zip(*windows))
-    lp = lps[ks]
-    ls_out, dk_out = np.full(len(ks), np.nan), np.full(len(ks), np.nan)
-    refined = np.zeros(len(ks), dtype=bool)
-    # the pumps still stepping: rows, pumps, outer ends, signals
-    act, p, end = np.arange(len(ks)), lp, lo
+    end, hi = _window(fiber, lp)
     ls, delta = hi, 1.0 / hi - 1.0 / lp
     for rnd in range(_MAX_ROUNDS):
-        if not act.size:
+        dk, slope, _ = _mismatch(fiber, lp, ls)
+        if abs(dk) < MISMATCH_TOL:
             break
-        dk, slope, _ = _mismatch(fiber, p, ls)
-        done = np.abs(dk) < MISMATCH_TOL
-        ls_out[act[done]], dk_out[act[done]] = ls[done], dk[done]
-        over = ~done & (dk < 0) & (rnd > 0)
-        if over.any():
-            rows = act[over]
-            refined[rows] = True
-            ls_out[rows], dk_out[rows] = _refine(fiber, p[over], ls[over], last_ls[over],
-                                                 dk[over], last_dk[over], np.zeros(rows.size))
-        step = np.nonzero(~done & (dk > 0) & (slope > 0) & (slope < np.inf) & (ls > end))[0]
-        last_ls, last_dk, d = ls[step], dk[step], delta[step]
-        act, p, end = act[step], p[step], end[step]
-        delta = np.sqrt(d * d + 2.0 * d * last_dk / (slope[step] * last_ls ** 2))
-        # a pump whose Newton point is past its outer end stops there
-        ls = np.maximum(1.0 / (1.0 / p + delta), end)
-    refined[act] = True
-    ok = ~np.isnan(ls_out)
-    li = np.full(len(ks), np.nan)
-    li[ok] = idler_wavelength(ls_out[ok], lp[ok])
-    for j, k in enumerate(ks):
-        if ok[j]:
-            results[k] = PhaseMatchPoint(float(lp[j]), float(ls_out[j]), float(li[j]),
-                                         float(dk_out[j]))
-        elif refined[j]:
-            results[k] = PhaseMatchError("root refinement did not reach the mismatch tolerance")
-        else:
-            results[k] = PhaseMatchError(f"no phase-matched solution in window ({lo[j]:g}, "
-                                         f"{hi[j]:g}) nm for pump {lp[j]:g} nm")
-    return results
+        if dk < 0 and rnd:
+            ls, dk = _refine(fiber, lp, ls, last_ls, dk, last_dk, 0.0)
+            break
+        if not (dk > 0 and 0 < slope < math.inf and ls > end):
+            raise PhaseMatchError(f"no phase-matched solution in window ({end:g}, "
+                                  f"{hi:g}) nm for pump {lp:g} nm")
+        last_ls, last_dk, d = ls, dk, delta
+        delta = math.sqrt(d * d + 2.0 * d * last_dk / (slope * (last_ls * last_ls)))
+        # a Newton point past the outer end is taken at the end
+        ls = max(1.0 / (1.0 / lp + delta), end)
+    else:
+        raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
+    # ``idler_wavelength`` without its checks: the window keeps 2 ls > lp
+    return PhaseMatchPoint(lp, ls, ls * lp / (2.0 * ls - lp), dk)
 
 
 def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
-    """Solve dk = 0 at zero peak power for the signal below the pump.
+    """Solve dk = 0 for the signal below the pump.
 
     Only the root closest to the pump is returned, the branch
     continuously connected to degeneracy. Newton steps in the squared
     offset (1/ls - 1/lp)^2 from lp - 0.25 nm, on the analytic slope
     d dk/d ls, reach |dk| < 1e-6 rad/m in four Sellmeier passes on the
     design range; the residual is exactly ``phase_mismatch(fiber, lp, ls)``.
-    This is the one-pump case of the solver behind ``tuning_curve``.
+    ``tuning_curve`` runs the same solve at each of its pumps.
 
     Raises
     ------
@@ -339,31 +302,28 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
         only the degenerate solution remains, or a root within 0.25 nm
         of the pump).
     """
-    result = _solve(fiber, np.array([float(lambda_p_nm)]))[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _solve(fiber, float(lambda_p_nm))
 
 
 def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
-    """Solve across a pump range, all pumps in one batched solve.
+    """Solve across a pump range, one pump at a time.
 
     Returns ``(points, skipped)``: the solved PhaseMatchPoints and the
     pump wavelengths for which no solution exists in the window. Each
-    point equals ``solve_signal_idler`` at its pump.
+    point is ``solve_signal_idler`` at its pump, and a pump that fails
+    is skipped on its own.
     """
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     lo, hi = (float(end) for end in lambda_p_range)
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise ValueError(f"pump range ends must be finite and > 0, got {lambda_p_range!r}")
-    lps = np.linspace(lo, hi, steps)
     points, skipped = [], []
-    for lp, result in zip(lps, _solve(fiber, lps)):
-        if isinstance(result, Exception):
-            skipped.append(float(lp))
-        else:
-            points.append(result)
+    for lp in np.linspace(lo, hi, steps).tolist():
+        try:
+            points.append(_solve(fiber, lp))
+        except (PhaseMatchError, WavelengthRangeError):
+            skipped.append(lp)
     return points, skipped
 
 
@@ -372,15 +332,14 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
 
     The intrinsic width is that of the sinc^2(dk L / 2) phase-matching
     profile in the signal wavelength. Its half-maximum edges are the
-    roots of dk(ls) = +/- 2 X_HALF / L, both refined in one call of the
-    solver's safeguarded Newton iteration on brackets twice the linear
-    estimate wide. The pump bandwidth adds in quadrature after
-    propagation through the slope of the solution curve, d(ls)/d(lp) =
-    -(d dk/d lp) / (d dk/d ls) by the implicit-function theorem. Both
-    partials are the analytic group-index differences of the module
-    docstring, from one Sellmeier pass at signal, idler and pump. The
-    idler width follows from the energy-conservation Jacobian
-    |d(li)/d(ls)| = (li/ls)^2.
+    roots of dk(ls) = +/- 2 X_HALF / L, each refined by the solver's
+    safeguarded Newton iteration on a bracket twice the linear estimate
+    wide. The pump bandwidth adds in quadrature after propagation
+    through the slope of the solution curve, d(ls)/d(lp) = -(d dk/d lp)
+    / (d dk/d ls) by the implicit-function theorem. Both partials are
+    the analytic group-index differences of the module docstring, from
+    one ``_mismatch`` call at the point. The idler width follows from
+    the energy-conservation Jacobian |d(li)/d(ls)| = (li/ls)^2.
     """
     if not 0.0 <= pump_fwhm_nm < math.inf:
         raise ValueError(f"pump_fwhm_nm must be finite and >= 0, got {pump_fwhm_nm!r}")
@@ -390,24 +349,25 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
         raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
     lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
     _check_wavelengths(fiber, (), np.array(ls0), np.array(lp))
-    (near,), (dk_dls,), (dk_dlp,) = _mismatch(fiber, np.array([lp]), np.array([ls0]))
+    near, dk_dls, dk_dlp = _mismatch(fiber, lp, ls0)
 
     dk_half = 2.0 * X_HALF / fiber.length_m
-    reach = 2.0 * dk_half / abs(dk_dls)
-    # the lower edge, then the upper one
-    level = np.array([-1.0, 1.0]) * np.sign(dk_dls) * dk_half
-    lower, upper = phase_mismatch(fiber, lp, np.array([ls0 - reach, ls0 + reach]))
-    f_near, f_far = near - level, np.array([lower, upper]) - level
-    if not np.all(f_near * f_far < 0):
+    # a flat profile (a constant index at B = 0) reaches to infinity,
+    # which the check of the reach ends rejects
+    reach = 2.0 * dk_half / abs(dk_dls) if dk_dls else math.inf
+    ends = (ls0 - reach, ls0 + reach)
+    _check_wavelengths(fiber, (), np.array(ends), np.array(lp))
+    # the lower edge's level, then the upper one's
+    levels = (-dk_half, dk_half) if dk_dls > 0 else (dk_half, -dk_half)
+    f_near = [near - level for level in levels]
+    f_far = [_mismatch(fiber, lp, end)[0] - level for end, level in zip(ends, levels)]
+    if not all(fn * ff < 0 for fn, ff in zip(f_near, f_far)):
         raise BandwidthError("no half-maximum crossing within twice the linear estimate")
-    edges, _ = _refine(fiber, np.full(2, lp), np.array([ls0 - reach, ls0]),
-                       np.array([ls0, ls0 + reach]), np.array([f_far[0], f_near[1]]),
-                       np.array([f_near[0], f_far[1]]), level)
-    if np.isnan(edges).any():
-        raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
-    fwhm_pm = edges[1] - edges[0]
+    lower, _ = _refine(fiber, lp, ends[0], ls0, f_far[0], f_near[0], levels[0])
+    upper, _ = _refine(fiber, lp, ls0, ends[1], f_near[1], f_far[1], levels[1])
+    fwhm_pm = upper - lower
 
     slope = -dk_dlp / dk_dls
     signal_fwhm = float(np.hypot(fwhm_pm, slope * pump_fwhm_nm))
     jacobian = (point.lambda_i_nm / ls0) ** 2
-    return signal_fwhm, float(signal_fwhm * jacobian)
+    return signal_fwhm, signal_fwhm * jacobian

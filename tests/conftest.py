@@ -7,6 +7,7 @@ from xsplice import (
     GaussianSpectrum,
     fused_silica,
     load_materials,
+    phase_mismatch,
     quartz,
 )
 from xsplice.config import load_config
@@ -108,3 +109,29 @@ def lambda_form_phase(fiber, comps, lambda_s_nm, lambda_p_nm):
         phase = phase + dn * (comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)) \
             / (lam * 1e-9)
     return phase
+
+
+def nearest_root_reference(fiber, lp):
+    """Reference for the solver: the signal roots of dk at pump ``lp``.
+
+    A 20000-point scan of the validity-clipped window below the pump,
+    then 60 bisections of the sign change closest to the pump. Returns
+    that root, or None where dk keeps its sign, and the scan's grid
+    points just before each sign change, in ascending order.
+    """
+    lo_model, hi_model = fiber.core_model.valid_range_nm
+    lo = max(400.0, lo_model, lp * hi_model / (2.0 * hi_model - lp) * (1.0 + 1e-9))
+    grid = np.linspace(lo, lp - 0.25, 20000)
+    vals = phase_mismatch(fiber, lp, grid)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    if not flips.size:
+        return None, grid[flips]
+    a, b, fa = grid[flips[-1]], grid[flips[-1] + 1], vals[flips[-1]]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = phase_mismatch(fiber, lp, mid)
+        if (fm < 0) == (fa < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b), grid[flips]

@@ -1,7 +1,11 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsplice import (
     CompensatorMaterial,
@@ -13,6 +17,7 @@ from xsplice import (
     load_materials,
     slow_axis_index,
 )
+from xsplice.materials import _sellmeier
 
 
 def test_silica_index_at_771(silica):
@@ -115,6 +120,38 @@ def test_all_models_physical_over_range(materials_db):
         assert np.all(vals > 1.0), name
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["fused_silica", "quartz_o", "quartz_e"]),
+       frac=st.floats(0.0, 1.0), group=st.booleans())
+def test_sellmeier_float_is_the_array_path(materials_db, name, frac, group):
+    # a float stays a Python float, bit for bit the array path's element
+    model = materials_db[name]
+    lo, hi = model.valid_range_nm
+    k = 1000.0 / (lo + frac * (hi - lo))
+    scalar = _sellmeier(model, k * k, group)
+    array = _sellmeier(model, np.array([k * k]), group)
+    if not group:
+        scalar, array = (scalar,), (array,)
+    for x, a in zip(scalar, array):
+        assert type(x) is float
+        assert np.array([x]).tobytes() == a.tobytes()
+
+
+def test_constant_index_keeps_the_input_kind():
+    # only C = 0 terms: n^2 = 1.21 everywhere, in the shape of the input
+    model = SellmeierModel(terms=((0.21, 0.0),), valid_range_nm=(200.0, 4000.0))
+    v = np.array([[1.0, 2.0], [3.0, 4.0]])
+    n, n_g = _sellmeier(model, v, group=True)
+    assert isinstance(n, np.ndarray) and n.shape == v.shape and np.all(n == 1.1)
+    assert np.array_equal(n_g, n)
+    assert type(_sellmeier(model, 2.0)) is float and _sellmeier(model, 2.0) == 1.1
+    # n^2 < 0 is NaN on floats, as on arrays, and raises nothing
+    unphysical = SellmeierModel(terms=((-2.0, 0.0),), valid_range_nm=(200.0, 4000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_sellmeier(unphysical, 2.0))
+
+
 def test_slow_axis_is_fast_plus_b_bitwise(paper_fiber):
     grid = np.linspace(600.0, 1000.0, 101)
     slow = slow_axis_index(paper_fiber, grid)
@@ -142,6 +179,9 @@ def test_fiber_validation(silica):
 def test_sellmeier_validation():
     with pytest.raises(ValueError):
         SellmeierModel(terms=((1.0, 0.1),), valid_range_nm=(900.0, 300.0))
+    # a pole (here at 500 nm) inside the range would divide by zero there
+    with pytest.raises(ValueError, match="pole at 500 nm"):
+        SellmeierModel(terms=((1.0, 0.01), (1.0, 0.25)), valid_range_nm=(400.0, 900.0))
 
 
 def test_materials_override_via_path(tmp_path, silica):

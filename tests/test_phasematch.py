@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from xsplice import (
     FiberSpec,
     PhaseMatchError,
     PhaseMatchPoint,
+    SellmeierModel,
     calibrate_birefringence,
     idler_wavelength,
     output_bandwidths,
@@ -17,7 +19,7 @@ from xsplice import (
 from xsplice import design, phasematch
 from xsplice.materials import WavelengthRangeError
 from xsplice.phasematch import MISMATCH_TOL
-from conftest import CALIBRATED_B
+from conftest import CALIBRATED_B, nearest_root_reference
 
 
 class TestIdlerWavelength:
@@ -87,7 +89,7 @@ class TestPhaseMatchPoint:
 class TestPhaseMismatch:
     def test_fully_degenerate_is_zero(self, silica):
         fiber = FiberSpec(0.13, 0.0, 0.0, silica)
-        assert phase_mismatch(fiber, 771.0, 771.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert phase_mismatch(fiber, 771.0, 771.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_at_solution(self, paper_fiber):
         point = solve_signal_idler(paper_fiber, 771.0)
@@ -102,11 +104,6 @@ class TestPhaseMismatch:
         # exactly one negative-to-positive transition (the calibrated B
         # puts the root on the 670.0 grid node, where dk is -2.1e-9 rad/m)
         assert np.count_nonzero(np.diff(np.signbit(vals))) == 1
-
-    def test_nonlinear_term(self, paper_fiber):
-        base = phase_mismatch(paper_fiber, 771.0, 670.0, 0.0)
-        with_power = phase_mismatch(paper_fiber, 771.0, 670.0, 100.0)
-        assert with_power - base == pytest.approx(2 * paper_fiber.gamma * 100.0, rel=1e-12)
 
 
 class TestSolver:
@@ -143,12 +140,13 @@ class TestRefinement:
         for fiber, p in solved:
             assert p.residual_mismatch == phase_mismatch(fiber, p.lambda_p_nm, p.lambda_s_nm)
 
-    def test_four_lockstep_passes_per_tuning_curve(self, monkeypatch, paper_fiber):
-        sizes = []
+    def test_at_most_four_passes_per_pump(self, monkeypatch, paper_fiber):
+        passes = Counter()
         mismatch = phasematch._mismatch
 
         def counted(fiber, lp, ls):
-            sizes.append(ls.size)
+            assert type(lp) is float and type(ls) is float
+            passes[lp] += 1
             return mismatch(fiber, lp, ls)
 
         def no_mismatch(*_):
@@ -158,8 +156,9 @@ class TestRefinement:
         monkeypatch.setattr(phasematch, "phase_mismatch", no_mismatch)
         points, _ = tuning_curve(paper_fiber, (765.0, 777.0), 13)
         assert len(points) == 13
-        # lockstep: each pass evaluates every pump still stepping once
-        assert sizes[0] == 13 and len(sizes) <= 4 and max(sizes) <= 13
+        # one solve per pump, each on floats in at most four Sellmeier passes
+        assert sorted(passes) == [p.lambda_p_nm for p in points]
+        assert max(passes.values()) <= 4
 
     @pytest.mark.parametrize("slope", [0.0, np.nan])
     def test_flat_or_undefined_slope_bisects(self, monkeypatch, paper_fiber, slope):
@@ -171,7 +170,7 @@ class TestRefinement:
 
         def flattened(*args):
             dk, dk_dls, dk_dlp = mismatch(*args)
-            return dk, np.full_like(dk, slope) if flat else dk_dls, dk_dlp
+            return dk, slope if flat else dk_dls, dk_dlp
 
         def recorded(*args):
             flat.append(True)
@@ -190,10 +189,12 @@ class TestRefinement:
             flat.append(True)
             with pytest.raises(PhaseMatchError, match="no phase-matched solution in window"):
                 solve_signal_idler(paper_fiber, 771.0)
-        (unpatched, _), (bisected, f) = edges
-        assert np.all(np.abs(f) < MISMATCH_TOL)
+        # one refinement per edge, the lower edge first
+        (lower, _), (upper, _), (lower_bisected, f_lower), (upper_bisected, f_upper) = edges
+        assert abs(f_lower) < MISMATCH_TOL and abs(f_upper) < MISMATCH_TOL
         # each edge within MISMATCH_TOL / (118 rad/m/nm) of its root
-        np.testing.assert_allclose(bisected, unpatched, rtol=0.0, atol=2e-8)
+        np.testing.assert_allclose([lower_bisected, upper_bisected], [lower, upper],
+                                   rtol=0.0, atol=2e-8)
         assert found == pytest.approx(expected, abs=4e-8)
 
     def test_overshoot_is_refined_on_its_bracket(self, monkeypatch, silica):
@@ -227,26 +228,6 @@ class TestRefinement:
         assert np.all(phase_mismatch(fiber, 446.0, grid) > 0)
 
 
-def _nearest_root_reference(fiber, lp):
-    """Root closest to the pump: a 20000-point scan of the validity-clipped
-    window, then 60 bisections of its last sign-change bracket."""
-    lo_model, hi_model = fiber.core_model.valid_range_nm
-    lo = max(400.0, lo_model, lp * hi_model / (2.0 * hi_model - lp) * (1.0 + 1e-9))
-    grid = np.linspace(lo, lp - 0.25, 20000)
-    vals = phase_mismatch(fiber, lp, grid)
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    assert len(flips) == 2  # both branches lie in the window
-    a, b, fa = grid[flips[-1]], grid[flips[-1] + 1], vals[flips[-1]]
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        fm = phase_mismatch(fiber, lp, mid)
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b), grid[flips[0]]
-
-
 class TestBranchSelection:
     # Near silica's zero-dispersion wavelength a 1064 nm pump sees two
     # roots in the window at small B, one near 630 nm and one within
@@ -257,8 +238,9 @@ class TestBranchSelection:
         points, skipped = tuning_curve(fiber, (1058.0, 1070.0), 13)
         assert not skipped
         for point in [solve_signal_idler(fiber, 1064.0), *points]:
-            ref, far_root = _nearest_root_reference(fiber, point.lambda_p_nm)
-            assert point.lambda_s_nm - far_root > 300.0
+            ref, flips = nearest_root_reference(fiber, point.lambda_p_nm)
+            assert len(flips) == 2  # both branches lie in the window
+            assert point.lambda_s_nm - flips[0] > 300.0
             # |dk| < 1e-6 rad/m at a slope of a few rad/m/nm: a few 1e-7 nm
             assert point.lambda_s_nm == pytest.approx(ref, abs=1e-5)
             assert abs(point.residual_mismatch) < MISMATCH_TOL
@@ -364,15 +346,28 @@ class TestBandwidths:
             with pytest.raises(WavelengthRangeError, match="outside validity range"):
                 output_bandwidths(paper_fiber, point, 0.3)
 
+    def test_flat_profile_is_rejected_without_a_warning(self):
+        # a constant index at B = 0 phase-matches every signal, d dk/d ls = 0:
+        # the reach ends lie at infinity, and their check rejects them
+        constant = SellmeierModel(terms=((0.21, 0.0),), valid_range_nm=(200.0, 4000.0))
+        fiber = FiberSpec(0.13, 0.0, 0.0, constant)
+        point = solve_signal_idler(fiber, 771.0)
+        assert point.residual_mismatch == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavelengthRangeError, match="wavelengths must be positive"):
+                output_bandwidths(fiber, point, 0.3)
+
     @pytest.mark.parametrize("pump_fwhm_nm", [-0.3, np.nan, np.inf])
     def test_pump_fwhm_checked_before_any_mismatch_call(self, monkeypatch, paper_fiber,
                                                         pump_fwhm_nm):
         point = solve_signal_idler(paper_fiber, 771.0)
 
         def no_mismatch(*_):
-            raise AssertionError("phase_mismatch ran before the pump FWHM was checked")
+            raise AssertionError("the mismatch ran before the pump FWHM was checked")
 
         monkeypatch.setattr(phasematch, "phase_mismatch", no_mismatch)
+        monkeypatch.setattr(phasematch, "_mismatch", no_mismatch)
         with pytest.raises(ValueError, match="pump_fwhm_nm"):
             output_bandwidths(paper_fiber, point, pump_fwhm_nm)
 
@@ -391,8 +386,8 @@ class TestBandwidths:
         assert output_bandwidths(fiber, point, pump_fwhm_nm) == expected
 
     def test_two_mismatch_calls_before_refinement(self, monkeypatch, paper_fiber):
-        # the point with both slopes in one Sellmeier pass, then the reach ends,
-        # which phase_mismatch checks and evaluates through the same helper
+        # the point, checked, with both slopes in one call; then the two reach
+        # ends, checked together before either is evaluated; then the edges
         point = solve_signal_idler(paper_fiber, 771.0)
         calls = []
 
@@ -402,8 +397,10 @@ class TestBandwidths:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(phasematch, "phase_mismatch", log("mismatch", phase_mismatch))
-        monkeypatch.setattr(phasematch, "_mismatch", log("slopes", phasematch._mismatch))
+        monkeypatch.setattr(phasematch, "_check_wavelengths",
+                            log("check", phasematch._check_wavelengths))
+        monkeypatch.setattr(phasematch, "_mismatch", log("mismatch", phasematch._mismatch))
         monkeypatch.setattr(phasematch, "_refine", log("refine", phasematch._refine))
         output_bandwidths(paper_fiber, point, 0.3)
-        assert calls[:calls.index("refine")] == ["slopes", "mismatch", "slopes"]
+        assert calls[:calls.index("refine")] == ["check", "mismatch", "check", "mismatch",
+                                                 "mismatch"]

@@ -22,7 +22,7 @@ from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_
                             mixed_state_over_spectra, relabel_signal_flip, spectral_grid)
 from xsplice.tomography import _deviance, _gradient, _projector_stack
 
-from conftest import exact_quadratic_average, lambda_form_phase
+from conftest import exact_quadratic_average, lambda_form_phase, nearest_root_reference
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
 # ms each.
@@ -156,8 +156,15 @@ def _assert_one_path(fiber, pump_range, steps):
        span=st.floats(0.0, 2000.0), steps=st.integers(2, 7))
 def test_tuning_curve_is_the_single_pump_solve(silica, pump, target, length, start, span,
                                                steps):
-    fiber, _ = _calibrated(silica, pump, target, length)
-    _assert_one_path(fiber, (start, start + span), steps)
+    fiber, point = _calibrated(silica, pump, target, length)
+    wide, _ = _assert_one_path(fiber, (start, start + span), steps)
+    # every root, and each of a curve over the design range, is the one that
+    # a dense scan and bisection find closest to the pump
+    centred, skipped = tuning_curve(fiber, (pump - 6.0, pump + 6.0), steps)
+    assert not skipped
+    for p in [point, *wide, *centred]:
+        ref, _ = nearest_root_reference(fiber, p.lambda_p_nm)
+        assert p.lambda_s_nm == pytest.approx(ref, abs=1e-5)
 
 
 @pytest.mark.parametrize("pump_range, n_solved", [
