@@ -22,6 +22,7 @@ from .materials import (CompensatorMaterial, FiberSpec, SellmeierModel,
                         WavelengthRangeError, index_and_group_index)
 from .phase import (
     CompensatorSpec,
+    _leave_for_map,
     compensated_phase,
     compensator_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
     total_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
@@ -56,9 +57,15 @@ class CalibrationError(RuntimeError):
 
 def weighted_phase_std(fiber: FiberSpec, comps, pump: GaussianSpectrum,
                        signal: GaussianSpectrum) -> float:
-    """Spectrum-weighted standard deviation of the phase, in degrees."""
+    """Spectrum-weighted standard deviation of the phase, in degrees.
+
+    Its grid is left for a ``phase.phase_map`` drawn next on the same
+    axes (``bandwidth_grid(..., DESIGN_POINTS)``), fiber and crystals.
+    """
     ls, lp, w = spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
+    comps = tuple(comps or ())
     grid = compensated_phase(fiber, comps, ls, lp)
+    _leave_for_map(fiber, comps, ls, lp, grid)
     mean = np.sum(w * grid)
     var = np.sum(w * (grid - mean) ** 2)
     return float(np.degrees(np.sqrt(var)))

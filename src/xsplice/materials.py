@@ -42,7 +42,6 @@ __all__ = [
     "CompensatorMaterial",
     "index",
     "index_and_group_index",
-    "slow_axis_index",
     "birefringence",
     "load_materials",
     "fused_silica",
@@ -187,11 +186,6 @@ def index_and_group_index(model: SellmeierModel, wavelength_nm) -> tuple:
     k = 1000.0 / lam
     n, n_g = _sellmeier(model, k * k, group=True)
     return (n, n_g) if lam.ndim else (float(n), float(n_g))
-
-
-def slow_axis_index(fiber: FiberSpec, wavelength_nm):
-    """Slow-axis index: fast-axis index plus the fiber birefringence."""
-    return index(fiber.core_model, wavelength_nm) + fiber.birefringence
 
 
 def birefringence(material: CompensatorMaterial, wavelength_nm):

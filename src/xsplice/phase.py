@@ -34,16 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import (CompensatorMaterial, FiberSpec, _check_range, _sellmeier, index,
-                        slow_axis_index)
-from .phasematch import _check_wavelengths, idler_wavelength
+from .materials import CompensatorMaterial, FiberSpec, _check_range, _sellmeier
+from .materials import index  # noqa: F401 -- unused; perfbench/tracing.py pins materials.index here
+from .phasematch import _check_wavelengths
 from .states import bandwidth_grid
 
 __all__ = [
     "CompensatorSpec",
     "PhaseMap",
-    "phi_pair_walkoff",
-    "phi_pump",
     "total_phase",
     "compensator_phase",
     "compensated_phase",
@@ -91,31 +89,6 @@ class PhaseMap:
     @property
     def peak_to_peak_deg(self) -> float:
         return float(self.deviation_deg.max() - self.deviation_deg.min())
-
-
-def phi_pair_walkoff(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
-    """Phase of the first-segment pair accumulated in the second segment.
-
-    Both photons ride the slow axis there, hence the n + B terms:
-    (2 pi L / ls) [n(ls) + B] + (2 pi L / li) [n(li) + B].
-    """
-    ls = np.asarray(lambda_s_nm, dtype=float)
-    li = idler_wavelength(ls, lambda_p_nm)
-    two_pi_l = 2.0 * np.pi * fiber.length_m
-    out = (two_pi_l / (ls * 1e-9) * slow_axis_index(fiber, ls)
-           + two_pi_l / (li * 1e-9) * slow_axis_index(fiber, li))
-    return out if out.ndim else float(out)
-
-
-def phi_pump(fiber: FiberSpec, lambda_p_nm):
-    """Pump phase in the first segment, doubled for the two pump photons.
-
-    The pump destined to convert in the second segment travels the first
-    on its fast axis, so no birefringence term appears here.
-    """
-    lp = np.asarray(lambda_p_nm, dtype=float)
-    out = 2.0 * (2.0 * np.pi * fiber.length_m / (lp * 1e-9)) * index(fiber.core_model, lp)
-    return out if np.ndim(out) else float(out)
 
 
 def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
@@ -189,6 +162,23 @@ def compensated_phase(fiber: FiberSpec, comps, lambda_s_nm, lambda_p_nm):
     return out if np.ndim(out) else float(out)
 
 
+#: ``(key, grid)`` of the last ``weighted_phase_std``, until the next ``phase_map``; keyed
+#: by value, so a map takes a grid left by any caller only where it holds the map's own bits
+_design_grid = None
+
+
+def _grid_key(fiber: FiberSpec, comps: tuple, ls, lp) -> tuple:
+    """What a phase grid depends on, compared by value: the axes by shape and bytes."""
+    return fiber, comps, ls.shape, ls.tobytes(), lp.shape, lp.tobytes()
+
+
+def _leave_for_map(fiber: FiberSpec, comps: tuple, ls, lp, grid) -> None:
+    """Hand ``compensated_phase(fiber, comps, ls, lp)`` to the next ``phase_map``, read-only."""
+    global _design_grid
+    grid.flags.writeable = False
+    _design_grid = _grid_key(fiber, comps, ls, lp), grid
+
+
 def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap:
     """Evaluate the (optionally compensated) phase over a grid.
 
@@ -197,14 +187,23 @@ def phase_map(fiber: FiberSpec, comps, signal_axis_nm, pump_axis_nm) -> PhaseMap
     (a signal column against a pump row), so pump-only and signal-only
     terms cost one evaluation per axis point. The grid is converted to
     degrees and mean-subtracted, so a 1x1 map is identically zero.
+    A map right after ``design.weighted_phase_std`` on its axes, fiber and
+    crystals reuses its grid (``_leave_for_map``); every call drops that grid.
     """
+    global _design_grid
+    handed, _design_grid = _design_grid, None
     s_ax = np.asarray(signal_axis_nm, dtype=float)
     p_ax = np.asarray(pump_axis_nm, dtype=float)
     if s_ax.size == 0 or p_ax.size == 0:
         raise ValueError("axes must be non-empty")
     if np.any(np.diff(s_ax) < 0) or np.any(np.diff(p_ax) < 0):
         raise ValueError("axes must be sorted ascending")
-    grid = compensated_phase(fiber, comps, s_ax[:, None], p_ax[None, :])
+    comps = tuple(comps or ())
+    ls, lp = s_ax[:, None], p_ax[None, :]
+    if handed is not None and handed[0] == _grid_key(fiber, comps, ls, lp):
+        grid = handed[1]
+    else:
+        grid = compensated_phase(fiber, comps, ls, lp)
     deg = np.degrees(grid)
     deg = deg - deg.mean()
     deg = deg - deg.mean()  # second pass scrubs the float residual of the first

@@ -6,6 +6,8 @@ from xsplice import (
     FiberSpec,
     GaussianSpectrum,
     fused_silica,
+    idler_wavelength,
+    index,
     load_materials,
     phase_mismatch,
     quartz,
@@ -109,6 +111,40 @@ def lambda_form_phase(fiber, comps, lambda_s_nm, lambda_p_nm):
         phase = phase + dn * (comp.orientation_sign * 2.0 * np.pi * (comp.length_mm * 1e-3)) \
             / (lam * 1e-9)
     return phase
+
+
+def slow_axis_index(fiber, wavelength_nm):
+    """Slow-axis index: fast-axis index plus the fiber birefringence."""
+    return index(fiber.core_model, wavelength_nm) + fiber.birefringence
+
+
+def phi_pair_walkoff(fiber, lambda_s_nm, lambda_p_nm):
+    """Phase of the first-segment pair accumulated in the second segment.
+
+    Both photons ride the slow axis there, hence the n + B terms:
+    (2 pi L / ls) [n(ls) + B] + (2 pi L / li) [n(li) + B]. With
+    ``phi_pump``, the relative phase in the wavelength form is
+    ``phi_pump - phi_pair_walkoff``.
+    """
+    ls = np.asarray(lambda_s_nm, dtype=float)
+    li = idler_wavelength(ls, lambda_p_nm)
+    two_pi_l = 2.0 * np.pi * fiber.length_m
+    out = (two_pi_l / (ls * 1e-9) * slow_axis_index(fiber, ls)
+           + two_pi_l / (li * 1e-9) * slow_axis_index(fiber, li))
+    return out if out.ndim else float(out)
+
+
+def phi_pump(fiber, lambda_p_nm):
+    """Pump phase in the first segment, doubled for the two pump photons.
+
+    The pump destined to convert in the second segment travels the first
+    on its fast axis, so no birefringence term appears here. Its size,
+    about 1.7e6 rad on the paper fiber, scales the rounding of any
+    evaluation of the relative phase that subtracts the segments whole.
+    """
+    lp = np.asarray(lambda_p_nm, dtype=float)
+    out = 2.0 * (2.0 * np.pi * fiber.length_m / (lp * 1e-9)) * index(fiber.core_model, lp)
+    return out if np.ndim(out) else float(out)
 
 
 def nearest_root_reference(fiber, lp):

@@ -1,9 +1,12 @@
+import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from xsplice import design
+from xsplice import design, phase
 from xsplice import (
     CalibrationError,
     CompensatorMaterial,
@@ -17,8 +20,8 @@ from xsplice import (
     solve_signal_idler,
     weighted_phase_std,
 )
-from xsplice.phase import compensated_phase
-from xsplice.states import bandwidth_grid
+from xsplice.phase import compensated_phase, phase_map
+from xsplice.states import DESIGN_POINTS, bandwidth_grid
 
 from conftest import CALIBRATED_B
 
@@ -120,6 +123,102 @@ class TestOptimizeCompensators:
             warnings.simplefilter("error")
             with pytest.raises(OptimizationError, match="singular"):
                 optimize_compensators(paper_fiber, flat, pump_spectrum, signal_spectrum)
+
+
+def _design_axes(pump, signal, points=DESIGN_POINTS):
+    return (bandwidth_grid(signal.center_nm, signal.fwhm_nm, points),
+            bandwidth_grid(pump.center_nm, pump.fwhm_nm, points))
+
+
+def _nudged(axis):
+    # one point, the middle one, one ulp up; the axis stays sorted
+    out = axis.copy()
+    out[len(out) // 2] = np.nextafter(out[len(out) // 2], np.inf)
+    return out
+
+
+def _std_in_between(fiber, comps, s_ax, p_ax, pump, signal):
+    weighted_phase_std(fiber, (CompensatorSpec(1.0, comps[0].material, +1, "signal"),),
+                       pump, signal)
+    return fiber, comps, s_ax, p_ax
+
+
+# how a map differs from the design drawn just before it
+MISSES = {
+    "B one ulp off": lambda f, c, s, p, *_: (
+        dataclasses.replace(f, birefringence=np.nextafter(f.birefringence, 1.0)), c, s, p),
+    "crystal length one ulp off": lambda f, c, s, p, *_: (
+        f, (dataclasses.replace(c[0], length_mm=np.nextafter(c[0].length_mm, np.inf)), c[1]),
+        s, p),
+    "crystal orientation flipped": lambda f, c, s, p, *_: (
+        f, (c[0], dataclasses.replace(c[1], orientation_sign=-c[1].orientation_sign)), s, p),
+    "signal axis one ulp off": lambda f, c, s, p, *_: (f, c, _nudged(s), p),
+    "pump axis one ulp off": lambda f, c, s, p, *_: (f, c, s, _nudged(p)),
+    "51 points": lambda f, c, s, p, pump, signal: (f, c, *_design_axes(pump, signal, 51)),
+    "another std in between": _std_in_between,
+}
+
+
+class TestMapReusesTheDesignGrid:
+    """A map on a design's own axes, drawn right after it, takes the std's grid."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = phase.compensated_phase
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(phase, "compensated_phase", counted)
+        return calls
+
+    @pytest.fixture
+    def designed(self, paper_fiber, quartz_material, pump_spectrum, signal_spectrum):
+        sig, idl, _ = optimize_compensators(paper_fiber, quartz_material,
+                                            pump_spectrum, signal_spectrum)
+        return (sig, idl), _design_axes(pump_spectrum, signal_spectrum)
+
+    def test_map_after_design_evaluates_nothing(self, evaluations, paper_fiber, designed):
+        comps, (s_ax, p_ax) = designed
+        handed = phase_map(paper_fiber, comps, s_ax, p_ax)
+        assert evaluations == []
+        # the slot is taken once: the same map again evaluates, to the same bits
+        fresh = phase_map(paper_fiber, comps, s_ax, p_ax)
+        assert len(evaluations) == 1
+        assert np.array_equal(handed.deviation_deg, fresh.deviation_deg)
+
+    @pytest.mark.parametrize("miss", MISSES.values(), ids=MISSES.keys())
+    def test_any_difference_evaluates(self, miss, evaluations, paper_fiber, pump_spectrum,
+                                      signal_spectrum, designed):
+        comps, (s_ax, p_ax) = designed
+        fiber, comps, s_ax, p_ax = miss(paper_fiber, comps, s_ax, p_ax, pump_spectrum,
+                                        signal_spectrum)
+        got = phase_map(fiber, comps, s_ax, p_ax)
+        assert len(evaluations) == 1
+        fresh = phase_map(fiber, comps, s_ax, p_ax)
+        assert np.array_equal(got.deviation_deg, fresh.deviation_deg)
+
+    def test_handed_grid_is_read_only_and_freed(self, paper_fiber, designed):
+        comps, (s_ax, p_ax) = designed
+        grid = phase._design_grid[1]
+        assert not grid.flags.writeable
+        handed = weakref.ref(grid)
+        del grid
+        phase_map(paper_fiber, comps, s_ax, p_ax)
+        gc.collect()
+        assert phase._design_grid is None and handed() is None
+
+    def test_writing_a_map_leaves_the_next_alone(self, paper_fiber, quartz_material,
+                                                 pump_spectrum, signal_spectrum, designed):
+        comps, (s_ax, p_ax) = designed
+        first = phase_map(paper_fiber, comps, s_ax, p_ax)
+        expected = first.deviation_deg.copy()
+        first.deviation_deg[...] += 1.0
+        optimize_compensators(paper_fiber, quartz_material, pump_spectrum, signal_spectrum)
+        assert np.array_equal(phase_map(paper_fiber, comps, s_ax, p_ax).deviation_deg,
+                              expected)
 
 
 class TestCalibrateBirefringence:

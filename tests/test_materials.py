@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import slow_axis_index
 from xsplice import (
     CompensatorMaterial,
     FiberSpec,
@@ -15,7 +16,6 @@ from xsplice import (
     birefringence,
     index,
     load_materials,
-    slow_axis_index,
 )
 from xsplice.materials import _sellmeier
 

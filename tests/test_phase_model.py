@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import lambda_form_phase
+from conftest import lambda_form_phase, phi_pair_walkoff, phi_pump
 from xsplice import (
     CompensatorSpec,
     FiberSpec,
@@ -16,8 +16,6 @@ from xsplice import (
     idler_wavelength,
     index,
     phase_map,
-    phi_pair_walkoff,
-    phi_pump,
     total_phase,
 )
 from xsplice.materials import WavelengthRangeError

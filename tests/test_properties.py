@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState,
-                     compensated_phase, compensator_phase, phi_pump, reconstruct_mle,
+                     compensated_phase, compensator_phase, reconstruct_mle,
                      simulate_counts, standard_settings, total_phase, visibility)
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
@@ -22,7 +22,8 @@ from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_
                             mixed_state_over_spectra, relabel_signal_flip, spectral_grid)
 from xsplice.tomography import _deviance, _gradient, _projector_stack
 
-from conftest import exact_quadratic_average, lambda_form_phase, nearest_root_reference
+from conftest import (exact_quadratic_average, lambda_form_phase, nearest_root_reference,
+                      phi_pump)
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
 # ms each.

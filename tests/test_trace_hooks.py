@@ -51,6 +51,27 @@ def test_traced_state_evaluates_the_phase_once(monkeypatch, paper_config):
     assert totals["states.spectral_mean_phase"]["calls"] == 0
 
 
+def test_traced_design_and_map_evaluate_the_grid_once(monkeypatch, paper_config):
+    # the map on the design's own axes takes the grid of the design's std
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = paper_config
+    axes = [xsplice.bandwidth_grid(s.center_nm, s.fwhm_nm, xsplice.states.DESIGN_POINTS)
+            for s in (cfg.signal, cfg.pump)]
+    tracer = tracing.Tracer(xsplice)
+    tracer.install()
+    try:
+        sig, idl, _ = xsplice.design.optimize_compensators(cfg.fiber, cfg.material,
+                                                           cfg.pump, cfg.signal)
+        xsplice.phase.phase_map(cfg.fiber, (sig, idl), *axes)
+    finally:
+        tracer.uninstall()
+    totals = tracer.snapshot()
+    assert totals["phase.phase_map"]["calls"] == 1
+    assert totals["phase.compensated_phase"]["calls"] == 1
+
+
 def test_benchmark_shims_stay_bound(paper_config):
     # perfbench/tasks.py still reads phase.bandwidth_grid and passes
     # length_m to calibrate_birefringence, though no library code does;
