@@ -22,8 +22,8 @@ from .states import (
     GaussianSpectrum,
     TwoQubitState,
     best_bell_fidelity,
+    _spectral_coherences,
     mixed_state_over_spectra,
-    spectral_coherences,
     spectral_mean_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
 )
 from .phase import compensated_phase
@@ -370,14 +370,16 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
     (2 - w)/4 and HV w/4 of their sum 1/2, so V_rect = 1 - w; DD and DA
     hold (1 +- (1 - w) Re c)/4, so V_diag = (1 - w)|Re c|, exactly.
     Every power and ``baseline_noise`` are checked before any phase is
-    evaluated. The coherences of all powers come from one
-    ``spectral_coherences`` call, which evaluates the phase once per
-    group of broadened pump spectra; no state is built.
+    evaluated. The real parts Re c of all powers come from one quadrature
+    call, which evaluates the phase once per group of broadened pump
+    spectra and gives each the bits and the warnings of
+    ``spectral_coherences``; Im c is computed only for a power whose
+    convergence check reruns on the doubled rule, and no state is built.
     """
     powers = [float(pw) for pw in powers_mw]
     weights = [_noise_weight(p, pw, baseline_noise) for pw in powers]
-    cohs = spectral_coherences(
+    real_parts = _spectral_coherences(
         lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum,
-        [_broadened(p, pump_spectrum, pw) for pw in powers], relative_to_mean=True)
-    return [(pw, 1.0 - w, (1.0 - w) * abs(coh.real))
-            for pw, w, coh in zip(powers, weights, cohs)]
+        [_broadened(p, pump_spectrum, pw) for pw in powers], relative_to_mean=True, real=True)
+    return [(pw, 1.0 - w, (1.0 - w) * abs(re))
+            for pw, w, re in zip(powers, weights, real_parts)]

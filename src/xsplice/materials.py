@@ -105,6 +105,9 @@ class FiberSpec:
     def __post_init__(self):
         if not 0.0 <= self.length_m < math.inf:
             raise ValueError(f"fiber length must be finite and >= 0, got {self.length_m}")
+        # -0.0 passes the check and equals 0.0 but carries its sign into the
+        # phase; +0.0 keeps equal fibers' phases bit for bit equal
+        object.__setattr__(self, "length_m", abs(self.length_m))
         if not 0.0 <= self.birefringence < math.inf:
             raise ValueError(f"birefringence must be finite and >= 0, got {self.birefringence}")
         if not 0.0 <= self.gamma < math.inf:

@@ -66,6 +66,9 @@ class CompensatorSpec:
     def __post_init__(self):
         if not 0.0 <= self.length_mm < math.inf:
             raise ValueError(f"compensator length must be finite and >= 0, got {self.length_mm}")
+        # -0.0 passes the check and equals 0.0 but carries its sign into the
+        # phase; +0.0 keeps equal crystals' phases bit for bit equal
+        object.__setattr__(self, "length_mm", abs(self.length_mm))
         if self.orientation_sign not in (+1, -1):
             raise ValueError(f"orientation_sign must be +1 or -1, got {self.orientation_sign}")
         if self.arm not in ("signal", "idler"):

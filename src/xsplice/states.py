@@ -74,8 +74,8 @@ QUAD_SPAN_SIGMAS = 6.0
 #: Pump spectra per phase call of ``spectral_coherences``: the group's
 #: pump rows lie side by side against one signal column, so the phase
 #: model's fixed cost per call is shared. A 16-power paper-config sweep
-#: took 7.1 ms in fours, 10.0 ms one at a time and 7.5 ms in eights
-#: (2 vCPUs); larger stacks fall out of cache.
+#: took 4.4 ms in fours, 6.6 ms one at a time, 5.0 ms in twos and 6.0 ms
+#: in eights (2 vCPUs); larger stacks fall out of cache.
 _PUMP_GROUP = 4
 
 #: Nodes read per row of the banded Lagrange matrix that interpolates
@@ -411,15 +411,20 @@ def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
     return [float(e) if h else None for e, h in zip(error, held)]
 
 
-def _coherence(phi: np.ndarray, w: np.ndarray) -> list:
+def _coherence(phi: np.ndarray, w: np.ndarray, real: bool = False) -> list:
     """``sum(w e^{-i phi})`` over one rule, for each phase of a stack.
 
-    Real ``cos`` and ``sin``, not a complex ``exp``, which also
-    exponentiates the zero real part: the doubled-rule check took 10-30 %
-    longer with it (64 nodes, 2 vCPUs). ``0.0 - im`` keeps the imaginary
-    part of a zero phase +0.0.
+    With ``real`` only the real part, as floats, and no ``sin`` pass:
+    the same ``cos`` sum, so the real part of the complex result bit for
+    bit. Real ``cos`` and ``sin``, not a complex ``exp``, which also
+    exponentiates the zero real part: on a power sweep's phases it took
+    40 ns per node against 29 for both sums, and the ``cos`` sum alone
+    15 (2 vCPUs). ``0.0 - im`` keeps the imaginary part of a zero phase
+    +0.0.
     """
     re = np.einsum("kij,kij->k", w, np.cos(phi))
+    if real:
+        return re.tolist()
     im = np.einsum("kij,kij->k", w, np.sin(phi))
     return [complex(r, 0.0 - i) for r, i in zip(re, im)]
 
@@ -467,6 +472,22 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     more than 1e-6. The probes see a component that equals a smooth
     alias on the nodes, but not roughness confined to where no probe
     line runs. Reruns and warnings go pump by pump, in order.
+
+    ``counts.visibility_vs_power`` reads only the real parts and runs
+    this quadrature without the imaginary parts that no rerun compares.
+    """
+    return _spectral_coherences(phase_fn, signal, pumps, relative_to_mean, real=False)
+
+
+def _spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, relative_to_mean: bool,
+                         real: bool) -> list:
+    """``spectral_coherences``, or with ``real`` the real part of each coherence.
+
+    The real parts are floats, each that of the complex coherence bit
+    for bit, with the same warnings in the same order. Only a pump that
+    the convergence check reruns on the doubled rule takes its imaginary
+    part, for itself alone, so that the rerun still compares complex
+    coherences.
     """
     pumps = list(pumps)
     ls, ws = _axis(signal, QUAD_NODES, QUAD_SPAN_SIGMAS)
@@ -474,13 +495,13 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     cohs = []
     for start in range(0, len(pumps), _PUMP_GROUP):
         cohs += _group_coherences(phase_fn, signal, column, ws[:, None],
-                                  pumps[start:start + _PUMP_GROUP], relative_to_mean)
+                                  pumps[start:start + _PUMP_GROUP], relative_to_mean, real)
     return cohs
 
 
 def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, ws: np.ndarray,
-                      group: list, relative_to_mean: bool) -> list:
-    """``spectral_coherences`` for one group of pumps.
+                      group: list, relative_to_mean: bool, real: bool) -> list:
+    """``_spectral_coherences`` for one group of pumps.
 
     ``column`` holds the signal nodes and probes and ``ws`` the signal
     weights, both as columns. The group's arrays are freed on return,
@@ -502,10 +523,12 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, ws
         stack -= mean[:, None, None]
     phi = stack[:, :n, :n]
     errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:], ws, wp)
-    cohs = _coherence(phi, w)
-    for pump, coh, error, offset in zip(group, cohs, errors, mean):
+    cohs = _coherence(phi, w, real)
+    for k, (pump, coh, error, offset) in enumerate(zip(group, cohs, errors, mean)):
         measure = "the nodes' coherence has an estimated aliasing error of"
         if error is None:
+            if real:
+                coh, = _coherence(phi[k:k + 1], w[k:k + 1])
             ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
             phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - offset
             error = abs(_coherence(phi2[None], w2[None])[0] - coh)

@@ -200,6 +200,23 @@ class TestMapReusesTheDesignGrid:
         fresh = phase_map(fiber, comps, s_ax, p_ax)
         assert np.array_equal(got.deviation_deg, fresh.deviation_deg)
 
+    @pytest.mark.parametrize("part", ["fiber", "crystal"])
+    def test_negative_zero_length_maps_its_own_bits(self, part, paper_fiber, quartz_material,
+                                                    pump_spectrum, signal_spectrum):
+        # -0.0 == 0.0, so a -0.0 length takes the grid of the +0.0 design
+        # drawn just before it; the map must hold a fresh evaluation's bits
+        def source(length):
+            if part == "fiber":
+                return dataclasses.replace(paper_fiber, length_m=length), ()
+            return (dataclasses.replace(paper_fiber, length_m=0.0),
+                    (CompensatorSpec(length, quartz_material, +1, "signal"),))
+
+        axes = _design_axes(pump_spectrum, signal_spectrum)
+        weighted_phase_std(*source(0.0), pump_spectrum, signal_spectrum)
+        handed = phase_map(*source(-0.0), *axes)
+        fresh = phase_map(*source(-0.0), *axes)
+        assert handed.deviation_deg.tobytes() == fresh.deviation_deg.tobytes()
+
     def test_handed_grid_is_read_only_and_freed(self, paper_fiber, designed):
         comps, (s_ax, p_ax) = designed
         grid = phase._design_grid[1]

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from xsplice import (CompensatorSpec, FiberSpec, GaussianSpectrum, TwoQubitState,
                      compensated_phase, compensator_phase, reconstruct_mle,
                      simulate_counts, standard_settings, total_phase, visibility)
-from xsplice.counts import effective_state_at_power, visibility_vs_power
+from xsplice.counts import (_broadened, _noise_weight, effective_state_at_power,
+                            visibility_vs_power)
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
 from xsplice.materials import WavelengthRangeError, birefringence, index, index_and_group_index
 from xsplice.phasematch import (PhaseMatchError, _mismatch, idler_wavelength, output_bandwidths,
                                 phase_mismatch, solve_signal_idler, tuning_curve)
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
                             _PROBE_X, _alias_check, _spectral_axes, concurrence,
-                            mixed_state_over_spectra, relabel_signal_flip, spectral_grid)
+                            mixed_state_over_spectra, relabel_signal_flip, spectral_coherences,
+                            spectral_grid)
 from xsplice.tomography import _deviance, _gradient, _projector_stack
 
 from conftest import (exact_quadratic_average, lambda_form_phase, nearest_root_reference,
@@ -444,14 +446,37 @@ def test_sweep_closed_form_is_the_x_states_visibilities(paper_config, r, angle, 
     coh = r * complex(math.cos(angle), math.sin(angle))
     cfg = paper_config
     args = (cfg.noise, cfg.fiber, cfg.compensators)
-    cohs = lambda phase_fn, signal, pumps, relative_to_mean: [coh] * len(pumps)
-    with mock.patch("xsplice.states.spectral_coherences", cohs), \
-            mock.patch("xsplice.counts.spectral_coherences", cohs), \
+    cohs = lambda phase_fn, signal, pumps, relative_to_mean, real: (
+        [coh.real if real else coh] * len(pumps))
+    with mock.patch("xsplice.states._spectral_coherences", cohs), \
+            mock.patch("xsplice.counts._spectral_coherences", cohs), \
             mock.patch("xsplice.counts._noise_weight", lambda p, pw, baseline: w):
         (_, v_rect, v_diag), = visibility_vs_power(*args, [30.0], cfg.signal, cfg.pump)
         state = effective_state_at_power(*args, cfg.signal, cfg.pump, 30.0)
     assert abs(v_rect - visibility(state, "rectilinear")) <= 4 * math.ulp(1.0)
     assert abs(v_diag - visibility(state, "diagonal")) <= 4 * math.ulp(1.0)
+
+
+@CHEAP
+@given(d_sig=st.floats(-3.0, 3.0), d_idl=st.floats(-3.0, 3.0), fwhm=st.floats(0.8, 1.2),
+       baseline=st.floats(0.05, 0.12),
+       powers=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=16))
+def test_sweep_reads_the_real_part_of_each_coherence(paper_config, d_sig, d_idl, fwhm,
+                                                      baseline, powers):
+    # the sweep takes Re c alone; it must be that of the complex coherence
+    # the public quadrature gives, bit for bit, around the paper's design
+    cfg = paper_config
+    comps = tuple(CompensatorSpec(c.length_mm + d, c.material, c.orientation_sign, c.arm)
+                  for c, d in zip(cfg.compensators, (d_sig, d_idl)))
+    pump = GaussianSpectrum(cfg.pump.center_nm, cfg.pump.fwhm_nm * fwhm)
+    rows = visibility_vs_power(cfg.noise, cfg.fiber, comps, powers, cfg.signal, pump,
+                               baseline_noise=baseline)
+    cohs = spectral_coherences(lambda ls, lp: compensated_phase(cfg.fiber, comps, ls, lp),
+                               cfg.signal, [_broadened(cfg.noise, pump, pw) for pw in powers],
+                               relative_to_mean=True)
+    weights = [_noise_weight(cfg.noise, pw, baseline) for pw in powers]
+    assert rows == [(pw, 1.0 - w, (1.0 - w) * abs(c.real))
+                    for pw, w, c in zip(powers, weights, cohs)]
 
 
 def _sigma_phase(signal, pump, a, b, c, d, e, offset=0.0):

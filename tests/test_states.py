@@ -24,12 +24,12 @@ from xsplice import (
     werner_state,
 )
 from conftest import exact_quadratic_average
-from xsplice import counts
+from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
                             _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
                             _PROBES, _PUMP_GROUP, _alias_check, _alias_estimate, _coherence,
-                            _spectral_axes, bandwidth_grid, spectral_grid)
+                            _spectral_axes, _spectral_coherences, bandwidth_grid, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -583,6 +583,50 @@ class TestSpectralCoherences:
             "the nodes' coherence has an estimated aliasing error of",
             "the nodes' coherence has an estimated aliasing error of",
             "doubling nodes moved the coherence by"]
+
+    @pytest.mark.parametrize("relative_to_mean", [False, True])
+    def test_real_parts_keep_the_warnings(self, relative_to_mean):
+        # the sweep's path on the rippled pumps, which rerun, and the sloped
+        # ones, which trip the alias estimate
+        cohs, messages = self._messages(lambda: spectral_coherences(
+            self._phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean))
+        real, real_messages = self._messages(lambda: _spectral_coherences(
+            self._phase, self.SIGNAL, self.PUMPS, relative_to_mean, real=True))
+        assert real == [c.real for c in cohs]
+        assert real_messages == messages
+        assert len(messages) == 4
+
+    def test_only_a_rerun_pump_takes_an_imaginary_part(self, paper_config, monkeypatch):
+        calls = []
+
+        def spy(phi, w, real=False):
+            out = _coherence(phi, w, real)
+            calls.append((len(phi), real, out))
+            return out
+
+        monkeypatch.setattr(states, "_coherence", spy)
+        cfg = paper_config
+        visibility_vs_power(cfg.noise, cfg.fiber, cfg.compensators, np.linspace(1.0, 56.0, 16),
+                            cfg.signal, cfg.pump)
+        assert [(size, real) for size, real, _ in calls] == (
+            [(_PUMP_GROUP, True)] * (16 // _PUMP_GROUP))
+        # each rippled pump reruns: its own node coherence and the doubled
+        # rule's, both complex; the node one is the complex path's bit for bit
+        cohs, _ = self._messages(lambda: spectral_coherences(self._phase, self.SIGNAL,
+                                                             self.PUMPS))
+        calls.clear()
+        self._messages(lambda: _spectral_coherences(self._phase, self.SIGNAL, self.PUMPS,
+                                                    False, real=True))
+        expected, nodes = [], []
+        for start in range(0, len(self.PUMPS), _PUMP_GROUP):
+            group = self.PUMPS[start:start + _PUMP_GROUP]
+            expected.append((len(group), True))
+            for k, pump in enumerate(group, start):
+                if pump.center_nm < 765.0:
+                    expected += [(1, False), (1, False)]
+                    nodes.append([cohs[k]])
+        assert [(size, real) for size, real, _ in calls] == expected
+        assert [out for _, real, out in calls if not real][::2] == nodes
 
     @pytest.mark.parametrize("relative_to_mean", [False, True])
     def test_scalar_phase(self, relative_to_mean):
