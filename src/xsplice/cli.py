@@ -109,8 +109,10 @@ def _json_text(obj) -> str:
 
 
 def _cmd_calibrate(cfg, args):
-    b = design.calibrate_birefringence(cfg.fiber.core_model, args.pump, args.signal)
-    _emit(_json_text({"pump_nm": args.pump, "signal_nm": args.signal,
+    pump = cfg.pump.center_nm if args.pump is None else args.pump
+    signal = cfg.signal.center_nm if args.signal is None else args.signal
+    b = design.calibrate_birefringence(cfg.fiber.core_model, pump, signal)
+    _emit(_json_text({"pump_nm": pump, "signal_nm": signal,
                       "birefringence": b}), args.out, "calibration.json")
     return 0
 
@@ -262,8 +264,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("calibrate", help="fit the fiber birefringence to an operating point")
-    p.add_argument("--pump", type=_POSITIVE, default=771.0)
-    p.add_argument("--signal", type=_POSITIVE, default=670.0)
+    p.add_argument("--pump", type=_POSITIVE,
+                   help="pump, nm (default: the config's pump_center_nm)")
+    p.add_argument("--signal", type=_POSITIVE,
+                   help="signal, nm (default: the config's signal_center_nm)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_calibrate)
 

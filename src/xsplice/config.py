@@ -1,9 +1,10 @@
 """Run configuration: INI files with flat key-value sections.
 
-The built-in defaults describe the reference source (13 cm segments,
-771 nm pump, quartz compensators, fitted count-rate coefficients); any
-key can be overridden by a config file. ``configs/paper.ini`` in the
-repository root is the canonical example and mirrors these defaults.
+The built-in configuration is the packaged ``data/paper.ini``, the
+reference source (13 cm segments, 771 nm pump, quartz compensators,
+fitted count-rate coefficients); ``DEFAULTS`` is parsed from it, and
+any key can be overridden by a config file. ``configs/paper.ini`` in
+the repository root sets no key and so loads the same configuration.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 from .counts import NoiseParams
 from .materials import CompensatorMaterial, FiberSpec, load_materials
@@ -24,45 +26,15 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "fiber": {
-        "length_m": "0.13",
-        # calibrated so a 771 nm pump phase-matches a 670 nm signal
-        "birefringence": "3.1999848764298507e-04",
-        "gamma_per_w_m": "0.01",
-        "core": "fused_silica",
-    },
-    "compensators": {
-        "material": "quartz",
-        "signal_length_mm": "67.3",
-        "signal_orientation": "+1",
-        "idler_length_mm": "47.6",
-        "idler_orientation": "-1",
-    },
-    "spectra": {
-        "pump_center_nm": "771.0",
-        "pump_fwhm_nm": "0.3",
-        "signal_center_nm": "670.0",
-        "signal_fwhm_nm": "0.23",
-    },
-    "noise": {
-        # fitted to CAR(50 mW) = 110, CAR(10 mW) = 260 and a 45000/s
-        # pair rate at 33 mW, with the efficiencies and darks held fixed
-        "pair_rate_coeff": "41.32231404958677",
-        "raman_signal": "39.97877194480514",
-        "raman_idler": "1603.6698254753746",
-        "dark_signal": "1200.0",
-        "dark_idler": "1200.0",
-        "eta_signal": "0.24",
-        "eta_idler": "0.16",
-        "rep_rate_hz": "76e6",
-        "window_s": "1e-9",
-        "spm_coeff": "0.2",
-        # power-independent depolarization calibrated to the measured
-        # 0.922 Bell fidelity at 30 mW (see calibrate_baseline_noise)
-        "baseline_noise": "0.09040324370750284",
-    },
-}
+def _packaged_defaults() -> dict:
+    """``{section: {key: text}}`` of the packaged ``data/paper.ini``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(resources.files("xsplice").joinpath("data/paper.ini")
+                       .read_text(encoding="utf-8"))
+    return {section: dict(parser[section]) for section in parser.sections()}
+
+
+DEFAULTS = _packaged_defaults()
 
 
 @dataclass(frozen=True)

@@ -111,18 +111,13 @@ def simulate_counts(state: TwoQubitState, settings, n_per_setting: float,
                           total_per_setting=float(n_per_setting))
 
 
-def _deviance(rho: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -> float:
-    """Poisson NLL of ``rho`` less a data-only constant, as a sum of terms >= 0.
-
-    With lam_k = n tr(Pi_k rho), each setting adds (lam - c) - c log(lam / c),
-    accurate far below one ulp of the NLL. Infinite where a setting with
-    counts gets lam <= 0.
-    """
-    return _rate_deviance(n * (flat @ rho.T.ravel()).real, counts)
-
-
 def _rate_deviance(lam: np.ndarray, counts: np.ndarray) -> float:
-    """``_deviance`` from the expected counts lam_k."""
+    """Poisson NLL of a state less a data-only constant, as a sum of terms >= 0.
+
+    With the state's expected counts lam_k = n tr(Pi_k rho), each setting
+    adds (lam - c) - c log(lam / c), accurate far below one ulp of the NLL.
+    Infinite where a setting with counts gets lam <= 0.
+    """
     seen = counts > 0
     excess = lam - counts
     e, c = excess[seen], counts[seen]
@@ -133,13 +128,8 @@ def _rate_deviance(lam: np.ndarray, counts: np.ndarray) -> float:
     return float(excess.sum() - c @ np.log1p(e / c))
 
 
-def _gradient(rho: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:
-    """d NLL / d rho = sum_k n (1 - c_k / lam_k) Pi_k."""
-    return _rate_gradient(n * (flat @ rho.T.ravel()).real, flat, counts, n)
-
-
 def _rate_gradient(lam: np.ndarray, flat: np.ndarray, counts: np.ndarray, n: float) -> np.ndarray:
-    """``_gradient`` from the expected counts lam_k."""
+    """d NLL / d rho = sum_k n (1 - c_k / lam_k) Pi_k, from the expected counts lam_k."""
     g = n - np.divide(n * counts, lam, out=np.zeros_like(lam), where=counts > 0)
     return (g @ flat).reshape(4, 4)
 
@@ -321,14 +311,15 @@ def _certified(rho: np.ndarray, lam: np.ndarray, flat: np.ndarray, counts: np.nd
                n: float) -> bool:
     """Whether the likelihood's gradient certifies ``rho`` optimal to rounding.
 
-    The NLL is convex, so with G = ``_gradient`` at rho and mu = Re tr(G rho),
-    every state s has NLL(s) >= NLL(rho) + tr(G s) - mu >= NLL(rho) +
-    lambda_min(G - mu I): rho is within max(0, -lambda_min(G - mu I)) of the
-    optimum. It is certified when that bound is at most 16 ulp of the NLL's
-    terms, eps sum_k (lam_k + c_k |log lam_k|): no likelihood tells two
-    states apart below one ulp, and the gap is itself a rounded sum of 36
-    terms, which Newton steps on a factor with a small column leave a few
-    ulp from 0. G is taken at the expected counts ``lam`` of rho.
+    The NLL is convex, so with G = ``_rate_gradient`` at rho and
+    mu = Re tr(G rho), every state s has NLL(s) >= NLL(rho) + tr(G s) - mu
+    >= NLL(rho) + lambda_min(G - mu I): rho is within
+    max(0, -lambda_min(G - mu I)) of the optimum. It is certified when that
+    bound is at most 16 ulp of the NLL's terms, eps sum_k (lam_k + c_k
+    |log lam_k|): no likelihood tells two states apart below one ulp, and
+    the gap is itself a rounded sum of 36 terms, which Newton steps on a
+    factor with a small column leave a few ulp from 0. G is taken at the
+    expected counts ``lam`` of rho.
     """
     grad = _rate_gradient(lam, flat, counts, n)
     gap = -np.linalg.eigvalsh(grad - np.vdot(grad, rho).real * np.eye(4))[0]

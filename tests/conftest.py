@@ -64,6 +64,12 @@ def paper_config():
     return load_config()
 
 
+def expected_counts(rho, flat, n):
+    """lam_k = n Re tr(Pi_k rho), the expected counts that the MLE's deviance
+    and gradient take; ``flat`` holds the projectors Pi_k as rows of 16."""
+    return n * (flat @ rho.T.ravel()).real
+
+
 def assert_close(actual, expected, tol, label=""):
     assert abs(actual - expected) <= tol, (
         f"{label}: {actual!r} differs from {expected!r} by more than {tol!r}"

@@ -1,3 +1,4 @@
+import configparser
 import json
 import subprocess
 import sys
@@ -65,6 +66,21 @@ class TestUsage:
             res = run_cli("--config", str(bad), cmd)
             assert res.returncode == 2, ini
             assert "config error" in res.stderr, ini
+
+    @pytest.mark.parametrize("ini, message", [
+        ("[compensators]\nsignal_orientation = 2\n", "orientation must be +1 or -1, got 2"),
+        ("[compensators]\nsignal_orientation = x\n", "orientation must be +1 or -1, got 'x'"),
+        ("[fiber]\ncore = nope\n", "unknown core material 'nope'"),
+        ("[compensators]\nmaterial = fused_silica\n",
+         "material database lacks 'fused_silica_o'/'fused_silica_e'"),
+        ("[noise]\nbaseline_noise = 1\n", "baseline_noise must be in [0, 1), got 1.0"),
+    ], ids=["orientation-2", "orientation-x", "core", "no-rays", "baseline-1"])
+    def test_invalid_config_key_exits_2(self, run_cli, tmp_path, ini, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ini)
+        res = run_cli("--config", str(bad), "calibrate")
+        assert res.returncode == 2
+        assert res.stderr == f"config error: {message}\n"
 
     @pytest.mark.parametrize("content", [b"length_m = 0.2\n",
                                          b"[fiber]\nlength_m = 0.2\nlength_m = 0.3\n",
@@ -142,6 +158,16 @@ class TestCalibrate:
         payload = json.loads(res.stdout)
         assert 2e-4 <= payload["birefringence"] <= 6e-4
 
+    def test_defaults_to_the_config_centres(self, run_cli, tmp_path):
+        golden = (REPO / "tests" / "golden" / "calibrate" / "stdout").read_text()
+        assert run_cli("calibrate").stdout == golden
+        shifted = tmp_path / "shifted.ini"
+        shifted.write_text("[spectra]\npump_center_nm = 775\n")
+        res = run_cli("--config", str(shifted), "calibrate")
+        assert res.returncode == 0
+        assert res.stdout == run_cli("calibrate", "--pump", "775", "--signal", "670").stdout
+        assert json.loads(res.stdout)["pump_nm"] == 775.0
+
 
 class TestTuningCurve:
     def test_row_count(self, run_cli):
@@ -150,6 +176,13 @@ class TestTuningCurve:
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "lambda_p_nm,lambda_s_nm,lambda_i_nm,residual_mismatch"
         assert len(lines) == 1 + 5
+
+    def test_unsolvable_pumps_are_named(self, run_cli):
+        # no phase-matched signal at 7420 nm: both pumps are skipped and named
+        res = run_cli("tuning-curve", "--from", "7420", "--to", "7420", "--steps", "2")
+        assert res.returncode == 0
+        assert res.stdout == "lambda_p_nm,lambda_s_nm,lambda_i_nm,residual_mismatch\n"
+        assert res.stderr == "no solution for pump values: 7420, 7420\n"
 
 
 class TestPhaseMap:
@@ -286,4 +319,8 @@ class TestMaterialsOverride:
 
 
 def test_defaults_mirror_paper_ini():
+    # the fixture sets no key, so it loads the packaged configuration unchanged
+    parser = configparser.ConfigParser()
+    assert parser.read(PAPER_INI, encoding="utf-8") == [str(PAPER_INI)]
+    assert parser.sections() == []
     assert load_config() == load_config(str(PAPER_INI))

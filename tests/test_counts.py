@@ -12,10 +12,12 @@ from xsplice import (
     best_bell_fidelity,
     calibrate_baseline_noise,
     car,
+    compensated_phase,
     effective_state_at_power,
     expected_rates,
     fit_params,
     heralding_efficiencies,
+    mixed_state_over_spectra,
     predict_counts,
     splice_transmission_bound,
     visibility,
@@ -153,6 +155,31 @@ class TestSpliceBound:
     def test_arm_validation(self):
         with pytest.raises(ValueError):
             splice_transmission_bound(PAPER_RECORD, PAPER_RECORD, "pump")
+
+    def test_reference_without_heralding(self):
+        dead = CountRecord(1.0, 1000, 0, 1000, 0, 0, 0)
+        with pytest.raises(ZeroDivisionError, match="reference heralding efficiency is zero"):
+            splice_transmission_bound(PAPER_RECORD, dead, "signal")
+
+
+class TestSilentSource:
+    def test_no_pairs_and_no_background(self, paper_fiber, paper_compensators,
+                                        signal_spectrum, pump_spectrum):
+        # no pair, Raman or dark counts: 0/0 coincidences, read as no background
+        silent = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.24, 0.16, spm_coeff=0.2)
+        assert counts_mod._background_fraction(silent, 30.0) == 0.0
+        spectral = mixed_state_over_spectra(
+            lambda ls, lp: compensated_phase(paper_fiber, paper_compensators, ls, lp),
+            signal_spectrum, counts_mod._broadened(silent, pump_spectrum, 30.0),
+            relative_to_mean=True)
+        state = effective_state_at_power(silent, paper_fiber, paper_compensators,
+                                         signal_spectrum, pump_spectrum, 30.0)
+        assert np.array_equal(state.matrix, spectral.matrix)
+        noisy = effective_state_at_power(silent, paper_fiber, paper_compensators,
+                                         signal_spectrum, pump_spectrum, 30.0,
+                                         baseline_noise=0.1)
+        assert np.allclose(noisy.matrix, 0.9 * spectral.matrix + 0.1 * np.eye(4) / 4,
+                           rtol=0, atol=1e-15)
 
 
 class TestPredictCounts:

@@ -267,3 +267,16 @@ class TestCalibrateBirefringence:
             calibrate_birefringence(silica, 771.0, 500.0, b_range=(1e-5, 2e-4))
         with pytest.raises(CalibrationError, match="not a number"):
             calibrate_birefringence(silica, 771.0, float("nan"))
+
+    def test_calibrated_fiber_without_a_solution(self, silica):
+        # B = 0.023 zeroes the mismatch at the target, but the confirming
+        # solve finds no root in its window
+        with pytest.raises(CalibrationError, match="does not phase-match"):
+            calibrate_birefringence(silica, 532.0, 292.6, b_range=(1e-9, 1.0))
+
+    def test_target_on_the_far_branch(self, silica):
+        # B = 0.0064 zeroes the mismatch at 435.8 nm, but a root lies closer
+        # to the pump, the one the solver returns
+        with pytest.raises(CalibrationError,
+                           match="the root closest to the pump is 436.0[0-9]* nm"):
+            calibrate_birefringence(silica, 771.0, 435.80, b_range=(1e-9, 1.0))

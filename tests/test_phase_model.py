@@ -19,6 +19,7 @@ from xsplice import (
     total_phase,
 )
 from xsplice.materials import WavelengthRangeError
+from xsplice.phase import PhaseMap
 from xsplice.phasematch import PhaseMatchError, phase_mismatch
 
 
@@ -164,6 +165,14 @@ class TestCompensatedPhase:
 
 
 class TestPhaseMap:
+    def test_shape_must_match_the_axes(self):
+        with pytest.raises(ValueError, match="shape does not match"):
+            PhaseMap(np.array([670.0, 671.0]), np.array([771.0]), np.zeros((1, 2)))
+
+    def test_grid_must_be_mean_subtracted(self):
+        with pytest.raises(ValueError, match="not mean-subtracted"):
+            PhaseMap(np.array([670.0, 671.0]), np.array([771.0]), np.array([[0.0], [1.0]]))
+
     def test_single_point_grid(self, paper_fiber):
         pmap = phase_map(paper_fiber, None, [670.0], [771.0])
         assert pmap.deviation_deg.shape == (1, 1)

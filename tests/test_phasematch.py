@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from xsplice import (
+    BandwidthError,
     FiberSpec,
     PhaseMatchError,
     PhaseMatchPoint,
@@ -357,6 +359,21 @@ class TestBandwidths:
             warnings.simplefilter("error")
             with pytest.raises(WavelengthRangeError, match="wavelengths must be positive"):
                 output_bandwidths(fiber, point, 0.3)
+
+    def test_zero_length_fiber_has_no_bandwidth(self, paper_fiber):
+        point = solve_signal_idler(paper_fiber, 771.0)
+        with pytest.raises(BandwidthError, match="zero-length fiber"):
+            output_bandwidths(dataclasses.replace(paper_fiber, length_m=0.0), point, 0.3)
+
+    def test_profile_without_an_upper_edge_is_rejected(self, silica):
+        # 1.8 nm from a 430 nm pump the mismatch peaks at the degenerate
+        # signal at about 29 rad/m, below the 278 rad/m half-maximum level of
+        # a 1 cm fiber: the sinc^2 profile has no upper half-maximum edge
+        fiber = FiberSpec(0.01, 1e-6, 0.0, silica)
+        point = solve_signal_idler(fiber, 430.0)
+        assert point.lambda_s_nm == pytest.approx(428.218, abs=1e-3)
+        with pytest.raises(BandwidthError, match="no half-maximum crossing"):
+            output_bandwidths(fiber, point, 0.0)
 
     @pytest.mark.parametrize("pump_fwhm_nm", [-0.3, np.nan, np.inf])
     def test_pump_fwhm_checked_before_any_mismatch_call(self, monkeypatch, paper_fiber,

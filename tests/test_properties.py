@@ -22,10 +22,10 @@ from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_
                             _PROBE_X, _alias_check, _spectral_axes, concurrence,
                             mixed_state_over_spectra, relabel_signal_flip, spectral_coherences,
                             spectral_grid)
-from xsplice.tomography import _deviance, _gradient, _projector_stack
+from xsplice.tomography import _projector_stack, _rate_deviance, _rate_gradient
 
-from conftest import (exact_quadratic_average, lambda_form_phase, nearest_root_reference,
-                      phi_pump)
+from conftest import (exact_quadratic_average, expected_counts, lambda_form_phase,
+                      nearest_root_reference, phi_pump)
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
 # ms each.
@@ -564,11 +564,12 @@ def test_nll_rho_gradient_matches_central_difference(entries, counts, n):
     flat = PIS.reshape(36, 16)
     # well inside the states, where the step below keeps every lam > 0
     assume(np.einsum("kij,ji->k", PIS, rho).real.min() > 1e-3)
-    grad = _gradient(rho, flat, counts, n)
+    grad = _rate_gradient(expected_counts(rho, flat, n), flat, counts, n)
     assert np.abs(grad - grad.conj().T).max() <= 1e-9 * np.abs(grad).max()
     h = 1e-7
-    central = np.array([(_deviance(rho + h * e, flat, counts, n)
-                         - _deviance(rho - h * e, flat, counts, n)) / (2.0 * h)
+    central = np.array([(_rate_deviance(expected_counts(rho + h * e, flat, n), counts)
+                         - _rate_deviance(expected_counts(rho - h * e, flat, n), counts))
+                        / (2.0 * h)
                         for e in HERMITIAN_BASIS])
     along = np.array([np.vdot(grad, e).real for e in HERMITIAN_BASIS])
     assert np.linalg.norm(along - central) <= 1e-6 * np.linalg.norm(along)
@@ -604,7 +605,8 @@ def test_mle_meets_the_optimality_conditions(entries, rank, n, seed):
     # 1-3, the gap had reached 3.8e-7 |G|.
     data = simulate_counts(_random_state(entries, rank), SETTINGS, n, seed=seed)
     rho = reconstruct_mle(data).matrix
-    g = _gradient(rho, PIS.reshape(36, 16), np.asarray(data.counts), n)
+    flat = PIS.reshape(36, 16)
+    g = _rate_gradient(expected_counts(rho, flat, n), flat, np.asarray(data.counts), n)
     slack = g - np.trace(g @ rho).real * np.eye(4)
     tol = 1e-10 * np.linalg.norm(g)
     assert -np.linalg.eigvalsh(slack).min() <= tol

@@ -122,6 +122,10 @@ class TestPureState:
 
 
 class TestStateValidation:
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(2, 2\)"):
+            TwoQubitState(np.eye(2, dtype=complex) / 2)
+
     def test_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1

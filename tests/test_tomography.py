@@ -22,6 +22,7 @@ from xsplice import (
     tangle,
     werner_state,
 )
+from conftest import expected_counts
 
 
 @pytest.fixture(scope="module")
@@ -161,13 +162,13 @@ def fista_to_step(data, step_tol, max_steps=100_000):
     counts, n = np.asarray(data.counts), data.total_per_setting
 
     def nll(rho):
-        return tomography._deviance(rho, flat, counts, n)
+        return tomography._rate_deviance(expected_counts(rho, flat, n), counts)
 
     x = y = np.eye(4, dtype=complex) / 4
     fx = fy = nll(x)
     t, lip = 1.0, n
     for _ in range(max_steps):
-        g = tomography._gradient(y, flat, counts, n)
+        g = tomography._rate_gradient(expected_counts(y, flat, n), flat, counts, n)
         while True:
             z = tomography._project(y - g / lip)[0]
             step = z - y
@@ -299,8 +300,8 @@ def assert_minimum_norm_steps(x, flat, jac, counts, n, rank, name):
     theta = np.einsum("jab,ba->j", tomography._TRACELESS, x).real  # tr(E_j x) = theta_j
     null = np.linalg.svd(jac[counts > 0])[2][rank:]
     assert np.abs(null @ theta).max() <= 1e-14, name
-    start = tomography._deviance(np.eye(4) / 4, flat, counts, n)
-    assert tomography._deviance(x, flat, counts, n) < start, name
+    start = tomography._rate_deviance(expected_counts(np.eye(4) / 4, flat, n), counts)
+    assert tomography._rate_deviance(expected_counts(x, flat, n), counts) < start, name
 
 
 class TestNewtonStart:
@@ -468,7 +469,7 @@ class TestCertificate:
             rho = reconstruct_mle(data).matrix
         flat, jac, counts, n = newton_inputs(data)
         x = tomography._newton_start(flat, jac, counts, n)[0]
-        candidates = [(tomography._deviance(x, flat, counts, n), x)]
+        candidates = [(tomography._rate_deviance(expected_counts(x, flat, n), counts), x)]
         candidates += [(tomography._rate_deviance(lam, counts), m) for m, lam in filter(None, faces)]
         assert len(candidates) == 5  # the Newton start and the four ranks
         best = min(candidates, key=lambda c: c[0])[1]
@@ -613,10 +614,11 @@ class TestReconstruction:
         flat = tomography._projector_stack(settings).reshape(36, 16)
         counts = np.asarray(data.counts)
         reference = fista_to_step(data, step_tol=1e-15)
-        lam = 1e5 * (flat @ reference.T.ravel()).real
+        lam = expected_counts(reference, flat, 1e5)
         rounding = np.finfo(float).eps * np.abs(lam - counts).sum()
-        got = tomography._deviance(reconstruct_mle(data).matrix, flat, counts, 1e5)
-        assert got <= tomography._deviance(reference, flat, counts, 1e5) + rounding
+        got = tomography._rate_deviance(expected_counts(reconstruct_mle(data).matrix, flat, 1e5),
+                                        counts)
+        assert got <= tomography._rate_deviance(lam, counts) + rounding
 
     def test_informationally_incomplete_rejected(self, settings, werner_truth):
         for subset in (settings[:10], []):
