@@ -155,13 +155,26 @@ def expected_rates(p: NoiseParams, avg_power_mw: float) -> dict:
     }
 
 
+#: numpy's largest Poisson mean, about 9.2e18: int64's largest less ten of its square roots.
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
+
+def _poisson(seed, means: np.ndarray) -> np.ndarray:
+    """Draws of ``means``, in order, from ``default_rng(seed)``; a mean too large is named."""
+    largest = max(means, default=0.0)
+    if largest > _POISSON_MAX_MEAN:
+        raise ValueError(f"expected count {largest:.3g} exceeds the largest Poisson mean "
+                         f"the sampler accepts, {_POISSON_MAX_MEAN:.3g}")
+    return np.random.default_rng(seed).poisson(means)
+
+
 def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
                    seed=None, expectation: bool = False) -> CountRecord:
     """Counts over an integration interval.
 
     With ``expectation=True`` the record holds the exact rate formulas
     times the duration (no sampling). Otherwise each independent count
-    contribution is Poisson sampled with a generator seeded by ``seed``;
+    contribution is Poisson sampled, in one draw seeded by ``seed``;
     totals are built as sums of their components so the per-channel
     background never exceeds the total.
     """
@@ -169,27 +182,18 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
         raise ValueError(f"duration must be finite and >= 0, got {duration_s!r}")
     r = expected_rates(p, avg_power_mw)
     t = duration_s
-    means = {
-        "pair_s": p.eta_s * r["pairs"] * t,
-        "pair_i": p.eta_i * r["pairs"] * t,
-        "bg_s": r["background_s"] * t,
-        "bg_i": r["background_i"] * t,
-        "true_c": r["true_coincidences"] * t,
-        "acc": r["accidentals"] * t,
-    }
-    if expectation:
-        draw = means
-    else:
-        rng = np.random.default_rng(seed)
-        draw = {k: float(rng.poisson(v)) for k, v in means.items()}
+    means = [m * t for m in (p.eta_s * r["pairs"], p.eta_i * r["pairs"], r["background_s"],
+                             r["background_i"], r["true_coincidences"], r["accidentals"])]
+    counts = means if expectation else _poisson(seed, means).astype(float).tolist()
+    pair_s, pair_i, bg_s, bg_i, true_c, acc = counts
     return CountRecord(
         duration_s=t,
-        signal_total=draw["pair_s"] + draw["bg_s"],
-        signal_background=draw["bg_s"],
-        idler_total=draw["pair_i"] + draw["bg_i"],
-        idler_background=draw["bg_i"],
-        coincidences_total=draw["true_c"] + draw["acc"],
-        coincidences_background=draw["acc"],
+        signal_total=pair_s + bg_s,
+        signal_background=bg_s,
+        idler_total=pair_i + bg_i,
+        idler_background=bg_i,
+        coincidences_total=true_c + acc,
+        coincidences_background=acc,
     )
 
 

@@ -8,19 +8,20 @@ by the spectral characteristic function of the phase:
     rho_HH,VV = (1/2) < e^{-i phi(ls, lp)} >_{p_s p_p}.
 
 This average and the weighted phase std of a compensator design share
-one rule, ``spectral_grid``: uniform signal and pump axes kept open (a
-column and a row) with normalised Gaussian weights. It converges
-exponentially on smooth integrands (Trefethen & Weideman, SIAM Rev. 56,
-385, 2014), and by Poisson summation its error is the aliasing of the
-phasor's spectrum by the node step. The state's convergence check
-estimates that error from quadratic fits of the phase along each node
-line. It evaluates the phase only once, on the nodes plus a few probe
-positions between them that test the phase's smoothness on the node
-scale; a phase that fails that test, or that no quadratic fits, is
-evaluated again on a rule with twice the nodes. Pump spectra that share
-one signal spectrum, such as a power sweep's, share that evaluation in
-groups (``spectral_coherences``). Basis order throughout is
-(HH, HV, VH, VV).
+one rule in sigma: uniform nodes x, weights exp(-x^2/2) normalised to
+sum 1. A spectrum only places the nodes, at c + sigma x, and
+``spectral_grid`` keeps the placed axes open (a column and a row) with
+the outer product of the weights. It converges exponentially on smooth
+integrands (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), and by
+Poisson summation its error is the aliasing of the phasor's spectrum by
+the node step. The state's convergence check estimates that error from
+quadratic fits of the phase along each node line. It evaluates the phase
+only once, on the nodes plus a few probe positions between them that
+test the phase's smoothness on the node scale; a phase that fails that
+test, or that no quadratic fits, is evaluated again on a rule with twice
+the nodes. Pump spectra that share one signal spectrum, such as a power
+sweep's, share that evaluation in groups (``spectral_coherences``).
+Basis order throughout is (HH, HV, VH, VV).
 """
 
 from __future__ import annotations
@@ -197,46 +198,44 @@ def pure_phi_state(phi: float) -> TwoQubitState:
     return TwoQubitState(np.outer(v, v.conj()))
 
 
-def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
-                   span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
-    """Axis covering +/- span_sigmas of a Gaussian given by its FWHM; one point is the centre."""
+def _rule(points: int, span_sigmas: float) -> tuple:
+    """Nodes ``x`` in sigma and weights of the one spectral rule, both flat.
+
+    ``linspace(-span_sigmas, span_sigmas, points)``, or 0 for one point,
+    and ``exp(-x^2/2)`` normalised to sum 1, the same for every spectrum.
+    """
     if not isinstance(points, numbers.Integral) or points < 1:
         raise ValueError(f"points must be an integer >= 1, got {points!r}")
+    if not 0.0 < span_sigmas < math.inf:
+        raise ValueError(f"span must be finite and > 0, got {span_sigmas!r}")
+    x = np.linspace(-span_sigmas, span_sigmas, points) if points > 1 else np.zeros(1)
+    w = np.exp(-0.5 * x * x)
+    return x, w / w.sum()
+
+
+def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
+                   span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
+    """The rule's nodes placed on a Gaussian given by its FWHM, ``c + sigma x``."""
+    x, _ = _rule(points, span_sigmas)
     if not abs(center_nm) < math.inf:
         raise ValueError(f"center must be finite, got {center_nm!r}")
-    if not (0.0 < fwhm_nm < math.inf and 0.0 < span_sigmas < math.inf):
-        raise ValueError(f"fwhm and span must be finite and > 0, got {fwhm_nm!r}, {span_sigmas!r}")
-    if points == 1:
-        return np.array([center_nm], dtype=float)
-    half = span_sigmas * fwhm_nm / FWHM_PER_SIGMA
-    return np.linspace(center_nm - half, center_nm + half, points)
+    if not 0.0 < fwhm_nm < math.inf:
+        raise ValueError(f"fwhm must be finite and > 0, got {fwhm_nm!r}")
+    return center_nm + fwhm_nm / FWHM_PER_SIGMA * x
 
 
 def spectral_grid(signal: GaussianSpectrum, pump: GaussianSpectrum,
                   points: int, span_sigmas: float) -> tuple:
     """Open axes and joint weights of the one spectral rule.
 
-    Returns ``(ls, lp, w)`` with the signal axis as a column
-    ``(points, 1)``, the pump axis as a row ``(1, points)`` and ``w`` the
-    product of the normalised weights on the two, so the spectral average
-    of ``fn`` is ``np.sum(w * fn(ls, lp))``.
+    Returns ``(ls, lp, w)``: the nodes placed on the signal as a column
+    ``(points, 1)`` and on the pump as a row ``(1, points)``, as in
+    ``bandwidth_grid``, and ``w`` the outer product of the rule's
+    weights, so the spectral average of ``fn`` is ``np.sum(w * fn(ls, lp))``.
     """
-    ls, lp, ws, wp = _spectral_axes(signal, pump, points, span_sigmas)
-    return ls, lp, ws * wp
-
-
-def _spectral_axes(signal: GaussianSpectrum, pump: GaussianSpectrum,
-                   points: int, span_sigmas: float) -> tuple:
-    """The open axes of ``spectral_grid`` and the weights on each, normalised to sum 1."""
-    (ls, ws), (lp, wp) = (_axis(s, points, span_sigmas) for s in (signal, pump))
-    return ls[:, None], lp[None, :], ws[:, None], wp[None, :]
-
-
-def _axis(spectrum: GaussianSpectrum, points: int, span_sigmas: float) -> tuple:
-    """One axis of ``spectral_grid`` and its weights normalised to sum 1, both flat."""
-    grid = bandwidth_grid(spectrum.center_nm, spectrum.fwhm_nm, points, span_sigmas)
-    weights = spectrum.density(grid)
-    return grid, weights / weights.sum()
+    x, w = _rule(points, span_sigmas)
+    return ((signal.center_nm + signal.sigma_nm * x)[:, None],
+            (pump.center_nm + pump.sigma_nm * x)[None, :], np.outer(w, w))
 
 
 def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
@@ -287,11 +286,19 @@ _PROBE_X = (2.0 * _PROBES / (2 * QUAD_NODES - 1) - 1.0) * QUAD_SPAN_SIGMAS
 _PROBE_ROWS = _lagrange_matrix(QUAD_NODES, _PROBES * (QUAD_NODES - 1) / (2 * QUAD_NODES - 1))
 
 
+#: The state's rule, its joint weights, and where in sigma it evaluates
+#: the phase on either axis: the nodes, then the probes.
+_NODES, _WEIGHTS = _rule(QUAD_NODES, QUAD_SPAN_SIGMAS)
+_JOINT = np.outer(_WEIGHTS, _WEIGHTS)
+_SAMPLED_X = np.concatenate((_NODES, _PROBE_X))
+for _constant in (_NODES, _WEIGHTS, _JOINT, _SAMPLED_X):
+    _constant.setflags(write=False)
+
+
 def _line_fit() -> tuple:
     """Weighted least-squares fit of ``alpha + a x + c x^2`` along one node line.
 
-    ``x`` is in sigma, and the weights are the Gaussian ones, which in
-    sigma are the same for every spectrum. Returns the read-only
+    ``x`` and the weights are the rule's. Returns the read-only
     ``(3, QUAD_NODES)`` projector that maps a line's phase to
     ``(alpha, a, c)``, and the powers ``1, x, x^2`` at the nodes as the
     rows of another, which map them back. The nodes are symmetric about
@@ -299,9 +306,7 @@ def _line_fit() -> tuple:
     and ``m4``, ``a`` reads the first moment of the phase, ``c`` its
     second moment about ``m2``, and ``alpha`` the mean less ``m2 c``.
     """
-    x = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, QUAD_NODES)
-    w = np.exp(-0.5 * x * x)
-    w /= w.sum()
+    x, w = _NODES, _WEIGHTS
     m2, m4 = np.sum(w * x ** 2), np.sum(w * x ** 4)
     c = w * (x * x - m2) / (m4 - m2 * m2)
     fit, powers = np.array([w - m2 * c, w * x / m2, c]), np.array([np.ones_like(x), x, x * x])
@@ -335,21 +340,19 @@ _ALIAS_NU = np.pi * (QUAD_NODES - 1) / QUAD_SPAN_SIGMAS
 _ALIAS_REACH = math.sqrt(60.0)
 
 
-def _alias_estimate(fit: np.ndarray, lines: np.ndarray, along: np.ndarray,
-                    across: np.ndarray) -> list:
+def _alias_estimate(fit: np.ndarray, lines: np.ndarray) -> list:
     """Aliasing error of the node rule along one axis, for each phase of a stack.
 
     ``lines`` holds each phase on the node lines along the axis, one
-    line per row, ``fit`` their ``(alpha, a, c)`` in its last axis,
-    ``along`` the node weights along the axis and ``across`` those of
-    the other axis, one row per phase or one row for all. By Poisson
-    summation a line's node sum is its Gaussian integral plus, per
-    order k, the integral at the frequency shifted by ``k nu``; for the
-    fitted phase that term is ``e^{-i alpha} (1 + 2ic)^{-1/2}
-    exp(-(a + k nu)^2 / (2 (1 + 2ic)))``; negligible orders are skipped.
-    Where the line's own integral is negligible, its node sum is all
-    alias and stands for it. The lines' terms are summed with the
-    ``across`` weights, so lines may cancel.
+    line per row, and ``fit`` their ``(alpha, a, c)`` in its last axis.
+    The weights along a line and across the lines are both the rule's
+    ``_WEIGHTS``. By Poisson summation a line's node sum is its Gaussian
+    integral plus, per order k, the integral at the frequency shifted by
+    ``k nu``; for the fitted phase that term is ``e^{-i alpha}
+    (1 + 2ic)^{-1/2} exp(-(a + k nu)^2 / (2 (1 + 2ic)))``; negligible
+    orders are skipped. Where the line's own integral is negligible, its
+    node sum is all alias and stands for it. The lines' terms are summed
+    with the weights across them, so lines may cancel.
     Returns one complex per phase; where a term is left, the sums run
     phase by phase, each as for that phase alone.
     """
@@ -361,58 +364,52 @@ def _alias_estimate(fit: np.ndarray, lines: np.ndarray, along: np.ndarray,
     totals = [0j] * len(fit)
     if not (live.any() or aliased.any()):
         return totals
-    along, across = (np.broadcast_to(x, (len(fit), x.shape[-1])) for x in (along, across))
     for g in range(len(fit)):
         k, j = np.nonzero(live[g])
         total = 0j
         if len(k):
             q = 1.0 + 2j * c[g][j]
-            total += np.sum(_ALIAS_SIGNS[k] * across[g][j]
+            total += np.sum(_ALIAS_SIGNS[k] * _WEIGHTS[j]
                             * np.exp(-0.5 * shift[g][k, j] ** 2 / q - 1j * alpha[g][j])
                             / np.sqrt(q))
         if aliased[g].any():
-            total += across[g][aliased[g]] @ (np.exp(-1j * lines[g][aliased[g]]) @ along[g])
+            total += _WEIGHTS[aliased[g]] @ (np.exp(-1j * lines[g][aliased[g]]) @ _WEIGHTS)
         totals[g] = complex(total)
     return totals
 
 
-def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
-                 ws: np.ndarray, wp: np.ndarray) -> list:
+def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray) -> list:
     """Estimated aliasing error of each phase's node coherence, or None where it does not hold.
 
     ``phi`` stacks the phases on the nodes, one ``(signal, pump)`` block
     per pump spectrum; ``probed_s`` holds them at the probe signal
     positions on the pump nodes, ``probed_p`` at the probe pump
-    positions on the signal nodes, stacked alike. ``ws`` is the nodes'
-    signal column weights, shared, and ``wp`` the stack of pump row
-    weights. One pass per axis takes that axis' node lines, one per
-    row, with the probes on them, the weights ``along`` them and those
-    ``across`` them. It fits ``alpha + a x + c x^2`` to every line
-    (``_LINE_FIT``); a phase whose weighted fit residual on a line
-    exceeds ``_FIT_TOL`` gets None. It adds the worst probe line's
+    positions on the signal nodes, stacked alike. Both axes carry the
+    rule's ``_WEIGHTS``. One pass per axis takes that axis' node lines,
+    one per row, with the probes on them. It fits ``alpha + a x + c x^2``
+    to every line (``_LINE_FIT``); a phase whose weighted fit residual on
+    a line exceeds ``_FIT_TOL`` gets None. It adds the worst probe line's
     misfit, the phase interpolated onto the probes (``_PROBE_ROWS``)
-    less its value there, weighted by the spectrum along the probe line;
-    and the size of its ``_alias_estimate``. The two axes' misfits and
-    estimates add; None also means a misfit above
-    ``_INTERPOLATION_TOL``, a phase not smooth on the node scale.
+    less its value there, weighted across the lines; and the size of its
+    ``_alias_estimate``. The two axes' misfits and estimates add; None
+    also means a misfit above ``_INTERPOLATION_TOL``, a phase not smooth
+    on the node scale.
     """
-    ws, wp = ws.T, wp[:, 0]
     held = np.ones(len(phi), dtype=bool)
     misfit = error = 0.0
-    for lines, probed, along, across in ((phi.transpose(0, 2, 1), probed_s.transpose(0, 2, 1),
-                                          ws, wp),
-                                         (phi, probed_p, wp, ws)):
+    for lines, probed in ((phi.transpose(0, 2, 1), probed_s.transpose(0, 2, 1)),
+                          (phi, probed_p)):
         fit = lines @ _LINE_FIT.T
-        residual = np.abs(lines - fit @ _LINE_POWERS) @ along[:, :, None]
-        held &= residual.max(axis=(1, 2)) <= _FIT_TOL
-        misfit += (across[:, None] @ np.abs(lines @ _PROBE_ROWS.T - probed)).max(axis=(1, 2))
-        error += np.array([abs(e) for e in _alias_estimate(fit, lines, along, across)])
+        residual = np.abs(lines - fit @ _LINE_POWERS) @ _WEIGHTS
+        held &= residual.max(axis=1) <= _FIT_TOL
+        misfit += (_WEIGHTS @ np.abs(lines @ _PROBE_ROWS.T - probed)).max(axis=1)
+        error += np.array([abs(e) for e in _alias_estimate(fit, lines)])
     held &= misfit <= _INTERPOLATION_TOL
     return [float(e) if h else None for e, h in zip(error, held)]
 
 
 def _coherence(phi: np.ndarray, w: np.ndarray, real: bool = False) -> list:
-    """``sum(w e^{-i phi})`` over one rule, for each phase of a stack.
+    """``sum(w e^{-i phi})`` over one rule's joint weights ``w``, for each phase of a stack.
 
     With ``real`` only the real part, as floats, and no ``sin`` pass:
     the same ``cos`` sum, so the real part of the complex result bit for
@@ -422,10 +419,10 @@ def _coherence(phi: np.ndarray, w: np.ndarray, real: bool = False) -> list:
     15 (2 vCPUs). ``0.0 - im`` keeps the imaginary part of a zero phase
     +0.0.
     """
-    re = np.einsum("kij,kij->k", w, np.cos(phi))
+    re = np.einsum("ij,kij->k", w, np.cos(phi))
     if real:
         return re.tolist()
-    im = np.einsum("kij,kij->k", w, np.sin(phi))
+    im = np.einsum("ij,kij->k", w, np.sin(phi))
     return [complex(r, 0.0 - i) for r, i in zip(re, im)]
 
 
@@ -438,12 +435,12 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     phase in radians. ``pumps`` is a sequence of pump spectra; the
     result holds one complex coherence per pump, each the same bit for
     bit as for that pump alone. The rule is the ``QUAD_NODES``-point
-    one, with a few probe positions appended to each axis. Pumps are
-    taken ``_PUMP_GROUP`` at a time, and each group costs one
-    ``phase_fn`` call: the shared signal column against the group's
-    pump rows laid side by side. The mean, the coherence and the
-    convergence check then run on the stack of the group's phases. A
-    constant phase gives ``e^{-i phi}`` exactly.
+    one, whose weights every spectrum shares, with a few probe positions
+    appended to each axis. Pumps are taken ``_PUMP_GROUP`` at a time,
+    and each group costs one ``phase_fn`` call: the shared signal column
+    against the group's pump rows laid side by side. The mean, the
+    coherence and the convergence check then run on the stack of the
+    group's phases. A constant phase gives ``e^{-i phi}`` exactly.
 
     With ``relative_to_mean`` each pump's phase is referenced to its
     spectral mean, the constant that the compensator wedges absorb in
@@ -490,48 +487,44 @@ def _spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, relative_to_
     coherences.
     """
     pumps = list(pumps)
-    ls, ws = _axis(signal, QUAD_NODES, QUAD_SPAN_SIGMAS)
-    column = np.concatenate((ls, signal.center_nm + signal.sigma_nm * _PROBE_X))[:, None]
+    column = (signal.center_nm + signal.sigma_nm * _SAMPLED_X)[:, None]
     cohs = []
     for start in range(0, len(pumps), _PUMP_GROUP):
-        cohs += _group_coherences(phase_fn, signal, column, ws[:, None],
-                                  pumps[start:start + _PUMP_GROUP], relative_to_mean, real)
+        cohs += _group_coherences(phase_fn, signal, column, pumps[start:start + _PUMP_GROUP],
+                                  relative_to_mean, real)
     return cohs
 
 
-def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, ws: np.ndarray,
-                      group: list, relative_to_mean: bool, real: bool) -> list:
+def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, group: list,
+                      relative_to_mean: bool, real: bool) -> list:
     """``_spectral_coherences`` for one group of pumps.
 
-    ``column`` holds the signal nodes and probes and ``ws`` the signal
-    weights, both as columns. The group's arrays are freed on return,
-    before the next group's phase call.
+    ``column`` holds the signal nodes and probes as a column; every
+    pump's nodes and probes sit at the same ``_SAMPLED_X`` in its sigma,
+    and every pump shares the joint weights ``_JOINT``. The group's
+    arrays are freed on return, before the next group's phase call.
     """
-    n, size = QUAD_NODES, QUAD_NODES + len(_PROBES)
-    axes = [_axis(pump, n, QUAD_SPAN_SIGMAS) for pump in group]
-    row = np.concatenate([np.concatenate((lp, pump.center_nm + pump.sigma_nm * _PROBE_X))
-                          for (lp, _), pump in zip(axes, group)])[None, :]
+    n, size = QUAD_NODES, len(_SAMPLED_X)
+    row = np.concatenate([pump.center_nm + pump.sigma_nm * _SAMPLED_X for pump in group])[None, :]
     sampled = np.broadcast_to(phase_fn(column, row), (size, len(group) * size))
     # a C-ordered copy: each pump's block is laid out as one pump's phase
     # alone, so every reduction over it sums in the same order, bit for bit
     stack = np.array(sampled.reshape(size, len(group), size).transpose(1, 0, 2), order="C")
-    wp = np.array([weights for _, weights in axes])[:, None, :]
-    w = ws * wp
     mean = np.zeros(len(group))
     if relative_to_mean:
-        mean = np.sum(w * stack[:, :n, :n], axis=(1, 2))
+        mean = np.sum(_JOINT * stack[:, :n, :n], axis=(1, 2))
         stack -= mean[:, None, None]
     phi = stack[:, :n, :n]
-    errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:], ws, wp)
-    cohs = _coherence(phi, w, real)
+    errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:])
+    cohs = _coherence(phi, _JOINT, real)
     for k, (pump, coh, error, offset) in enumerate(zip(group, cohs, errors, mean)):
         measure = "the nodes' coherence has an estimated aliasing error of"
         if error is None:
             if real:
-                coh, = _coherence(phi[k:k + 1], w[k:k + 1])
+                coh, = _coherence(phi[k:k + 1], _JOINT)
             ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
             phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - offset
-            error = abs(_coherence(phi2[None], w2[None])[0] - coh)
+            error = abs(_coherence(phi2[None], w2)[0] - coh)
             measure = "doubling nodes moved the coherence by"
         if error > 1e-6:
             warnings.warn(f"spectral quadrature not converged: {measure} {error:.2e}",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counts import _poisson
 from .states import ANALYZER_KETS, TwoQubitState, bell_state, fidelity, tangle
 
 __all__ = [
@@ -105,8 +106,7 @@ def simulate_counts(state: TwoQubitState, settings, n_per_setting: float,
     a ``numpy.random.Generator`` passed as ``seed`` is drawn from in place."""
     _check_exposure(n_per_setting)
     probs = np.clip(born_probabilities(state, settings), 0.0, None)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(n_per_setting * probs)
+    counts = _poisson(seed, n_per_setting * probs)
     return TomographyData(settings=tuple(settings), counts=counts,
                           total_per_setting=float(n_per_setting))
 

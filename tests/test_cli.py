@@ -256,6 +256,14 @@ class TestPowerSweep:
                             "accidentals,car,v_rect,v_diag")
         assert len(lines) == 1 + 3
 
+    def test_oversized_counts_exit_2(self, run_cli, tmp_path):
+        # numpy's sampler itself says only "lam value too large"
+        res = run_cli("power-sweep", "--min", "1", "--max", "2", "--steps", "2",
+                      "--duration", "1e300", "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: expected count ")
+        assert "exceeds the largest Poisson mean the sampler accepts" in res.stderr
+
 
 class TestTomographyDemo:
     def test_outputs(self, run_cli, tmp_path):

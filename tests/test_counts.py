@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -229,6 +230,40 @@ class TestPredictCounts:
             assert rec.signal_background <= rec.signal_total
             assert rec.idler_background <= rec.idler_total
             assert rec.coincidences_background <= rec.coincidences_total
+
+    @pytest.mark.parametrize("power, duration", [(5.0, 0.01), (30.0, 30.0), (56.0, 1e4)])
+    def test_record_is_the_sequential_draws(self, fitted, power, duration):
+        # the one draw of six means equals six scalar draws from the same
+        # generator, in the order signal pairs, idler pairs, signal and
+        # idler background, true coincidences, accidentals
+        r = expected_rates(fitted, power)
+        means = [fitted.eta_s * r["pairs"] * duration, fitted.eta_i * r["pairs"] * duration,
+                 r["background_s"] * duration, r["background_i"] * duration,
+                 r["true_coincidences"] * duration, r["accidentals"] * duration]
+        for seed in (0, 7, [3, 1]):
+            rng = np.random.default_rng(seed)
+            pair_s, pair_i, bg_s, bg_i, true_c, acc = (float(rng.poisson(m)) for m in means)
+            assert predict_counts(fitted, power, duration, seed=seed) == CountRecord(
+                duration, pair_s + bg_s, bg_s, pair_i + bg_i, bg_i, true_c + acc, acc)
+
+    def test_oversized_mean_is_named(self, fitted):
+        # numpy's sampler itself says only "lam value too large"; the
+        # largest mean here is the accidentals'
+        acc = predict_counts(fitted, 1e12, 1e6, expectation=True).coincidences_background
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected count {acc:.3g} exceeds the largest Poisson mean the sampler "
+                "accepts, 9.22e+18")):
+            predict_counts(fitted, 1e12, 1e6, seed=1)
+
+    def test_poisson_limit_is_the_samplers(self):
+        # the check's limit is numpy's own: the largest mean it accepts
+        # draws, the next float up is refused by the check
+        limit = counts_mod._POISSON_MAX_MEAN
+        assert counts_mod._poisson(1, np.array([1.0, limit])).shape == (2,)
+        with pytest.raises(ValueError, match="exceeds the largest Poisson mean"):
+            counts_mod._poisson(1, np.array([1.0, np.nextafter(limit, np.inf)]))
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(1).poisson(np.nextafter(limit, np.inf))
 
     @pytest.mark.parametrize("duration", [np.inf, np.nan, -1.0])
     @pytest.mark.parametrize("expectation", [False, True])

@@ -19,7 +19,7 @@ from xsplice.materials import WavelengthRangeError, birefringence, index, index_
 from xsplice.phasematch import (PhaseMatchError, _mismatch, idler_wavelength, output_bandwidths,
                                 phase_mismatch, solve_signal_idler, tuning_curve)
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            _PROBE_X, _alias_check, _spectral_axes, concurrence,
+                            _PROBE_X, _alias_check, concurrence,
                             mixed_state_over_spectra, relabel_signal_flip, spectral_coherences,
                             spectral_grid)
 from xsplice.tomography import _projector_stack, _rate_deviance, _rate_gradient
@@ -518,13 +518,12 @@ def test_alias_estimate_finite_on_extreme_fits(signal_spectrum, pump_spectrum,
     # slopes up to 1e6 rad/sigma, curvatures up to 1e4 and offsets up to
     # 1e5: no numpy warning, and the estimate, where it applies, is finite
     phase = _sigma_phase(signal_spectrum, pump_spectrum, a, b, c, d, e, offset)
-    ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
-                                    QUAD_SPAN_SIGMAS)
+    ls, lp, _ = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
     probe_s = signal_spectrum.center_nm + signal_spectrum.sigma_nm * _PROBE_X[:, None]
     probe_p = pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :]
     moved, messages = _recorded(
         lambda: _alias_check(phase(ls, lp)[None], phase(probe_s, lp)[None],
-                             phase(ls, probe_p)[None], ws, wp[None])[0])
+                             phase(ls, probe_p)[None])[0])
     assert not messages
     assert moved is None or math.isfinite(moved)
     _, messages = _recorded(

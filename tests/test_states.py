@@ -26,10 +26,11 @@ from xsplice import (
 from conftest import exact_quadratic_average
 from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
-from xsplice.states import (QUAD_NODES, QUAD_SPAN_SIGMAS, VisibilityUndefinedError,
-                            _INTERPOLATION_TOL, _LINE_FIT, _LINE_POWERS, _PROBE_ROWS, _PROBE_X,
-                            _PROBES, _PUMP_GROUP, _alias_check, _alias_estimate, _coherence,
-                            _spectral_axes, _spectral_coherences, bandwidth_grid, spectral_grid)
+from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
+                            VisibilityUndefinedError, _INTERPOLATION_TOL, _JOINT, _LINE_FIT,
+                            _LINE_POWERS, _PROBE_ROWS, _PROBE_X, _PROBES, _PUMP_GROUP, _WEIGHTS,
+                            _alias_check, _alias_estimate, _coherence, _spectral_coherences,
+                            bandwidth_grid, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -103,6 +104,27 @@ class TestBandwidthGrid:
         assert np.all(np.diff(ax) > 0)
         assert ax[2] == 670.0
         assert bandwidth_grid(670.0, 0.23, 1).tolist() == [670.0]
+
+    @pytest.mark.parametrize("points, span", [(QUAD_NODES, QUAD_SPAN_SIGMAS),
+                                              (DESIGN_POINTS, DESIGN_SPAN_SIGMAS)])
+    def test_one_rule_in_sigma(self, points, span):
+        # a spectrum only places the rule's nodes, at c + sigma x; the
+        # weights exp(-x^2/2) / sum are bit for bit the same for every spectrum
+        x = np.linspace(-span, span, points)
+        w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
+        joints = []
+        for signal, pump in ((GaussianSpectrum(670.0, 0.23), GaussianSpectrum(771.0, 0.3)),
+                             (GaussianSpectrum(1550.0, 2.0), GaussianSpectrum(780.0, 0.05))):
+            ls, lp, joint = spectral_grid(signal, pump, points, span)
+            assert np.array_equal(joint, np.outer(w, w))
+            assert abs(joint.sum() - 1.0) <= 1e-15
+            for spec, axis in ((signal, ls[:, 0]), (pump, lp[0])):
+                placed = spec.center_nm + spec.sigma_nm * x
+                assert np.array_equal(axis, placed)
+                assert np.array_equal(bandwidth_grid(spec.center_nm, spec.fwhm_nm, points, span),
+                                      placed)
+            joints.append(joint)
+        assert np.array_equal(*joints)
 
 
 class TestPureState:
@@ -215,12 +237,12 @@ class TestSpectralMixture:
         assert abs(coh - np.sum(w * np.exp(-1j * phi))) <= 1e-15
 
     def test_one_weight_normalisation(self, signal_spectrum, pump_spectrum):
-        # each axis' weights sum to 1 and the joint weights are their product
-        ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
-                                        QUAD_SPAN_SIGMAS)
-        assert abs(ws.sum() - 1.0) <= 1e-15 and abs(wp.sum() - 1.0) <= 1e-15
+        # the weights of either axis sum to 1 and the joint weights, the
+        # state's and spectral_grid's, are their product
+        assert abs(_WEIGHTS.sum() - 1.0) <= 1e-15
         w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)[2]
-        assert np.array_equal(w, ws * wp)
+        assert np.array_equal(w, _WEIGHTS[:, None] * _WEIGHTS[None, :])
+        assert np.array_equal(_JOINT, w)
 
     def test_unresolved_phase_warns(self, signal_spectrum, pump_spectrum):
         # 30 rad per signal sigma aliases on the nodes: the exact coherence
@@ -349,20 +371,19 @@ class TestSpectralMixture:
         sig = paper_config.signal
         n = QUAD_NODES
         for phase, pump in _paper_phases(paper_config):
-            ls, lp, ws, wp = _spectral_axes(sig, pump, n, QUAD_SPAN_SIGMAS)
+            ls, lp, w = spectral_grid(sig, pump, n, QUAD_SPAN_SIGMAS)
             probe_s = sig.center_nm + sig.sigma_nm * _PROBE_X[:, None]
             probe_p = pump.center_nm + pump.sigma_nm * _PROBE_X[None, :]
             phi = np.broadcast_to(phase(ls, lp), (n, n))
-            moved, = _alias_check(phi[None], phase(probe_s, lp)[None], phase(ls, probe_p)[None],
-                                  ws, wp[None])
+            moved, = _alias_check(phi[None], phase(probe_s, lp)[None], phase(ls, probe_p)[None])
             assert moved is not None and moved < 1e-9
-            coh, = _coherence(phi[None], (ws * wp)[None])
+            coh, = _coherence(phi[None], w)
             assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-9
 
     def test_alias_check_recorded_values(self, paper_config):
-        # the values that the check returned before its two axes shared one
-        # pass: the cubic along the pump fails the pump pass's fit, the
-        # node-scale ripple the probes
+        # the values that the check returns on the rule's weights, each on
+        # its side of 1e-6: the cubic along the pump fails the pump pass's
+        # fit, the node-scale ripple the probes
         sig, pump = paper_config.signal, paper_config.pump
         xs = lambda s: (s - sig.center_nm) / sig.sigma_nm
         xp = lambda p: (p - pump.center_nm) / pump.sigma_nm
@@ -371,21 +392,21 @@ class TestSpectralMixture:
         cases = [
             (*paper[2 * 7 + 3], 0.0),
             (*paper[35 + 2 * 7], 0.0),
-            (lambda s, p: 60.72 * xs(s) + 0 * p, pump, 1.0161592086673488e-06),
-            (lambda s, p: 40.0 * xs(s) + 40.0 * xp(p), pump, 2.1658099433019712e-16),
-            (lambda s, p: 20.0 * xs(s) + 2.0 * xs(s) ** 2 + 0 * p, pump, 0.0034521997201255312),
+            (lambda s, p: 60.72 * xs(s) + 0 * p, pump, 1.0161586497125677e-06),
+            (lambda s, p: 40.0 * xs(s) + 40.0 * xp(p), pump, 2.1916647020956254e-16),
+            (lambda s, p: 20.0 * xs(s) + 2.0 * xs(s) ** 2 + 0 * p, pump, 0.0034521997201190165),
             (lambda s, p: 0.6 * xp(p) ** 3 + 0 * s, pump, None),
             (lambda s, p: 0.01 * np.sin(32.0 * xs(s)) + 0 * p, pump, None),
         ]
         for phase, pmp, recorded in cases:
-            ls, lp, ws, wp = _spectral_axes(sig, pmp, QUAD_NODES, QUAD_SPAN_SIGMAS)
+            ls, lp, _ = spectral_grid(sig, pmp, QUAD_NODES, QUAD_SPAN_SIGMAS)
             probes = len(_PROBE_X)
             moved, = _alias_check(
                 np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))[None],
                 np.broadcast_to(phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp),
                                 (probes, QUAD_NODES))[None],
                 np.broadcast_to(phase(ls, pmp.center_nm + pmp.sigma_nm * _PROBE_X[None, :]),
-                                (QUAD_NODES, probes))[None], ws, wp[None])
+                                (QUAD_NODES, probes))[None])
             if recorded is None:
                 assert moved is None
             else:
@@ -405,17 +426,18 @@ class TestSpectralMixture:
         assert np.max(np.abs(_PROBE_ROWS @ x**8 - t**8)) > 1e-12
 
     def test_alias_estimate_matches_exact_error(self):
-        # on one quadratic line the estimate is the node rule's complex
-        # error: closed-form orders with their signs where the line's own
-        # integral counts, the node sum where it is negligible
+        # on a stack of one quadratic line, whose weights across sum to 1,
+        # the estimate is the node rule's complex error: closed-form orders
+        # with their signs where the line's own integral counts, the node
+        # sum where it is negligible
         x = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, QUAD_NODES)
         w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
         for a, c in ((20.0, 2.0), (40.0, 4.0), (60.0, 8.0), (0.0, 8.0), (16.5, 0.6),
                      (28.0, 0.0), (62.0, 0.0)):
-            line = (a * x + c * x * x)[None, :]
-            error = np.sum(w * np.exp(-1j * line[0])) - exact_quadratic_average(a, c=c)
-            estimate, = _alias_estimate((line @ _LINE_FIT.T)[None], line[None], w[None],
-                                        np.ones((1, 1)))
+            line = a * x + c * x * x
+            error = np.sum(w * np.exp(-1j * line)) - exact_quadratic_average(a, c=c)
+            lines = np.tile(line, (QUAD_NODES, 1))
+            estimate, = _alias_estimate((lines @ _LINE_FIT.T)[None], lines[None])
             assert abs(estimate - error) <= 1e-4 * abs(error) + 1e-9, (a, c, estimate, error)
 
     def test_quadratic_fit(self):
@@ -439,18 +461,15 @@ class TestSpectralMixture:
         # ripple and the doubled rule is evaluated directly
         c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
         phase = lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma) + 0 * p
-        ls, lp, ws, wp = _spectral_axes(signal_spectrum, pump_spectrum, QUAD_NODES,
-                                        QUAD_SPAN_SIGMAS)
+        ls, lp, _ = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
         phi = np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))
-        assert sum(abs(_alias_estimate((lines @ _LINE_FIT.T)[None], lines[None], along[None],
-                                       across[None])[0])
-                   for lines, along, across in ((phi.T, ws[:, 0], wp[0]),
-                                                (phi, wp[0], ws[:, 0]))) < 1e-6
+        assert sum(abs(_alias_estimate((lines @ _LINE_FIT.T)[None], lines[None])[0])
+                   for lines in (phi.T, phi)) < 1e-6
         probed_s = phase(c + sigma * _PROBE_X[:, None], lp)
         probed_p = phase(ls, pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :])
-        assert _alias_check(phi[None], probed_s[None], probed_p[None], ws, wp[None]) == [None]
-        misfit = (np.max(np.abs(_PROBE_ROWS @ phi - probed_s) @ wp[0])
-                  + np.max(ws[:, 0] @ np.abs(phi @ _PROBE_ROWS.T - probed_p)))
+        assert _alias_check(phi[None], probed_s[None], probed_p[None]) == [None]
+        misfit = (np.max(np.abs(_PROBE_ROWS @ phi - probed_s) @ _WEIGHTS)
+                  + np.max(_WEIGHTS @ np.abs(phi @ _PROBE_ROWS.T - probed_p)))
         assert misfit > _INTERPOLATION_TOL
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)

@@ -127,6 +127,12 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="counts per setting"):
             simulate_counts(werner_truth, settings, n, seed=1)
 
+    def test_simulate_names_an_oversized_mean(self, settings, werner_truth):
+        # numpy's sampler itself says only "lam value too large"
+        with pytest.raises(ValueError, match=r"expected count \S+e\+299 exceeds the largest "
+                                             r"Poisson mean the sampler accepts"):
+            simulate_counts(werner_truth, settings, 1e300, seed=1)
+
 
 def poisson_log_likelihood(data, state):
     lam = data.total_per_setting * np.clip(
