@@ -22,8 +22,8 @@ from .states import (
     GaussianSpectrum,
     TwoQubitState,
     best_bell_fidelity,
-    _spectral_coherences,
     mixed_state_over_spectra,
+    spectral_coherences,
     spectral_mean_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
 )
 from .phase import compensated_phase
@@ -159,12 +159,17 @@ def expected_rates(p: NoiseParams, avg_power_mw: float) -> dict:
 _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
-def _poisson(seed, means: np.ndarray) -> np.ndarray:
-    """Draws of ``means``, in order, from ``default_rng(seed)``; a mean too large is named."""
+def _check_means(means) -> None:
+    """Name a mean too large for the sampler, which itself says only "lam value too large"."""
     largest = max(means, default=0.0)
     if largest > _POISSON_MAX_MEAN:
         raise ValueError(f"expected count {largest:.3g} exceeds the largest Poisson mean "
                          f"the sampler accepts, {_POISSON_MAX_MEAN:.3g}")
+
+
+def _poisson(seed, means: np.ndarray) -> np.ndarray:
+    """Draws of ``means``, in order, from ``default_rng(seed)``; a mean too large is named."""
+    _check_means(means)
     return np.random.default_rng(seed).poisson(means)
 
 
@@ -174,7 +179,8 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
 
     With ``expectation=True`` the record holds the exact rate formulas
     times the duration (no sampling). Otherwise each independent count
-    contribution is Poisson sampled, in one draw seeded by ``seed``;
+    contribution is Poisson sampled, six scalar draws in order from one
+    ``default_rng(seed)``, the bits of one array draw at less cost;
     totals are built as sums of their components so the per-channel
     background never exceeds the total.
     """
@@ -184,7 +190,11 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
     t = duration_s
     means = [m * t for m in (p.eta_s * r["pairs"], p.eta_i * r["pairs"], r["background_s"],
                              r["background_i"], r["true_coincidences"], r["accidentals"])]
-    counts = means if expectation else _poisson(seed, means).astype(float).tolist()
+    counts = means
+    if not expectation:
+        _check_means(means)
+        rng = np.random.default_rng(seed)
+        counts = [float(rng.poisson(m)) for m in means]
     pair_s, pair_i, bg_s, bg_i, true_c, acc = counts
     return CountRecord(
         duration_s=t,
@@ -374,15 +384,16 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
     (2 - w)/4 and HV w/4 of their sum 1/2, so V_rect = 1 - w; DD and DA
     hold (1 +- (1 - w) Re c)/4, so V_diag = (1 - w)|Re c|, exactly.
     Every power and ``baseline_noise`` are checked before any phase is
-    evaluated. The real parts Re c of all powers come from one quadrature
-    call, which evaluates the phase once per group of broadened pump
-    spectra and gives each the bits and the warnings of
-    ``spectral_coherences``; Im c is computed only for a power whose
-    convergence check reruns on the doubled rule, and no state is built.
+    evaluated. The real parts Re c of all powers come from one
+    ``spectral_coherences`` call with ``real=True``, which evaluates the
+    phase once per group of broadened pump spectra and gives each the
+    bits and the warnings of the complex coherence; Im c is computed only
+    for a power whose convergence check reruns on the doubled rule, and
+    no state is built.
     """
     powers = [float(pw) for pw in powers_mw]
     weights = [_noise_weight(p, pw, baseline_noise) for pw in powers]
-    real_parts = _spectral_coherences(
+    real_parts = spectral_coherences(
         lambda ls, lp: compensated_phase(fiber, comps, ls, lp), signal_spectrum,
         [_broadened(p, pump_spectrum, pw) for pw in powers], relative_to_mean=True, real=True)
     return [(pw, 1.0 - w, (1.0 - w) * abs(re))

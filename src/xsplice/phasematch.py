@@ -246,23 +246,34 @@ def _refine(fiber, lp, a, b, fa, fb, level) -> tuple:
     raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
 
 
-def _solve(fiber: FiberSpec, lp: float) -> PhaseMatchPoint:
-    """The root closest to the pump ``lp`` (a float, nm).
+def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
+    """Solve dk = 0 for the signal below the pump.
 
-    Signal and idler share the core index, so dk is a function g(x) of
-    x = delta^2, delta = 1/ls - 1/lp (1/nm), with g'(x) =
-    -(d dk/d ls) ls^2 / (2 delta). The solve takes Newton steps in x on
-    Python floats from the window's inner end, ls = lp - 0.25 nm, one
-    ``_mismatch`` call per round. Where g is convex, as on the design
-    range, they walk monotonically onto the nearest root; where it is
-    concave, as for pumps below about 610 nm, a step can overshoot it.
-    The solve stops at |dk| < MISMATCH_TOL, or at dk < 0 after a positive
-    iterate, where ``_refine`` finishes the bracket of the last two. It
-    raises PhaseMatchError where the window holds no solution: at dk <= 0
-    at the inner end, at a slope d dk/d ls not positive and finite, or
-    at dk > 0 at the outer end, to which a Newton point past it is moved.
-    ``_window``'s errors pass through.
+    Only the root closest to the pump is returned, the branch
+    continuously connected to degeneracy. Signal and idler share the
+    core index, so dk is a function g(x) of x = delta^2, delta = 1/ls -
+    1/lp (1/nm), with g'(x) = -(d dk/d ls) ls^2 / (2 delta). The solve
+    takes Newton steps in x on Python floats from the window's inner
+    end, ls = lp - 0.25 nm, one ``_mismatch`` call per round. Where g is
+    convex, as on the design range, they walk monotonically onto the
+    nearest root, in four Sellmeier passes; where it is concave, as for
+    pumps below about 610 nm, a step can overshoot it. The solve stops
+    at |dk| < MISMATCH_TOL, or at dk < 0 after a positive iterate, where
+    ``_refine`` finishes the bracket of the last two. The residual is
+    exactly ``phase_mismatch(fiber, lp, ls)``. ``tuning_curve`` calls
+    this at each of its pumps.
+
+    Raises
+    ------
+    PhaseMatchError
+        If the window holds no root on that branch: at dk <= 0 at the
+        inner end (e.g. B = 0, where only the degenerate solution
+        remains, or a root within 0.25 nm of the pump), at a slope
+        d dk/d ls not positive and finite, or at dk > 0 at the outer
+        end, to which a Newton point past it is moved. ``_window``'s
+        errors pass through.
     """
+    lp = float(lambda_p_nm)
     end, hi = _window(fiber, lp)
     ls, delta = hi, 1.0 / hi - 1.0 / lp
     for rnd in range(_MAX_ROUNDS):
@@ -285,33 +296,13 @@ def _solve(fiber: FiberSpec, lp: float) -> PhaseMatchPoint:
     return PhaseMatchPoint(lp, ls, ls * lp / (2.0 * ls - lp), dk)
 
 
-def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
-    """Solve dk = 0 for the signal below the pump.
-
-    Only the root closest to the pump is returned, the branch
-    continuously connected to degeneracy. Newton steps in the squared
-    offset (1/ls - 1/lp)^2 from lp - 0.25 nm, on the analytic slope
-    d dk/d ls, reach |dk| < 1e-6 rad/m in four Sellmeier passes on the
-    design range; the residual is exactly ``phase_mismatch(fiber, lp, ls)``.
-    ``tuning_curve`` runs the same solve at each of its pumps.
-
-    Raises
-    ------
-    PhaseMatchError
-        If the window holds no root on that branch (e.g. B = 0, where
-        only the degenerate solution remains, or a root within 0.25 nm
-        of the pump).
-    """
-    return _solve(fiber, float(lambda_p_nm))
-
-
 def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
     """Solve across a pump range, one pump at a time.
 
     Returns ``(points, skipped)``: the solved PhaseMatchPoints and the
     pump wavelengths for which no solution exists in the window. Each
-    point is ``solve_signal_idler`` at its pump, and a pump that fails
-    is skipped on its own.
+    point is the ``solve_signal_idler`` call at its pump, and a pump
+    whose call fails is skipped on its own.
     """
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
@@ -321,7 +312,7 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
     points, skipped = [], []
     for lp in np.linspace(lo, hi, steps).tolist():
         try:
-            points.append(_solve(fiber, lp))
+            points.append(solve_signal_idler(fiber, lp))
         except (PhaseMatchError, WavelengthRangeError):
             skipped.append(lp)
     return points, skipped

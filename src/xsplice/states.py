@@ -427,7 +427,7 @@ def _coherence(phi: np.ndarray, w: np.ndarray, real: bool = False) -> list:
 
 
 def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
-                        relative_to_mean: bool = False) -> list:
+                        relative_to_mean: bool = False, real: bool = False) -> list:
     """Spectral average of ``e^{-i phi}`` under one signal spectrum and each pump spectrum.
 
     ``phase_fn(lambda_s_nm, lambda_p_nm)`` must accept broadcastable
@@ -447,6 +447,13 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     practice: the same value as ``spectral_mean_phase``, taken from the
     nodes' evaluation and subtracted before anything else reads the
     phase.
+
+    With ``real`` the result holds only the real part of each
+    coherence, as floats, each that of the complex coherence bit for bit,
+    with the same warnings in the same order; ``counts.visibility_vs_power``
+    reads no more. No imaginary part is computed, except for a pump that
+    the convergence check reruns on the doubled rule, for itself alone,
+    so that the rerun still compares complex coherences.
 
     A warning is issued for each pump whose node rule is not converged
     to 1e-6 in the coherence. The check runs on the nodes' phase, which
@@ -469,42 +476,26 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     more than 1e-6. The probes see a component that equals a smooth
     alias on the nodes, but not roughness confined to where no probe
     line runs. Reruns and warnings go pump by pump, in order.
-
-    ``counts.visibility_vs_power`` reads only the real parts and runs
-    this quadrature without the imaginary parts that no rerun compares.
-    """
-    return _spectral_coherences(phase_fn, signal, pumps, relative_to_mean, real=False)
-
-
-def _spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, relative_to_mean: bool,
-                         real: bool) -> list:
-    """``spectral_coherences``, or with ``real`` the real part of each coherence.
-
-    The real parts are floats, each that of the complex coherence bit
-    for bit, with the same warnings in the same order. Only a pump that
-    the convergence check reruns on the doubled rule takes its imaginary
-    part, for itself alone, so that the rerun still compares complex
-    coherences.
     """
     pumps = list(pumps)
-    column = (signal.center_nm + signal.sigma_nm * _SAMPLED_X)[:, None]
     cohs = []
     for start in range(0, len(pumps), _PUMP_GROUP):
-        cohs += _group_coherences(phase_fn, signal, column, pumps[start:start + _PUMP_GROUP],
+        cohs += _group_coherences(phase_fn, signal, pumps[start:start + _PUMP_GROUP],
                                   relative_to_mean, real)
     return cohs
 
 
-def _group_coherences(phase_fn, signal: GaussianSpectrum, column: np.ndarray, group: list,
+def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
                       relative_to_mean: bool, real: bool) -> list:
-    """``_spectral_coherences`` for one group of pumps.
+    """``spectral_coherences`` for one group of pumps.
 
-    ``column`` holds the signal nodes and probes as a column; every
-    pump's nodes and probes sit at the same ``_SAMPLED_X`` in its sigma,
-    and every pump shares the joint weights ``_JOINT``. The group's
+    Every spectrum's nodes and probes sit at the same ``_SAMPLED_X`` in
+    its sigma, the signal's as a column and the pumps' side by side in a
+    row, and every pump shares the joint weights ``_JOINT``. The group's
     arrays are freed on return, before the next group's phase call.
     """
     n, size = QUAD_NODES, len(_SAMPLED_X)
+    column = (signal.center_nm + signal.sigma_nm * _SAMPLED_X)[:, None]
     row = np.concatenate([pump.center_nm + pump.sigma_nm * _SAMPLED_X for pump in group])[None, :]
     sampled = np.broadcast_to(phase_fn(column, row), (size, len(group) * size))
     # a C-ordered copy: each pump's block is laid out as one pump's phase

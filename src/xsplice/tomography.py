@@ -355,9 +355,10 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     Newton target is projected onto the states once (``_project``), and its
     rank r is the first guess at the optimum's. Damped Newton steps on the
     states of rank <= r (``_face_newton``) start from that projection.
-    Failing a certificate, the higher ranks are tried in turn from the
-    Newton iterate, then the lower ones, downwards, from the projection: at
-    most four tries. A start that leaves a setting with counts at zero
+    Failing a certificate, the higher ranks are tried in turn, upwards, from
+    the Newton iterate: at most 5 - r tries. Lower ranks are not tried: in a
+    census of 546 solves, none of them certified a solve that every higher
+    rank had failed. A start that leaves a setting with counts at zero
     expected counts is skipped. Where no rank is certified, the
     lowest-deviance state of the solve is returned with a RuntimeWarning.
     No iteration budget decides the result: the Newton loops end on their
@@ -377,7 +378,7 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     best, f_best = x, _rate_deviance(lam, counts)
     if not _certified(x, lam, flat, counts, n):
         z, rank = _project(target)
-        for r in sorted(range(1, 5), key=lambda r: (r < rank, abs(r - rank))):
+        for r in range(rank, 5):
             face = _face_newton(x if r > rank else z, r, flat, counts, n)
             if face is None:
                 continue

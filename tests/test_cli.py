@@ -332,3 +332,10 @@ def test_defaults_mirror_paper_ini():
     assert parser.read(PAPER_INI, encoding="utf-8") == [str(PAPER_INI)]
     assert parser.sections() == []
     assert load_config() == load_config(str(PAPER_INI))
+
+
+def test_zero_baseline_noise_loads(tmp_path):
+    # its range is [0, 1): a source with no depolarization beyond the background
+    ini = tmp_path / "zero.ini"
+    ini.write_text("[noise]\nbaseline_noise = 0\n")
+    assert load_config(str(ini)).baseline_noise == 0.0

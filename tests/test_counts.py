@@ -529,6 +529,14 @@ class TestBaselineCalibration:
                                           target_fidelity=0.99999)
         assert w0 == 0.0
 
+    def test_targets_at_the_range_ends_accepted(self, fitted, paper_fiber, paper_compensators,
+                                                signal_spectrum, pump_spectrum):
+        # (1/4, 1]: just above 1/4 needs a weight just below 1, and 1 needs none
+        args = (fitted, paper_fiber, paper_compensators, signal_spectrum, pump_spectrum)
+        assert 0.0 < calibrate_baseline_noise(*args, target_fidelity=0.2501) < 1.0
+        with pytest.warns(RuntimeWarning, match="already at or below"):
+            assert calibrate_baseline_noise(*args, target_fidelity=1.0) == 0.0
+
     @pytest.mark.parametrize("target", [np.nan, np.inf, 0.25, 0.2, -1.0, 1.0 + 1e-9])
     def test_impossible_target_rejected(self, fitted, paper_fiber, paper_compensators,
                                         signal_spectrum, pump_spectrum, target):

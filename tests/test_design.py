@@ -46,6 +46,16 @@ class TestOptimizeCompensators:
         assert idl.orientation_sign == -1  # slow axis horizontal
         assert residual < 1.0  # degrees, weighted std
 
+    def test_sub_millimetre_crystals_keep_their_orientation(self, silica, quartz_material,
+                                                            pump_spectrum, signal_spectrum):
+        # a 1 mm fiber needs crystals below 1 mm: the orientation is the
+        # sign of the length, whatever its size
+        fiber = FiberSpec(0.001, CALIBRATED_B, 0.0, silica)
+        sig, idl, _ = optimize_compensators(fiber, quartz_material, pump_spectrum,
+                                            signal_spectrum)
+        assert 0.0 < sig.length_mm < 1.0 and sig.orientation_sign == +1
+        assert 0.0 < idl.length_mm < 1.0 and idl.orientation_sign == -1
+
     def test_local_optimality(self, paper_fiber, quartz_material,
                               pump_spectrum, signal_spectrum):
         sig, idl, residual = optimize_compensators(paper_fiber, quartz_material,

@@ -182,6 +182,23 @@ def test_sellmeier_validation():
     # a pole (here at 500 nm) inside the range would divide by zero there
     with pytest.raises(ValueError, match="pole at 500 nm"):
         SellmeierModel(terms=((1.0, 0.01), (1.0, 0.25)), valid_range_nm=(400.0, 900.0))
+    # an empty range, and a pole exactly on either bound, are rejected too
+    with pytest.raises(ValueError, match="invalid validity range"):
+        SellmeierModel(terms=((1.0, 0.01),), valid_range_nm=(500.0, 500.0))
+    for bounds in ((500.0, 900.0), (300.0, 500.0)):
+        with pytest.raises(ValueError, match="pole at 500 nm"):
+            SellmeierModel(terms=((1.0, 0.25),), valid_range_nm=bounds)
+
+
+def test_validity_bounds_are_inside_the_range():
+    # "[lo, hi]": a wavelength exactly on a bound is accepted, alone or
+    # beside a wavelength outside the range, which alone is named
+    model = SellmeierModel(terms=((1.0, 0.01),), valid_range_nm=(400.0, 900.0))
+    for wavelengths in (400.0, 900.0, [400.0, 900.0]):
+        assert np.all(np.isfinite(index(model, wavelengths)))
+    for on_bound, outside in ((400.0, 950.0), (900.0, 350.0)):
+        with pytest.raises(WavelengthRangeError, match=f"^wavelength {outside:g} nm outside"):
+            index(model, [on_bound, outside])
 
 
 def test_materials_override_via_path(tmp_path, silica):

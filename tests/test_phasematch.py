@@ -21,6 +21,7 @@ from xsplice import (
 from xsplice import design, phasematch
 from xsplice.materials import WavelengthRangeError
 from xsplice.phasematch import MISMATCH_TOL
+from xsplice.states import bandwidth_grid
 from conftest import CALIBRATED_B, nearest_root_reference
 
 
@@ -305,9 +306,34 @@ class TestTuningCurve:
         def no_solve(*_):
             raise AssertionError("solved before the arguments were checked")
 
-        monkeypatch.setattr(phasematch, "_solve", no_solve)
+        monkeypatch.setattr(phasematch, "solve_signal_idler", no_solve)
         with pytest.raises(ValueError, match=match):
             tuning_curve(paper_fiber, pump_range, steps)
+
+
+def test_paper_grid_takes_the_fast_range_check(paper_config):
+    # the paper's 101 x 101 design grid lies inside every model's range, and
+    # the extremes test alone must say so: no element-wise pass
+    cfg = paper_config
+    ls = bandwidth_grid(cfg.signal.center_nm, cfg.signal.fwhm_nm)[:, None]
+    lp = bandwidth_grid(cfg.pump.center_nm, cfg.pump.fwhm_nm)[None, :]
+    assert ls.size == lp.size == 101
+    for comps in ((), cfg.compensators):
+        assert phasematch._within_ranges(cfg.fiber, comps, ls, lp)
+    # the idler's extremes are exact on open axes: a core range that ends
+    # 1e-6 nm outside the grid's shortest and longest wavelengths passes,
+    # and one that ends 1e-6 nm inside either fails; with the signal and
+    # idler centres swapped, the idler holds the other extreme
+    li_centre = idler_wavelength(cfg.signal.center_nm, cfg.pump.center_nm)
+    for column in (ls, ls + (li_centre - cfg.signal.center_nm)):
+        li = idler_wavelength(column, lp)
+        lo, hi = min(column.min(), li.min()), max(column.max(), li.max())
+        for cut_lo, cut_hi, inside in ((0.0, 0.0, True), (2e-6, 0.0, False),
+                                       (0.0, 2e-6, False)):
+            core = SellmeierModel(cfg.fiber.core_model.terms,
+                                  (lo - 1e-6 + cut_lo, hi + 1e-6 - cut_hi))
+            fiber = FiberSpec(cfg.fiber.length_m, cfg.fiber.birefringence, 0.0, core)
+            assert phasematch._within_ranges(fiber, (), column, lp) is inside
 
 
 class TestBandwidths:

@@ -446,10 +446,10 @@ def test_sweep_closed_form_is_the_x_states_visibilities(paper_config, r, angle, 
     coh = r * complex(math.cos(angle), math.sin(angle))
     cfg = paper_config
     args = (cfg.noise, cfg.fiber, cfg.compensators)
-    cohs = lambda phase_fn, signal, pumps, relative_to_mean, real: (
+    cohs = lambda phase_fn, signal, pumps, *, relative_to_mean, real=False: (
         [coh.real if real else coh] * len(pumps))
-    with mock.patch("xsplice.states._spectral_coherences", cohs), \
-            mock.patch("xsplice.counts._spectral_coherences", cohs), \
+    with mock.patch("xsplice.states.spectral_coherences", cohs), \
+            mock.patch("xsplice.counts.spectral_coherences", cohs), \
             mock.patch("xsplice.counts._noise_weight", lambda p, pw, baseline: w):
         (_, v_rect, v_diag), = visibility_vs_power(*args, [30.0], cfg.signal, cfg.pump)
         state = effective_state_at_power(*args, cfg.signal, cfg.pump, 30.0)

@@ -29,7 +29,7 @@ from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
                             VisibilityUndefinedError, _INTERPOLATION_TOL, _JOINT, _LINE_FIT,
                             _LINE_POWERS, _PROBE_ROWS, _PROBE_X, _PROBES, _PUMP_GROUP, _WEIGHTS,
-                            _alias_check, _alias_estimate, _coherence, _spectral_coherences,
+                            _alias_check, _alias_estimate, _coherence,
                             bandwidth_grid, spectral_grid)
 
 
@@ -613,8 +613,8 @@ class TestSpectralCoherences:
         # ones, which trip the alias estimate
         cohs, messages = self._messages(lambda: spectral_coherences(
             self._phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean))
-        real, real_messages = self._messages(lambda: _spectral_coherences(
-            self._phase, self.SIGNAL, self.PUMPS, relative_to_mean, real=True))
+        real, real_messages = self._messages(lambda: spectral_coherences(
+            self._phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean, real=True))
         assert real == [c.real for c in cohs]
         assert real_messages == messages
         assert len(messages) == 4
@@ -638,8 +638,8 @@ class TestSpectralCoherences:
         cohs, _ = self._messages(lambda: spectral_coherences(self._phase, self.SIGNAL,
                                                              self.PUMPS))
         calls.clear()
-        self._messages(lambda: _spectral_coherences(self._phase, self.SIGNAL, self.PUMPS,
-                                                    False, real=True))
+        self._messages(lambda: spectral_coherences(self._phase, self.SIGNAL, self.PUMPS,
+                                                   real=True))
         expected, nodes = [], []
         for start in range(0, len(self.PUMPS), _PUMP_GROUP):
             group = self.PUMPS[start:start + _PUMP_GROUP]

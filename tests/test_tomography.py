@@ -494,6 +494,34 @@ class TestDeviance:
         assert got == pytest.approx(2.5 - np.log(0.5) - 2.0 * np.log(1.5), rel=1e-15)
 
 
+def smolin_eigenvalues(mu):
+    """Smolin, Gambetta & Smith's sort-based loop: the eigenvalues ``mu`` of a
+    trace-one Hermitian matrix, sorted, moved onto the simplex."""
+    mu = np.sort(mu)[::-1]
+    lam, acc, i = np.zeros(len(mu)), 0.0, len(mu)
+    while mu[i - 1] + acc / i < 0:
+        acc += mu[i - 1]
+        i -= 1
+    lam[:i] = mu[:i] + acc / i
+    return lam
+
+
+class TestProjection:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_is_the_sort_based_simplex_projection(self, seed):
+        # trace-one Hermitian matrices whose spectra need 0 to 3 eigenvalues cut
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        mu = rng.normal(scale=[0.1, 0.3, 1.0, 2.0][seed % 4], size=4)
+        mu += (1.0 - mu.sum()) / 4
+        h = (q * mu) @ q.conj().T
+        rho, rank = tomography._project(0.5 * (h + h.conj().T))
+        lam = smolin_eigenvalues(mu)
+        order = np.argsort(mu)[::-1]
+        assert np.abs(rho - (q[:, order] * lam) @ q[:, order].conj().T).max() <= 1e-12
+        assert rank == np.count_nonzero(lam)
+
+
 class TestReconstruction:
     def test_exact_data_rank_one(self, settings):
         truth = pure_phi_state(0.0)
@@ -610,6 +638,33 @@ class TestReconstruction:
             reconstruct_mle(data)
             per_solve.append(len(calls))
         assert per_solve == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("truth, projected_rank", [
+        (0.7 * np.outer(bell_state("phi+"), bell_state("phi+")) + 0.3 * np.diag([0, 1, 0, 0]), 3),
+        (pure_phi_state(0.3).matrix, 1),
+    ], ids=["rank-3-projection", "rank-1-projection"])
+    def test_rank_search_goes_upward_only(self, monkeypatch, settings, truth, projected_rank):
+        # with no rank certified, every rank from the projection's up to 4
+        # is tried once, in order, and no lower one
+        data = simulate_counts(TwoQubitState(truth), settings, 1e5, seed=0)
+        face_newton, project, ranks, seen = tomography._face_newton, tomography._project, [], []
+
+        def face_spy(x, rank, *args):
+            seen.append(rank)
+            return face_newton(x, rank, *args)
+
+        def project_spy(h):
+            z, rank = project(h)
+            ranks.append(rank)
+            return z, rank
+
+        monkeypatch.setattr(tomography, "_certified", lambda *_: False)
+        monkeypatch.setattr(tomography, "_face_newton", face_spy)
+        monkeypatch.setattr(tomography, "_project", project_spy)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            reconstruct_mle(data)
+        assert ranks == [projected_rank]
+        assert seen == list(range(projected_rank, 5))
 
     def test_boundary_optimum_is_not_left_to_the_step_stop(self, settings):
         # a projected gradient solve stopped at a 1e-10 step had ended this
