@@ -159,17 +159,12 @@ def expected_rates(p: NoiseParams, avg_power_mw: float) -> dict:
 _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
-def _check_means(means) -> None:
-    """Name a mean too large for the sampler, which itself says only "lam value too large"."""
+def _poisson(seed, means: np.ndarray) -> np.ndarray:
+    """Draws of ``means``, in order, from ``default_rng(seed)``; a mean too large is named."""
     largest = max(means, default=0.0)
     if largest > _POISSON_MAX_MEAN:
         raise ValueError(f"expected count {largest:.3g} exceeds the largest Poisson mean "
                          f"the sampler accepts, {_POISSON_MAX_MEAN:.3g}")
-
-
-def _poisson(seed, means: np.ndarray) -> np.ndarray:
-    """Draws of ``means``, in order, from ``default_rng(seed)``; a mean too large is named."""
-    _check_means(means)
     return np.random.default_rng(seed).poisson(means)
 
 
@@ -179,8 +174,7 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
 
     With ``expectation=True`` the record holds the exact rate formulas
     times the duration (no sampling). Otherwise each independent count
-    contribution is Poisson sampled, six scalar draws in order from one
-    ``default_rng(seed)``, the bits of one array draw at less cost;
+    contribution is Poisson sampled, in one draw seeded by ``seed``;
     totals are built as sums of their components so the per-channel
     background never exceeds the total.
     """
@@ -190,11 +184,7 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
     t = duration_s
     means = [m * t for m in (p.eta_s * r["pairs"], p.eta_i * r["pairs"], r["background_s"],
                              r["background_i"], r["true_coincidences"], r["accidentals"])]
-    counts = means
-    if not expectation:
-        _check_means(means)
-        rng = np.random.default_rng(seed)
-        counts = [float(rng.poisson(m)) for m in means]
+    counts = means if expectation else _poisson(seed, means).astype(float).tolist()
     pair_s, pair_i, bg_s, bg_i, true_c, acc = counts
     return CountRecord(
         duration_s=t,

