@@ -183,18 +183,21 @@ def _cmd_optimize(cfg, args):
     return 0
 
 
+def _bell_metrics(state) -> dict:
+    """The best Bell fidelity, the Bell state that attains it, and the tangle."""
+    fid, best = states.best_bell_fidelity(state)
+    return {"best_bell_fidelity": fid, "best_bell_state": best, "tangle": states.tangle(state)}
+
+
 def _cmd_state(cfg, args):
     comps = None if args.uncompensated else cfg.compensators
     state = counts_mod.effective_state_at_power(
         cfg.noise, cfg.fiber, comps, cfg.signal, cfg.pump, args.power,
         baseline_noise=cfg.baseline_noise)
-    fid, best = states.best_bell_fidelity(state)
     payload = {
         "state": state.to_json_dict(),
         "metrics": {
-            "best_bell_fidelity": fid,
-            "best_bell_state": best,
-            "tangle": states.tangle(state),
+            **_bell_metrics(state),
             "visibility_rectilinear": states.visibility(state, "rectilinear"),
             "visibility_diagonal": states.visibility(state, "diagonal"),
         },
@@ -234,17 +237,12 @@ def _cmd_tomography(cfg, args):
     data = tomography.simulate_counts(true_state, settings,
                                       args.counts_per_setting, seed=args.seed)
     rho = tomography.reconstruct_mle(data)
-    fid, best = states.best_bell_fidelity(rho)
-    metrics = {
-        "best_bell_fidelity": fid,
-        "best_bell_state": best,
-        "tangle": states.tangle(rho),
-        "fidelity_to_truth": states.state_fidelity(rho, true_state),
-    }
+    metrics = {**_bell_metrics(rho),
+               "fidelity_to_truth": states.state_fidelity(rho, true_state)}
     if args.bootstrap > 0:
         f_std, t_std = tomography.error_bars(data, args.bootstrap,
                                              seed=args.seed + 1,
-                                             fidelity_target=best)
+                                             fidelity_target=metrics["best_bell_state"])
         metrics["fidelity_std"] = f_std
         metrics["tangle_std"] = t_std
     if args.out is not None:
@@ -317,15 +315,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.materials)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    try:
-        return args.func(cfg, args)
+        return args.func(load_config(args.config, args.materials), args)
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

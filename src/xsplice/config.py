@@ -99,20 +99,13 @@ def load_config(path: str | None = None, materials_path: str | None = None) -> S
             raise ConfigError(f"material database lacks {o_key!r}/{e_key!r}")
         material = CompensatorMaterial(ordinary=db[o_key], extraordinary=db[e_key],
                                        name=mat_name)
-        comps = (
-            CompensatorSpec(_getfloat(parser, "compensators", "signal_length_mm"),
-                            material,
-                            _orientation(parser.get("compensators", "signal_orientation")),
-                            "signal"),
-            CompensatorSpec(_getfloat(parser, "compensators", "idler_length_mm"),
-                            material,
-                            _orientation(parser.get("compensators", "idler_orientation")),
-                            "idler"),
-        )
-        pump = GaussianSpectrum(_getfloat(parser, "spectra", "pump_center_nm"),
-                                _getfloat(parser, "spectra", "pump_fwhm_nm"))
-        signal = GaussianSpectrum(_getfloat(parser, "spectra", "signal_center_nm"),
-                                  _getfloat(parser, "spectra", "signal_fwhm_nm"))
+        comps = tuple(
+            CompensatorSpec(_getfloat(parser, "compensators", f"{arm}_length_mm"), material,
+                            _orientation(parser.get("compensators", f"{arm}_orientation")), arm)
+            for arm in ("signal", "idler"))
+        pump, signal = (GaussianSpectrum(_getfloat(parser, "spectra", f"{name}_center_nm"),
+                                         _getfloat(parser, "spectra", f"{name}_fwhm_nm"))
+                        for name in ("pump", "signal"))
         noise = NoiseParams(
             pair_rate_coeff=_getfloat(parser, "noise", "pair_rate_coeff"),
             raman_s=_getfloat(parser, "noise", "raman_signal"),

@@ -215,13 +215,13 @@ def _rule(points: int, span_sigmas: float) -> tuple:
 
 def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
                    span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
-    """The rule's nodes placed on a Gaussian given by its FWHM, ``c + sigma x``."""
+    """The rule's nodes placed on a Gaussian given by its FWHM, ``c + sigma x``.
+
+    ``GaussianSpectrum`` checks the center and FWHM.
+    """
     x, _ = _rule(points, span_sigmas)
-    if not abs(center_nm) < math.inf:
-        raise ValueError(f"center must be finite, got {center_nm!r}")
-    if not 0.0 < fwhm_nm < math.inf:
-        raise ValueError(f"fwhm must be finite and > 0, got {fwhm_nm!r}")
-    return center_nm + fwhm_nm / FWHM_PER_SIGMA * x
+    spectrum = GaussianSpectrum(center_nm, fwhm_nm)
+    return spectrum.center_nm + spectrum.sigma_nm * x
 
 
 def spectral_grid(signal: GaussianSpectrum, pump: GaussianSpectrum,

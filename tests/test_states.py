@@ -365,6 +365,54 @@ class TestSpectralMixture:
         assert abs(coh - _exact_1d(f)) > 1e-4
         assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-6
 
+    @pytest.mark.parametrize("x0", [-3.0, -2.5, 2.5, 3.0])
+    def test_outer_probe_lines_see_off_centre_ripples(self, paper_config, x0):
+        # a ripple localised to 0.3 sigma, 2.5 or 3 sigma from the centre,
+        # moves the nodes' coherence by 2.4e-4 or 3.7e-5. Only the probe
+        # lines at +/-2 and +/-3 sigma see it: with the lines at -1, 0 and
+        # +1 sigma alone, no case warns
+        sig, pump = paper_config.signal, paper_config.pump
+        f = lambda x: 0.02 * np.sin(32.0 * x) * np.exp(-0.5 * ((x - x0) / 0.3) ** 2)
+        warned, coh = _warns_unconverged(
+            lambda s, p: f((s - sig.center_nm) / sig.sigma_nm) + 0 * p, sig, pump)
+        assert abs(coh - _exact_1d(f)) > 3e-5
+        assert warned
+
+    @pytest.mark.parametrize("power, messages", [
+        (150.0, []),
+        (350.0, ["spectral quadrature not converged: doubling nodes moved the coherence by "
+                 "2.22e-06"]),
+    ])
+    def test_rerun_on_the_paper_source(self, paper_config, power, messages):
+        # with the configured crystals the probes send the paper phase to
+        # the doubled rule from 120 mW on. Against a 401^2 +/-9 sigma
+        # reference, relative to its own mean, the nodes are 1.1e-8 off at
+        # 150 mW, where the rerun is quiet, and 2.19e-6 off at 350 mW,
+        # where it warns
+        cfg = paper_config
+        pump = counts._broadened(cfg.noise, cfg.pump, power)
+        calls = []
+
+        def phase(s, p):
+            calls.append(np.broadcast(s, p).shape)
+            return compensated_phase(cfg.fiber, cfg.compensators, s, p)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            effective_state_at_power(cfg.noise, cfg.fiber, cfg.compensators, cfg.signal,
+                                     cfg.pump, power)
+            coh, = spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True)
+        assert [str(w.message) for w in caught] == messages * 2
+        # the nodes with their probes, then the doubled rule
+        assert calls[1:] == [(2 * QUAD_NODES, 2 * QUAD_NODES)]
+        x = np.linspace(-9.0, 9.0, 401)
+        w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
+        ref = phase((cfg.signal.center_nm + cfg.signal.sigma_nm * x)[:, None],
+                    (pump.center_nm + pump.sigma_nm * x)[None, :])
+        ref -= w @ ref @ w
+        error = abs(coh - w @ np.exp(-1j * ref) @ w)
+        assert (error > 1e-6) == bool(messages)
+
     def test_alias_estimate_on_paper_phases(self, paper_config):
         # the paper phases take the estimate, which reads below 1e-9, as
         # does the direct doubled rule
