@@ -114,7 +114,6 @@ def _cmd_calibrate(cfg, args):
     b = design.calibrate_birefringence(cfg.fiber.core_model, pump, signal)
     _emit(_json_text({"pump_nm": pump, "signal_nm": signal,
                       "birefringence": b}), args.out, "calibration.json")
-    return 0
 
 
 def _cmd_tuning_curve(cfg, args):
@@ -128,7 +127,6 @@ def _cmd_tuning_curve(cfg, args):
     if skipped:
         sys.stderr.write("no solution for pump values: "
                          + ", ".join(f"{v:g}" for v in skipped) + "\n")
-    return 0
 
 
 def _map_axes(cfg, points):
@@ -164,7 +162,6 @@ def _cmd_phase_map(cfg, args):
     }
     if args.out is not None:
         _emit(_json_text(meta), args.out, "phase_map.json")
-    return 0
 
 
 def _cmd_optimize(cfg, args):
@@ -180,7 +177,6 @@ def _cmd_optimize(cfg, args):
         "residual_deg": pmap.peak_to_peak_deg,
         "weighted_std_deg": std_deg,
     }), args.out, "compensators.json")
-    return 0
 
 
 def _bell_metrics(state) -> dict:
@@ -203,7 +199,6 @@ def _cmd_state(cfg, args):
         },
     }
     _emit(_json_text(payload), args.out, "state.json")
-    return 0
 
 
 def _cmd_power_sweep(cfg, args):
@@ -221,7 +216,6 @@ def _cmd_power_sweep(cfg, args):
     _emit(_write_csv(("power_mW", "singles_s", "singles_i", "coincidences",
                       "accidentals", "car", "v_rect", "v_diag"), rows),
           args.out, "power_sweep.csv")
-    return 0
 
 
 def _cmd_tomography(cfg, args):
@@ -251,7 +245,6 @@ def _cmd_tomography(cfg, args):
               args.out, "tomography_counts.csv")
         _emit(_json_text(rho.to_json_dict()), args.out, "tomography_state.json")
     _emit(_json_text(metrics), args.out, "tomography_metrics.json")
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -266,31 +259,26 @@ def build_parser() -> _Parser:
                    help="pump, nm (default: the config's pump_center_nm)")
     p.add_argument("--signal", type=_POSITIVE,
                    help="signal, nm (default: the config's signal_center_nm)")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("tuning-curve", help="solve signal/idler across a pump range")
     p.add_argument("--from", dest="from_nm", type=_POSITIVE, required=True)
     p.add_argument("--to", dest="to_nm", type=_POSITIVE, required=True)
     p.add_argument("--steps", type=_ranged(int, 2), required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_tuning_curve)
 
     p = sub.add_parser("phase-map", help="phase deviation over the spectral grid")
     p.add_argument("--compensated", action="store_true")
     p.add_argument("--points", type=_ranged(int, 1), default=states.DESIGN_POINTS)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_phase_map)
 
     p = sub.add_parser("optimize-compensators", help="optimal crystal lengths per arm")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("state", help="effective two-qubit state and metrics")
     p.add_argument("--uncompensated", action="store_true",
                    help="the same source at the same power, without the crystals")
     p.add_argument("--power", type=_ranged(float, 0.0), default=30.0, help="average pump power, mW")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_state)
 
     p = sub.add_parser("power-sweep", help="counts and visibilities versus pump power")
@@ -299,7 +287,6 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=_ranged(int, 1), required=True)
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--duration", type=_POSITIVE, default=30.0, help="integration time, s")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_power_sweep)
 
     p = sub.add_parser("tomography-demo", help="simulate and reconstruct tomography")
@@ -308,19 +295,21 @@ def build_parser() -> _Parser:
                    type=_ranged(float, 0.0, _MAX_COUNTS_PER_SETTING, strict=True))
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--bootstrap", type=_replicates, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_tomography)
 
+    for p in sub.choices.values():  # every subcommand takes --out, last in its usage
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(load_config(args.config, args.materials), args)
+        args.func(load_config(args.config, args.materials), args)
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    return 0

@@ -96,6 +96,8 @@ class NoiseParams:
         for f in dc_fields(self):
             if not 0.0 <= getattr(self, f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite and >= 0")
+        if not self.rep_rate_hz:
+            raise ValueError("rep_rate_hz must be > 0")
         if self.eta_s > 1 or self.eta_i > 1:
             raise ValueError("efficiencies must be <= 1")
         if self.window_s * self.rep_rate_hz > 1:

@@ -126,17 +126,15 @@ class CompensatorMaterial:
 def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
     lam = np.asarray(wavelength_nm, dtype=float)
     lo, hi = model.valid_range_nm
-    # one min/max pass; a NaN fails it and falls through to the elementwise test
-    if lam.size and not (lo <= lam.min() and lam.max() <= hi):
-        bad = lam[~((lo <= lam) & (lam <= hi))]
-        if bad.size:
-            worst = float(bad.flat[0])
-            valid = f"validity range [{lo:g}, {hi:g}] nm of {model.name or 'model'}"
-            if math.isnan(worst):
-                raise WavelengthRangeError(f"wavelength {worst:g} nm is not a number ({valid})")
-            bound = lo if worst < lo else hi
-            raise WavelengthRangeError(
-                f"wavelength {worst:g} nm outside {valid} (violated bound: {bound:g} nm)")
+    bad = lam[~((lo <= lam) & (lam <= hi))]  # a NaN fails both comparisons
+    if bad.size:
+        worst = float(bad.flat[0])
+        valid = f"validity range [{lo:g}, {hi:g}] nm of {model.name or 'model'}"
+        if math.isnan(worst):
+            raise WavelengthRangeError(f"wavelength {worst:g} nm is not a number ({valid})")
+        bound = lo if worst < lo else hi
+        raise WavelengthRangeError(
+            f"wavelength {worst:g} nm outside {valid} (violated bound: {bound:g} nm)")
     return lam
 
 

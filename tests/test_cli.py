@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from xsplice.cli import main
-from xsplice.config import load_config
+from xsplice.config import DEFAULTS, load_config
 from xsplice.counts import effective_state_at_power
 
 REPO = Path(__file__).resolve().parents[1]
@@ -29,6 +29,8 @@ def run_cli(capsys):
 
 SUBCOMMANDS = ("calibrate", "tuning-curve", "phase-map", "optimize-compensators",
                "state", "power-sweep", "tomography-demo")
+#: the smallest runs of the two commands that read every ``[noise]`` key
+NOISE_COMMANDS = (("state",), ("power-sweep", "--min", "1", "--max", "2", "--steps", "2"))
 
 
 class TestUsage:
@@ -81,6 +83,22 @@ class TestUsage:
         res = run_cli("--config", str(bad), "calibrate")
         assert res.returncode == 2
         assert res.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", NOISE_COMMANDS, ids=["state", "power-sweep"])
+    def test_zero_rep_rate_exits_2(self, run_cli, tmp_path, cmd):
+        # the accidentals divide by the pulse rate
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[noise]\nrep_rate_hz = 0\n")
+        res = run_cli("--config", str(bad), *cmd)
+        assert res.returncode == 2
+        assert res.stderr == "config error: invalid configuration: rep_rate_hz must be > 0\n"
+
+    @pytest.mark.parametrize("key", DEFAULTS["noise"])
+    def test_zero_noise_key_ends_with_a_documented_exit(self, run_cli, tmp_path, key):
+        ini = tmp_path / "zero.ini"
+        ini.write_text(f"[noise]\n{key} = 0\n")
+        for cmd in NOISE_COMMANDS:
+            assert run_cli("--config", str(ini), *cmd).returncode in (0, 2, 3), cmd
 
     @pytest.mark.parametrize("content", [b"length_m = 0.2\n",
                                          b"[fiber]\nlength_m = 0.2\nlength_m = 0.3\n",
@@ -149,6 +167,31 @@ class TestUsage:
             res = run_cli(*args)
             assert res.returncode == 3, args
             assert "numerical failure: wavelength" in res.stderr, args
+
+
+#: subcommand -> (arguments, the artefacts it writes into ``--out``); the first
+#: one holds what the command prints to stdout without ``--out``
+OUT_RUNS = {
+    "calibrate": ((), ("calibration.json",)),
+    "tuning-curve": (("--from", "769", "--to", "773", "--steps", "3"), ("tuning_curve.csv",)),
+    "phase-map": (("--points", "5"), ("phase_map.csv", "phase_map.json")),
+    "optimize-compensators": ((), ("compensators.json",)),
+    "state": ((), ("state.json",)),
+    "power-sweep": (("--min", "1", "--max", "2", "--steps", "2"), ("power_sweep.csv",)),
+    "tomography-demo": (("--counts-per-setting", "1000"),
+                        ("tomography_metrics.json", "tomography_counts.csv",
+                         "tomography_state.json")),
+}
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_out_writes_the_artefacts_and_prints_nothing(run_cli, tmp_path, cmd):
+    args, files = OUT_RUNS[cmd]
+    res = run_cli(cmd, *args, "--out", str(tmp_path / "out"))
+    assert res.returncode == 0
+    assert res.stdout == ""
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(files)
+    assert (tmp_path / "out" / files[0]).read_text() == run_cli(cmd, *args).stdout
 
 
 class TestCalibrate:

@@ -81,6 +81,11 @@ class TestNoiseParamsValidation:
             with pytest.raises(ValueError):
                 NoiseParams(1, 1, 1, 1, 1, 0.5, 0.5, rep_rate_hz=bad)
 
+    def test_zero_rep_rate_rejected(self):
+        # the accidentals divide by it
+        with pytest.raises(ValueError, match=r"^rep_rate_hz must be > 0$"):
+            NoiseParams(1, 1, 1, 1, 1, 0.5, 0.5, rep_rate_hz=0.0)
+
     def test_window_slot_bound(self):
         with pytest.raises(ValueError):
             NoiseParams(1, 1, 1, 1, 1, 0.5, 0.5, rep_rate_hz=76e6, window_s=1e-6)
