@@ -80,7 +80,7 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
     axis, at the spectral centres. In mm, the signed lengths are
     ``1e3 L [n_g(ls) + B - n_g(lp)] / dn_g(ls)`` (signal) and
     ``1e3 L [n_g(li) + B - n_g(lp)] / dn_g(li)`` (idler), from one
-    group-index pass on the core and one per crystal ray.
+    group-index pass on the core and one per crystal ray, per arm on floats.
     Returns ``(signal_comp, idler_comp, weighted_std_deg)`` with
     non-negative lengths, the orientation (the length's sign) carried by
     each CompensatorSpec, and ``weighted_phase_std`` at that design.
@@ -88,15 +88,17 @@ def optimize_compensators(fiber: FiberSpec, material: CompensatorMaterial,
     a crystal without birefringence).
     """
     ls, lp = signal.center_nm, pump.center_nm
-    arms = np.array([ls, idler_wavelength(ls, lp)])
-    _, n_g = index_and_group_index(fiber.core_model, np.append(arms, lp))
-    dn_g = (index_and_group_index(material.extraordinary, arms)[1]
-            - index_and_group_index(material.ordinary, arms)[1])
-    if not np.all(dn_g != 0.0):
+    arms = (ls, idler_wavelength(ls, lp))
+    # each model's range is checked at the signal, the idler, then the pump
+    *n_g, n_gp = (index_and_group_index(fiber.core_model, lam)[1] for lam in (*arms, lp))
+    n_ge = [index_and_group_index(material.extraordinary, lam)[1] for lam in arms]
+    dn_g = [e - index_and_group_index(material.ordinary, lam)[1] for e, lam in zip(n_ge, arms)]
+    if not all(d != 0.0 for d in dn_g):
         raise OptimizationError(
             "singular compensator design: the crystal has no group "
             "birefringence at the signal or idler wavelength")
-    lengths = 1e3 * fiber.length_m * (n_g[:2] + fiber.birefringence - n_g[2]) / dn_g
+    lengths = [1e3 * fiber.length_m * (g + fiber.birefringence - n_gp) / d
+               for g, d in zip(n_g, dn_g)]
     comps = tuple(CompensatorSpec(abs(float(mm)), material, +1 if mm >= 0 else -1, arm)
                   for mm, arm in zip(lengths, ("signal", "idler")))
     return (*comps, weighted_phase_std(fiber, comps, pump, signal))
@@ -113,14 +115,16 @@ def calibrate_birefringence(core_model: SellmeierModel, lambda_p_nm: float,
     target is the root closest to the pump, the branch that
     ``solve_signal_idler`` returns. Raises CalibrationError when B lies
     outside ``b_range``, when the target is outside the index model, or
-    when the calibrated fiber phase-matches another signal.
+    when the calibrated fiber phase-matches another signal. B does not
+    depend on ``length_m``: dk is a rate per metre.
     """
     fiber0 = FiberSpec(length_m, 0.0, 0.0, core_model)
     try:
         dk0 = phase_mismatch(fiber0, lambda_p_nm, lambda_s_target_nm)
     except (PhaseMatchError, WavelengthRangeError) as exc:
         raise CalibrationError(f"target {lambda_s_target_nm:g} nm: {exc}") from exc
-    b = -dk0 * lambda_p_nm * 1e-9 / (4.0 * np.pi)
+    # 0.0 - x, not -x: a target at the pump, dk(0) = 0, needs B = +0
+    b = 0.0 - dk0 * lambda_p_nm * 1e-9 / (4.0 * np.pi)
     lo, hi = b_range
     if not lo <= b <= hi:
         raise CalibrationError(

@@ -14,9 +14,9 @@ B_j / (1 - C_j v) and a C_j = 0 term is the constant B_j, so no
 division by lambda is needed. ``index``, ``index_and_group_index``,
 the mismatch of ``phasematch`` and the phase model of ``phase`` all call
 it; the last two pass wavenumbers straight from energy conservation.
-Floats stay floats: the phase-matching solver steps on Python floats,
-where each numpy call would cost more in dispatch than in arithmetic,
-and an array gives the same values element by element, bit for bit.
+Floats stay floats, range check included: the solver and each design's
+scalars run on them, where a numpy call costs more in dispatch than in
+arithmetic, and an array gives the same values and errors, bit for bit.
 
 The built-in database ships fused silica (Malitson) for the fiber core
 and crystalline quartz o/e rays for the compensators. It can be replaced
@@ -123,12 +123,17 @@ class CompensatorMaterial:
     name: str = ""
 
 
-def _check_range(model: SellmeierModel, wavelength_nm) -> np.ndarray:
-    lam = np.asarray(wavelength_nm, dtype=float)
+def _check_range(model: SellmeierModel, wavelength_nm):
+    """The wavelengths, a float as it is and else an array, all within the range."""
     lo, hi = model.valid_range_nm
-    bad = lam[~((lo <= lam) & (lam <= hi))]  # a NaN fails both comparisons
-    if bad.size:
-        worst = float(bad.flat[0])
+    if type(wavelength_nm) is float:
+        lam = wavelength_nm
+        bad = () if lo <= lam <= hi else (lam,)  # a NaN fails both comparisons
+    else:
+        lam = np.asarray(wavelength_nm, dtype=float)
+        bad = lam[~((lo <= lam) & (lam <= hi))]
+    if len(bad):
+        worst = float(bad[0])
         valid = f"validity range [{lo:g}, {hi:g}] nm of {model.name or 'model'}"
         if math.isnan(worst):
             raise WavelengthRangeError(f"wavelength {worst:g} nm is not a number ({valid})")
@@ -174,7 +179,7 @@ def index(model: SellmeierModel, wavelength_nm):
     lam = _check_range(model, wavelength_nm)
     k = 1000.0 / lam  # 1/um
     n = _sellmeier(model, k * k)
-    return n if lam.ndim else float(n)
+    return n if type(lam) is float or lam.ndim else float(n)
 
 
 def index_and_group_index(model: SellmeierModel, wavelength_nm) -> tuple:
@@ -186,7 +191,7 @@ def index_and_group_index(model: SellmeierModel, wavelength_nm) -> tuple:
     lam = _check_range(model, wavelength_nm)
     k = 1000.0 / lam
     n, n_g = _sellmeier(model, k * k, group=True)
-    return (n, n_g) if lam.ndim else (float(n), float(n_g))
+    return (n, n_g) if type(lam) is float or lam.ndim else (float(n), float(n_g))
 
 
 def birefringence(material: CompensatorMaterial, wavelength_nm):

@@ -26,7 +26,7 @@ the signal-idler walk-off, and at fixed signal
     d dk/d k_p = 4*pi*1e6 * [ n_g(k_p) + B - n_g(k_i) ].
 
 The solver and the bandwidths take them per nm, through dk/dlambda =
--k^2/1000.
+-k^2/1000, on Python floats and on the pump's terms, evaluated once per call.
 """
 
 from __future__ import annotations
@@ -111,19 +111,19 @@ def idler_wavelength(lambda_s_nm, lambda_p_nm):
     return out if out.ndim else float(out)
 
 
-def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray):
+def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls, lp):
     """Raise the error that ``idler_wavelength`` or ``index`` would raise.
 
-    The ranges are tested on the extremes of each axis; the idler's pair
-    those of the signal and the pump, which is exact on open axes and a
-    bound elsewhere. Only if that test fails are the inputs checked
+    The ranges are tested on the extremes of each axis, a float or an
+    array; the idler's pair those of the signal and the pump, exact on open
+    axes and a bound elsewhere. Only if that test fails are the inputs checked
     element by element, in the order of the errors' precedence: positive,
     not NaN and finite, not degenerate, then each model's validity range
     at the pump, signal and idler wavelengths. The first test takes the
     idler wavelength as 1000 / k_i, so within an ulp of a validity bound
     it can pass an idler that ``idler_wavelength`` puts just outside.
     """
-    if ls.size and lp.size and _within_ranges(fiber, comps, ls, lp):
+    if _within_ranges(fiber, comps, ls, lp):
         return
     li = idler_wavelength(ls, lp)
     _check_range(fiber.core_model, lp)
@@ -134,9 +134,11 @@ def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.nd
             _check_range(ray, ls if comp.arm == "signal" else li)
 
 
-def _within_ranges(fiber: FiberSpec, comps: tuple, ls: np.ndarray, lp: np.ndarray) -> bool:
+def _within_ranges(fiber: FiberSpec, comps: tuple, ls, lp) -> bool:
     """Whether every wavelength lies in its models' ranges, from the axes' extremes."""
-    s_lo, s_hi, p_lo, p_hi = float(ls.min()), float(ls.max()), float(lp.min()), float(lp.max())
+    # a float is both of its own; an empty array's read NaN, and fail below
+    (s_lo, s_hi), (p_lo, p_hi) = ((x, x) if type(x) is float else (float(x.min()), float(x.max()))
+                                  if x.size else (math.nan, math.nan) for x in (ls, lp))
     if not (s_lo > 0.0 and p_lo > 0.0):
         return False  # NaN fails here too
     k_lo = 2.0 * (1000.0 / p_hi) - 1000.0 / s_lo
@@ -157,33 +159,41 @@ def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm):
 
     Inputs fail as in ``compensated_phase``, with the same errors.
     """
-    ls = np.asarray(lambda_s_nm, dtype=float)
-    lp = np.asarray(lambda_p_nm, dtype=float)
+    ls, lp = lambda_s_nm, lambda_p_nm
+    if type(ls) is float and type(lp) is float:
+        _check_wavelengths(fiber, (), ls, lp)
+        return _mismatch(fiber, _pump_terms(fiber, lp), ls)[0]
+    ls, lp = np.asarray(ls, dtype=float), np.asarray(lp, dtype=float)
     _check_wavelengths(fiber, (), ls, lp)
     shape = np.broadcast_shapes(ls.shape, lp.shape)
-    dk = _mismatch(fiber, lp, ls)[0]
+    dk = _mismatch(fiber, _pump_terms(fiber, lp), ls)[0]
     return dk if shape else float(dk)
 
 
-def _mismatch(fiber: FiberSpec, lp, ls) -> tuple:
-    """dk (rad/m), d dk/d ls and d dk/d lp (rad/m per nm) at pumps ``lp``
-    and signals ``ls`` (nm) that the caller has checked.
+def _pump_terms(fiber: FiberSpec, lp) -> tuple:
+    """``(k_p, n_p + B, n_g(k_p))`` at pumps ``lp`` (nm), ``_mismatch``'s pump."""
+    kp = 1000.0 / lp  # 1/um
+    n_p, g_p = _sellmeier(fiber.core_model, kp * kp, group=True)
+    return kp, n_p + fiber.birefringence, g_p
+
+
+def _mismatch(fiber: FiberSpec, pump: tuple, ls) -> tuple:
+    """dk (rad/m), d dk/d ls and d dk/d lp (rad/m per nm) at signals ``ls``
+    (nm) that the caller has checked, for the pump of ``_pump_terms``.
 
     Floats give floats and arrays broadcast. One Sellmeier call each at
-    the signal, idler and pump wavenumbers gives every index and group
+    the signal and idler wavenumbers gives every other index and group
     index (module docstring).
     """
-    ks, kp = 1000.0 / ls, 1000.0 / lp  # 1/um
+    kp, a, g_p = pump
+    ks = 1000.0 / ls  # 1/um
     ki = 2.0 * kp - ks
-    core = fiber.core_model
-    n_s, g_s = _sellmeier(core, ks * ks, group=True)
-    n_i, g_i = _sellmeier(core, ki * ki, group=True)
-    n_p, g_p = _sellmeier(core, kp * kp, group=True)
-    b = fiber.birefringence
-    a = n_p + b
-    dk = 2e6 * np.pi * (ks * (a - n_s) + ki * (a - n_i))
+    n_s, g_s = _sellmeier(fiber.core_model, ks * ks, group=True)
+    n_i, g_i = _sellmeier(fiber.core_model, ki * ki, group=True)
+    dk = 2e6 * math.pi * (ks * (a - n_s) + ki * (a - n_i))
     # d k/d lambda = -k^2 / 1000 per nm
-    return dk, 2e3 * np.pi * ks * ks * (g_s - g_i), 4e3 * np.pi * kp * kp * (g_i - g_p - b)
+    return (dk, 2e3 * math.pi * ks * ks * (g_s - g_i),
+            4e3 * math.pi * kp * kp * (g_i - g_p - fiber.birefringence))
 
 
 def _window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
@@ -205,8 +215,8 @@ def _window(fiber: FiberSpec, lambda_p_nm: float) -> tuple:
     return lo, hi
 
 
-def _refine(fiber, lp, a, b, fa, fb, level) -> tuple:
-    """The root of dk(lp, ls) - level on the bracket a < ls < b, as ``(x, f)``.
+def _refine(fiber, pump, a, b, fa, fb, level) -> tuple:
+    """The root of dk(lp, ls) - level on a < ls < b at ``pump``, as ``(x, f)``.
 
     Newton steps on the analytic slope d dk/d ls, safeguarded by the
     bracket as in rtsafe (Numerical Recipes, section 9.4). Its callers,
@@ -227,7 +237,7 @@ def _refine(fiber, lp, a, b, fa, fb, level) -> tuple:
         x = 0.5 * (a + b)
     last = b - a  # the step before the first Newton step: the bracket
     for _ in range(_MAX_ROUNDS):
-        dk, slope, _ = _mismatch(fiber, lp, x)
+        dk, slope, _ = _mismatch(fiber, pump, x)
         f = dk - level
         if abs(f) < MISMATCH_TOL:
             return x, f
@@ -254,10 +264,10 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
     core index, so dk is a function g(x) of x = delta^2, delta = 1/ls -
     1/lp (1/nm), with g'(x) = -(d dk/d ls) ls^2 / (2 delta). The solve
     takes Newton steps in x on Python floats from the window's inner
-    end, ls = lp - 0.25 nm, one ``_mismatch`` call per round. Where g is
-    convex, as on the design range, they walk monotonically onto the
-    nearest root, in four Sellmeier passes; where it is concave, as for
-    pumps below about 610 nm, a step can overshoot it. The solve stops
+    end, ls = lp - 0.25 nm, one ``_mismatch`` call per round on pump terms
+    evaluated once. Where g is convex, as on the design range, they walk
+    monotonically onto the nearest root, in four rounds; where it is
+    concave, as for pumps below about 610 nm, a step can overshoot it. The solve stops
     at |dk| < MISMATCH_TOL, or at dk < 0 after a positive iterate, where
     ``_refine`` finishes the bracket of the last two. The residual is
     exactly ``phase_mismatch(fiber, lp, ls)``. ``tuning_curve`` calls
@@ -275,13 +285,14 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
     """
     lp = float(lambda_p_nm)
     end, hi = _window(fiber, lp)
+    pump = _pump_terms(fiber, lp)
     ls, delta = hi, 1.0 / hi - 1.0 / lp
     for rnd in range(_MAX_ROUNDS):
-        dk, slope, _ = _mismatch(fiber, lp, ls)
+        dk, slope, _ = _mismatch(fiber, pump, ls)
         if abs(dk) < MISMATCH_TOL:
             break
         if dk < 0 and rnd:
-            ls, dk = _refine(fiber, lp, ls, last_ls, dk, last_dk, 0.0)
+            ls, dk = _refine(fiber, pump, ls, last_ls, dk, last_dk, 0.0)
             break
         if not (dk > 0 and 0 < slope < math.inf and ls > end):
             raise PhaseMatchError(f"no phase-matched solution in window ({end:g}, "
@@ -329,8 +340,8 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     through the slope of the solution curve, d(ls)/d(lp) = -(d dk/d lp)
     / (d dk/d ls) by the implicit-function theorem. Both partials are
     the analytic group-index differences of the module docstring, from
-    one ``_mismatch`` call at the point. The idler width follows from
-    the energy-conservation Jacobian |d(li)/d(ls)| = (li/ls)^2.
+    one ``_mismatch`` call at the point; every call shares the pump's
+    terms. The idler width follows from the Jacobian |d(li)/d(ls)| = (li/ls)^2.
     """
     if not 0.0 <= pump_fwhm_nm < math.inf:
         raise ValueError(f"pump_fwhm_nm must be finite and >= 0, got {pump_fwhm_nm!r}")
@@ -338,24 +349,25 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
         raise ValueError("point is not phase matched")
     if not fiber.length_m > 0:
         raise BandwidthError("a zero-length fiber has no phase-matching bandwidth")
-    lp, ls0 = point.lambda_p_nm, point.lambda_s_nm
-    _check_wavelengths(fiber, (), np.array(ls0), np.array(lp))
-    near, dk_dls, dk_dlp = _mismatch(fiber, lp, ls0)
+    lp, ls0 = float(point.lambda_p_nm), float(point.lambda_s_nm)
+    _check_wavelengths(fiber, (), ls0, lp)
+    pump = _pump_terms(fiber, lp)
+    near, dk_dls, dk_dlp = _mismatch(fiber, pump, ls0)
 
     dk_half = 2.0 * X_HALF / fiber.length_m
     # a flat profile (a constant index at B = 0) reaches to infinity,
     # which the check of the reach ends rejects
     reach = 2.0 * dk_half / abs(dk_dls) if dk_dls else math.inf
     ends = (ls0 - reach, ls0 + reach)
-    _check_wavelengths(fiber, (), np.array(ends), np.array(lp))
+    _check_wavelengths(fiber, (), np.array(ends), lp)
     # the lower edge's level, then the upper one's
     levels = (-dk_half, dk_half) if dk_dls > 0 else (dk_half, -dk_half)
     f_near = [near - level for level in levels]
-    f_far = [_mismatch(fiber, lp, end)[0] - level for end, level in zip(ends, levels)]
+    f_far = [_mismatch(fiber, pump, end)[0] - level for end, level in zip(ends, levels)]
     if not all(fn * ff < 0 for fn, ff in zip(f_near, f_far)):
         raise BandwidthError("no half-maximum crossing within twice the linear estimate")
-    lower, _ = _refine(fiber, lp, ends[0], ls0, f_far[0], f_near[0], levels[0])
-    upper, _ = _refine(fiber, lp, ls0, ends[1], f_near[1], f_far[1], levels[1])
+    lower, _ = _refine(fiber, pump, ends[0], ls0, f_far[0], f_near[0], levels[0])
+    upper, _ = _refine(fiber, pump, ls0, ends[1], f_near[1], f_far[1], levels[1])
     fwhm_pm = upper - lower
 
     slope = -dk_dlp / dk_dls

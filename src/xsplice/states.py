@@ -26,6 +26,7 @@ Basis order throughout is (HH, HV, VH, VV).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -199,18 +200,27 @@ def pure_phi_state(phi: float) -> TwoQubitState:
 
 
 def _rule(points: int, span_sigmas: float) -> tuple:
-    """Nodes ``x`` in sigma and weights of the one spectral rule, both flat.
+    """Nodes ``x`` in sigma, weights and joint weights of the one spectral rule.
 
-    ``linspace(-span_sigmas, span_sigmas, points)``, or 0 for one point,
-    and ``exp(-x^2/2)`` normalised to sum 1, the same for every spectrum.
+    ``linspace(-span_sigmas, span_sigmas, points)`` (0 for one point) and ``exp(-x^2/2)``
+    normalised to sum 1 with its outer square, for every spectrum; built once, read-only.
     """
     if not isinstance(points, numbers.Integral) or points < 1:
         raise ValueError(f"points must be an integer >= 1, got {points!r}")
     if not 0.0 < span_sigmas < math.inf:
         raise ValueError(f"span must be finite and > 0, got {span_sigmas!r}")
+    return _built_rule(int(points), float(span_sigmas))
+
+
+@functools.lru_cache(maxsize=8)  # room for the design, state, rerun and map rules
+def _built_rule(points: int, span_sigmas: float) -> tuple:
     x = np.linspace(-span_sigmas, span_sigmas, points) if points > 1 else np.zeros(1)
     w = np.exp(-0.5 * x * x)
-    return x, w / w.sum()
+    w /= w.sum()
+    rule = (x, w, np.outer(w, w))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
@@ -219,7 +229,7 @@ def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS
 
     ``GaussianSpectrum`` checks the center and FWHM.
     """
-    x, _ = _rule(points, span_sigmas)
+    x = _rule(points, span_sigmas)[0]
     spectrum = GaussianSpectrum(center_nm, fwhm_nm)
     return spectrum.center_nm + spectrum.sigma_nm * x
 
@@ -231,11 +241,11 @@ def spectral_grid(signal: GaussianSpectrum, pump: GaussianSpectrum,
     Returns ``(ls, lp, w)``: the nodes placed on the signal as a column
     ``(points, 1)`` and on the pump as a row ``(1, points)``, as in
     ``bandwidth_grid``, and ``w`` the outer product of the rule's
-    weights, so the spectral average of ``fn`` is ``np.sum(w * fn(ls, lp))``.
+    weights, read-only, so the spectral average of ``fn`` is ``np.sum(w * fn(ls, lp))``.
     """
-    x, w = _rule(points, span_sigmas)
+    x, _, joint = _rule(points, span_sigmas)
     return ((signal.center_nm + signal.sigma_nm * x)[:, None],
-            (pump.center_nm + pump.sigma_nm * x)[None, :], np.outer(w, w))
+            (pump.center_nm + pump.sigma_nm * x)[None, :], joint)
 
 
 def spectral_mean_phase(phase_fn, signal: GaussianSpectrum,
@@ -288,11 +298,9 @@ _PROBE_ROWS = _lagrange_matrix(QUAD_NODES, _PROBES * (QUAD_NODES - 1) / (2 * QUA
 
 #: The state's rule, its joint weights, and where in sigma it evaluates
 #: the phase on either axis: the nodes, then the probes.
-_NODES, _WEIGHTS = _rule(QUAD_NODES, QUAD_SPAN_SIGMAS)
-_JOINT = np.outer(_WEIGHTS, _WEIGHTS)
+_NODES, _WEIGHTS, _JOINT = _rule(QUAD_NODES, QUAD_SPAN_SIGMAS)
 _SAMPLED_X = np.concatenate((_NODES, _PROBE_X))
-for _constant in (_NODES, _WEIGHTS, _JOINT, _SAMPLED_X):
-    _constant.setflags(write=False)
+_SAMPLED_X.setflags(write=False)
 
 
 def _line_fit() -> tuple:

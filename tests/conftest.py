@@ -8,6 +8,7 @@ from xsplice import (
     fused_silica,
     idler_wavelength,
     index,
+    index_and_group_index,
     load_materials,
     phase_mismatch,
     quartz,
@@ -151,6 +152,17 @@ def phi_pump(fiber, lambda_p_nm):
     lp = np.asarray(lambda_p_nm, dtype=float)
     out = 2.0 * (2.0 * np.pi * fiber.length_m / (lp * 1e-9)) * index(fiber.core_model, lp)
     return out if np.ndim(out) else float(out)
+
+
+def vectorised_lengths(fiber, material, pump, signal):
+    """The signed crystal lengths (mm) from one formula on two-element arrays,
+    signal then idler, and its errors: the oracle of the per-arm float design."""
+    ls, lp = signal.center_nm, pump.center_nm
+    arms = np.array([ls, idler_wavelength(ls, lp)])
+    _, n_g = index_and_group_index(fiber.core_model, np.append(arms, lp))
+    dn_g = (index_and_group_index(material.extraordinary, arms)[1]
+            - index_and_group_index(material.ordinary, arms)[1])
+    return 1e3 * fiber.length_m * (n_g[:2] + fiber.birefringence - n_g[2]) / dn_g
 
 
 def nearest_root_reference(fiber, lp):

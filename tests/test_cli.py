@@ -211,6 +211,12 @@ class TestCalibrate:
         assert res.stdout == run_cli("calibrate", "--pump", "775", "--signal", "670").stdout
         assert json.loads(res.stdout)["pump_nm"] == 775.0
 
+    def test_target_at_the_pump_needs_b_zero(self, run_cli):
+        res = run_cli("calibrate", "--pump", "771", "--signal", "771")
+        assert res.returncode == 3
+        assert res.stderr == ("numerical failure: target 771 nm needs B = 0, outside "
+                              "[1e-05, 0.001]; widen the range\n")
+
 
 class TestTuningCurve:
     def test_row_count(self, run_cli):

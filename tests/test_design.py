@@ -23,7 +23,7 @@ from xsplice import (
 from xsplice.phase import compensated_phase, phase_map
 from xsplice.states import DESIGN_POINTS, bandwidth_grid
 
-from conftest import CALIBRATED_B
+from conftest import CALIBRATED_B, vectorised_lengths
 
 
 class TestOptimizeCompensators:
@@ -123,6 +123,25 @@ class TestOptimizeCompensators:
                                           pump_spectrum, signal_spectrum)
         assert s2.length_mm == pytest.approx(2 * s1.length_mm, rel=0.05)
         assert i2.length_mm == pytest.approx(2 * i1.length_mm, rel=0.05)
+
+    @pytest.mark.parametrize("pump_nm, signal_nm", [
+        (771.0, 100.0),  # the signal below the core's range
+        (771.0, 400.0),  # the idler above it
+        (3800.0, 3000.0),  # the idler and the pump above it: the idler is named
+        (771.0, 450.0),  # the idler above the crystal's range
+        (2200.0, 2100.0),  # the signal and the idler above it: the signal is named
+        (771.0, 385.5),  # 2 ls == lp
+        (771.0, -670.0),
+    ])
+    def test_invalid_centres_fail_as_the_array_formula(self, paper_fiber, quartz_material,
+                                                       pump_nm, signal_nm):
+        pump, signal = GaussianSpectrum(pump_nm, 0.3), GaussianSpectrum(signal_nm, 0.23)
+        with pytest.raises(Exception) as per_arm:
+            optimize_compensators(paper_fiber, quartz_material, pump, signal)
+        with pytest.raises(Exception) as as_array:
+            vectorised_lengths(paper_fiber, quartz_material, pump, signal)
+        assert type(per_arm.value) is type(as_array.value)
+        assert str(per_arm.value) == str(as_array.value)
 
     def test_singular_grid_raises(self, paper_fiber, quartz_material,
                                   pump_spectrum, signal_spectrum):
@@ -271,6 +290,13 @@ class TestCalibrateBirefringence:
     def test_degenerate_target_not_bracketed(self, silica):
         with pytest.raises(CalibrationError, match="widen"):
             calibrate_birefringence(silica, 771.0, 771.0)
+
+    def test_target_at_the_pump_needs_b_zero(self, silica):
+        # dk(0) = 0 there, and B = 0 - dk(0) lp / (4 pi) is +0, printed unsigned
+        with pytest.raises(CalibrationError) as err:
+            calibrate_birefringence(silica, 771.0, 771.0)
+        assert str(err.value) == ("target 771 nm needs B = 0, outside [1e-05, 0.001]; "
+                                  "widen the range")
 
     def test_out_of_range_target(self, silica):
         with pytest.raises(CalibrationError):

@@ -17,7 +17,7 @@ from xsplice import (
     index,
     load_materials,
 )
-from xsplice.materials import _sellmeier
+from xsplice.materials import _sellmeier, index_and_group_index
 
 
 def test_silica_index_at_771(silica):
@@ -199,6 +199,57 @@ def test_validity_bounds_are_inside_the_range():
     for on_bound, outside in ((400.0, 950.0), (900.0, 350.0)):
         with pytest.raises(WavelengthRangeError, match=f"^wavelength {outside:g} nm outside"):
             index(model, [on_bound, outside])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["fused_silica", "quartz_o", "quartz_e"]), frac=st.floats(0.0, 1.0))
+def test_float_wavelength_is_the_array_path(materials_db, name, frac):
+    # a Python float skips numpy and gives floats, bit for bit the values of
+    # a 0-d and a one-element array
+    model = materials_db[name]
+    lo, hi = model.valid_range_nm
+    lam = min(lo + frac * (hi - lo), hi)
+    got = (index(model, lam), *index_and_group_index(model, lam))
+    assert all(type(x) is float for x in got)
+    for arr in (np.array(lam), np.array([lam])):
+        want = np.array([index(model, arr), *index_and_group_index(model, arr)]).ravel()
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+_BOUNDED = SellmeierModel(terms=((1.0, 0.01),), valid_range_nm=(400.0, 900.0), name="bounded")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -650.0,
+                                 math.nextafter(400.0, 0.0), math.nextafter(900.0, math.inf),
+                                 1e300])
+@pytest.mark.parametrize("fn", [index, index_and_group_index])
+def test_invalid_float_fails_as_an_array(fn, bad):
+    # the float path names the bad value and the bound in the array path's words
+    with pytest.raises(Exception) as as_float:
+        fn(_BOUNDED, bad)
+    for arr in (np.array(bad), np.array([bad]), [650.0, bad]):
+        with pytest.raises(Exception) as as_array:
+            fn(_BOUNDED, arr)
+        assert type(as_float.value) is type(as_array.value) is WavelengthRangeError
+        assert str(as_float.value) == str(as_array.value)
+    if math.isnan(bad):
+        assert str(as_float.value) == ("wavelength nan nm is not a number (validity range "
+                                       "[400, 900] nm of bounded)")
+    else:
+        bound = 400 if bad < 400.0 else 900
+        assert str(as_float.value).endswith(f"(violated bound: {bound} nm)")
+
+
+def test_float_on_a_bound_is_accepted():
+    # "[lo, hi]" holds on the float path too: both bounds pass, and one ulp
+    # past either fails
+    for lam in (400.0, 900.0):
+        assert index(_BOUNDED, lam) == index(_BOUNDED, np.array(lam))
+        assert index_and_group_index(_BOUNDED, lam) == index_and_group_index(_BOUNDED,
+                                                                     np.array(lam))
+    for lam in (math.nextafter(400.0, 0.0), math.nextafter(900.0, math.inf)):
+        with pytest.raises(WavelengthRangeError, match="outside"):
+            index(_BOUNDED, lam)
 
 
 def test_materials_override_via_path(tmp_path, silica):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from collections import Counter
 
@@ -13,12 +14,14 @@ from xsplice import (
     SellmeierModel,
     calibrate_birefringence,
     idler_wavelength,
+    index,
+    index_and_group_index,
     output_bandwidths,
     phase_mismatch,
     solve_signal_idler,
     tuning_curve,
 )
-from xsplice import design, phasematch
+from xsplice import design, materials, phasematch
 from xsplice.materials import WavelengthRangeError
 from xsplice.phasematch import MISMATCH_TOL
 from xsplice.states import bandwidth_grid
@@ -108,6 +111,27 @@ class TestPhaseMismatch:
         # puts the root on the 670.0 grid node, where dk is -2.1e-9 rad/m)
         assert np.count_nonzero(np.diff(np.signbit(vals))) == 1
 
+    @pytest.mark.parametrize("lp, ls", [
+        (771.0, np.nan), (np.nan, 670.0), (771.0, np.inf), (np.inf, 670.0),
+        (771.0, -np.inf), (-771.0, 670.0), (771.0, 0.0), (771.0, -0.0),
+        (771.0, 385.5),  # 2 ls == lp
+        (771.0, 200.0), (771.0, 400.0),  # the signal, then the idler, outside the core
+        (4000.0, 3000.0), (300.0, math.nextafter(210.0, 0.0)),
+    ])
+    def test_invalid_floats_fail_as_arrays(self, paper_fiber, lp, ls):
+        with pytest.raises(Exception) as as_float:
+            phase_mismatch(paper_fiber, lp, ls)
+        with pytest.raises(Exception) as as_array:
+            phase_mismatch(paper_fiber, np.array(lp), np.array([ls]))
+        assert type(as_float.value) is type(as_array.value)
+        assert type(as_float.value) in (WavelengthRangeError, PhaseMatchError)
+        assert str(as_float.value) == str(as_array.value)
+
+    def test_float_on_the_core_bound_is_accepted(self, paper_fiber):
+        # a 210 nm signal sits on the core model's lower bound, its idler at 525 nm
+        dk = phase_mismatch(paper_fiber, 300.0, 210.0)
+        assert type(dk) is float and dk == phase_mismatch(paper_fiber, 300.0, np.array([210.0]))
+
 
 class TestSolver:
     def test_paper_operating_point(self, paper_fiber):
@@ -145,23 +169,54 @@ class TestRefinement:
 
     def test_at_most_four_passes_per_pump(self, monkeypatch, paper_fiber):
         passes = Counter()
-        mismatch = phasematch._mismatch
+        built = []  # (pump wavelength, its terms), kept alive so that ids stay unique
+        pump_terms, mismatch = phasematch._pump_terms, phasematch._mismatch
 
-        def counted(fiber, lp, ls):
-            assert type(lp) is float and type(ls) is float
+        def recorded(fiber, lp):
+            terms = pump_terms(fiber, lp)
+            assert type(lp) is float and all(type(t) is float for t in terms)
+            built.append((lp, terms))
+            return terms
+
+        def counted(fiber, pump, ls):
+            assert type(ls) is float
+            lp, = (lp for lp, terms in built if terms is pump)
             passes[lp] += 1
-            return mismatch(fiber, lp, ls)
+            return mismatch(fiber, pump, ls)
 
         def no_mismatch(*_):
             raise AssertionError("the solve called phase_mismatch")
 
+        monkeypatch.setattr(phasematch, "_pump_terms", recorded)
         monkeypatch.setattr(phasematch, "_mismatch", counted)
         monkeypatch.setattr(phasematch, "phase_mismatch", no_mismatch)
         points, _ = tuning_curve(paper_fiber, (765.0, 777.0), 13)
         assert len(points) == 13
-        # one solve per pump, each on floats in at most four Sellmeier passes
+        # one solve per pump, each on floats in at most four mismatch passes
+        # on the pump's terms, evaluated once
+        assert [lp for lp, _ in built] == [p.lambda_p_nm for p in points]
         assert sorted(passes) == [p.lambda_p_nm for p in points]
         assert max(passes.values()) <= 4
+
+    def test_one_pump_pass_per_solve_and_per_bandwidth_call(self, monkeypatch, paper_fiber):
+        # the pump's Sellmeier sum once per call, then one at the signal and
+        # one at the idler per mismatch evaluation
+        sellmeier = phasematch._sellmeier
+        passes = []
+
+        def recorded(model, v, group=False):
+            passes.append(v)
+            return sellmeier(model, v, group)
+
+        monkeypatch.setattr(phasematch, "_sellmeier", recorded)
+        for lp in (766.0, 771.0, 776.0):
+            k_p = 1000.0 / lp
+            passes.clear()
+            point = solve_signal_idler(paper_fiber, lp)
+            assert passes.count(k_p * k_p) == 1 and len(passes) % 2 == 1
+            passes.clear()
+            output_bandwidths(paper_fiber, point, 0.3)
+            assert passes.count(k_p * k_p) == 1 and len(passes) % 2 == 1
 
     @pytest.mark.parametrize("slope", [0.0, np.nan])
     def test_flat_or_undefined_slope_bisects(self, monkeypatch, paper_fiber, slope):
@@ -309,6 +364,21 @@ class TestTuningCurve:
         monkeypatch.setattr(phasematch, "solve_signal_idler", no_solve)
         with pytest.raises(ValueError, match=match):
             tuning_curve(paper_fiber, pump_range, steps)
+
+
+def test_floats_take_no_numpy_call(monkeypatch, paper_fiber, silica):
+    # with numpy unbound in the index and mismatch layers only their float
+    # paths can run: the range checks, the mismatch, the solve and the
+    # calibration on Python floats give the same values without it
+    def run():
+        return (index(silica, 771.0), index_and_group_index(silica, 670.0),
+                phase_mismatch(paper_fiber, 771.0, 670.0), solve_signal_idler(paper_fiber, 771.0),
+                calibrate_birefringence(silica, 774.0, 662.0))
+
+    expected = run()
+    monkeypatch.setattr(materials, "np", None)
+    monkeypatch.setattr(phasematch, "np", None)
+    assert run() == expected
 
 
 def test_paper_grid_takes_the_fast_range_check(paper_config):

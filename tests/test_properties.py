@@ -16,8 +16,9 @@ from xsplice.counts import (_broadened, _noise_weight, effective_state_at_power,
                             visibility_vs_power)
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
 from xsplice.materials import WavelengthRangeError, birefringence, index, index_and_group_index
-from xsplice.phasematch import (PhaseMatchError, _mismatch, idler_wavelength, output_bandwidths,
-                                phase_mismatch, solve_signal_idler, tuning_curve)
+from xsplice.phasematch import (PhaseMatchError, _mismatch, _pump_terms, idler_wavelength,
+                                output_bandwidths, phase_mismatch, solve_signal_idler,
+                                tuning_curve)
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
                             _PROBE_X, _alias_check, concurrence,
                             mixed_state_over_spectra, relabel_signal_flip, spectral_coherences,
@@ -25,7 +26,7 @@ from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_
 from xsplice.tomography import _projector_stack, _rate_deviance, _rate_gradient
 
 from conftest import (exact_quadratic_average, expected_counts, lambda_form_phase,
-                      nearest_root_reference, phi_pump)
+                      nearest_root_reference, phi_pump, vectorised_lengths)
 
 # Small, fixed example sets: the solver-bound and MLE properties cost a few
 # ms each.
@@ -110,7 +111,8 @@ def test_group_index_matches_central_differences(materials_db, name, where):
 @given(pump=pumps, signal=targets, b=st.floats(1e-5, 1e-3))
 def test_mismatch_slopes_match_central_differences(silica, pump, signal, b):
     fiber = FiberSpec(0.13, b, 0.0, silica)
-    (dk,), (dk_dls,), (dk_dlp,) = _mismatch(fiber, np.array([pump]), np.array([signal]))
+    (dk,), (dk_dls,), (dk_dlp,) = _mismatch(fiber, _pump_terms(fiber, np.array([pump])),
+                                            np.array([signal]))
     assert dk == phase_mismatch(fiber, pump, signal)
     h = 0.01  # nm; these central differences agree to 3e-8 relative
     central_s = (phase_mismatch(fiber, pump, signal + h)
@@ -119,6 +121,28 @@ def test_mismatch_slopes_match_central_differences(silica, pump, signal, b):
                  - phase_mismatch(fiber, pump - h, signal)) / (2.0 * h)
     assert dk_dls == pytest.approx(central_s, rel=1e-6)
     assert dk_dlp == pytest.approx(central_p, rel=1e-6)
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, b=st.floats(1e-5, 1e-3))
+def test_mismatch_on_floats_is_the_array_path(silica, pump, signal, b):
+    fiber = FiberSpec(0.13, b, 0.0, silica)
+    dk = phase_mismatch(fiber, pump, signal)
+    assert type(dk) is float
+    for lp, ls in ((np.array(pump), np.array(signal)), (np.array([pump]), np.array([[signal]]))):
+        assert np.array(dk).tobytes() == np.asarray(phase_mismatch(fiber, lp, ls)).tobytes()
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, length=lengths, b=st.floats(1e-5, 1e-3))
+def test_compensator_lengths_on_floats_are_the_array_formula(silica, quartz_material, pump,
+                                                             signal, length, b):
+    # per arm on Python floats, bit for bit the two-element array formula
+    fiber = FiberSpec(length, b, 0.0, silica)
+    spectra = GaussianSpectrum(pump, 0.3), GaussianSpectrum(signal, 0.23)
+    sig, idl, _ = optimize_compensators(fiber, quartz_material, *spectra)
+    signed = np.array([c.orientation_sign * c.length_mm for c in (sig, idl)])
+    assert signed.tobytes() == vectorised_lengths(fiber, quartz_material, *spectra).tobytes()
 
 
 @SOLVER

@@ -28,8 +28,8 @@ from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
                             VisibilityUndefinedError, _INTERPOLATION_TOL, _JOINT, _LINE_FIT,
-                            _LINE_POWERS, _PROBE_ROWS, _PROBE_X, _PROBES, _PUMP_GROUP, _WEIGHTS,
-                            _alias_check, _alias_estimate, _coherence,
+                            _LINE_POWERS, _NODES, _PROBE_ROWS, _PROBE_X, _PROBES, _PUMP_GROUP,
+                            _WEIGHTS, _alias_check, _alias_estimate, _coherence, _rule,
                             bandwidth_grid, spectral_grid)
 
 
@@ -125,6 +125,24 @@ class TestBandwidthGrid:
                                       placed)
             joints.append(joint)
         assert np.array_equal(*joints)
+
+    def test_one_rule_per_points_and_span(self):
+        # built once and shared read-only; np.int64 points and an int span
+        # name the same rule, and the state's constants are its values
+        rule = _rule(DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
+        assert all(a is b for a, b in zip(_rule(np.int64(DESIGN_POINTS), 3), rule))
+        for a, b in zip(_rule(QUAD_NODES, QUAD_SPAN_SIGMAS), (_NODES, _WEIGHTS, _JOINT)):
+            assert a.tobytes() == b.tobytes() and not b.flags.writeable
+        signal, pump = GaussianSpectrum(670.0, 0.23), GaussianSpectrum(771.0, 0.3)
+        assert spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)[2] is rule[2]
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+        # the arguments are checked before the cache is asked, so an
+        # unhashable or non-integral count fails as a ValueError
+        for points in ([5], 0, 2.5):
+            with pytest.raises(ValueError, match="points"):
+                _rule(points, DESIGN_SPAN_SIGMAS)
 
 
 class TestPureState:
