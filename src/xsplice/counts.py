@@ -378,10 +378,11 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
     Every power and ``baseline_noise`` are checked before any phase is
     evaluated. The real parts Re c of all powers come from one
     ``spectral_coherences`` call with ``real=True``, which evaluates the
-    phase once per group of broadened pump spectra and gives each the
-    bits and the warnings of the complex coherence; Im c is computed only
-    for a power whose convergence check reruns on the doubled rule, and
-    no state is built.
+    phase once per group of broadened pump spectra on its half rule, and
+    once more for the powers of the group that fall back to the state
+    rule, and gives each the bits and the warnings of the complex
+    coherence; Im c is computed only for a power whose convergence check
+    reruns on the doubled rule, and no state is built.
     """
     powers = [float(pw) for pw in powers_mw]
     weights = [_noise_weight(p, pw, baseline_noise) for pw in powers]

@@ -92,21 +92,43 @@ class PhaseMatchPoint:
             )
 
 
+#: The error message of a signal at half the pump wavelength.
+_DEGENERATE = "degenerate denominator: 2*lambda_s == lambda_p"
+
+
+def _reject_wavelengths(nonpositive: bool, nan: bool):
+    """Raise the error of wavelengths not all finite and > 0, in order of precedence."""
+    if nonpositive:
+        raise WavelengthRangeError("wavelengths must be positive")
+    if nan:
+        raise WavelengthRangeError("wavelength is not a number")
+    raise WavelengthRangeError("wavelengths must be finite")
+
+
 def idler_wavelength(lambda_s_nm, lambda_p_nm):
-    """Idler wavelength from energy conservation, ls*lp/(2*ls - lp)."""
-    ls = np.asarray(lambda_s_nm, dtype=float)
-    lp = np.asarray(lambda_p_nm, dtype=float)
+    """Idler wavelength from energy conservation, ls*lp/(2*ls - lp).
+
+    Two floats take the same tests and arithmetic on Python floats: the
+    array path's value, errors and messages, without numpy.
+    """
+    ls, lp = lambda_s_nm, lambda_p_nm
+    if type(ls) is float and type(lp) is float:
+        if not (0.0 < ls < math.inf and 0.0 < lp < math.inf):
+            _reject_wavelengths(ls <= 0.0 or lp <= 0.0, math.isnan(ls) or math.isnan(lp))
+        denom = 2.0 * ls - lp
+        if denom == 0.0:
+            raise PhaseMatchError(_DEGENERATE)
+        return ls * lp / denom
+    ls = np.asarray(ls, dtype=float)
+    lp = np.asarray(lp, dtype=float)
     # a min and a max pass per input; a NaN fails them and falls through to
     # the elementwise tests
     if not all(0.0 < x.min(initial=np.inf) and x.max(initial=0.0) < np.inf for x in (ls, lp)):
-        if (ls <= 0).any() or (lp <= 0).any():
-            raise WavelengthRangeError("wavelengths must be positive")
-        if np.isnan(ls).any() or np.isnan(lp).any():
-            raise WavelengthRangeError("wavelength is not a number")
-        raise WavelengthRangeError("wavelengths must be finite")
+        _reject_wavelengths((ls <= 0).any() or (lp <= 0).any(),
+                            np.isnan(ls).any() or np.isnan(lp).any())
     denom = 2.0 * ls - lp
     if (denom == 0.0).any():
-        raise PhaseMatchError("degenerate denominator: 2*lambda_s == lambda_p")
+        raise PhaseMatchError(_DEGENERATE)
     out = ls * lp / denom
     return out if out.ndim else float(out)
 
@@ -359,7 +381,11 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     # which the check of the reach ends rejects
     reach = 2.0 * dk_half / abs(dk_dls) if dk_dls else math.inf
     ends = (ls0 - reach, ls0 + reach)
-    _check_wavelengths(fiber, (), np.array(ends), lp)
+    # each end is an extreme of the pair, so the ends' float range tests
+    # together are the pair's; where one fails, the pair raises its
+    # element-wise error
+    if not (_within_ranges(fiber, (), ends[0], lp) and _within_ranges(fiber, (), ends[1], lp)):
+        _check_wavelengths(fiber, (), np.array(ends), lp)
     # the lower edge's level, then the upper one's
     levels = (-dk_half, dk_half) if dk_dls > 0 else (dk_half, -dk_half)
     f_near = [near - level for level in levels]

@@ -15,12 +15,17 @@ the outer product of the weights. It converges exponentially on smooth
 integrands (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), and by
 Poisson summation its error is the aliasing of the phasor's spectrum by
 the node step. The state's convergence check estimates that error from
-quadratic fits of the phase along each node line. It evaluates the phase
-only once, on the nodes plus a few probe positions between them that
-test the phase's smoothness on the node scale; a phase that fails that
-test, or that no quadratic fits, is evaluated again on a rule with twice
-the nodes. Pump spectra that share one signal spectrum, such as a power
-sweep's, share that evaluation in groups (``spectral_coherences``).
+quadratic fits of the phase along each node line, from one evaluation
+of the phase on the nodes plus a few probe positions between them that
+test the phase's smoothness on the node scale. The state takes two
+stages. The half rule, 32 nodes per axis, comes first; a pump whose
+check clears 1e-6 there keeps its coherence. Every other pump is
+evaluated again on the state rule, 64 nodes, where a phase that fails
+the smoothness test, or that no quadratic fits, is evaluated once more
+on a rule with twice the nodes, and a pump not converged to 1e-6 is
+warned about. Pump spectra that share one signal spectrum, such as a
+power sweep's, share each stage's evaluation in groups
+(``spectral_coherences``).
 Basis order throughout is (HH, HV, VH, VV).
 """
 
@@ -31,6 +36,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,22 +69,29 @@ DESIGN_SPAN_SIGMAS = 3.0
 #: Points per axis of the compensator-design and phase-map grid.
 DESIGN_POINTS = 101
 
-#: Points per axis of the state quadrature; the convergence check's
-#: fallback repeats it with twice as many.
+#: Points per axis of the state quadrature's verified rule, the state
+#: rule. ``spectral_coherences`` tries half as many first and takes this
+#: rule only for a pump whose check does not clear there; the state
+#: rule's own check falls back to twice as many.
 QUAD_NODES = 64
 
-#: Half-width of the state-quadrature window in units of sigma. With
-#: QUAD_NODES uniform points per axis over it, the truncated Gaussian
-#: tails and the unhalved end points perturb the coherence at the 1e-9
-#: level, far below the 1e-6 accuracy contract.
+#: Half-width of the state-quadrature window in units of sigma, shared by
+#: the half, state and doubled rules. With each rule's uniform points
+#: per axis over it, the truncated Gaussian tails and the unhalved end
+#: points perturb that rule's coherence at the 1e-9 level, far below the
+#: 1e-6 accuracy contract.
 QUAD_SPAN_SIGMAS = 6.0
 
-#: Pump spectra per phase call of ``spectral_coherences``: the group's
-#: pump rows lie side by side against one signal column, so the phase
-#: model's fixed cost per call is shared. A 16-power paper-config sweep
-#: took 4.4 ms in fours, 6.6 ms one at a time, 5.0 ms in twos and 6.0 ms
-#: in eights (2 vCPUs); larger stacks fall out of cache.
-_PUMP_GROUP = 4
+#: Pump spectra per group of ``spectral_coherences``: one phase call on
+#: the half rule's 39-wide blocks, the group's pump rows side by side
+#: against one signal column, so the phase model's fixed cost per call is
+#: shared, and one on the state rule's 71-wide blocks for the pumps that
+#: fall back. A 16-power paper-config sweep, which the half rule clears,
+#: took 1.15 ms in eights and in sixteens, 1.5 ms in fours, 2.1 ms in
+#: twos and 3.4 ms one at a time; one that falls back whole (the
+#: uncompensated phase at 45-60 mW) took 7.0 ms in eights and 8.7 ms in
+#: sixteens, whose fallback blocks fall out of cache (2 vCPUs).
+_PUMP_GROUP = 8
 
 #: Nodes read per row of the banded Lagrange matrix that interpolates
 #: the phase onto the probes; exact for polynomials up to degree 7.
@@ -212,7 +225,7 @@ def _rule(points: int, span_sigmas: float) -> tuple:
     return _built_rule(int(points), float(span_sigmas))
 
 
-@functools.lru_cache(maxsize=8)  # room for the design, state, rerun and map rules
+@functools.lru_cache(maxsize=8)  # room for the design, half, state, rerun and map rules
 def _built_rule(points: int, span_sigmas: float) -> tuple:
     x = np.linspace(-span_sigmas, span_sigmas, points) if points > 1 else np.zeros(1)
     w = np.exp(-0.5 * x * x)
@@ -280,50 +293,37 @@ def _lagrange_matrix(n: int, t: np.ndarray) -> np.ndarray:
     return matrix
 
 
-#: The probe nodes: the doubled-rule nodes nearest ``_PROBE_SIGMAS``.
-#: Their offsets from the nodes run from 0.13 to 0.87 of a node step, so
-#: a component that aliases onto the nodes misses most of them.
+#: The probe nodes: the nodes of the state rule's doubled rule nearest
+#: ``_PROBE_SIGMAS``, shared by both rules. Their offsets from the state
+#: rule's nodes run from 0.13 to 0.87 of a node step, and from the half
+#: rule's from 0.06 to 0.94, so a component that aliases onto the nodes
+#: misses most of them.
 _PROBES = np.rint((np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5)
                   * (2 * QUAD_NODES - 1)).astype(int)
 _PROBES.setflags(write=False)
 
 #: Positions of the probes in sigma from the centre.
 _PROBE_X = (2.0 * _PROBES / (2 * QUAD_NODES - 1) - 1.0) * QUAD_SPAN_SIGMAS
-
-#: Interpolation from the QUAD_NODES nodes onto the probes. Both rules
-#: span the same window, so doubled node ``j`` sits at index
-#: ``j (QUAD_NODES - 1) / (2 QUAD_NODES - 1)`` of the nodes.
-_PROBE_ROWS = _lagrange_matrix(QUAD_NODES, _PROBES * (QUAD_NODES - 1) / (2 * QUAD_NODES - 1))
+_PROBE_X.setflags(write=False)
 
 
-#: The state's rule, its joint weights, and where in sigma it evaluates
-#: the phase on either axis: the nodes, then the probes.
-_NODES, _WEIGHTS, _JOINT = _rule(QUAD_NODES, QUAD_SPAN_SIGMAS)
-_SAMPLED_X = np.concatenate((_NODES, _PROBE_X))
-_SAMPLED_X.setflags(write=False)
-
-
-def _line_fit() -> tuple:
+def _line_fit(x: np.ndarray, w: np.ndarray) -> tuple:
     """Weighted least-squares fit of ``alpha + a x + c x^2`` along one node line.
 
-    ``x`` and the weights are the rule's. Returns the read-only
-    ``(3, QUAD_NODES)`` projector that maps a line's phase to
+    ``x`` and the weights ``w`` are a rule's. Returns the read-only
+    ``(3, len(x))`` projector that maps a line's phase to
     ``(alpha, a, c)``, and the powers ``1, x, x^2`` at the nodes as the
     rows of another, which map them back. The nodes are symmetric about
     0, so the normal equations decouple: with weighted moments ``m2``
     and ``m4``, ``a`` reads the first moment of the phase, ``c`` its
     second moment about ``m2``, and ``alpha`` the mean less ``m2 c``.
     """
-    x, w = _NODES, _WEIGHTS
     m2, m4 = np.sum(w * x ** 2), np.sum(w * x ** 4)
     c = w * (x * x - m2) / (m4 - m2 * m2)
     fit, powers = np.array([w - m2 * c, w * x / m2, c]), np.array([np.ones_like(x), x, x * x])
     fit.setflags(write=False)
     powers.setflags(write=False)
     return fit, powers
-
-
-_LINE_FIT, _LINE_POWERS = _line_fit()
 
 
 #: Largest spectrally weighted residual, in rad, of the quadratic fit on
@@ -334,31 +334,81 @@ _LINE_FIT, _LINE_POWERS = _line_fit()
 #: x 0.8-1.2).
 _FIT_TOL = 1e-2
 
-#: The alias orders k of the estimate, and the node rule's alias
-#: frequency nu = 2 pi / h in rad per sigma, h the node step. The first
-#: node sits at -(QUAD_NODES - 1) h / 2, so order k enters the node sum
-#: with the sign (-1)^(k (QUAD_NODES - 1)).
+#: The alias orders k of the estimate.
 _ALIAS_ORDERS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
-_ALIAS_SIGNS = (-1.0) ** (_ALIAS_ORDERS * (QUAD_NODES - 1))
-_ALIAS_NU = np.pi * (QUAD_NODES - 1) / QUAD_SPAN_SIGMAS
 
 #: An order k, or the line's own integral (k = 0), is negligible where
 #: its real exponent ``-(a + k nu)^2 / (2 (1 + 4 c^2))`` is below -30:
 #: where ``|a + k nu| / hypot(1, 2c)`` exceeds this.
 _ALIAS_REACH = math.sqrt(60.0)
 
+#: The accuracy contract of the state's coherence: a check that clears
+#: it on the half rule takes that rule's coherence, and one that does not
+#: clear it on the state rule warns.
+_COHERENCE_TOL = 1e-6
 
-def _alias_estimate(fit: np.ndarray, lines: np.ndarray) -> list:
-    """Aliasing error of the node rule along one axis, for each phase of a stack.
+
+class _CheckedRule(NamedTuple):
+    """One node rule of the state quadrature, with its convergence check's constants.
+
+    ``nodes`` (x in sigma), ``weights`` and ``joint`` are those of
+    ``_rule`` over +/- ``QUAD_SPAN_SIGMAS``. ``sampled_x`` is where in
+    sigma the rule evaluates the phase on either axis: the nodes, then
+    the probes at ``_PROBE_X``. ``probe_rows`` interpolates from the
+    nodes onto the probes, and ``line_fit`` and ``line_powers`` are
+    ``_line_fit``'s. ``alias_nu`` is the alias frequency 2 pi / h in rad
+    per sigma, h the node step; the first node sits at -(n - 1) h / 2,
+    so order k enters the node sum with the sign in ``alias_signs``,
+    (-1)^(k (n - 1)). Every array is read-only.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    joint: np.ndarray
+    sampled_x: np.ndarray
+    probe_rows: np.ndarray
+    line_fit: np.ndarray
+    line_powers: np.ndarray
+    alias_signs: np.ndarray
+    alias_nu: float
+
+
+def _checked_rule(points: int) -> _CheckedRule:
+    x, w, joint = _rule(points, QUAD_SPAN_SIGMAS)
+    # both rules and the doubled one span the same window, so doubled node
+    # j sits at index j (points - 1) / (2 QUAD_NODES - 1) of the nodes
+    probe_rows = _lagrange_matrix(points, _PROBES * (points - 1) / (2 * QUAD_NODES - 1))
+    sampled_x = np.concatenate((x, _PROBE_X))
+    alias_signs = (-1.0) ** (_ALIAS_ORDERS * (points - 1))
+    for a in (sampled_x, alias_signs):
+        a.setflags(write=False)
+    return _CheckedRule(x, w, joint, sampled_x, probe_rows, *_line_fit(x, w), alias_signs,
+                        np.pi * (points - 1) / QUAD_SPAN_SIGMAS)
+
+
+#: The state's verified rule, and the half rule that ``spectral_coherences``
+#: tries first; each built once.
+_STATE_RULE = _checked_rule(QUAD_NODES)
+_HALF_RULE = _checked_rule(QUAD_NODES // 2)
+
+#: The state rule's nodes, weights and joint weights, its interpolation
+#: onto the probes and its line fit.
+_NODES, _WEIGHTS, _JOINT = _STATE_RULE.nodes, _STATE_RULE.weights, _STATE_RULE.joint
+_PROBE_ROWS, _LINE_FIT, _LINE_POWERS = (_STATE_RULE.probe_rows, _STATE_RULE.line_fit,
+                                        _STATE_RULE.line_powers)
+
+
+def _alias_estimate(fit: np.ndarray, lines: np.ndarray, rule: _CheckedRule = _STATE_RULE) -> list:
+    """Aliasing error of ``rule``'s nodes along one axis, for each phase of a stack.
 
     ``lines`` holds each phase on the node lines along the axis, one
     line per row, and ``fit`` their ``(alpha, a, c)`` in its last axis.
     The weights along a line and across the lines are both the rule's
-    ``_WEIGHTS``. By Poisson summation a line's node sum is its Gaussian
+    ``weights``. By Poisson summation a line's node sum is its Gaussian
     integral plus, per order k, the integral at the frequency shifted by
-    ``k nu``; for the fitted phase that term is ``e^{-i alpha}
-    (1 + 2ic)^{-1/2} exp(-(a + k nu)^2 / (2 (1 + 2ic)))``; negligible
-    orders are skipped. Where the line's own integral is negligible, its
+    ``k nu``, nu the rule's ``alias_nu``; for the fitted phase that term
+    is ``e^{-i alpha} (1 + 2ic)^{-1/2} exp(-(a + k nu)^2 / (2 (1 + 2ic)))``;
+    negligible orders are skipped. Where the line's own integral is negligible, its
     node sum is all alias and stands for it. The lines' terms are summed
     with the weights across them, so lines may cancel.
     Returns one complex per phase; where a term is left, the sums run
@@ -367,37 +417,39 @@ def _alias_estimate(fit: np.ndarray, lines: np.ndarray) -> list:
     alpha, a, c = fit.transpose(2, 0, 1)
     reach = _ALIAS_REACH * np.hypot(1.0, 2.0 * c)
     aliased = np.abs(a) >= reach
-    shift = a[:, None, :] + _ALIAS_ORDERS[:, None] * _ALIAS_NU
+    shift = a[:, None, :] + _ALIAS_ORDERS[:, None] * rule.alias_nu
     live = (np.abs(shift) < reach[:, None, :]) & ~aliased[:, None, :]
     totals = [0j] * len(fit)
     if not (live.any() or aliased.any()):
         return totals
+    signs, weights = rule.alias_signs, rule.weights
     for g in range(len(fit)):
         k, j = np.nonzero(live[g])
         total = 0j
         if len(k):
             q = 1.0 + 2j * c[g][j]
-            total += np.sum(_ALIAS_SIGNS[k] * _WEIGHTS[j]
+            total += np.sum(signs[k] * weights[j]
                             * np.exp(-0.5 * shift[g][k, j] ** 2 / q - 1j * alpha[g][j])
                             / np.sqrt(q))
         if aliased[g].any():
-            total += _WEIGHTS[aliased[g]] @ (np.exp(-1j * lines[g][aliased[g]]) @ _WEIGHTS)
+            total += weights[aliased[g]] @ (np.exp(-1j * lines[g][aliased[g]]) @ weights)
         totals[g] = complex(total)
     return totals
 
 
-def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray) -> list:
+def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
+                 rule: _CheckedRule = _STATE_RULE) -> list:
     """Estimated aliasing error of each phase's node coherence, or None where it does not hold.
 
-    ``phi`` stacks the phases on the nodes, one ``(signal, pump)`` block
-    per pump spectrum; ``probed_s`` holds them at the probe signal
+    ``phi`` stacks the phases on ``rule``'s nodes, one ``(signal, pump)``
+    block per pump spectrum; ``probed_s`` holds them at the probe signal
     positions on the pump nodes, ``probed_p`` at the probe pump
     positions on the signal nodes, stacked alike. Both axes carry the
-    rule's ``_WEIGHTS``. One pass per axis takes that axis' node lines,
+    rule's ``weights``. One pass per axis takes that axis' node lines,
     one per row, with the probes on them. It fits ``alpha + a x + c x^2``
-    to every line (``_LINE_FIT``); a phase whose weighted fit residual on
-    a line exceeds ``_FIT_TOL`` gets None. It adds the worst probe line's
-    misfit, the phase interpolated onto the probes (``_PROBE_ROWS``)
+    to every line (``rule.line_fit``); a phase whose weighted fit residual
+    on a line exceeds ``_FIT_TOL`` gets None. It adds the worst probe line's
+    misfit, the phase interpolated onto the probes (``rule.probe_rows``)
     less its value there, weighted across the lines; and the size of its
     ``_alias_estimate``. The two axes' misfits and estimates add; None
     also means a misfit above ``_INTERPOLATION_TOL``, a phase not smooth
@@ -407,11 +459,11 @@ def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray) ->
     misfit = error = 0.0
     for lines, probed in ((phi.transpose(0, 2, 1), probed_s.transpose(0, 2, 1)),
                           (phi, probed_p)):
-        fit = lines @ _LINE_FIT.T
-        residual = np.abs(lines - fit @ _LINE_POWERS) @ _WEIGHTS
+        fit = lines @ rule.line_fit.T
+        residual = np.abs(lines - fit @ rule.line_powers) @ rule.weights
         held &= residual.max(axis=1) <= _FIT_TOL
-        misfit += (_WEIGHTS @ np.abs(lines @ _PROBE_ROWS.T - probed)).max(axis=1)
-        error += np.array([abs(e) for e in _alias_estimate(fit, lines)])
+        misfit += (rule.weights @ np.abs(lines @ rule.probe_rows.T - probed)).max(axis=1)
+        error += np.array([abs(e) for e in _alias_estimate(fit, lines, rule)])
     held &= misfit <= _INTERPOLATION_TOL
     return [float(e) if h else None for e, h in zip(error, held)]
 
@@ -442,19 +494,23 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     arrays (a signal column and a pump row) and return the relative
     phase in radians. ``pumps`` is a sequence of pump spectra; the
     result holds one complex coherence per pump, each the same bit for
-    bit as for that pump alone. The rule is the ``QUAD_NODES``-point
-    one, whose weights every spectrum shares, with a few probe positions
-    appended to each axis. Pumps are taken ``_PUMP_GROUP`` at a time,
-    and each group costs one ``phase_fn`` call: the shared signal column
-    against the group's pump rows laid side by side. The mean, the
+    bit as for that pump alone. The average runs in two stages on node
+    rules that every spectrum shares, each with a few probe positions
+    appended to each axis. The half rule, ``QUAD_NODES // 2`` nodes,
+    comes first: a pump whose convergence check clears 1e-6 there takes
+    its coherence. Every other pump is evaluated again on the state
+    rule, ``QUAD_NODES`` nodes, and checked, rerun and warned about as
+    below. Pumps are taken ``_PUMP_GROUP`` at a time, and each group
+    costs one ``phase_fn`` call per stage it reaches: the shared signal
+    column against the pump rows laid side by side. The mean, the
     coherence and the convergence check then run on the stack of the
-    group's phases. A constant phase gives ``e^{-i phi}`` exactly.
+    pumps' phases. A constant phase gives ``e^{-i phi}`` exactly.
 
     With ``relative_to_mean`` each pump's phase is referenced to its
     spectral mean, the constant that the compensator wedges absorb in
-    practice: the same value as ``spectral_mean_phase``, taken from the
-    nodes' evaluation and subtracted before anything else reads the
-    phase.
+    practice: taken from the nodes' evaluation on the rule that the pump
+    takes, and subtracted before anything else reads the phase. On the
+    state rule it is the value of ``spectral_mean_phase``.
 
     With ``real`` the result holds only the real part of each
     coherence, as floats, each that of the complex coherence bit for bit,
@@ -463,69 +519,84 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     the convergence check reruns on the doubled rule, for itself alone,
     so that the rerun still compares complex coherences.
 
-    A warning is issued for each pump whose node rule is not converged
-    to 1e-6 in the coherence. The check runs on the nodes' phase, which
-    is unwrapped and smooth even where its phasor aliases. Each node
-    line along either axis is fitted with ``alpha + a x + c x^2``
-    (weighted least squares, x in sigma), and the node rule's aliasing
-    error is estimated from that fit by Poisson summation
-    (``_alias_estimate``): in closed form per alias order, or by the
-    line's own node sum where its integral is negligible. The estimates
-    are summed over the lines with the other axis' weights, so lines may
-    cancel, and the two axes add. The estimate presumes a phase smooth
-    on the node scale that a quadratic describes along each line. The
-    probes test the first: they are doubled-rule nodes, and along each
-    axis the phase evaluated at them on every node line of the other
-    axis is compared with its interpolation from the nodes (banded
-    Lagrange, 8 taps). Where that spectrally weighted misfit exceeds
-    1e-7 rad, or a line's weighted fit residual exceeds ``_FIT_TOL``,
-    that pump's phase is evaluated again on the doubled rule instead,
-    and the warning is issued if that moves the complex coherence by
-    more than 1e-6. The probes see a component that equals a smooth
-    alias on the nodes, but not roughness confined to where no probe
-    line runs. Reruns and warnings go pump by pump, in order.
+    The check runs on the nodes' phase, which is unwrapped and smooth
+    even where its phasor aliases. Each node line along either axis is
+    fitted with ``alpha + a x + c x^2`` (weighted least squares, x in
+    sigma), and the rule's aliasing error is estimated from that fit by
+    Poisson summation (``_alias_estimate``): in closed form per alias
+    order, or by the line's own node sum where its integral is
+    negligible. The estimates are summed over the lines with the other
+    axis' weights, so lines may cancel, and the two axes add. The
+    estimate presumes a phase smooth on the node scale that a quadratic
+    describes along each line. The probes test the first: they are
+    nodes of the state rule's doubled rule, and along each axis the
+    phase evaluated at them on every node line of the other axis is
+    compared with its interpolation from the nodes (banded Lagrange,
+    8 taps). The check holds where that spectrally weighted misfit is
+    at most 1e-7 rad and every line's weighted fit residual at most
+    ``_FIT_TOL``. On the state rule a warning is issued for each pump
+    whose rule is not converged to 1e-6 in the coherence: where the
+    check holds, if the estimate exceeds 1e-6; elsewhere that pump's
+    phase is evaluated again on the doubled rule, and the warning is
+    issued if that moves the complex coherence by more than 1e-6. The
+    probes see a component that equals a smooth alias on the nodes, but
+    not roughness confined to where no probe line runs. Reruns and
+    warnings go pump by pump, in order; the half rule warns about none.
     """
     pumps = list(pumps)
     cohs = []
     for start in range(0, len(pumps), _PUMP_GROUP):
-        cohs += _group_coherences(phase_fn, signal, pumps[start:start + _PUMP_GROUP],
-                                  relative_to_mean, real)
+        group = pumps[start:start + _PUMP_GROUP]
+        half = _group_coherences(phase_fn, signal, group, relative_to_mean, real, _HALF_RULE)
+        redo = [k for k, coh in enumerate(half) if coh is None]
+        if redo:
+            full = _group_coherences(phase_fn, signal, [group[k] for k in redo],
+                                     relative_to_mean, real, _STATE_RULE)
+            for k, coh in zip(redo, full):
+                half[k] = coh
+        cohs += half
     return cohs
 
 
 def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
-                      relative_to_mean: bool, real: bool) -> list:
-    """``spectral_coherences`` for one group of pumps.
+                      relative_to_mean: bool, real: bool, rule: _CheckedRule) -> list:
+    """``spectral_coherences`` for one group of pumps on one rule.
 
-    Every spectrum's nodes and probes sit at the same ``_SAMPLED_X`` in
-    its sigma, the signal's as a column and the pumps' side by side in a
-    row, and every pump shares the joint weights ``_JOINT``. The group's
-    arrays are freed on return, before the next group's phase call.
+    Every spectrum's nodes and probes sit at the same ``rule.sampled_x``
+    in its sigma, the signal's as a column and the pumps' side by side in
+    a row, and every pump shares the joint weights ``rule.joint``. On the
+    half rule a pump whose check does not clear 1e-6 gets None in place
+    of its coherence; on the state rule it is rerun and warned about. The
+    group's arrays are freed on return, before the next phase call.
     """
-    n, size = QUAD_NODES, len(_SAMPLED_X)
-    column = (signal.center_nm + signal.sigma_nm * _SAMPLED_X)[:, None]
-    row = np.concatenate([pump.center_nm + pump.sigma_nm * _SAMPLED_X for pump in group])[None, :]
+    n, size = len(rule.nodes), len(rule.sampled_x)
+    column = (signal.center_nm + signal.sigma_nm * rule.sampled_x)[:, None]
+    row = np.concatenate([pump.center_nm + pump.sigma_nm * rule.sampled_x
+                          for pump in group])[None, :]
     sampled = np.broadcast_to(phase_fn(column, row), (size, len(group) * size))
     # a C-ordered copy: each pump's block is laid out as one pump's phase
     # alone, so every reduction over it sums in the same order, bit for bit
     stack = np.array(sampled.reshape(size, len(group), size).transpose(1, 0, 2), order="C")
     mean = np.zeros(len(group))
     if relative_to_mean:
-        mean = np.sum(_JOINT * stack[:, :n, :n], axis=(1, 2))
+        mean = np.sum(rule.joint * stack[:, :n, :n], axis=(1, 2))
         stack -= mean[:, None, None]
     phi = stack[:, :n, :n]
-    errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:])
-    cohs = _coherence(phi, _JOINT, real)
+    errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:], rule)
+    cohs = _coherence(phi, rule.joint, real)
+    if rule is _HALF_RULE:
+        return [None if error is None or error > _COHERENCE_TOL else coh
+                for coh, error in zip(cohs, errors)]
     for k, (pump, coh, error, offset) in enumerate(zip(group, cohs, errors, mean)):
         measure = "the nodes' coherence has an estimated aliasing error of"
         if error is None:
             if real:
-                coh, = _coherence(phi[k:k + 1], _JOINT)
+                coh, = _coherence(phi[k:k + 1], rule.joint)
             ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
             phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - offset
             error = abs(_coherence(phi2[None], w2)[0] - coh)
             measure = "doubling nodes moved the coherence by"
-        if error > 1e-6:
+        if error > _COHERENCE_TOL:
             warnings.warn(f"spectral quadrature not converged: {measure} {error:.2e}",
                           RuntimeWarning)
     return cohs

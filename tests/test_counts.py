@@ -574,7 +574,9 @@ SWEEP_POWERS = np.linspace(1.0, 56.0, 16)
 
 def test_power_sweep_evaluates_the_phase_once_per_group(monkeypatch, paper_config):
     # the powers share the signal axis: one phase call per group of pump
-    # spectra, each on the nodes and probes of its pumps side by side
+    # spectra, each on the half rule's nodes and probes of its pumps side
+    # by side, 39 per axis; the half rule clears every power, so none
+    # reaches the state rule
     real = counts_mod.compensated_phase
     calls = []
 
@@ -587,7 +589,7 @@ def test_power_sweep_evaluates_the_phase_once_per_group(monkeypatch, paper_confi
     visibility_vs_power(cfg.noise, cfg.fiber, cfg.compensators, SWEEP_POWERS, cfg.signal,
                         cfg.pump, baseline_noise=cfg.baseline_noise)
     assert len(calls) == -(-len(SWEEP_POWERS) // _PUMP_GROUP)
-    assert sum(calls) == len(SWEEP_POWERS) * 71 ** 2
+    assert sum(calls) == len(SWEEP_POWERS) * 39 ** 2
 
 
 def test_power_sweep_memory_peak(paper_config):

@@ -73,6 +73,22 @@ class TestIdlerWavelength:
             with pytest.raises(WavelengthRangeError, match=message):
                 phase_mismatch(paper_fiber, lp, ls)
 
+    @pytest.mark.parametrize("ls, lp", [
+        (math.nan, 771.0), (670.0, math.nan), (math.inf, 771.0), (670.0, math.inf),
+        (-math.inf, 771.0), (0.0, 771.0), (-0.0, 771.0), (670.0, 0.0), (385.5, 771.0),
+        (-670.0, math.nan), (math.nan, -771.0), (math.inf, math.nan), (math.nan, math.inf),
+    ])
+    def test_invalid_floats_fail_as_arrays(self, ls, lp):
+        # the float path's tests, in the array path's order of precedence
+        for arrays in ((np.array(ls), np.array(lp)), (np.array([ls]), lp)):
+            with pytest.raises(Exception) as as_float:
+                idler_wavelength(ls, lp)
+            with pytest.raises(Exception) as as_array:
+                idler_wavelength(*arrays)
+            assert type(as_float.value) is type(as_array.value)
+            assert type(as_float.value) in (WavelengthRangeError, PhaseMatchError)
+            assert str(as_float.value) == str(as_array.value)
+
     def test_nan_rejected(self, paper_fiber):
         for ls, lp in ((np.nan, 771.0), (670.0, np.nan), ([670.0, np.nan], 771.0)):
             with pytest.raises(ValueError, match="^wavelength is not a number$"):
@@ -373,7 +389,7 @@ def test_floats_take_no_numpy_call(monkeypatch, paper_fiber, silica):
     def run():
         return (index(silica, 771.0), index_and_group_index(silica, 670.0),
                 phase_mismatch(paper_fiber, 771.0, 670.0), solve_signal_idler(paper_fiber, 771.0),
-                calibrate_birefringence(silica, 774.0, 662.0))
+                calibrate_birefringence(silica, 774.0, 662.0), idler_wavelength(670.0, 771.0))
 
     expected = run()
     monkeypatch.setattr(materials, "np", None)
@@ -456,6 +472,27 @@ class TestBandwidths:
             with pytest.raises(WavelengthRangeError, match="wavelengths must be positive"):
                 output_bandwidths(fiber, point, 0.3)
 
+    @pytest.mark.parametrize("length_m", [1e-5, 8e-5, 1e-4, 2e-4, 1e-3, 0.13])
+    def test_reach_ends_fail_as_an_array(self, monkeypatch, silica, length_m):
+        # the ends' float range tests only short-cut the element-wise check
+        # of the pair: with every range test failing, so that each check
+        # runs element by element, the widths or the error are the same.
+        # Up to 0.1 mm the lower end is negative or below the core model's
+        # range; at 0.2 mm the profile has no edge within the reach
+        fiber = FiberSpec(length_m, CALIBRATED_B, 0.0, silica)
+        point = solve_signal_idler(fiber, 771.0)
+
+        def outcome():
+            try:
+                return output_bandwidths(fiber, point, 0.3)
+            except (WavelengthRangeError, BandwidthError) as exc:
+                return type(exc), str(exc)
+
+        fast = outcome()
+        monkeypatch.setattr(phasematch, "_within_ranges", lambda *args: False)
+        assert outcome() == fast
+        assert (fast[0] is WavelengthRangeError) == (length_m <= 1e-4)
+
     def test_zero_length_fiber_has_no_bandwidth(self, paper_fiber):
         point = solve_signal_idler(paper_fiber, 771.0)
         with pytest.raises(BandwidthError, match="zero-length fiber"):
@@ -500,7 +537,8 @@ class TestBandwidths:
 
     def test_two_mismatch_calls_before_refinement(self, monkeypatch, paper_fiber):
         # the point, checked, with both slopes in one call; then the two reach
-        # ends, checked together before either is evaluated; then the edges
+        # ends, each range-tested as a float before either is evaluated; then
+        # the edges
         point = solve_signal_idler(paper_fiber, 771.0)
         calls = []
 
@@ -512,8 +550,9 @@ class TestBandwidths:
 
         monkeypatch.setattr(phasematch, "_check_wavelengths",
                             log("check", phasematch._check_wavelengths))
+        monkeypatch.setattr(phasematch, "_within_ranges", log("range", phasematch._within_ranges))
         monkeypatch.setattr(phasematch, "_mismatch", log("mismatch", phasematch._mismatch))
         monkeypatch.setattr(phasematch, "_refine", log("refine", phasematch._refine))
         output_bandwidths(paper_fiber, point, 0.3)
-        assert calls[:calls.index("refine")] == ["check", "mismatch", "check", "mismatch",
-                                                 "mismatch"]
+        assert calls[:calls.index("refine")] == ["check", "range", "mismatch", "range", "range",
+                                                 "mismatch", "mismatch"]

@@ -1,5 +1,6 @@
 """Property tests of physical invariants over drawn operating points."""
 
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -16,13 +17,14 @@ from xsplice.counts import (_broadened, _noise_weight, effective_state_at_power,
                             visibility_vs_power)
 from xsplice.design import calibrate_birefringence, optimize_compensators, weighted_phase_std
 from xsplice.materials import WavelengthRangeError, birefringence, index, index_and_group_index
-from xsplice.phasematch import (PhaseMatchError, _mismatch, _pump_terms, idler_wavelength,
+from xsplice.phasematch import (PhaseMatchError, _mismatch, _pump_terms, _within_ranges,
+                                idler_wavelength,
                                 output_bandwidths, phase_mismatch, solve_signal_idler,
                                 tuning_curve)
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            _PROBE_X, _alias_check, concurrence,
-                            mixed_state_over_spectra, relabel_signal_flip, spectral_coherences,
-                            spectral_grid)
+                            _HALF_RULE, _PROBE_X, _STATE_RULE, _alias_check, _group_coherences,
+                            concurrence, mixed_state_over_spectra, relabel_signal_flip,
+                            spectral_coherences, spectral_grid)
 from xsplice.tomography import _projector_stack, _rate_deviance, _rate_gradient
 
 from conftest import (exact_quadratic_average, expected_counts, lambda_form_phase,
@@ -131,6 +133,30 @@ def test_mismatch_on_floats_is_the_array_path(silica, pump, signal, b):
     assert type(dk) is float
     for lp, ls in ((np.array(pump), np.array(signal)), (np.array([pump]), np.array([[signal]]))):
         assert np.array(dk).tobytes() == np.asarray(phase_mismatch(fiber, lp, ls)).tobytes()
+
+
+@CHEAP
+@given(signal=st.floats(1.0, 5000.0), pump=st.floats(1.0, 5000.0))
+def test_idler_on_floats_is_the_array_path(signal, pump):
+    assume(2.0 * signal != pump)
+    li = idler_wavelength(signal, pump)
+    assert type(li) is float
+    for ls, lp in ((np.array(signal), np.array(pump)), (np.array([signal]), pump)):
+        assert np.array(li).tobytes() == np.asarray(idler_wavelength(ls, lp)).tobytes()
+
+
+@CHEAP
+@given(pump=pumps, signal=targets, reach=st.floats(0.0, 1000.0))
+def test_end_range_tests_are_the_pairs(silica, quartz_material, pump, signal, reach):
+    # each end of a pair is one of its extremes: the two float tests
+    # together give the pair's array test, with and without crystals
+    fiber = FiberSpec(0.13, 1e-4, 0.0, silica)
+    comps = (CompensatorSpec(10.0, quartz_material, 1, "signal"),
+             CompensatorSpec(10.0, quartz_material, -1, "idler"))
+    ends = (signal - reach, signal + reach)
+    for crystals in ((), comps):
+        both = [_within_ranges(fiber, crystals, end, pump) for end in ends]
+        assert all(both) == _within_ranges(fiber, crystals, np.array(ends), pump)
 
 
 @CHEAP
@@ -553,6 +579,28 @@ def test_alias_estimate_finite_on_extreme_fits(signal_spectrum, pump_spectrum,
     _, messages = _recorded(
         lambda: mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum))
     assert all(m.startswith("spectral quadrature not converged") for m in messages)
+
+
+@CHEAP
+@given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), scale=st.floats(0.8, 1.2),
+       power=st.floats(0.0, 60.0))
+def test_half_rule_clears_the_sweep_designs(paper_config, a, b, scale, power):
+    # the sweep's design ranges: compensator lengths +/- 3 mm, pump FWHM
+    # x 0.8-1.2, 0-60 mW. The half rule's check clears, with no warning,
+    # and its coherence, which the state takes, lies within 5e-9 of the
+    # state rule's (at most 2.2e-9 over 280 draws)
+    cfg = paper_config
+    comps = tuple(dataclasses.replace(comp, length_mm=comp.length_mm + d)
+                  for comp, d in zip(cfg.compensators, (a, b)))
+    pump = _broadened(cfg.noise, GaussianSpectrum(cfg.pump.center_nm, cfg.pump.fwhm_nm * scale),
+                      power)
+    phase = lambda s, p: compensated_phase(cfg.fiber, comps, s, p)
+    (half,), messages = _recorded(
+        lambda: _group_coherences(phase, cfg.signal, [pump], True, False, _HALF_RULE))
+    full, = _group_coherences(phase, cfg.signal, [pump], True, False, _STATE_RULE)
+    assert half is not None and not messages
+    assert abs(half - full) <= 5e-9
+    assert spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True) == [half]
 
 
 SETTINGS = standard_settings()

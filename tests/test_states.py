@@ -27,10 +27,10 @@ from conftest import exact_quadratic_average
 from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            VisibilityUndefinedError, _INTERPOLATION_TOL, _JOINT, _LINE_FIT,
-                            _LINE_POWERS, _NODES, _PROBE_ROWS, _PROBE_X, _PROBES, _PUMP_GROUP,
-                            _WEIGHTS, _alias_check, _alias_estimate, _coherence, _rule,
-                            bandwidth_grid, spectral_grid)
+                            VisibilityUndefinedError, _HALF_RULE, _INTERPOLATION_TOL, _JOINT,
+                            _LINE_FIT, _LINE_POWERS, _NODES, _PROBE_ROWS, _PROBE_X, _PROBES,
+                            _PUMP_GROUP, _STATE_RULE, _WEIGHTS, _alias_check, _alias_estimate,
+                            _coherence, _group_coherences, _rule, bandwidth_grid, spectral_grid)
 
 
 def _warns_unconverged(phase, signal, pump):
@@ -39,6 +39,14 @@ def _warns_unconverged(phase, signal, pump):
         warnings.simplefilter("always")
         state = mixed_state_over_spectra(phase, signal, pump)
     return any("not converged" in str(w.message) for w in caught), 2 * state.matrix[0, 3]
+
+
+def _messages(build):
+    """``build()`` and the texts of the warnings it issued, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = build()
+    return result, [str(w.message) for w in caught]
 
 
 def _direct_doubled_rule(phase, signal, pump):
@@ -241,13 +249,15 @@ class TestSpectralMixture:
 
     def test_coherence_is_the_nodes_point_sum(self, paper_fiber, paper_compensators,
                                               signal_spectrum, pump_spectrum):
-        # the state's coherence is the real cos/sin sum over the nodes, and
-        # that sum is the complex-exp one to rounding
+        # the state's coherence is the real cos/sin sum over the nodes of
+        # the rule it takes, here the half rule, whose check clears; that
+        # sum is the complex-exp one to rounding
         fn = lambda s, p: compensated_phase(paper_fiber, paper_compensators, s, p)
         mean = spectral_mean_phase(fn, signal_spectrum, pump_spectrum)
         phase = lambda s, p: fn(s, p) - mean
         state = mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
-        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
+        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES // 2,
+                                  QUAD_SPAN_SIGMAS)
         phi = phase(ls, lp)
         coh = 2 * state.matrix[0, 3]
         assert coh == complex(np.einsum("ij,ij->", w, np.cos(phi)),
@@ -421,8 +431,10 @@ class TestSpectralMixture:
                                      cfg.pump, power)
             coh, = spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True)
         assert [str(w.message) for w in caught] == messages * 2
-        # the nodes with their probes, then the doubled rule
-        assert calls[1:] == [(2 * QUAD_NODES, 2 * QUAD_NODES)]
+        # the half rule's nodes with the probes, whose check does not clear;
+        # then the state rule's, whose probes send it to the doubled rule
+        assert calls == [(QUAD_NODES // 2 + 7, QUAD_NODES // 2 + 7),
+                         (QUAD_NODES + 7, QUAD_NODES + 7), (2 * QUAD_NODES, 2 * QUAD_NODES)]
         x = np.linspace(-9.0, 9.0, 401)
         w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
         ref = phase((cfg.signal.center_nm + cfg.signal.sigma_nm * x)[:, None],
@@ -559,7 +571,13 @@ class TestRelativeToMean:
 
     @staticmethod
     def _two_call(fn, signal, pump):
-        mean = spectral_mean_phase(fn, signal, pump)
+        # the mean on the rule the pump takes: the half rule where its check
+        # clears, else the state rule's, spectral_mean_phase
+        if _group_coherences(fn, signal, [pump], False, False, _HALF_RULE) == [None]:
+            mean = spectral_mean_phase(fn, signal, pump)
+        else:
+            ls, lp, w = spectral_grid(signal, pump, QUAD_NODES // 2, QUAD_SPAN_SIGMAS)
+            mean = float(np.sum(w * fn(ls, lp)))
         return mixed_state_over_spectra(lambda s, p: fn(s, p) - mean, signal, pump)
 
     def test_paper_states_bit_identical(self, paper_config):
@@ -617,6 +635,87 @@ class TestRelativeToMean:
         assert visibility_vs_power(*args, baseline_noise=cfg.baseline_noise) == rows
 
 
+class TestTwoStages:
+    """The half rule's coherence where its check clears 1e-6, the state rule's path elsewhere."""
+
+    #: Phases that the half rule does not clear: the uncompensated paper
+    #: phase at 45-60 mW, 1.7e-5 to 0.21 off on the half rule; the
+    #: compensated one at 130-150 mW, whose probes fail; and the two
+    #: phases of ``test_warning_names_what_it_measured``.
+    FALLBACK = [("uncompensated", 45.0), ("uncompensated", 50.0), ("uncompensated", 60.0),
+                ("compensated", 130.0), ("compensated", 140.0), ("compensated", 150.0),
+                ("slope", None), ("ripple", None)]
+
+    @staticmethod
+    def _case(kind, power, cfg, signal_spectrum, pump_spectrum):
+        """``(phase, signal, pump, relative_to_mean)`` of one case."""
+        if power is not None:
+            comps = cfg.compensators if kind == "compensated" else None
+            return (lambda s, p: compensated_phase(cfg.fiber, comps, s, p), cfg.signal,
+                    counts._broadened(cfg.noise, cfg.pump, power), True)
+        c, sigma = signal_spectrum.center_nm, signal_spectrum.sigma_nm
+        phase = {"slope": lambda s, p: 30.0 * (s - c) / sigma,
+                 "ripple": lambda s, p: 0.01 * np.sin(32.0 * (s - c) / sigma) + 0 * p}[kind]
+        return phase, signal_spectrum, pump_spectrum, False
+
+    @pytest.mark.parametrize("kind, power", FALLBACK)
+    def test_fallback_is_the_state_rule_path(self, paper_config, signal_spectrum,
+                                             pump_spectrum, kind, power):
+        # the matrix of the state rule's node sum, relative to
+        # spectral_mean_phase where the flag is set, and the state rule's
+        # warnings, bit for bit
+        phase, signal, pump, relative = self._case(kind, power, paper_config, signal_spectrum,
+                                                   pump_spectrum)
+        assert _group_coherences(phase, signal, [pump], relative, False, _HALF_RULE) == [None]
+        state, messages = _messages(lambda: mixed_state_over_spectra(
+            phase, signal, pump, relative_to_mean=relative))
+        ls, lp, w = spectral_grid(signal, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
+        phi = np.broadcast_to(phase(ls, lp), w.shape)
+        if relative:
+            phi = phi - spectral_mean_phase(phase, signal, pump)
+        coh = complex(np.einsum("ij,ij->", w, np.cos(phi)), -np.einsum("ij,ij->", w, np.sin(phi)))
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0] = expected[3, 3] = 0.5
+        expected[0, 3] = 0.5 * coh
+        expected[3, 0] = np.conj(expected[0, 3])
+        assert np.array_equal(state.matrix, expected)
+        full, full_messages = _messages(lambda: _group_coherences(
+            phase, signal, [pump], relative, False, _STATE_RULE))
+        assert full == [coh]
+        assert messages == full_messages
+        assert bool(messages) == (power is None)
+
+    @pytest.mark.parametrize("power, clears, error", [(40.0, True, 4.63e-8),
+                                                      (45.0, False, 1.72e-5)])
+    def test_half_rule_estimate_is_its_error(self, paper_config, power, clears, error):
+        # the uncompensated paper phase, relative to the half rule's mean:
+        # the half rule's exact error, from an 801^2 +/-9 sigma reference,
+        # on either side of 1e-6, and its estimate, within 1e-3 of it.
+        # Where it clears, the state is the half rule's; elsewhere the
+        # state rule's
+        cfg = paper_config
+        sig, pump = cfg.signal, counts._broadened(cfg.noise, cfg.pump, power)
+        fn = lambda s, p: total_phase(cfg.fiber, s, p)
+        ls, lp, w = spectral_grid(sig, pump, QUAD_NODES // 2, QUAD_SPAN_SIGMAS)
+        mean = float(np.sum(w * fn(ls, lp)))
+        phase = lambda s, p: fn(s, p) - mean
+        moved, = _alias_check(phase(ls, lp)[None],
+                              phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp)[None],
+                              phase(ls, pump.center_nm + pump.sigma_nm * _PROBE_X[None, :])[None],
+                              _HALF_RULE)
+        x = np.linspace(-9.0, 9.0, 801)
+        wx = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
+        ref = wx @ np.exp(-1j * phase((sig.center_nm + sig.sigma_nm * x)[:, None],
+                                      (pump.center_nm + pump.sigma_nm * x)[None, :])) @ wx
+        half, = _coherence(phase(ls, lp)[None], w)
+        assert abs(half - ref) == pytest.approx(error, rel=0.01)
+        assert moved == pytest.approx(abs(half - ref), rel=1e-3)
+        assert (moved <= 1e-6) == clears
+        state = mixed_state_over_spectra(fn, sig, pump, relative_to_mean=True)
+        full, = _group_coherences(fn, sig, [pump], True, False, _STATE_RULE)
+        assert 2 * state.matrix[0, 3] == (half if clears else full)
+
+
 class TestSpectralCoherences:
     """A stack of pump spectra gives what each pump gives alone, warnings included."""
 
@@ -624,9 +723,11 @@ class TestSpectralCoherences:
 
     #: 760 nm: a ripple on the signal node scale, which the probes send to
     #: the doubled rule; 790 nm: a signal slope whose alias estimate
-    #: exceeds 1e-6; near 771 nm: smooth. Seven pumps fill one group and
-    #: part of the next.
-    PUMPS = [GaussianSpectrum(c, 0.3) for c in (771.0, 760.0, 790.0, 771.5, 790.2, 759.8, 772.0)]
+    #: exceeds 1e-6; near 771 nm: smooth, which the half rule clears. Ten
+    #: pumps fill one group, whose four rough pumps fall back to the state
+    #: rule, and part of the next, which the half rule clears.
+    PUMPS = [GaussianSpectrum(c, 0.3) for c in (771.0, 760.0, 790.0, 771.5, 790.2, 759.8, 772.0,
+                                                771.2, 772.5, 770.8)]
 
     @classmethod
     def _phase(cls, s, p):
@@ -635,12 +736,7 @@ class TestSpectralCoherences:
         return (0.1 * x * (p - 771.0) + 0.01 * np.sin(32.0 * x) * bump(760.0)
                 + 61.0 * x * bump(790.0))
 
-    @staticmethod
-    def _messages(build):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = build()
-        return result, [str(w.message) for w in caught]
+    _messages = staticmethod(_messages)
 
     def _one_at_a_time(self, phase, relative_to_mean):
         cohs, messages = [], []
@@ -661,9 +757,13 @@ class TestSpectralCoherences:
 
         stacked, messages = self._messages(lambda: spectral_coherences(
             phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean))
-        # one call per group, and one doubled-rule rerun per rippled pump
-        assert len(calls) == -(-len(self.PUMPS) // _PUMP_GROUP) + 2
-        assert len(self.PUMPS) % _PUMP_GROUP
+        # one half-rule call per group, one state-rule call for the rough
+        # pumps of the first, and one doubled-rule rerun per rippled pump
+        half, full = QUAD_NODES // 2 + 7, QUAD_NODES + 7
+        assert _PUMP_GROUP < len(self.PUMPS) < 2 * _PUMP_GROUP
+        assert calls == [(half, _PUMP_GROUP * half), (full, 4 * full),
+                         (2 * QUAD_NODES, 2 * QUAD_NODES), (2 * QUAD_NODES, 2 * QUAD_NODES),
+                         (half, (len(self.PUMPS) - _PUMP_GROUP) * half)]
         alone, alone_messages = self._one_at_a_time(self._phase, relative_to_mean)
         assert stacked == alone
         assert messages == alone_messages
@@ -706,11 +806,17 @@ class TestSpectralCoherences:
         calls.clear()
         self._messages(lambda: spectral_coherences(self._phase, self.SIGNAL, self.PUMPS,
                                                    real=True))
+        # per group the half rule's real sum, then the state rule's for the
+        # rough pumps, 5 nm or more from 771 nm, which fall back
         expected, nodes = [], []
         for start in range(0, len(self.PUMPS), _PUMP_GROUP):
             group = self.PUMPS[start:start + _PUMP_GROUP]
             expected.append((len(group), True))
-            for k, pump in enumerate(group, start):
+            rough = [(k, pump) for k, pump in enumerate(group, start)
+                     if abs(pump.center_nm - 771.0) > 5.0]
+            if rough:
+                expected.append((len(rough), True))
+            for k, pump in rough:
                 if pump.center_nm < 765.0:
                     expected += [(1, False), (1, False)]
                     nodes.append([cohs[k]])
