@@ -92,43 +92,30 @@ class PhaseMatchPoint:
             )
 
 
-#: The error message of a signal at half the pump wavelength.
-_DEGENERATE = "degenerate denominator: 2*lambda_s == lambda_p"
-
-
-def _reject_wavelengths(nonpositive: bool, nan: bool):
-    """Raise the error of wavelengths not all finite and > 0, in order of precedence."""
-    if nonpositive:
-        raise WavelengthRangeError("wavelengths must be positive")
-    if nan:
-        raise WavelengthRangeError("wavelength is not a number")
-    raise WavelengthRangeError("wavelengths must be finite")
-
-
 def idler_wavelength(lambda_s_nm, lambda_p_nm):
     """Idler wavelength from energy conservation, ls*lp/(2*ls - lp).
 
-    Two floats take the same tests and arithmetic on Python floats: the
-    array path's value, errors and messages, without numpy.
+    Two valid floats take the same arithmetic on Python floats, the array
+    path's value without numpy; any other input takes the array path and
+    its errors.
     """
     ls, lp = lambda_s_nm, lambda_p_nm
-    if type(ls) is float and type(lp) is float:
-        if not (0.0 < ls < math.inf and 0.0 < lp < math.inf):
-            _reject_wavelengths(ls <= 0.0 or lp <= 0.0, math.isnan(ls) or math.isnan(lp))
-        denom = 2.0 * ls - lp
-        if denom == 0.0:
-            raise PhaseMatchError(_DEGENERATE)
-        return ls * lp / denom
+    if (type(ls) is float and type(lp) is float and 0.0 < ls < math.inf
+            and 0.0 < lp < math.inf and 2.0 * ls != lp):
+        return ls * lp / (2.0 * ls - lp)
     ls = np.asarray(ls, dtype=float)
     lp = np.asarray(lp, dtype=float)
     # a min and a max pass per input; a NaN fails them and falls through to
     # the elementwise tests
     if not all(0.0 < x.min(initial=np.inf) and x.max(initial=0.0) < np.inf for x in (ls, lp)):
-        _reject_wavelengths((ls <= 0).any() or (lp <= 0).any(),
-                            np.isnan(ls).any() or np.isnan(lp).any())
+        if (ls <= 0).any() or (lp <= 0).any():
+            raise WavelengthRangeError("wavelengths must be positive")
+        if np.isnan(ls).any() or np.isnan(lp).any():
+            raise WavelengthRangeError("wavelength is not a number")
+        raise WavelengthRangeError("wavelengths must be finite")
     denom = 2.0 * ls - lp
     if (denom == 0.0).any():
-        raise PhaseMatchError(_DEGENERATE)
+        raise PhaseMatchError("degenerate denominator: 2*lambda_s == lambda_p")
     out = ls * lp / denom
     return out if out.ndim else float(out)
 
