@@ -17,15 +17,15 @@ Poisson summation its error is the aliasing of the phasor's spectrum by
 the node step. The state's convergence check estimates that error from
 quadratic fits of the phase along each node line, from one evaluation
 of the phase on the nodes plus a few probe positions between them that
-test the phase's smoothness on the node scale. The state takes two
-stages. The half rule, 32 nodes per axis, comes first; a pump whose
-check clears 1e-6 there keeps its coherence. Every other pump is
-evaluated again on the state rule, 64 nodes, where a phase that fails
-the smoothness test, or that no quadratic fits, is evaluated once more
-on a rule with twice the nodes, and a pump not converged to 1e-6 is
-warned about. Pump spectra that share one signal spectrum, such as a
-power sweep's, share each stage's evaluation in groups
-(``spectral_coherences``).
+test the phase's smoothness on the node scale. The state walks a table
+of checked rules, coarse to fine (``_RULES``: 32, then 64 nodes per
+axis): a pump keeps the coherence of the first rule whose check clears
+1e-6. The last rule gives the verdict on the pumps that reach it: one
+that fails the smoothness test, or that no quadratic fits, is evaluated
+once more on one off-lattice verifier with twice the nodes, and a pump
+not converged to 1e-6 is warned about. Pump spectra that share one
+signal spectrum, such as a power sweep's, share each rule's evaluation
+in groups (``spectral_coherences``).
 Basis order throughout is (HH, HV, VH, VV).
 """
 
@@ -69,28 +69,27 @@ DESIGN_SPAN_SIGMAS = 3.0
 #: Points per axis of the compensator-design and phase-map grid.
 DESIGN_POINTS = 101
 
-#: Points per axis of the state quadrature's verified rule, the state
-#: rule. ``spectral_coherences`` tries half as many first and takes this
-#: rule only for a pump whose check does not clear there; the state
-#: rule's own check falls back to twice as many.
+#: Points per axis of the state quadrature's last checked rule, the state
+#: rule, whose verdict stands: ``_RULES`` tries half as many first, and
+#: the verifier has twice as many.
 QUAD_NODES = 64
 
 #: Half-width of the state-quadrature window in units of sigma, shared by
-#: the half, state and doubled rules. With each rule's uniform points
+#: every checked rule and the verifier. With each rule's uniform points
 #: per axis over it, the truncated Gaussian tails and the unhalved end
 #: points perturb that rule's coherence at the 1e-9 level, far below the
 #: 1e-6 accuracy contract.
 QUAD_SPAN_SIGMAS = 6.0
 
-#: Pump spectra per group of ``spectral_coherences``: one phase call on
-#: the half rule's 39-wide blocks, the group's pump rows side by side
-#: against one signal column, so the phase model's fixed cost per call is
-#: shared, and one on the state rule's 71-wide blocks for the pumps that
-#: fall back. A 16-power paper-config sweep, which the half rule clears,
-#: took 1.15 ms in eights and in sixteens, 1.5 ms in fours, 2.1 ms in
-#: twos and 3.4 ms one at a time; one that falls back whole (the
-#: uncompensated phase at 45-60 mW) took 7.0 ms in eights and 8.7 ms in
-#: sixteens, whose fallback blocks fall out of cache (2 vCPUs).
+#: Pump spectra per group of ``spectral_coherences``: one phase call per
+#: checked rule that the group reaches, the pump rows side by side against
+#: one signal column, so the phase model's fixed cost per call is shared:
+#: on the first rule's 39-wide blocks, then on the last rule's 71-wide
+#: blocks for the pumps left. A 16-power paper-config sweep, which the
+#: first rule clears, took 1.15 ms in eights and in sixteens, 1.5 ms in
+#: fours, 2.1 ms in twos and 3.4 ms one at a time; one that falls back
+#: whole (the uncompensated phase at 45-60 mW) took 7.0 ms in eights and
+#: 8.7 ms in sixteens, whose fallback blocks fall out of cache (2 vCPUs).
 _PUMP_GROUP = 8
 
 #: Nodes read per row of the banded Lagrange matrix that interpolates
@@ -225,7 +224,7 @@ def _rule(points: int, span_sigmas: float) -> tuple:
     return _built_rule(int(points), float(span_sigmas))
 
 
-@functools.lru_cache(maxsize=8)  # room for the design, half, state, rerun and map rules
+@functools.lru_cache(maxsize=8)  # room for the design and map rules, _RULES and the verifier
 def _built_rule(points: int, span_sigmas: float) -> tuple:
     x = np.linspace(-span_sigmas, span_sigmas, points) if points > 1 else np.zeros(1)
     w = np.exp(-0.5 * x * x)
@@ -293,11 +292,11 @@ def _lagrange_matrix(n: int, t: np.ndarray) -> np.ndarray:
     return matrix
 
 
-#: The probe nodes: the nodes of the state rule's doubled rule nearest
-#: ``_PROBE_SIGMAS``, shared by both rules. Their offsets from the state
-#: rule's nodes run from 0.13 to 0.87 of a node step, and from the half
-#: rule's from 0.06 to 0.94, so a component that aliases onto the nodes
-#: misses most of them.
+#: The probe nodes: the nodes of the verifier, the state rule's doubled
+#: rule, nearest ``_PROBE_SIGMAS``, shared by every checked rule. Their
+#: offsets from the state rule's nodes run from 0.13 to 0.87 of a node
+#: step, and from the 32-node rule's from 0.06 to 0.94, so a component
+#: that aliases onto the nodes misses most of them.
 _PROBES = np.rint((np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5)
                   * (2 * QUAD_NODES - 1)).astype(int)
 _PROBES.setflags(write=False)
@@ -342,9 +341,9 @@ _ALIAS_ORDERS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
 #: where ``|a + k nu| / hypot(1, 2c)`` exceeds this.
 _ALIAS_REACH = math.sqrt(60.0)
 
-#: The accuracy contract of the state's coherence: a check that clears
-#: it on the half rule takes that rule's coherence, and one that does not
-#: clear it on the state rule warns.
+#: The accuracy contract of the state's coherence: a pump takes the
+#: coherence of the first rule whose check clears it, and one that does
+#: not clear it on the last rule warns.
 _COHERENCE_TOL = 1e-6
 
 
@@ -375,7 +374,7 @@ class _CheckedRule(NamedTuple):
 
 def _checked_rule(points: int) -> _CheckedRule:
     x, w, joint = _rule(points, QUAD_SPAN_SIGMAS)
-    # both rules and the doubled one span the same window, so doubled node
+    # every rule and the verifier span the same window, so verifier node
     # j sits at index j (points - 1) / (2 QUAD_NODES - 1) of the nodes
     probe_rows = _lagrange_matrix(points, _PROBES * (points - 1) / (2 * QUAD_NODES - 1))
     sampled_x = np.concatenate((x, _PROBE_X))
@@ -386,19 +385,12 @@ def _checked_rule(points: int) -> _CheckedRule:
                         np.pi * (points - 1) / QUAD_SPAN_SIGMAS)
 
 
-#: The state's verified rule, and the half rule that ``spectral_coherences``
-#: tries first; each built once.
-_STATE_RULE = _checked_rule(QUAD_NODES)
-_HALF_RULE = _checked_rule(QUAD_NODES // 2)
-
-#: The state rule's nodes, weights and joint weights, its interpolation
-#: onto the probes and its line fit.
-_NODES, _WEIGHTS, _JOINT = _STATE_RULE.nodes, _STATE_RULE.weights, _STATE_RULE.joint
-_PROBE_ROWS, _LINE_FIT, _LINE_POWERS = (_STATE_RULE.probe_rows, _STATE_RULE.line_fit,
-                                        _STATE_RULE.line_powers)
+#: The checked rules that ``spectral_coherences`` walks, coarse to fine,
+#: each built once; the last, the state rule, gives the verdict.
+_RULES = (_checked_rule(QUAD_NODES // 2), _checked_rule(QUAD_NODES))
 
 
-def _alias_estimate(fit: np.ndarray, lines: np.ndarray, rule: _CheckedRule = _STATE_RULE) -> list:
+def _alias_estimate(fit: np.ndarray, lines: np.ndarray, rule: _CheckedRule) -> list:
     """Aliasing error of ``rule``'s nodes along one axis, for each phase of a stack.
 
     ``lines`` holds each phase on the node lines along the axis, one
@@ -438,7 +430,7 @@ def _alias_estimate(fit: np.ndarray, lines: np.ndarray, rule: _CheckedRule = _ST
 
 
 def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
-                 rule: _CheckedRule = _STATE_RULE) -> list:
+                 rule: _CheckedRule) -> list:
     """Estimated aliasing error of each phase's node coherence, or None where it does not hold.
 
     ``phi`` stacks the phases on ``rule``'s nodes, one ``(signal, pump)``
@@ -494,17 +486,18 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     arrays (a signal column and a pump row) and return the relative
     phase in radians. ``pumps`` is a sequence of pump spectra; the
     result holds one complex coherence per pump, each the same bit for
-    bit as for that pump alone. The average runs in two stages on node
-    rules that every spectrum shares, each with a few probe positions
-    appended to each axis. The half rule, ``QUAD_NODES // 2`` nodes,
-    comes first: a pump whose convergence check clears 1e-6 there takes
-    its coherence. Every other pump is evaluated again on the state
-    rule, ``QUAD_NODES`` nodes, and checked, rerun and warned about as
-    below. Pumps are taken ``_PUMP_GROUP`` at a time, and each group
-    costs one ``phase_fn`` call per stage it reaches: the shared signal
-    column against the pump rows laid side by side. The mean, the
-    coherence and the convergence check then run on the stack of the
-    pumps' phases. A constant phase gives ``e^{-i phi}`` exactly.
+    bit as for that pump alone. The average walks ``_RULES``, a table of
+    checked node rules that every spectrum shares, coarse to fine, each
+    with a few probe positions appended to each axis: a pump takes the
+    coherence of the first rule whose convergence check clears 1e-6,
+    and the pumps left are evaluated again on the next rule. The last
+    rule, the state rule of ``QUAD_NODES`` nodes, keeps its coherence
+    for every pump that reaches it, and gives the verdict below. Pumps
+    are taken ``_PUMP_GROUP`` at a time, and each group costs one
+    ``phase_fn`` call per rule it reaches: the shared signal column
+    against the pump rows laid side by side. The mean, the coherence and
+    the convergence check then run on the stack of the pumps' phases. A
+    constant phase gives ``e^{-i phi}`` exactly.
 
     With ``relative_to_mean`` each pump's phase is referenced to its
     spectral mean, the constant that the compensator wedges absorb in
@@ -516,8 +509,8 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     coherence, as floats, each that of the complex coherence bit for bit,
     with the same warnings in the same order; ``counts.visibility_vs_power``
     reads no more. No imaginary part is computed, except for a pump that
-    the convergence check reruns on the doubled rule, for itself alone,
-    so that the rerun still compares complex coherences.
+    the verdict reruns on the verifier, for itself alone, so that the
+    rerun still compares complex coherences.
 
     The check runs on the nodes' phase, which is unwrapped and smooth
     even where its phasor aliases. Each node line along either axis is
@@ -529,32 +522,32 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     axis' weights, so lines may cancel, and the two axes add. The
     estimate presumes a phase smooth on the node scale that a quadratic
     describes along each line. The probes test the first: they are
-    nodes of the state rule's doubled rule, and along each axis the
-    phase evaluated at them on every node line of the other axis is
-    compared with its interpolation from the nodes (banded Lagrange,
-    8 taps). The check holds where that spectrally weighted misfit is
-    at most 1e-7 rad and every line's weighted fit residual at most
-    ``_FIT_TOL``. On the state rule a warning is issued for each pump
-    whose rule is not converged to 1e-6 in the coherence: where the
-    check holds, if the estimate exceeds 1e-6; elsewhere that pump's
-    phase is evaluated again on the doubled rule, and the warning is
-    issued if that moves the complex coherence by more than 1e-6. The
-    probes see a component that equals a smooth alias on the nodes, but
-    not roughness confined to where no probe line runs. Reruns and
-    warnings go pump by pump, in order; the half rule warns about none.
+    nodes of the verifier, the state rule's doubled rule, and along each
+    axis the phase evaluated at them on every node line of the other
+    axis is compared with its interpolation from the nodes (banded
+    Lagrange, 8 taps). The check holds where that spectrally weighted
+    misfit is at most 1e-7 rad and every line's weighted fit residual at
+    most ``_FIT_TOL``. The verdict, on the last rule only, warns about
+    each pump whose rule is not converged to 1e-6 in the coherence:
+    where the check holds, if the estimate exceeds 1e-6; elsewhere that
+    pump's phase is evaluated again on the verifier, ``2 * QUAD_NODES``
+    nodes off the rule's lattice, and the warning is issued if that
+    moves the complex coherence by more than 1e-6. The probes see a
+    component that equals a smooth alias on the nodes, but not roughness
+    confined to where no probe line runs. Reruns and warnings go pump by
+    pump, in order; no earlier rule warns.
     """
     pumps = list(pumps)
-    cohs = []
+    cohs = [None] * len(pumps)
     for start in range(0, len(pumps), _PUMP_GROUP):
-        group = pumps[start:start + _PUMP_GROUP]
-        half = _group_coherences(phase_fn, signal, group, relative_to_mean, real, _HALF_RULE)
-        redo = [k for k, coh in enumerate(half) if coh is None]
-        if redo:
-            full = _group_coherences(phase_fn, signal, [group[k] for k in redo],
-                                     relative_to_mean, real, _STATE_RULE)
-            for k, coh in zip(redo, full):
-                half[k] = coh
-        cohs += half
+        left = range(start, min(start + _PUMP_GROUP, len(pumps)))
+        for rule in _RULES:
+            for k, coh in zip(left, _group_coherences(phase_fn, signal, [pumps[k] for k in left],
+                                                      relative_to_mean, real, rule)):
+                cohs[k] = coh
+            left = [k for k in left if cohs[k] is None]
+            if not left:
+                break
     return cohs
 
 
@@ -564,9 +557,9 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
 
     Every spectrum's nodes and probes sit at the same ``rule.sampled_x``
     in its sigma, the signal's as a column and the pumps' side by side in
-    a row, and every pump shares the joint weights ``rule.joint``. On the
-    half rule a pump whose check does not clear 1e-6 gets None in place
-    of its coherence; on the state rule it is rerun and warned about. The
+    a row, and every pump shares the joint weights ``rule.joint``. Before
+    the last of ``_RULES`` a pump whose check does not clear 1e-6 gets
+    None in place of its coherence; on the last the verdict runs. The
     group's arrays are freed on return, before the next phase call.
     """
     n, size = len(rule.nodes), len(rule.sampled_x)
@@ -584,7 +577,7 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
     phi = stack[:, :n, :n]
     errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:], rule)
     cohs = _coherence(phi, rule.joint, real)
-    if rule is _HALF_RULE:
+    if rule is not _RULES[-1]:
         return [None if error is None or error > _COHERENCE_TOL else coh
                 for coh, error in zip(cohs, errors)]
     for k, (pump, coh, error, offset) in enumerate(zip(group, cohs, errors, mean)):
@@ -592,6 +585,8 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
         if error is None:
             if real:
                 coh, = _coherence(phi[k:k + 1], rule.joint)
+            # 2n nodes, not the nested 2n - 1: a nested verifier shares every
+            # even-order alias of the rule it checks, so it would agree with it
             ls2, lp2, w2 = spectral_grid(signal, pump, 2 * n, QUAD_SPAN_SIGMAS)
             phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - offset
             error = abs(_coherence(phi2[None], w2)[0] - coh)

@@ -270,6 +270,13 @@ class TestPredictCounts:
         with pytest.raises(ValueError, match="lam value too large"):
             np.random.default_rng(1).poisson(np.nextafter(limit, np.inf))
 
+    @pytest.mark.parametrize("expectation", [False, True])
+    def test_zero_duration_counts_nothing(self, fitted, expectation):
+        # a zero interval is valid: every mean is 0, so the draw and the
+        # expectation both give an all-zero record
+        rec = predict_counts(fitted, 30.0, 0.0, seed=1, expectation=expectation)
+        assert rec == CountRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("duration", [np.inf, np.nan, -1.0])
     @pytest.mark.parametrize("expectation", [False, True])
     def test_impossible_duration_rejected(self, fitted, duration, expectation):

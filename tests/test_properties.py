@@ -22,7 +22,7 @@ from xsplice.phasematch import (PhaseMatchError, _mismatch, _pump_terms, _within
                                 output_bandwidths, phase_mismatch, solve_signal_idler,
                                 tuning_curve)
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            _HALF_RULE, _PROBE_X, _STATE_RULE, _alias_check, _group_coherences,
+                            _PROBE_X, _RULES, _alias_check, _group_coherences,
                             concurrence, mixed_state_over_spectra, relabel_signal_flip,
                             spectral_coherences, spectral_grid)
 from xsplice.tomography import _projector_stack, _rate_deviance, _rate_gradient
@@ -573,7 +573,7 @@ def test_alias_estimate_finite_on_extreme_fits(signal_spectrum, pump_spectrum,
     probe_p = pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :]
     moved, messages = _recorded(
         lambda: _alias_check(phase(ls, lp)[None], phase(probe_s, lp)[None],
-                             phase(ls, probe_p)[None])[0])
+                             phase(ls, probe_p)[None], _RULES[-1])[0])
     assert not messages
     assert moved is None or math.isfinite(moved)
     _, messages = _recorded(
@@ -596,8 +596,8 @@ def test_half_rule_clears_the_sweep_designs(paper_config, a, b, scale, power):
                       power)
     phase = lambda s, p: compensated_phase(cfg.fiber, comps, s, p)
     (half,), messages = _recorded(
-        lambda: _group_coherences(phase, cfg.signal, [pump], True, False, _HALF_RULE))
-    full, = _group_coherences(phase, cfg.signal, [pump], True, False, _STATE_RULE)
+        lambda: _group_coherences(phase, cfg.signal, [pump], True, False, _RULES[0]))
+    full, = _group_coherences(phase, cfg.signal, [pump], True, False, _RULES[-1])
     assert half is not None and not messages
     assert abs(half - full) <= 5e-9
     assert spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True) == [half]

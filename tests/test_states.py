@@ -27,9 +27,8 @@ from conftest import exact_quadratic_average
 from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            VisibilityUndefinedError, _HALF_RULE, _INTERPOLATION_TOL, _JOINT,
-                            _LINE_FIT, _LINE_POWERS, _NODES, _PROBE_ROWS, _PROBE_X, _PROBES,
-                            _PUMP_GROUP, _STATE_RULE, _WEIGHTS, _alias_check, _alias_estimate,
+                            VisibilityUndefinedError, _INTERPOLATION_TOL, _PROBE_X, _PROBES,
+                            _PUMP_GROUP, _RULES, _alias_check, _alias_estimate,
                             _coherence, _group_coherences, _rule, bandwidth_grid, spectral_grid)
 
 
@@ -139,7 +138,9 @@ class TestBandwidthGrid:
         # name the same rule, and the state's constants are its values
         rule = _rule(DESIGN_POINTS, DESIGN_SPAN_SIGMAS)
         assert all(a is b for a, b in zip(_rule(np.int64(DESIGN_POINTS), 3), rule))
-        for a, b in zip(_rule(QUAD_NODES, QUAD_SPAN_SIGMAS), (_NODES, _WEIGHTS, _JOINT)):
+        state = _RULES[-1]
+        for a, b in zip(_rule(QUAD_NODES, QUAD_SPAN_SIGMAS), (state.nodes, state.weights,
+                                                              state.joint)):
             assert a.tobytes() == b.tobytes() and not b.flags.writeable
         signal, pump = GaussianSpectrum(670.0, 0.23), GaussianSpectrum(771.0, 0.3)
         assert spectral_grid(signal, pump, DESIGN_POINTS, DESIGN_SPAN_SIGMAS)[2] is rule[2]
@@ -267,10 +268,11 @@ class TestSpectralMixture:
     def test_one_weight_normalisation(self, signal_spectrum, pump_spectrum):
         # the weights of either axis sum to 1 and the joint weights, the
         # state's and spectral_grid's, are their product
-        assert abs(_WEIGHTS.sum() - 1.0) <= 1e-15
+        state = _RULES[-1]
+        assert abs(state.weights.sum() - 1.0) <= 1e-15
         w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)[2]
-        assert np.array_equal(w, _WEIGHTS[:, None] * _WEIGHTS[None, :])
-        assert np.array_equal(_JOINT, w)
+        assert np.array_equal(w, state.weights[:, None] * state.weights[None, :])
+        assert np.array_equal(state.joint, w)
 
     def test_unresolved_phase_warns(self, signal_spectrum, pump_spectrum):
         # 30 rad per signal sigma aliases on the nodes: the exact coherence
@@ -453,7 +455,8 @@ class TestSpectralMixture:
             probe_s = sig.center_nm + sig.sigma_nm * _PROBE_X[:, None]
             probe_p = pump.center_nm + pump.sigma_nm * _PROBE_X[None, :]
             phi = np.broadcast_to(phase(ls, lp), (n, n))
-            moved, = _alias_check(phi[None], phase(probe_s, lp)[None], phase(ls, probe_p)[None])
+            moved, = _alias_check(phi[None], phase(probe_s, lp)[None], phase(ls, probe_p)[None],
+                                  _RULES[-1])
             assert moved is not None and moved < 1e-9
             coh, = _coherence(phi[None], w)
             assert abs(abs(_direct_doubled_rule(phase, sig, pump)) - abs(coh)) < 1e-9
@@ -484,7 +487,7 @@ class TestSpectralMixture:
                 np.broadcast_to(phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp),
                                 (probes, QUAD_NODES))[None],
                 np.broadcast_to(phase(ls, pmp.center_nm + pmp.sigma_nm * _PROBE_X[None, :]),
-                                (QUAD_NODES, probes))[None])
+                                (QUAD_NODES, probes))[None], _RULES[-1])
             if recorded is None:
                 assert moved is None
             else:
@@ -493,15 +496,16 @@ class TestSpectralMixture:
     def test_doubled_interpolation_matrix(self):
         # the probe rows of the doubled rule's interpolation, 8 Lagrange
         # taps per row: exact for degree 7, not for degree 8
+        rows = _RULES[-1].probe_rows
         x = np.linspace(-1.0, 1.0, QUAD_NODES)
         t = _PROBE_X / QUAD_SPAN_SIGMAS
-        assert _PROBE_ROWS.shape == (len(_PROBES), QUAD_NODES)
+        assert rows.shape == (len(_PROBES), QUAD_NODES)
         assert np.max(np.abs(t - np.linspace(-1.0, 1.0, 2 * QUAD_NODES)[_PROBES])) < 1e-15
-        assert not _PROBE_ROWS.flags.writeable
-        assert np.max(np.abs(_PROBE_ROWS.sum(axis=1) - 1.0)) < 1e-14
+        assert not rows.flags.writeable
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-14
         for k in range(8):
-            assert np.max(np.abs(_PROBE_ROWS @ x**k - t**k)) < 1e-14
-        assert np.max(np.abs(_PROBE_ROWS @ x**8 - t**8)) > 1e-12
+            assert np.max(np.abs(rows @ x**k - t**k)) < 1e-14
+        assert np.max(np.abs(rows @ x**8 - t**8)) > 1e-12
 
     def test_alias_estimate_matches_exact_error(self):
         # on a stack of one quadratic line, whose weights across sum to 1,
@@ -515,7 +519,8 @@ class TestSpectralMixture:
             line = a * x + c * x * x
             error = np.sum(w * np.exp(-1j * line)) - exact_quadratic_average(a, c=c)
             lines = np.tile(line, (QUAD_NODES, 1))
-            estimate, = _alias_estimate((lines @ _LINE_FIT.T)[None], lines[None])
+            rule = _RULES[-1]
+            estimate, = _alias_estimate((lines @ rule.line_fit.T)[None], lines[None], rule)
             assert abs(estimate - error) <= 1e-4 * abs(error) + 1e-9, (a, c, estimate, error)
 
     def test_quadratic_fit(self):
@@ -523,12 +528,13 @@ class TestSpectralMixture:
         # and sees a cubic term
         x = np.linspace(-QUAD_SPAN_SIGMAS, QUAD_SPAN_SIGMAS, QUAD_NODES)
         w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
-        residual = lambda line: w @ np.abs(line - line @ _LINE_FIT.T @ _LINE_POWERS)
+        fit, powers = _RULES[-1].line_fit, _RULES[-1].line_powers
+        residual = lambda line: w @ np.abs(line - line @ fit.T @ powers)
         quadratic = 1e5 + 30.0 * x - 2.5 * x ** 2
-        assert np.allclose(quadratic @ _LINE_FIT.T, [1e5, 30.0, -2.5], rtol=1e-12)
+        assert np.allclose(quadratic @ fit.T, [1e5, 30.0, -2.5], rtol=1e-12)
         assert residual(quadratic) < 1e-9
         assert residual(0.01 * x ** 3) > 1e-2
-        assert not _LINE_FIT.flags.writeable and not _LINE_POWERS.flags.writeable
+        assert not fit.flags.writeable and not powers.flags.writeable
 
     @pytest.mark.parametrize("amplitude, frequency",
                              [(1.0, 200.0), (0.01, 32.0), (0.01, 34.0), (0.01, 100.0)])
@@ -541,13 +547,15 @@ class TestSpectralMixture:
         phase = lambda s, p: amplitude * np.sin(frequency * (s - c) / sigma) + 0 * p
         ls, lp, _ = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES, QUAD_SPAN_SIGMAS)
         phi = np.broadcast_to(phase(ls, lp), (QUAD_NODES, QUAD_NODES))
-        assert sum(abs(_alias_estimate((lines @ _LINE_FIT.T)[None], lines[None])[0])
+        rule = _RULES[-1]
+        assert sum(abs(_alias_estimate((lines @ rule.line_fit.T)[None], lines[None], rule)[0])
                    for lines in (phi.T, phi)) < 1e-6
         probed_s = phase(c + sigma * _PROBE_X[:, None], lp)
         probed_p = phase(ls, pump_spectrum.center_nm + pump_spectrum.sigma_nm * _PROBE_X[None, :])
-        assert _alias_check(phi[None], probed_s[None], probed_p[None]) == [None]
-        misfit = (np.max(np.abs(_PROBE_ROWS @ phi - probed_s) @ _WEIGHTS)
-                  + np.max(_WEIGHTS @ np.abs(phi @ _PROBE_ROWS.T - probed_p)))
+        assert _alias_check(phi[None], probed_s[None], probed_p[None], rule) == [None]
+        rows, w = rule.probe_rows, rule.weights
+        misfit = (np.max(np.abs(rows @ phi - probed_s) @ w)
+                  + np.max(w @ np.abs(phi @ rows.T - probed_p)))
         assert misfit > _INTERPOLATION_TOL
         with pytest.warns(RuntimeWarning, match="not converged"):
             mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
@@ -573,10 +581,11 @@ class TestRelativeToMean:
     def _two_call(fn, signal, pump):
         # the mean on the rule the pump takes: the half rule where its check
         # clears, else the state rule's, spectral_mean_phase
-        if _group_coherences(fn, signal, [pump], False, False, _HALF_RULE) == [None]:
+        first = _RULES[0]
+        if _group_coherences(fn, signal, [pump], False, False, first) == [None]:
             mean = spectral_mean_phase(fn, signal, pump)
         else:
-            ls, lp, w = spectral_grid(signal, pump, QUAD_NODES // 2, QUAD_SPAN_SIGMAS)
+            ls, lp, w = spectral_grid(signal, pump, len(first.nodes), QUAD_SPAN_SIGMAS)
             mean = float(np.sum(w * fn(ls, lp)))
         return mixed_state_over_spectra(lambda s, p: fn(s, p) - mean, signal, pump)
 
@@ -666,7 +675,7 @@ class TestTwoStages:
         # warnings, bit for bit
         phase, signal, pump, relative = self._case(kind, power, paper_config, signal_spectrum,
                                                    pump_spectrum)
-        assert _group_coherences(phase, signal, [pump], relative, False, _HALF_RULE) == [None]
+        assert _group_coherences(phase, signal, [pump], relative, False, _RULES[0]) == [None]
         state, messages = _messages(lambda: mixed_state_over_spectra(
             phase, signal, pump, relative_to_mean=relative))
         ls, lp, w = spectral_grid(signal, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
@@ -680,7 +689,7 @@ class TestTwoStages:
         expected[3, 0] = np.conj(expected[0, 3])
         assert np.array_equal(state.matrix, expected)
         full, full_messages = _messages(lambda: _group_coherences(
-            phase, signal, [pump], relative, False, _STATE_RULE))
+            phase, signal, [pump], relative, False, _RULES[-1]))
         assert full == [coh]
         assert messages == full_messages
         assert bool(messages) == (power is None)
@@ -696,13 +705,13 @@ class TestTwoStages:
         cfg = paper_config
         sig, pump = cfg.signal, counts._broadened(cfg.noise, cfg.pump, power)
         fn = lambda s, p: total_phase(cfg.fiber, s, p)
-        ls, lp, w = spectral_grid(sig, pump, QUAD_NODES // 2, QUAD_SPAN_SIGMAS)
+        ls, lp, w = spectral_grid(sig, pump, len(_RULES[0].nodes), QUAD_SPAN_SIGMAS)
         mean = float(np.sum(w * fn(ls, lp)))
         phase = lambda s, p: fn(s, p) - mean
         moved, = _alias_check(phase(ls, lp)[None],
                               phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp)[None],
                               phase(ls, pump.center_nm + pump.sigma_nm * _PROBE_X[None, :])[None],
-                              _HALF_RULE)
+                              _RULES[0])
         x = np.linspace(-9.0, 9.0, 801)
         wx = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
         ref = wx @ np.exp(-1j * phase((sig.center_nm + sig.sigma_nm * x)[:, None],
@@ -712,7 +721,7 @@ class TestTwoStages:
         assert moved == pytest.approx(abs(half - ref), rel=1e-3)
         assert (moved <= 1e-6) == clears
         state = mixed_state_over_spectra(fn, sig, pump, relative_to_mean=True)
-        full, = _group_coherences(fn, sig, [pump], True, False, _STATE_RULE)
+        full, = _group_coherences(fn, sig, [pump], True, False, _RULES[-1])
         assert 2 * state.matrix[0, 3] == (half if clears else full)
 
 
