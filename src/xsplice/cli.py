@@ -81,17 +81,13 @@ def _replicates(text: str) -> int:
 _replicates.__name__ = "int"  # argparse names it in "invalid int value"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(header, rows) -> str:
+    # str of a Python float is its repr; of a numpy scalar, its shortest
+    # round-trip digits without the type name that numpy 2's repr adds
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()
 
 
@@ -309,7 +305,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     return 0

@@ -120,6 +120,21 @@ def idler_wavelength(lambda_s_nm, lambda_p_nm):
     return out if out.ndim else float(out)
 
 
+def _range_order(fiber: FiberSpec, comps: tuple, p, s, i) -> list:
+    """``(model, wavelengths)`` in the order of the range errors' precedence.
+
+    The core at the pump ``p``, signal ``s`` and idler ``i``, then each
+    crystal's e- and o-rays at its arm. The wavelengths are whatever the
+    caller passes: floats or arrays to check, or ``(lo, hi)`` extremes.
+    """
+    core = fiber.core_model
+    order = [(core, p), (core, s), (core, i)]
+    for comp in comps:
+        arm = s if comp.arm == "signal" else i
+        order += [(comp.material.extraordinary, arm), (comp.material.ordinary, arm)]
+    return order
+
+
 def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls, lp):
     """Raise the error that ``idler_wavelength`` or ``index`` would raise.
 
@@ -127,24 +142,25 @@ def _check_wavelengths(fiber: FiberSpec, comps: tuple, ls, lp):
     array; the idler's pair those of the signal and the pump, exact on open
     axes and a bound elsewhere. Only if that test fails are the inputs checked
     element by element, in the order of the errors' precedence: positive,
-    not NaN and finite, not degenerate, then each model's validity range
-    at the pump, signal and idler wavelengths. The first test takes the
-    idler wavelength as 1000 / k_i, so within an ulp of a validity bound
-    it can pass an idler that ``idler_wavelength`` puts just outside.
+    not NaN and finite, not degenerate (``idler_wavelength``), then each
+    model's validity range in ``_range_order``, the one order that the
+    extremes test reads too. The first test takes the idler wavelength as
+    1000 / k_i, so within an ulp of a validity bound it can pass an idler
+    that ``idler_wavelength`` puts just outside.
     """
     if _within_ranges(fiber, comps, ls, lp):
         return
     li = idler_wavelength(ls, lp)
-    _check_range(fiber.core_model, lp)
-    _check_range(fiber.core_model, ls)
-    _check_range(fiber.core_model, li)
-    for comp in comps:
-        for ray in (comp.material.extraordinary, comp.material.ordinary):
-            _check_range(ray, ls if comp.arm == "signal" else li)
+    for model, lam in _range_order(fiber, comps, lp, ls, li):
+        _check_range(model, lam)
 
 
 def _within_ranges(fiber: FiberSpec, comps: tuple, ls, lp) -> bool:
-    """Whether every wavelength lies in its models' ranges, from the axes' extremes."""
+    """Whether every wavelength lies in its models' ranges, from the axes' extremes.
+
+    Each model of ``_range_order`` is tested on the ``(lo, hi)`` extremes
+    of its wavelengths.
+    """
     # a float is both of its own; an empty array's read NaN, and fail below
     (s_lo, s_hi), (p_lo, p_hi) = ((x, x) if type(x) is float else (float(x.min()), float(x.max()))
                                   if x.size else (math.nan, math.nan) for x in (ls, lp))
@@ -154,29 +170,24 @@ def _within_ranges(fiber: FiberSpec, comps: tuple, ls, lp) -> bool:
     k_hi = 2.0 * (1000.0 / p_lo) - 1000.0 / s_hi
     if not k_lo > 0.0:
         return False
-    i_lo, i_hi = 1000.0 / k_hi, 1000.0 / k_lo
-    spans = [(fiber.core_model, p_lo, p_hi), (fiber.core_model, s_lo, s_hi),
-             (fiber.core_model, i_lo, i_hi)]
-    for comp in comps:
-        lo, hi = (s_lo, s_hi) if comp.arm == "signal" else (i_lo, i_hi)
-        spans += [(comp.material.extraordinary, lo, hi), (comp.material.ordinary, lo, hi)]
-    return all(m.valid_range_nm[0] <= lo and hi <= m.valid_range_nm[1] for m, lo, hi in spans)
+    spans = _range_order(fiber, comps, (p_lo, p_hi), (s_lo, s_hi), (1000.0 / k_hi, 1000.0 / k_lo))
+    return all(m.valid_range_nm[0] <= lo and hi <= m.valid_range_nm[1] for m, (lo, hi) in spans)
 
 
 def phase_mismatch(fiber: FiberSpec, lambda_p_nm, lambda_s_nm):
     """Vector phase mismatch dk in rad/m at the given signal wavelength(s).
 
-    Inputs fail as in ``compensated_phase``, with the same errors.
+    Two Python floats stay floats, with no numpy call; any other input
+    becomes arrays, and a 0-d result a float. Both take the one range
+    check and the one ``_mismatch`` call. Inputs fail as in
+    ``compensated_phase``, with the same errors.
     """
     ls, lp = lambda_s_nm, lambda_p_nm
-    if type(ls) is float and type(lp) is float:
-        _check_wavelengths(fiber, (), ls, lp)
-        return _mismatch(fiber, _pump_terms(fiber, lp), ls)[0]
-    ls, lp = np.asarray(ls, dtype=float), np.asarray(lp, dtype=float)
+    if not (type(ls) is float and type(lp) is float):
+        ls, lp = np.asarray(ls, dtype=float), np.asarray(lp, dtype=float)
     _check_wavelengths(fiber, (), ls, lp)
-    shape = np.broadcast_shapes(ls.shape, lp.shape)
     dk = _mismatch(fiber, _pump_terms(fiber, lp), ls)[0]
-    return dk if shape else float(dk)
+    return dk if type(dk) is float or dk.ndim else float(dk)
 
 
 def _pump_terms(fiber: FiberSpec, lp) -> tuple:

@@ -132,10 +132,6 @@ class GaussianSpectrum:
     def sigma_nm(self) -> float:
         return self.fwhm_nm / FWHM_PER_SIGMA
 
-    def density(self, wavelength_nm):
-        x = (np.asarray(wavelength_nm, dtype=float) - self.center_nm) / self.sigma_nm
-        return np.exp(-0.5 * x * x) / (self.sigma_nm * np.sqrt(2.0 * np.pi))
-
 
 @dataclass(frozen=True)
 class TwoQubitState:

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from xsplice.cli import main
+from xsplice.cli import _write_csv, main
 from xsplice.config import DEFAULTS, load_config
 from xsplice.counts import effective_state_at_power
 
@@ -388,3 +389,9 @@ def test_zero_baseline_noise_loads(tmp_path):
     ini = tmp_path / "zero.ini"
     ini.write_text("[noise]\nbaseline_noise = 0\n")
     assert load_config(str(ini)).baseline_noise == 0.0
+
+
+def test_csv_writes_numpy_scalars_as_numbers():
+    # str of a numpy scalar is its number; numpy 2's repr would add the type name
+    assert _write_csv(("a", "b"), [(np.float64(0.1), np.int64(3))]) == "a,b\n0.1,3\n"
+    assert _write_csv(("a",), [(0.1 + 0.2,)]) == "a\n0.30000000000000004\n"

@@ -78,7 +78,11 @@ class TestOptimizeCompensators:
         s_ax = bandwidth_grid(signal_spectrum.center_nm, signal_spectrum.fwhm_nm, 101)
         p_ax = bandwidth_grid(pump_spectrum.center_nm, pump_spectrum.fwhm_nm, 101)
         S, P = np.meshgrid(s_ax, p_ax, indexing="ij")
-        w = signal_spectrum.density(S) * pump_spectrum.density(P)
+        # Gaussian weights from each spectrum's centre and FWHM, normalised on the grid
+        w = np.ones_like(S)
+        for grid, spec in ((S, signal_spectrum), (P, pump_spectrum)):
+            sigma = spec.fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+            w = w * np.exp(-0.5 * ((grid - spec.center_nm) / sigma) ** 2)
         w = w / w.sum()
         grid = compensated_phase(paper_fiber, (sig, idl), S, P)
         var = float(np.sum(w * (grid - np.sum(w * grid)) ** 2))

@@ -23,6 +23,7 @@ from xsplice import (
 )
 from xsplice import design, materials, phasematch
 from xsplice.materials import WavelengthRangeError
+from xsplice.phase import compensated_phase
 from xsplice.phasematch import MISMATCH_TOL
 from xsplice.states import bandwidth_grid
 from conftest import CALIBRATED_B, nearest_root_reference
@@ -271,6 +272,28 @@ class TestRefinement:
                                    rtol=0.0, atol=2e-8)
         assert found == pytest.approx(expected, abs=4e-8)
 
+    def test_secant_point_on_an_end_takes_the_midpoint(self, monkeypatch, paper_fiber):
+        # a bracket of +/- 0.5 nm about the 771 nm root, with fa = -1e-300 of
+        # the true sign: the secant point rounds onto a, and the first point
+        # is the midpoint, which lands on the solver's root
+        root = solve_signal_idler(paper_fiber, 771.0).lambda_s_nm
+        pump = phasematch._pump_terms(paper_fiber, 771.0)
+        a, b = root - 0.5, root + 0.5
+        mismatch = phasematch._mismatch
+        fa, fb = (mismatch(paper_fiber, pump, end)[0] for end in (a, b))
+        assert fa < 0.0 < fb
+        points = []
+
+        def recorded(fiber, pump, x):
+            points.append(x)
+            return mismatch(fiber, pump, x)
+
+        monkeypatch.setattr(phasematch, "_mismatch", recorded)
+        x, f = phasematch._refine(paper_fiber, pump, a, b, -1e-300, fb, 0.0)
+        assert points == [0.5 * (a + b)]
+        assert x == root
+        assert f == phase_mismatch(paper_fiber, 771.0, root)
+
     def test_overshoot_is_refined_on_its_bracket(self, monkeypatch, silica):
         # at a 500 nm pump g(x) is concave, and the Newton steps in x from
         # the pump side step over the root once
@@ -395,6 +418,20 @@ def test_floats_take_no_numpy_call(monkeypatch, paper_fiber, silica):
     monkeypatch.setattr(materials, "np", None)
     monkeypatch.setattr(phasematch, "np", None)
     assert run() == expected
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_unbroadcastable_axes_fail_as_in_compensated_phase(monkeypatch, paper_fiber, fast):
+    # in range by their extremes or checked element by element, axes that do
+    # not broadcast raise compensated_phase's ValueError
+    ls, lp = np.linspace(660.0, 680.0, 5), np.array([770.0, 772.0])
+    if not fast:
+        monkeypatch.setattr(phasematch, "_within_ranges", lambda *args: False)
+    with pytest.raises(ValueError) as expected:
+        compensated_phase(paper_fiber, (), ls, lp)
+    with pytest.raises(ValueError) as found:
+        phase_mismatch(paper_fiber, lp, ls)
+    assert str(found.value) == str(expected.value)
 
 
 def test_paper_grid_takes_the_fast_range_check(paper_config):

@@ -87,11 +87,6 @@ class TestGaussianSpectrum:
             with pytest.raises(ValueError):
                 GaussianSpectrum(center, fwhm)
 
-    def test_density_normalized(self):
-        spec = GaussianSpectrum(670.0, 0.23)
-        grid = np.linspace(670.0 - 8 * spec.sigma_nm, 670.0 + 8 * spec.sigma_nm, 20001)
-        assert np.trapezoid(spec.density(grid), grid) == pytest.approx(1.0, abs=1e-9)
-
 
 class TestBandwidthGrid:
     @pytest.mark.parametrize("args, match", [
