@@ -378,9 +378,9 @@ def visibility_vs_power(p: NoiseParams, fiber, comps, powers_mw,
     Every power and ``baseline_noise`` are checked before any phase is
     evaluated. The real parts Re c of all powers come from one
     ``spectral_coherences`` call with ``real=True``, which evaluates the
-    phase once per group of broadened pump spectra on its half rule, and
-    once more for the powers of the group that fall back to the state
-    rule, and gives each the bits and the warnings of the complex
+    phase once per group of 16 broadened pump spectra on its first rule,
+    and once more on each later rule for the powers of the group that
+    fall back to it, and gives each the bits and the warnings of the complex
     coherence; Im c is computed only for a power whose convergence check
     reruns on the doubled rule, and no state is built.
     """

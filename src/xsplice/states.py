@@ -18,14 +18,16 @@ the node step. The state's convergence check estimates that error from
 quadratic fits of the phase along each node line, from one evaluation
 of the phase on the nodes plus a few probe positions between them that
 test the phase's smoothness on the node scale. The state walks a table
-of checked rules, coarse to fine (``_RULES``: 32, then 64 nodes per
+of checked rules, coarse to fine (``_RULES``: 20, 32, then 64 nodes per
 axis): a pump keeps the coherence of the first rule whose check clears
-1e-6. The last rule gives the verdict on the pumps that reach it: one
-that fails the smoothness test, or that no quadratic fits, is evaluated
-once more on one off-lattice verifier with twice the nodes, and a pump
-not converged to 1e-6 is warned about. Pump spectra that share one
+1e-6. On the paper config the 20-node rule clears the compensated phase
+below 119 mW and the uncompensated one below 16 mW, the 32-node rule
+below 121 mW and 43 mW. The last rule gives the verdict on the pumps
+that reach it: one that fails the smoothness test, or that no quadratic
+fits, is evaluated once more on one off-lattice verifier with twice the
+nodes, and a pump not converged to 1e-6 is warned about. Pump spectra that share one
 signal spectrum, such as a power sweep's, share each rule's evaluation
-in groups (``spectral_coherences``).
+in groups of 16 (``spectral_coherences``).
 Basis order throughout is (HH, HV, VH, VV).
 """
 
@@ -70,7 +72,7 @@ DESIGN_SPAN_SIGMAS = 3.0
 DESIGN_POINTS = 101
 
 #: Points per axis of the state quadrature's last checked rule, the state
-#: rule, whose verdict stands: ``_RULES`` tries half as many first, and
+#: rule, whose verdict stands: ``_RULES`` tries 20 and then 32 first, and
 #: the verifier has twice as many.
 QUAD_NODES = 64
 
@@ -84,13 +86,14 @@ QUAD_SPAN_SIGMAS = 6.0
 #: Pump spectra per group of ``spectral_coherences``: one phase call per
 #: checked rule that the group reaches, the pump rows side by side against
 #: one signal column, so the phase model's fixed cost per call is shared:
-#: on the first rule's 39-wide blocks, then on the last rule's 71-wide
-#: blocks for the pumps left. A 16-power paper-config sweep, which the
-#: first rule clears, took 1.15 ms in eights and in sixteens, 1.5 ms in
-#: fours, 2.1 ms in twos and 3.4 ms one at a time; one that falls back
-#: whole (the uncompensated phase at 45-60 mW) took 7.0 ms in eights and
-#: 8.7 ms in sixteens, whose fallback blocks fall out of cache (2 vCPUs).
-_PUMP_GROUP = 8
+#: on the first rule's 27-wide blocks, then on the 39- and 71-wide blocks
+#: of the later rules for the pumps left. A 16-power paper-config
+#: ``visibility_vs_power``, which the first rule clears, took 0.67 ms in
+#: one sixteen, 0.82 ms in eights, 1.08 ms in fours, 1.66 ms in twos and
+#: 2.96 ms one at a time; one that falls back whole (the uncompensated
+#: phase at 45-60 mW) took 9.2 ms in sixteens against 7.5 ms in eights,
+#: whose fallback blocks stay in cache (2 vCPUs).
+_PUMP_GROUP = 16
 
 #: Nodes read per row of the banded Lagrange matrix that interpolates
 #: the phase onto the probes; exact for polynomials up to degree 7.
@@ -220,7 +223,7 @@ def _rule(points: int, span_sigmas: float) -> tuple:
     return _built_rule(int(points), float(span_sigmas))
 
 
-@functools.lru_cache(maxsize=8)  # room for the design and map rules, _RULES and the verifier
+@functools.lru_cache(maxsize=8)  # room for the design and map rules, _RULES' three and the verifier
 def _built_rule(points: int, span_sigmas: float) -> tuple:
     x = np.linspace(-span_sigmas, span_sigmas, points) if points > 1 else np.zeros(1)
     w = np.exp(-0.5 * x * x)
@@ -289,10 +292,11 @@ def _lagrange_matrix(n: int, t: np.ndarray) -> np.ndarray:
 
 
 #: The probe nodes: the nodes of the verifier, the state rule's doubled
-#: rule, nearest ``_PROBE_SIGMAS``, shared by every checked rule. Their
-#: offsets from the state rule's nodes run from 0.13 to 0.87 of a node
-#: step, and from the 32-node rule's from 0.06 to 0.94, so a component
-#: that aliases onto the nodes misses most of them.
+#: rule, nearest ``_PROBE_SIGMAS``, shared by every checked rule. Each
+#: sits at least 0.06 of a node step off every checked rule's nodes
+#: (0.071 at 20 nodes, 0.063 at 32, 0.126 at 64; 16 or 19 nodes would
+#: bring one within 0.05), so a component that aliases onto the nodes
+#: misses most of them.
 _PROBES = np.rint((np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5)
                   * (2 * QUAD_NODES - 1)).astype(int)
 _PROBES.setflags(write=False)
@@ -382,8 +386,12 @@ def _checked_rule(points: int) -> _CheckedRule:
 
 
 #: The checked rules that ``spectral_coherences`` walks, coarse to fine,
-#: each built once; the last, the state rule, gives the verdict.
-_RULES = (_checked_rule(QUAD_NODES // 2), _checked_rule(QUAD_NODES))
+#: each built once; the last, the state rule, gives the verdict. A
+#: compensated 16-power paper-config sweep took 0.64 ms with 20 nodes
+#: first, 0.74 ms with 24, 1.13 ms with 32, and 0.70 ms with 16, whose
+#: live alias orders send every pump through ``_alias_estimate``'s loop
+#: (2 vCPUs).
+_RULES = (_checked_rule(20), _checked_rule(32), _checked_rule(QUAD_NODES))
 
 
 def _alias_estimate(fit: np.ndarray, lines: np.ndarray, rule: _CheckedRule) -> list:
@@ -483,13 +491,14 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     phase in radians. ``pumps`` is a sequence of pump spectra; the
     result holds one complex coherence per pump, each the same bit for
     bit as for that pump alone. The average walks ``_RULES``, a table of
-    checked node rules that every spectrum shares, coarse to fine, each
-    with a few probe positions appended to each axis: a pump takes the
-    coherence of the first rule whose convergence check clears 1e-6,
-    and the pumps left are evaluated again on the next rule. The last
-    rule, the state rule of ``QUAD_NODES`` nodes, keeps its coherence
-    for every pump that reaches it, and gives the verdict below. Pumps
-    are taken ``_PUMP_GROUP`` at a time, and each group costs one
+    checked node rules (20, 32, then 64 nodes per axis) that every
+    spectrum shares, coarse to fine, each with a few probe positions
+    appended to each axis: a pump takes the coherence of the first rule
+    whose convergence check clears 1e-6, and the pumps left are
+    evaluated again on the next rule. The last rule, the state rule of
+    ``QUAD_NODES`` nodes, keeps its coherence for every pump that
+    reaches it, and gives the verdict below. Pumps
+    are taken ``_PUMP_GROUP``, 16, at a time, and each group costs one
     ``phase_fn`` call per rule it reaches: the shared signal column
     against the pump rows laid side by side. The mean, the coherence and
     the convergence check then run on the stack of the pumps' phases. A

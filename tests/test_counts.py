@@ -581,9 +581,9 @@ SWEEP_POWERS = np.linspace(1.0, 56.0, 16)
 
 def test_power_sweep_evaluates_the_phase_once_per_group(monkeypatch, paper_config):
     # the powers share the signal axis: one phase call per group of pump
-    # spectra, each on the half rule's nodes and probes of its pumps side
-    # by side, 39 per axis; the half rule clears every power, so none
-    # reaches the state rule
+    # spectra, each on the first rule's nodes and probes of its pumps side
+    # by side, 27 per axis; the first rule clears every power, so none
+    # reaches a later rule, and the 16 powers fill one group
     real = counts_mod.compensated_phase
     calls = []
 
@@ -595,12 +595,13 @@ def test_power_sweep_evaluates_the_phase_once_per_group(monkeypatch, paper_confi
     cfg = paper_config
     visibility_vs_power(cfg.noise, cfg.fiber, cfg.compensators, SWEEP_POWERS, cfg.signal,
                         cfg.pump, baseline_noise=cfg.baseline_noise)
-    assert len(calls) == -(-len(SWEEP_POWERS) // _PUMP_GROUP)
-    assert sum(calls) == len(SWEEP_POWERS) * 39 ** 2
+    assert len(calls) == -(-len(SWEEP_POWERS) // _PUMP_GROUP) == 1
+    assert sum(calls) == len(SWEEP_POWERS) * 27 ** 2
 
 
 def test_power_sweep_memory_peak(paper_config):
-    # a group's phase block and its temporaries, not all 16 powers' at once
+    # the 16 powers fill one group: its phase block on the first rule and
+    # its temporaries, not the state rule's
     cfg = paper_config
     args = (cfg.noise, cfg.fiber, cfg.compensators, SWEEP_POWERS, cfg.signal, cfg.pump)
     visibility_vs_power(*args, baseline_noise=cfg.baseline_noise)

@@ -584,23 +584,23 @@ def test_alias_estimate_finite_on_extreme_fits(signal_spectrum, pump_spectrum,
 @CHEAP
 @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), scale=st.floats(0.8, 1.2),
        power=st.floats(0.0, 60.0))
-def test_half_rule_clears_the_sweep_designs(paper_config, a, b, scale, power):
+def test_first_rule_clears_the_sweep_designs(paper_config, a, b, scale, power):
     # the sweep's design ranges: compensator lengths +/- 3 mm, pump FWHM
-    # x 0.8-1.2, 0-60 mW. The half rule's check clears, with no warning,
+    # x 0.8-1.2, 0-60 mW. The first rule's check clears, with no warning,
     # and its coherence, which the state takes, lies within 5e-9 of the
-    # state rule's (at most 2.2e-9 over 280 draws)
+    # state rule's (at most 3.4e-9 over 280 draws at 20 nodes, 2.1e-9 at 32)
     cfg = paper_config
     comps = tuple(dataclasses.replace(comp, length_mm=comp.length_mm + d)
                   for comp, d in zip(cfg.compensators, (a, b)))
     pump = _broadened(cfg.noise, GaussianSpectrum(cfg.pump.center_nm, cfg.pump.fwhm_nm * scale),
                       power)
     phase = lambda s, p: compensated_phase(cfg.fiber, comps, s, p)
-    (half,), messages = _recorded(
+    (first,), messages = _recorded(
         lambda: _group_coherences(phase, cfg.signal, [pump], True, False, _RULES[0]))
     full, = _group_coherences(phase, cfg.signal, [pump], True, False, _RULES[-1])
-    assert half is not None and not messages
-    assert abs(half - full) <= 5e-9
-    assert spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True) == [half]
+    assert first is not None and not messages
+    assert abs(first - full) <= 5e-9
+    assert spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True) == [first]
 
 
 SETTINGS = standard_settings()

@@ -246,13 +246,13 @@ class TestSpectralMixture:
     def test_coherence_is_the_nodes_point_sum(self, paper_fiber, paper_compensators,
                                               signal_spectrum, pump_spectrum):
         # the state's coherence is the real cos/sin sum over the nodes of
-        # the rule it takes, here the half rule, whose check clears; that
+        # the rule it takes, here the first rule, whose check clears; that
         # sum is the complex-exp one to rounding
         fn = lambda s, p: compensated_phase(paper_fiber, paper_compensators, s, p)
         mean = spectral_mean_phase(fn, signal_spectrum, pump_spectrum)
         phase = lambda s, p: fn(s, p) - mean
         state = mixed_state_over_spectra(phase, signal_spectrum, pump_spectrum)
-        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, QUAD_NODES // 2,
+        ls, lp, w = spectral_grid(signal_spectrum, pump_spectrum, len(_RULES[0].nodes),
                                   QUAD_SPAN_SIGMAS)
         phi = phase(ls, lp)
         coh = 2 * state.matrix[0, 3]
@@ -428,10 +428,11 @@ class TestSpectralMixture:
                                      cfg.pump, power)
             coh, = spectral_coherences(phase, cfg.signal, [pump], relative_to_mean=True)
         assert [str(w.message) for w in caught] == messages * 2
-        # the half rule's nodes with the probes, whose check does not clear;
-        # then the state rule's, whose probes send it to the doubled rule
-        assert calls == [(QUAD_NODES // 2 + 7, QUAD_NODES // 2 + 7),
-                         (QUAD_NODES + 7, QUAD_NODES + 7), (2 * QUAD_NODES, 2 * QUAD_NODES)]
+        # the 20- and 32-node rules' nodes with the probes, whose checks do
+        # not clear; then the state rule's, whose probes send it to the
+        # doubled rule
+        assert calls == [(27, 27), (39, 39), (QUAD_NODES + 7, QUAD_NODES + 7),
+                         (2 * QUAD_NODES, 2 * QUAD_NODES)]
         x = np.linspace(-9.0, 9.0, 401)
         w = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
         ref = phase((cfg.signal.center_nm + cfg.signal.sigma_nm * x)[:, None],
@@ -501,6 +502,19 @@ class TestSpectralMixture:
         for k in range(8):
             assert np.max(np.abs(rows @ x**k - t**k)) < 1e-14
         assert np.max(np.abs(rows @ x**8 - t**8)) > 1e-12
+
+    def test_probes_sit_off_every_rules_nodes(self):
+        # the rules ascend to the state rule, and on each every probe sits
+        # at least 0.06 of a node step off the nodes (0.071 at 20 nodes,
+        # 0.063 at 32, 0.126 at 64), so a component that aliases onto the
+        # nodes does not alias onto the probes as well
+        sizes = [len(rule.nodes) for rule in _RULES]
+        assert sizes == sorted(set(sizes)) and sizes[-1] == QUAD_NODES
+        for rule in _RULES:
+            n = len(rule.nodes)
+            t = _PROBES * (n - 1) / (2 * QUAD_NODES - 1)
+            assert np.min(np.abs(t - np.rint(t))) >= 0.06, n
+            assert np.array_equal(rule.sampled_x[n:], _PROBE_X)
 
     def test_alias_estimate_matches_exact_error(self):
         # on a stack of one quadratic line, whose weights across sum to 1,
@@ -574,13 +588,15 @@ class TestRelativeToMean:
 
     @staticmethod
     def _two_call(fn, signal, pump):
-        # the mean on the rule the pump takes: the half rule where its check
+        # the mean on the rule the pump takes: the first rule whose check
         # clears, else the state rule's, spectral_mean_phase
-        first = _RULES[0]
-        if _group_coherences(fn, signal, [pump], False, False, first) == [None]:
+        taken = next((rule for rule in _RULES[:-1]
+                      if _group_coherences(fn, signal, [pump], False, False, rule) != [None]),
+                     None)
+        if taken is None:
             mean = spectral_mean_phase(fn, signal, pump)
         else:
-            ls, lp, w = spectral_grid(signal, pump, len(first.nodes), QUAD_SPAN_SIGMAS)
+            ls, lp, w = spectral_grid(signal, pump, len(taken.nodes), QUAD_SPAN_SIGMAS)
             mean = float(np.sum(w * fn(ls, lp)))
         return mixed_state_over_spectra(lambda s, p: fn(s, p) - mean, signal, pump)
 
@@ -640,12 +656,12 @@ class TestRelativeToMean:
 
 
 class TestTwoStages:
-    """The half rule's coherence where its check clears 1e-6, the state rule's path elsewhere."""
+    """The coherence of the first rule whose check clears 1e-6, the state rule's path elsewhere."""
 
-    #: Phases that the half rule does not clear: the uncompensated paper
-    #: phase at 45-60 mW, 1.7e-5 to 0.21 off on the half rule; the
-    #: compensated one at 130-150 mW, whose probes fail; and the two
-    #: phases of ``test_warning_names_what_it_measured``.
+    #: Phases that neither the 20- nor the 32-node rule clears: the
+    #: uncompensated paper phase at 45-60 mW, 1.7e-5 to 0.21 off on the
+    #: 32-node rule; the compensated one at 130-150 mW, whose probes fail;
+    #: and the two phases of ``test_warning_names_what_it_measured``.
     FALLBACK = [("uncompensated", 45.0), ("uncompensated", 50.0), ("uncompensated", 60.0),
                 ("compensated", 130.0), ("compensated", 140.0), ("compensated", 150.0),
                 ("slope", None), ("ripple", None)]
@@ -670,7 +686,8 @@ class TestTwoStages:
         # warnings, bit for bit
         phase, signal, pump, relative = self._case(kind, power, paper_config, signal_spectrum,
                                                    pump_spectrum)
-        assert _group_coherences(phase, signal, [pump], relative, False, _RULES[0]) == [None]
+        for rule in _RULES[:-1]:
+            assert _group_coherences(phase, signal, [pump], relative, False, rule) == [None]
         state, messages = _messages(lambda: mixed_state_over_spectra(
             phase, signal, pump, relative_to_mean=relative))
         ls, lp, w = spectral_grid(signal, pump, QUAD_NODES, QUAD_SPAN_SIGMAS)
@@ -693,20 +710,21 @@ class TestTwoStages:
                                                       (45.0, False, 1.72e-5)])
     def test_half_rule_estimate_is_its_error(self, paper_config, power, clears, error):
         # the uncompensated paper phase, relative to the half rule's mean:
-        # the half rule's exact error, from an 801^2 +/-9 sigma reference,
-        # on either side of 1e-6, and its estimate, within 1e-3 of it.
-        # Where it clears, the state is the half rule's; elsewhere the
-        # state rule's
+        # the 32-node rule's exact error, from an 801^2 +/-9 sigma
+        # reference, on either side of 1e-6, and its estimate, within 1e-3
+        # of it. The 20-node rule clears neither power, so where the half
+        # rule clears, the state is its; elsewhere the state rule's
         cfg = paper_config
         sig, pump = cfg.signal, counts._broadened(cfg.noise, cfg.pump, power)
         fn = lambda s, p: total_phase(cfg.fiber, s, p)
-        ls, lp, w = spectral_grid(sig, pump, len(_RULES[0].nodes), QUAD_SPAN_SIGMAS)
+        half_rule, = [rule for rule in _RULES if len(rule.nodes) == QUAD_NODES // 2]
+        ls, lp, w = spectral_grid(sig, pump, len(half_rule.nodes), QUAD_SPAN_SIGMAS)
         mean = float(np.sum(w * fn(ls, lp)))
         phase = lambda s, p: fn(s, p) - mean
         moved, = _alias_check(phase(ls, lp)[None],
                               phase(sig.center_nm + sig.sigma_nm * _PROBE_X[:, None], lp)[None],
                               phase(ls, pump.center_nm + pump.sigma_nm * _PROBE_X[None, :])[None],
-                              _RULES[0])
+                              half_rule)
         x = np.linspace(-9.0, 9.0, 801)
         wx = np.exp(-0.5 * x * x) / np.sum(np.exp(-0.5 * x * x))
         ref = wx @ np.exp(-1j * phase((sig.center_nm + sig.sigma_nm * x)[:, None],
@@ -715,9 +733,33 @@ class TestTwoStages:
         assert abs(half - ref) == pytest.approx(error, rel=0.01)
         assert moved == pytest.approx(abs(half - ref), rel=1e-3)
         assert (moved <= 1e-6) == clears
+        assert _group_coherences(fn, sig, [pump], True, False, _RULES[0]) == [None]
         state = mixed_state_over_spectra(fn, sig, pump, relative_to_mean=True)
         full, = _group_coherences(fn, sig, [pump], True, False, _RULES[-1])
         assert 2 * state.matrix[0, 3] == (half if clears else full)
+
+    def test_middle_rule_takes_what_the_first_misses(self, paper_config):
+        # the uncompensated paper phase at 30 mW fails the 20-node check
+        # and clears the 32-node one: the state is that rule's coherence,
+        # bit for bit, from one phase call on each of the two rules, with
+        # no warning
+        cfg = paper_config
+        pump = counts._broadened(cfg.noise, cfg.pump, 30.0)
+        fn = lambda s, p: total_phase(cfg.fiber, s, p)
+        calls = []
+
+        def phase(s, p):
+            calls.append(np.broadcast(s, p).shape)
+            return fn(s, p)
+
+        state, messages = _messages(lambda: mixed_state_over_spectra(
+            phase, cfg.signal, pump, relative_to_mean=True))
+        assert not messages
+        assert calls == [(27, 27), (39, 39)]
+        first, middle = _RULES[0], _RULES[1]
+        assert _group_coherences(fn, cfg.signal, [pump], True, False, first) == [None]
+        assert [2 * state.matrix[0, 3]] == _group_coherences(fn, cfg.signal, [pump], True,
+                                                             False, middle)
 
 
 class TestSpectralCoherences:
@@ -727,18 +769,21 @@ class TestSpectralCoherences:
 
     #: 760 nm: a ripple on the signal node scale, which the probes send to
     #: the doubled rule; 790 nm: a signal slope whose alias estimate
-    #: exceeds 1e-6; near 771 nm: smooth, which the half rule clears. Ten
-    #: pumps fill one group, whose four rough pumps fall back to the state
-    #: rule, and part of the next, which the half rule clears.
+    #: exceeds 1e-6 on every rule; 780 nm: a gentler slope, which the first
+    #: rule does not clear and the second does; near 771 nm: smooth, which
+    #: the first rule clears. Twenty pumps fill one group, whose four rough
+    #: pumps fall back to the state rule, and part of the next, whose
+    #: 780 nm pump takes the second rule.
     PUMPS = [GaussianSpectrum(c, 0.3) for c in (771.0, 760.0, 790.0, 771.5, 790.2, 759.8, 772.0,
-                                                771.2, 772.5, 770.8)]
+                                                771.2, 772.5, 770.8, 770.5, 771.8, 771.3, 772.2,
+                                                770.6, 771.7, 772.8, 780.0, 771.4, 770.9)]
 
     @classmethod
     def _phase(cls, s, p):
         x = (s - cls.SIGNAL.center_nm) / cls.SIGNAL.sigma_nm
         bump = lambda c: np.exp(-0.5 * ((p - c) / 2.0) ** 2)
         return (0.1 * x * (p - 771.0) + 0.01 * np.sin(32.0 * x) * bump(760.0)
-                + 61.0 * x * bump(790.0))
+                + 61.0 * x * bump(790.0) + 6.0 * x * bump(780.0))
 
     _messages = staticmethod(_messages)
 
@@ -761,13 +806,15 @@ class TestSpectralCoherences:
 
         stacked, messages = self._messages(lambda: spectral_coherences(
             phase, self.SIGNAL, self.PUMPS, relative_to_mean=relative_to_mean))
-        # one half-rule call per group, one state-rule call for the rough
-        # pumps of the first, and one doubled-rule rerun per rippled pump
-        half, full = QUAD_NODES // 2 + 7, QUAD_NODES + 7
+        # one first-rule call per group; a second-rule call for the rough
+        # pumps of the first group, then a state-rule call and one
+        # doubled-rule rerun per rippled pump; a second-rule call for the
+        # 780 nm pump of the next group
+        first, second, full = 27, 39, QUAD_NODES + 7
         assert _PUMP_GROUP < len(self.PUMPS) < 2 * _PUMP_GROUP
-        assert calls == [(half, _PUMP_GROUP * half), (full, 4 * full),
+        assert calls == [(first, _PUMP_GROUP * first), (second, 4 * second), (full, 4 * full),
                          (2 * QUAD_NODES, 2 * QUAD_NODES), (2 * QUAD_NODES, 2 * QUAD_NODES),
-                         (half, (len(self.PUMPS) - _PUMP_GROUP) * half)]
+                         (first, (len(self.PUMPS) - _PUMP_GROUP) * first), (second, second)]
         alone, alone_messages = self._one_at_a_time(self._phase, relative_to_mean)
         assert stacked == alone
         assert messages == alone_messages
@@ -801,7 +848,7 @@ class TestSpectralCoherences:
         cfg = paper_config
         visibility_vs_power(cfg.noise, cfg.fiber, cfg.compensators, np.linspace(1.0, 56.0, 16),
                             cfg.signal, cfg.pump)
-        assert [(size, real) for size, real, _ in calls] == (
+        assert [(size, real) for size, real, _ in calls] == [(16, True)] == (
             [(_PUMP_GROUP, True)] * (16 // _PUMP_GROUP))
         # each rippled pump reruns: its own node coherence and the doubled
         # rule's, both complex; the node one is the complex path's bit for bit
@@ -810,16 +857,18 @@ class TestSpectralCoherences:
         calls.clear()
         self._messages(lambda: spectral_coherences(self._phase, self.SIGNAL, self.PUMPS,
                                                    real=True))
-        # per group the half rule's real sum, then the state rule's for the
-        # rough pumps, 5 nm or more from 771 nm, which fall back
+        # per group the first rule's real sum, then the second's for the
+        # pumps 5 nm or more from 771 nm, which fall back, then the state
+        # rule's for those of them 10 nm or more from 771 nm
         expected, nodes = [], []
         for start in range(0, len(self.PUMPS), _PUMP_GROUP):
             group = self.PUMPS[start:start + _PUMP_GROUP]
             expected.append((len(group), True))
-            rough = [(k, pump) for k, pump in enumerate(group, start)
-                     if abs(pump.center_nm - 771.0) > 5.0]
-            if rough:
-                expected.append((len(rough), True))
+            for far in (5.0, 10.0):
+                rough = [(k, pump) for k, pump in enumerate(group, start)
+                         if abs(pump.center_nm - 771.0) > far]
+                if rough:
+                    expected.append((len(rough), True))
             for k, pump in rough:
                 if pump.center_nm < 765.0:
                     expected += [(1, False), (1, False)]
