@@ -712,8 +712,8 @@ class TestTwoStages:
         # the uncompensated paper phase, relative to the half rule's mean:
         # the 32-node rule's exact error, from an 801^2 +/-9 sigma
         # reference, on either side of 1e-6, and its estimate, within 1e-3
-        # of it. The 20-node rule clears neither power, so where the half
-        # rule clears, the state is its; elsewhere the state rule's
+        # of it. The 20-node rule clears neither power, so the state is the
+        # half rule's where that clears, and the state rule's elsewhere
         cfg = paper_config
         sig, pump = cfg.signal, counts._broadened(cfg.noise, cfg.pump, power)
         fn = lambda s, p: total_phase(cfg.fiber, s, p)
@@ -756,10 +756,9 @@ class TestTwoStages:
             phase, cfg.signal, pump, relative_to_mean=True))
         assert not messages
         assert calls == [(27, 27), (39, 39)]
-        first, middle = _RULES[0], _RULES[1]
-        assert _group_coherences(fn, cfg.signal, [pump], True, False, first) == [None]
+        assert _group_coherences(fn, cfg.signal, [pump], True, False, _RULES[0]) == [None]
         assert [2 * state.matrix[0, 3]] == _group_coherences(fn, cfg.signal, [pump], True,
-                                                             False, middle)
+                                                             False, _RULES[1])
 
 
 class TestSpectralCoherences:
@@ -771,9 +770,9 @@ class TestSpectralCoherences:
     #: the doubled rule; 790 nm: a signal slope whose alias estimate
     #: exceeds 1e-6 on every rule; 780 nm: a gentler slope, which the first
     #: rule does not clear and the second does; near 771 nm: smooth, which
-    #: the first rule clears. Twenty pumps fill one group, whose four rough
-    #: pumps fall back to the state rule, and part of the next, whose
-    #: 780 nm pump takes the second rule.
+    #: the first rule clears. The first 16 of the twenty pumps fill one
+    #: group, whose four rough pumps fall back to the state rule; the
+    #: other four start the next, whose 780 nm pump takes the second rule.
     PUMPS = [GaussianSpectrum(c, 0.3) for c in (771.0, 760.0, 790.0, 771.5, 790.2, 759.8, 772.0,
                                                 771.2, 772.5, 770.8, 770.5, 771.8, 771.3, 772.2,
                                                 770.6, 771.7, 772.8, 780.0, 771.4, 770.9)]
