@@ -33,10 +33,13 @@ __version__ = "0.1.0"
 # threshold (mallopt(3), M_MMAP_THRESHOLD), freeing an mmapped block
 # raises the mmap threshold to its size and the trim threshold to twice
 # that, so freeing this 1 MiB block keeps every array up to 1 MiB on the
-# heap, instead of mmapping it, or trimming the heap, on every call. The
-# largest are the power sweep's grouped phase temporaries, 544-640 KiB.
-# Per pass on the paper config (getrusage ru_minflt), a 16-power sweep
-# faults 0 times with it and 4,100 without, a design pass 0 and 204.
+# heap, and up to 2 MiB of freed heap untrimmed, instead of trimming it
+# past glibc's default 128 KiB and faulting it back in on every call. At
+# its peak a design pass holds about 560 KiB of temporaries (101 x 101
+# float64 grids, 80 KiB each), and a 16-power sweep about 650 KiB (its
+# 27 x 432 phase blocks, 91 KiB each). Per pass on the paper config
+# (getrusage ru_minflt, glibc 2.36), each faults 0 times with the warm-up;
+# without it a design pass faults 67 times and the sweep 59.
 # np.empty touches no page, so this adds nothing to the resident set.
 _np.empty(1 << 17)  # float64
 del _np

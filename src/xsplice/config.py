@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .counts import NoiseParams
+from .counts import NoiseParams, _check_baseline
 from .materials import CompensatorMaterial, FiberSpec, load_materials
 from .phase import CompensatorSpec
 from .states import GaussianSpectrum
@@ -49,13 +49,11 @@ class SourceConfig:
 
 
 def _orientation(raw: str) -> int:
+    """The integer of ``raw``; ``CompensatorSpec`` checks that it is +1 or -1."""
     try:
-        val = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ConfigError(f"orientation must be +1 or -1, got {raw!r}") from exc
-    if val not in (+1, -1):
-        raise ConfigError(f"orientation must be +1 or -1, got {val}")
-    return val
 
 
 def _getfloat(parser: configparser.ConfigParser, section: str, key: str) -> float:
@@ -97,8 +95,7 @@ def load_config(path: str | None = None, materials_path: str | None = None) -> S
         o_key, e_key = f"{mat_name}_o", f"{mat_name}_e"
         if o_key not in db or e_key not in db:
             raise ConfigError(f"material database lacks {o_key!r}/{e_key!r}")
-        material = CompensatorMaterial(ordinary=db[o_key], extraordinary=db[e_key],
-                                       name=mat_name)
+        material = CompensatorMaterial(ordinary=db[o_key], extraordinary=db[e_key])
         comps = tuple(
             CompensatorSpec(_getfloat(parser, "compensators", f"{arm}_length_mm"), material,
                             _orientation(parser.get("compensators", f"{arm}_orientation")), arm)
@@ -118,9 +115,7 @@ def load_config(path: str | None = None, materials_path: str | None = None) -> S
             window_s=_getfloat(parser, "noise", "window_s"),
             spm_coeff=_getfloat(parser, "noise", "spm_coeff"),
         )
-        baseline = _getfloat(parser, "noise", "baseline_noise")
-        if not 0.0 <= baseline < 1.0:
-            raise ConfigError(f"baseline_noise must be in [0, 1), got {baseline}")
+        baseline = _check_baseline(_getfloat(parser, "noise", "baseline_noise"), ConfigError)
     except (configparser.Error, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -297,11 +297,21 @@ def _background_fraction(p: NoiseParams, avg_power_mw: float) -> float:
     return r["accidentals"] / total
 
 
+def _check_baseline(baseline_noise: float, error=ValueError) -> float:
+    """``baseline_noise`` if it is in [0, 1), else ``error``; at 1 the state is white noise alone.
+
+    The weight's one domain, for the library and for ``load_config``,
+    which passes ``ConfigError``.
+    """
+    if not 0.0 <= baseline_noise < 1.0:
+        raise error(f"baseline_noise must be in [0, 1), got {baseline_noise!r}")
+    return baseline_noise
+
+
 def _noise_weight(p: NoiseParams, avg_power_mw: float, baseline_noise: float) -> float:
     """White-noise weight at one power; checks the power, then ``baseline_noise``."""
     w = min(1.0, baseline_noise + _background_fraction(p, avg_power_mw))  # checks the power
-    if not 0.0 <= baseline_noise <= 1.0:
-        raise ValueError(f"baseline_noise must be in [0, 1], got {baseline_noise!r}")
+    _check_baseline(baseline_noise)
     return w
 
 
@@ -324,7 +334,7 @@ def effective_state_at_power(p: NoiseParams, fiber, comps,
     mean phase, which the tunable wedges absorb), and white noise is
     admixed with weight equal to the background fraction of coincidences
     plus ``baseline_noise`` (power-independent depolarization not caused
-    by counting statistics), a weight in [0, 1].
+    by counting statistics), a weight in [0, 1).
     """
     w = _noise_weight(p, avg_power_mw, baseline_noise)
     rho_spec = mixed_state_over_spectra(

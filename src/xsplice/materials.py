@@ -120,7 +120,6 @@ class CompensatorMaterial:
 
     ordinary: SellmeierModel
     extraordinary: SellmeierModel
-    name: str = ""
 
 
 def _check_range(model: SellmeierModel, wavelength_nm):
@@ -240,4 +239,4 @@ def fused_silica(db: dict | None = None) -> SellmeierModel:
 def quartz(db: dict | None = None) -> CompensatorMaterial:
     """The quartz compensator material from the database."""
     db = load_materials() if db is None else db
-    return CompensatorMaterial(ordinary=db["quartz_o"], extraordinary=db["quartz_e"], name="quartz")
+    return CompensatorMaterial(ordinary=db["quartz_o"], extraordinary=db["quartz_e"])

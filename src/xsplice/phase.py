@@ -37,7 +37,7 @@ import numpy as np
 from .materials import CompensatorMaterial, FiberSpec, _check_range, _sellmeier
 from .materials import index  # noqa: F401 -- unused; perfbench/tracing.py pins materials.index here
 from .phasematch import _check_wavelengths
-from .states import bandwidth_grid
+from .states import bandwidth_grid  # noqa: F401 -- unused; perfbench/tasks.py reads it here
 
 __all__ = [
     "CompensatorSpec",
@@ -46,7 +46,6 @@ __all__ = [
     "compensator_phase",
     "compensated_phase",
     "phase_map",
-    "bandwidth_grid",
 ]
 
 

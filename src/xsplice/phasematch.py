@@ -323,8 +323,8 @@ def solve_signal_idler(fiber: FiberSpec, lambda_p_nm) -> PhaseMatchPoint:
         ls = max(1.0 / (1.0 / lp + delta), end)
     else:
         raise PhaseMatchError("root refinement did not reach the mismatch tolerance")
-    # ``idler_wavelength`` without its checks: the window keeps 2 ls > lp
-    return PhaseMatchPoint(lp, ls, ls * lp / (2.0 * ls - lp), dk)
+    # two floats, and the window keeps 2 ls > lp: the float path, no numpy call
+    return PhaseMatchPoint(lp, ls, idler_wavelength(ls, lp), dk)
 
 
 def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
@@ -379,11 +379,7 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     # which the check of the reach ends rejects
     reach = 2.0 * dk_half / abs(dk_dls) if dk_dls else math.inf
     ends = (ls0 - reach, ls0 + reach)
-    # each end is an extreme of the pair, so the ends' float range tests
-    # together are the pair's; where one fails, the pair raises its
-    # element-wise error
-    if not (_within_ranges(fiber, (), ends[0], lp) and _within_ranges(fiber, (), ends[1], lp)):
-        _check_wavelengths(fiber, (), np.array(ends), lp)
+    _check_wavelengths(fiber, (), np.array(ends), lp)
     # the lower edge's level, then the upper one's
     levels = (-dk_half, dk_half) if dk_dls > 0 else (dk_half, -dk_half)
     f_near = [near - level for level in levels]

@@ -16,13 +16,13 @@ integrands (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), and by
 Poisson summation its error is the aliasing of the phasor's spectrum by
 the node step. The state's convergence check estimates that error from
 quadratic fits of the phase along each node line, from one evaluation
-of the phase on the nodes plus a few probe positions between them that
-test the phase's smoothness on the node scale. The state walks a table
-of checked rules, coarse to fine (``_RULES``: 20, 32, then 64 nodes per
-axis): a pump keeps the coherence of the first rule whose check clears
-1e-6. On the paper config the 20-node rule clears the compensated phase
-below 119 mW and the uncompensated one below 16 mW, the 32-node rule
-below 121 mW and 43 mW. The last rule gives the verdict on the pumps
+of the phase on the nodes plus a few probes between them that test the
+phase's smoothness on the node scale: fixed positions in sigma, the same
+for every rule. The state walks a table of checked rules, coarse to fine
+(``_RULES``: 20, 32, then 64 nodes per axis): a pump keeps the coherence
+of the first rule whose check clears 1e-6. On the paper config the
+20-node rule clears the compensated phase below 119 mW and the
+uncompensated one below 16 mW, the 32-node rule below 121 mW and 43 mW. The last rule gives the verdict on the pumps
 that reach it: one that fails the smoothness test, or that no quadratic
 fits, is evaluated once more on one off-lattice verifier with twice the
 nodes, and a pump not converged to 1e-6 is warned about. Pump spectra that share one
@@ -138,12 +138,12 @@ class GaussianSpectrum:
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """4x4 density matrix in the (HH, HV, VH, VV) basis."""
+    """4x4 density matrix in the (HH, HV, VH, VV) basis: a read-only copy of the one given."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -170,7 +170,7 @@ class TwoQubitState:
         return cls(m)
 
 
-#: Single-qubit analyzer kets, shared by the visibilities and tomography.
+#: Single-qubit analyzer kets, shared by the visibilities and tomography; read-only.
 ANALYZER_KETS = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
@@ -179,6 +179,8 @@ ANALYZER_KETS = {
     "R": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
     "L": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
 }
+for _ket in ANALYZER_KETS.values():
+    _ket.setflags(write=False)
 
 _S = 1.0 / np.sqrt(2.0)
 _BELL = {
@@ -234,13 +236,13 @@ def _built_rule(points: int, span_sigmas: float) -> tuple:
     return rule
 
 
-def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS,
-                   span_sigmas: float = DESIGN_SPAN_SIGMAS) -> np.ndarray:
-    """The rule's nodes placed on a Gaussian given by its FWHM, ``c + sigma x``.
+def bandwidth_grid(center_nm: float, fwhm_nm: float, points: int = DESIGN_POINTS) -> np.ndarray:
+    """The design rule's nodes placed on a Gaussian given by its FWHM, ``c + sigma x``.
 
-    ``GaussianSpectrum`` checks the center and FWHM.
+    The nodes span +/- ``DESIGN_SPAN_SIGMAS``, the compensator design's
+    and phase map's window. ``GaussianSpectrum`` checks the center and FWHM.
     """
-    x = _rule(points, span_sigmas)[0]
+    x = _rule(points, DESIGN_SPAN_SIGMAS)[0]
     spectrum = GaussianSpectrum(center_nm, fwhm_nm)
     return spectrum.center_nm + spectrum.sigma_nm * x
 
@@ -291,18 +293,14 @@ def _lagrange_matrix(n: int, t: np.ndarray) -> np.ndarray:
     return matrix
 
 
-#: The probe nodes: the nodes of the verifier, the state rule's doubled
-#: rule, nearest ``_PROBE_SIGMAS``, shared by every checked rule. Each
-#: sits at least 0.06 of a node step off every checked rule's nodes
-#: (0.071 at 20 nodes, 0.063 at 32, 0.126 at 64; 16 or 19 nodes would
-#: bring one within 0.05), so a component that aliases onto the nodes
-#: misses most of them.
-_PROBES = np.rint((np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5)
-                  * (2 * QUAD_NODES - 1)).astype(int)
-_PROBES.setflags(write=False)
-
-#: Positions of the probes in sigma from the centre.
-_PROBE_X = (2.0 * _PROBES / (2 * QUAD_NODES - 1) - 1.0) * QUAD_SPAN_SIGMAS
+#: The probes, fixed positions in sigma from the centre shared by every
+#: checked rule: the nodes of the verifier, the state rule's doubled rule,
+#: nearest ``_PROBE_SIGMAS``. Each sits at least 0.06 of a node step off
+#: every checked rule's nodes (0.071 at 20 nodes, 0.063 at 32, 0.126 at
+#: 64; 16 or 19 nodes would bring one within 0.05), so a component that
+#: aliases onto the nodes misses most of them.
+_PROBE_X = (2.0 * np.rint((np.array(_PROBE_SIGMAS) / (2 * QUAD_SPAN_SIGMAS) + 0.5)
+                          * (2 * QUAD_NODES - 1)) / (2 * QUAD_NODES - 1) - 1.0) * QUAD_SPAN_SIGMAS
 _PROBE_X.setflags(write=False)
 
 
@@ -353,12 +351,13 @@ class _CheckedRule(NamedTuple):
     ``nodes`` (x in sigma), ``weights`` and ``joint`` are those of
     ``_rule`` over +/- ``QUAD_SPAN_SIGMAS``. ``sampled_x`` is where in
     sigma the rule evaluates the phase on either axis: the nodes, then
-    the probes at ``_PROBE_X``. ``probe_rows`` interpolates from the
-    nodes onto the probes, and ``line_fit`` and ``line_powers`` are
-    ``_line_fit``'s. ``alias_nu`` is the alias frequency 2 pi / h in rad
-    per sigma, h the node step; the first node sits at -(n - 1) h / 2,
-    so order k enters the node sum with the sign in ``alias_signs``,
-    (-1)^(k (n - 1)). Every array is read-only.
+    the probes, at the fixed sigma positions ``_PROBE_X`` that every rule
+    shares. ``probe_rows`` interpolates from the nodes onto the probes,
+    and ``line_fit`` and ``line_powers`` are ``_line_fit``'s. ``alias_nu``
+    is the alias frequency 2 pi / h in rad per sigma, h the node step;
+    the first node sits at -(n - 1) h / 2, so order k enters the node sum
+    with the sign in ``alias_signs``, (-1)^(k (n - 1)). Every array is
+    read-only.
     """
 
     nodes: np.ndarray
@@ -374,9 +373,9 @@ class _CheckedRule(NamedTuple):
 
 def _checked_rule(points: int) -> _CheckedRule:
     x, w, joint = _rule(points, QUAD_SPAN_SIGMAS)
-    # every rule and the verifier span the same window, so verifier node
-    # j sits at index j (points - 1) / (2 QUAD_NODES - 1) of the nodes
-    probe_rows = _lagrange_matrix(points, _PROBES * (points - 1) / (2 * QUAD_NODES - 1))
+    # the probes in units of the node step from the first node
+    probe_rows = _lagrange_matrix(
+        points, (_PROBE_X + QUAD_SPAN_SIGMAS) * (points - 1) / (2 * QUAD_SPAN_SIGMAS))
     sampled_x = np.concatenate((x, _PROBE_X))
     alias_signs = (-1.0) ** (_ALIAS_ORDERS * (points - 1))
     for a in (sampled_x, alias_signs):

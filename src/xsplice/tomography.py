@@ -42,7 +42,10 @@ _TRACELESS = 0.5 * np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Product projector |a><a| (x) |b><b| on the signal/idler qubits."""
+    """Product projector |a><a| (x) |b><b| on the signal/idler qubits.
+
+    Each ket is kept as a read-only copy of the one given, checked for unit norm.
+    """
 
     projector_signal: np.ndarray
     projector_idler: np.ndarray
@@ -50,7 +53,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("projector_signal", "projector_idler"):
-            v = np.asarray(getattr(self, name), dtype=complex).reshape(2)
+            v = np.array(getattr(self, name), dtype=complex).reshape(2)
             if abs(np.vdot(v, v).real - 1.0) > _NORM_TOL:
                 raise ValueError(f"{name} is not unit norm")
             v.setflags(write=False)

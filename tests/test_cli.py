@@ -71,7 +71,8 @@ class TestUsage:
             assert "config error" in res.stderr, ini
 
     @pytest.mark.parametrize("ini, message", [
-        ("[compensators]\nsignal_orientation = 2\n", "orientation must be +1 or -1, got 2"),
+        ("[compensators]\nsignal_orientation = 2\n",
+         "invalid configuration: orientation_sign must be +1 or -1, got 2"),
         ("[compensators]\nsignal_orientation = x\n", "orientation must be +1 or -1, got 'x'"),
         ("[fiber]\ncore = nope\n", "unknown core material 'nope'"),
         ("[compensators]\nmaterial = fused_silica\n",

@@ -143,7 +143,7 @@ def one_pass():
     sig, idl, _ = xs.optimize_compensators(fiber, cfg.material, cfg.pump, cfg.signal)
     xs.phase_map(fiber, (sig, idl), signal_axis, pump_axis)
 """,
-    # the 71-point node-and-probe grid of the state quadrature
+    # the 27-point node-and-probe grid of the state quadrature's first rule
     "state": """
 def one_pass():
     xs.effective_state_at_power(cfg.noise, fiber, cfg.compensators, cfg.signal, cfg.pump,

@@ -559,8 +559,9 @@ class TestBaselineCalibration:
 
 
 def test_state_at_power_evaluates_the_phase_once(monkeypatch, paper_config):
-    # on the quadrature nodes only: the mean-phase reference and the
-    # node-doubling check both reuse the nodes' phase
+    # on the quadrature nodes and probes only: the mean-phase reference and
+    # the convergence check both reuse that one evaluation, and the first
+    # rule clears the paper's 30 mW state, so no later rule or verifier runs
     real = counts_mod.compensated_phase
     calls = []
 
@@ -644,8 +645,8 @@ class TestStateAtPowerInputs:
         monkeypatch.setattr(counts_mod, "compensated_phase", fail)
 
     # NaN used to give the maximally mixed state, a negative weight "matrix has
-    # a negative eigenvalue"
-    @pytest.mark.parametrize("baseline", [np.nan, np.inf, -0.01, 1.5])
+    # a negative eigenvalue"; 1.0 passed here while load_config rejected it
+    @pytest.mark.parametrize("baseline", [np.nan, np.inf, -0.01, 1.5, 1.0])
     def test_baseline_outside_unit_interval_rejected(self, paper_config, baseline):
         cfg = paper_config
         args = (cfg.noise, cfg.fiber, cfg.compensators)

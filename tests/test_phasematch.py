@@ -574,8 +574,7 @@ class TestBandwidths:
 
     def test_two_mismatch_calls_before_refinement(self, monkeypatch, paper_fiber):
         # the point, checked, with both slopes in one call; then the two reach
-        # ends, each range-tested as a float before either is evaluated; then
-        # the edges
+        # ends, checked together before either is evaluated; then the edges
         point = solve_signal_idler(paper_fiber, 771.0)
         calls = []
 
@@ -591,5 +590,5 @@ class TestBandwidths:
         monkeypatch.setattr(phasematch, "_mismatch", log("mismatch", phasematch._mismatch))
         monkeypatch.setattr(phasematch, "_refine", log("refine", phasematch._refine))
         output_bandwidths(paper_fiber, point, 0.3)
-        assert calls[:calls.index("refine")] == ["check", "range", "mismatch", "range", "range",
+        assert calls[:calls.index("refine")] == ["check", "range", "mismatch", "check", "range",
                                                  "mismatch", "mismatch"]

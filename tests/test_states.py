@@ -27,7 +27,7 @@ from conftest import exact_quadratic_average
 from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            VisibilityUndefinedError, _INTERPOLATION_TOL, _PROBE_X, _PROBES,
+                            VisibilityUndefinedError, _INTERPOLATION_TOL, _PROBE_X,
                             _PUMP_GROUP, _RULES, _alias_check, _alias_estimate,
                             _coherence, _group_coherences, _rule, bandwidth_grid, spectral_grid)
 
@@ -98,8 +98,14 @@ class TestBandwidthGrid:
         ((670.0, 0.23, 5, 0.0), "span"), ((670.0, 0.23, 5, np.nan), "span"),
     ])
     def test_nonsense_axes_rejected(self, args, match):
+        # bandwidth_grid spans the design window; a span is spectral_grid's
+        center, fwhm, points, *span = args
         with pytest.raises(ValueError, match=match):
-            bandwidth_grid(*args)
+            if span:
+                spectrum = GaussianSpectrum(center, fwhm)
+                spectral_grid(spectrum, spectrum, points, *span)
+            else:
+                bandwidth_grid(*args)
 
     def test_ascending_and_centred(self):
         ax = bandwidth_grid(670.0, 0.23, np.int64(5))
@@ -123,8 +129,9 @@ class TestBandwidthGrid:
             for spec, axis in ((signal, ls[:, 0]), (pump, lp[0])):
                 placed = spec.center_nm + spec.sigma_nm * x
                 assert np.array_equal(axis, placed)
-                assert np.array_equal(bandwidth_grid(spec.center_nm, spec.fwhm_nm, points, span),
-                                      placed)
+                if span == DESIGN_SPAN_SIGMAS:
+                    assert np.array_equal(bandwidth_grid(spec.center_nm, spec.fwhm_nm, points),
+                                          placed)
             joints.append(joint)
         assert np.array_equal(*joints)
 
@@ -495,8 +502,11 @@ class TestSpectralMixture:
         rows = _RULES[-1].probe_rows
         x = np.linspace(-1.0, 1.0, QUAD_NODES)
         t = _PROBE_X / QUAD_SPAN_SIGMAS
-        assert rows.shape == (len(_PROBES), QUAD_NODES)
-        assert np.max(np.abs(t - np.linspace(-1.0, 1.0, 2 * QUAD_NODES)[_PROBES])) < 1e-15
+        assert rows.shape == (len(_PROBE_X), QUAD_NODES)
+        # the probes are nodes of the doubled rule
+        doubled = np.linspace(-1.0, 1.0, 2 * QUAD_NODES)
+        j = np.rint((t + 1.0) * (2 * QUAD_NODES - 1) / 2.0).astype(int)
+        assert np.max(np.abs(t - doubled[j])) < 1e-15
         assert not rows.flags.writeable
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-14
         for k in range(8):
@@ -512,7 +522,7 @@ class TestSpectralMixture:
         assert sizes == sorted(set(sizes)) and sizes[-1] == QUAD_NODES
         for rule in _RULES:
             n = len(rule.nodes)
-            t = _PROBES * (n - 1) / (2 * QUAD_NODES - 1)
+            t = (_PROBE_X + QUAD_SPAN_SIGMAS) * (n - 1) / (2 * QUAD_SPAN_SIGMAS)
             assert np.min(np.abs(t - np.rint(t))) >= 0.06, n
             assert np.array_equal(rule.sampled_x[n:], _PROBE_X)
 

@@ -22,6 +22,7 @@ from xsplice import (
     tangle,
     werner_state,
 )
+from xsplice.states import ANALYZER_KETS
 from conftest import expected_counts
 
 
@@ -59,6 +60,26 @@ class TestSettings:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             MeasurementSetting(np.array([1.0, 1.0]), np.array([1.0, 0.0]), "bad")
+
+    def test_value_objects_copy_what_they_validate(self, settings):
+        # a state and a setting each keep a read-only copy of the arrays they
+        # checked: the caller's arrays stay writable, and writing to them
+        # changes neither object
+        m = werner_state(0.7).matrix.copy()
+        state = TwoQubitState(m)
+        m[0, 0] = 0.3
+        assert state.matrix[0, 0] == werner_state(0.7).matrix[0, 0]
+        ket = np.array([1.0, 0.0], dtype=complex)
+        setting = MeasurementSetting(ket, ket)
+        ket[0] = 2.0
+        assert setting.projector_signal.tolist() == setting.projector_idler.tolist() == [1, 0]
+        for arr in (state.matrix, setting.projector_signal, setting.projector_idler):
+            assert not arr.flags.writeable
+        # the analyzer kets are read-only, and no standard setting shares their memory
+        for k in ANALYZER_KETS.values():
+            assert not k.flags.writeable
+            assert not any(np.shares_memory(k, s.projector_signal)
+                           or np.shares_memory(k, s.projector_idler) for s in settings)
 
     def test_projector_stack_is_the_kron_construction(self, settings):
         rng = np.random.default_rng(3)
