@@ -61,12 +61,19 @@ class CountRecord:
     coincidences_background: float
 
     def __post_init__(self):
-        for f in dc_fields(self):
-            if not 0.0 <= getattr(self, f.name) < math.inf:
-                raise ValueError(f"{f.name} must be finite and >= 0")
-        for chan in ("signal", "idler", "coincidences"):
-            if getattr(self, f"{chan}_background") > getattr(self, f"{chan}_total"):
+        for name in _RECORD_FIELDS:
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for chan, background, total in _RECORD_CHANNELS:
+            if getattr(self, background) > getattr(self, total):
                 raise ValueError(f"{chan} background exceeds total")
+
+
+#: ``CountRecord``'s field names in order, and each channel with its
+#: background and total fields: the names its checks read, built once.
+_RECORD_FIELDS = tuple(f.name for f in dc_fields(CountRecord))
+_RECORD_CHANNELS = tuple((chan, f"{chan}_background", f"{chan}_total")
+                         for chan in ("signal", "idler", "coincidences"))
 
 
 @dataclass(frozen=True)

@@ -440,27 +440,26 @@ def _alias_check(phi: np.ndarray, probed_s: np.ndarray, probed_p: np.ndarray,
     block per pump spectrum; ``probed_s`` holds them at the probe signal
     positions on the pump nodes, ``probed_p`` at the probe pump
     positions on the signal nodes, stacked alike. Both axes carry the
-    rule's ``weights``. One pass per axis takes that axis' node lines,
-    one per row, with the probes on them. It fits ``alpha + a x + c x^2``
-    to every line (``rule.line_fit``); a phase whose weighted fit residual
-    on a line exceeds ``_FIT_TOL`` gets None. It adds the worst probe line's
-    misfit, the phase interpolated onto the probes (``rule.probe_rows``)
-    less its value there, weighted across the lines; and the size of its
-    ``_alias_estimate``. The two axes' misfits and estimates add; None
-    also means a misfit above ``_INTERPOLATION_TOL``, a phase not smooth
-    on the node scale.
+    rule's ``weights``. One stacked pass takes both axes' node lines, one
+    per row, with the probes on them: the signal-axis halves first, then
+    the pump-axis halves. It fits ``alpha + a x + c x^2`` to every line
+    (``rule.line_fit``); a phase whose weighted fit residual on a line of
+    either half exceeds ``_FIT_TOL`` gets None. Each half gives the worst
+    probe line's misfit, the phase interpolated onto the probes
+    (``rule.probe_rows``) less its value there, weighted across the
+    lines; and the size of its ``_alias_estimate``. A phase's two halves
+    add, misfits and estimates alike; None also means a misfit above
+    ``_INTERPOLATION_TOL``, a phase not smooth on the node scale.
     """
-    held = np.ones(len(phi), dtype=bool)
-    misfit = error = 0.0
-    for lines, probed in ((phi.transpose(0, 2, 1), probed_s.transpose(0, 2, 1)),
-                          (phi, probed_p)):
-        fit = lines @ rule.line_fit.T
-        residual = np.abs(lines - fit @ rule.line_powers) @ rule.weights
-        held &= residual.max(axis=1) <= _FIT_TOL
-        misfit += (rule.weights @ np.abs(lines @ rule.probe_rows.T - probed)).max(axis=1)
-        error += np.array([abs(e) for e in _alias_estimate(fit, lines, rule)])
-    held &= misfit <= _INTERPOLATION_TOL
-    return [float(e) if h else None for e, h in zip(error, held)]
+    g = len(phi)
+    lines = np.concatenate((phi.transpose(0, 2, 1), phi))
+    probed = np.concatenate((probed_s.transpose(0, 2, 1), probed_p))
+    fit = lines @ rule.line_fit.T
+    fitted = (np.abs(lines - fit @ rule.line_powers) @ rule.weights).max(axis=1) <= _FIT_TOL
+    misfit = (rule.weights @ np.abs(lines @ rule.probe_rows.T - probed)).max(axis=1)
+    error = np.array([abs(e) for e in _alias_estimate(fit, lines, rule)])
+    held = fitted[:g] & fitted[g:] & (misfit[:g] + misfit[g:] <= _INTERPOLATION_TOL)
+    return [float(e) if h else None for e, h in zip(error[:g] + error[g:], held)]
 
 
 def _coherence(phi: np.ndarray, w: np.ndarray, real: bool = False) -> list:
@@ -523,7 +522,9 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     Poisson summation (``_alias_estimate``): in closed form per alias
     order, or by the line's own node sum where its integral is
     negligible. The estimates are summed over the lines with the other
-    axis' weights, so lines may cancel, and the two axes add. The
+    axis' weights, so lines may cancel. One stacked pass takes both axes'
+    lines of every pump in the group (``_alias_check``), and a pump's two
+    halves add: estimates and misfits sum, and both fits must hold. The
     estimate presumes a phase smooth on the node scale that a quadratic
     describes along each line. The probes test the first: they are
     nodes of the verifier, the state rule's doubled rule, and along each
@@ -568,8 +569,9 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
     """
     n, size = len(rule.nodes), len(rule.sampled_x)
     column = (signal.center_nm + signal.sigma_nm * rule.sampled_x)[:, None]
-    row = np.concatenate([pump.center_nm + pump.sigma_nm * rule.sampled_x
-                          for pump in group])[None, :]
+    centers = np.array([pump.center_nm for pump in group])
+    sigmas = np.array([pump.sigma_nm for pump in group])
+    row = (centers[:, None] + sigmas[:, None] * rule.sampled_x).reshape(1, -1)
     sampled = np.broadcast_to(phase_fn(column, row), (size, len(group) * size))
     # a C-ordered copy: each pump's block is laid out as one pump's phase
     # alone, so every reduction over it sums in the same order, bit for bit

@@ -27,7 +27,7 @@ from conftest import exact_quadratic_average
 from xsplice import counts, states
 from xsplice.counts import effective_state_at_power, visibility_vs_power
 from xsplice.states import (DESIGN_POINTS, DESIGN_SPAN_SIGMAS, QUAD_NODES, QUAD_SPAN_SIGMAS,
-                            VisibilityUndefinedError, _INTERPOLATION_TOL, _PROBE_X,
+                            VisibilityUndefinedError, _FIT_TOL, _INTERPOLATION_TOL, _PROBE_X,
                             _PUMP_GROUP, _RULES, _alias_check, _alias_estimate,
                             _coherence, _group_coherences, _rule, bandwidth_grid, spectral_grid)
 
@@ -52,6 +52,36 @@ def _direct_doubled_rule(phase, signal, pump):
     """Oracle: the doubled rule on a second evaluation of the phase."""
     ls, lp, w = spectral_grid(signal, pump, 2 * QUAD_NODES, QUAD_SPAN_SIGMAS)
     return np.sum(w * np.exp(-1j * phase(ls, lp)))
+
+
+def _sampled_phase(phase, rule):
+    """``phase(x_s, x_p)``, x in sigma, on ``rule``'s nodes and on its probe lines.
+
+    Returns the arrays that ``_alias_check`` takes for one phase: the
+    node block, the signal probes on the pump nodes and the pump probes
+    on the signal nodes, each C-ordered.
+    """
+    x, n, probes = rule.nodes, len(rule.nodes), len(_PROBE_X)
+    return (np.array(np.broadcast_to(phase(x[:, None], x[None, :]), (n, n))),
+            np.array(np.broadcast_to(phase(_PROBE_X[:, None], x[None, :]), (probes, n))),
+            np.array(np.broadcast_to(phase(x[:, None], _PROBE_X[None, :]), (n, probes))))
+
+
+def _per_axis_check(phi, probed_s, probed_p, rule):
+    """Oracle: ``_alias_check`` of one phase, one axis at a time.
+
+    Each axis' node lines, as a C-ordered stack of one, take the fit, the
+    residual test, the probe misfit and the alias estimate; both fits
+    must hold, and the axes' misfits and estimates add.
+    """
+    held, misfit, error = True, 0.0, 0.0
+    for lines, probed in ((np.array(phi.T)[None], probed_s.T[None]),
+                          (phi[None], probed_p[None])):
+        fit = lines @ rule.line_fit.T
+        held &= bool(np.max(np.abs(lines - fit @ rule.line_powers) @ rule.weights) <= _FIT_TOL)
+        misfit += np.max(rule.weights @ np.abs(lines @ rule.probe_rows.T - probed))
+        error += abs(_alias_estimate(fit, lines, rule)[0])
+    return float(error) if held and misfit <= _INTERPOLATION_TOL else None
 
 
 def _paper_phases(cfg):
@@ -478,7 +508,7 @@ class TestSpectralMixture:
             (*paper[35 + 2 * 7], 0.0),
             (lambda s, p: 60.72 * xs(s) + 0 * p, pump, 1.0161586497125677e-06),
             (lambda s, p: 40.0 * xs(s) + 40.0 * xp(p), pump, 2.1916647020956254e-16),
-            (lambda s, p: 20.0 * xs(s) + 2.0 * xs(s) ** 2 + 0 * p, pump, 0.0034521997201190165),
+            (lambda s, p: 20.0 * xs(s) + 2.0 * xs(s) ** 2 + 0 * p, pump, 0.003452199720119038),
             (lambda s, p: 0.6 * xp(p) ** 3 + 0 * s, pump, None),
             (lambda s, p: 0.01 * np.sin(32.0 * xs(s)) + 0 * p, pump, None),
         ]
@@ -495,6 +525,60 @@ class TestSpectralMixture:
                 assert moved is None
             else:
                 assert moved == recorded
+
+    @pytest.mark.parametrize("rule", _RULES, ids=[len(r.nodes) for r in _RULES])
+    @pytest.mark.parametrize("size", [1, 2, 16])
+    def test_stacked_check_keeps_the_per_axis_halves(self, rule, size):
+        # in a stack of any size each phase gets exactly what it gets alone,
+        # and that is what the check, one axis at a time, gives it: both
+        # fits must hold, and the two axes' misfits and estimates add (to
+        # rounding: a matmul's bits depend on the stack's height). The
+        # catalogue mixes phases that clear, phases whose quadratic fit
+        # fails along one axis only, and node-scale ripples that fail the
+        # probe misfit
+        catalogue = [
+            lambda s, p: 0.3 * s + 0.2 * p + 0.01 * s * p,
+            lambda s, p: 20.0 * s + 2.0 * s ** 2 + 0 * p,
+            lambda s, p: 40.0 * s + 40.0 * p,
+            lambda s, p: 0.6 * p ** 3 + 0 * s,
+            lambda s, p: 0.6 * s ** 3 + 0 * p,
+            lambda s, p: 0.01 * np.sin(32.0 * s) + 0 * p,
+            lambda s, p: 0.01 * np.sin(32.0 * p) + 0 * s,
+        ]
+        phases = [_sampled_phase(catalogue[k % len(catalogue)], rule)
+                  for k in range(size + len(catalogue) - 1)]
+        kinds = set()
+        for start in range(len(catalogue)):
+            chosen = phases[start:start + size]
+            stacked = _alias_check(*map(np.array, zip(*chosen)), rule)
+            assert stacked == [_alias_check(*(a[None] for a in p), rule)[0] for p in chosen]
+            for got, p in zip(stacked, chosen):
+                want = _per_axis_check(*p, rule)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got == pytest.approx(want, rel=1e-9)
+            kinds |= {type(e) for e in stacked}
+        assert kinds == {float, type(None)}
+
+    def test_halves_of_the_probe_misfit_add(self):
+        # a node-scale ripple along each axis whose misfit on either axis
+        # alone is below the tolerance, but whose two misfits together are
+        # above it: the check does not hold
+        rule = _RULES[-1]
+        ripple = lambda x: np.sin(32.0 * x)
+        unit = _sampled_phase(lambda s, p: ripple(s) + 0 * p, rule)
+        w, rows = rule.weights, rule.probe_rows
+        unit_misfit = np.max(np.abs(rows @ unit[0] - unit[1]) @ w)
+        amplitude = 0.7 * _INTERPOLATION_TOL / unit_misfit
+        for one_axis in (lambda s, p: amplitude * ripple(s) + 0 * p,
+                         lambda s, p: amplitude * ripple(p) + 0 * s):
+            phi, probed_s, probed_p = _sampled_phase(one_axis, rule)
+            misfit = (np.max(np.abs(rows @ phi - probed_s) @ w)
+                      + np.max(w @ np.abs(phi @ rows.T - probed_p)))
+            assert 0.5 * _INTERPOLATION_TOL < misfit < _INTERPOLATION_TOL
+            assert _alias_check(phi[None], probed_s[None], probed_p[None], rule)[0] is not None
+        both = _sampled_phase(lambda s, p: amplitude * (ripple(s) + ripple(p)), rule)
+        assert _alias_check(*(a[None] for a in both), rule) == [None]
 
     def test_doubled_interpolation_matrix(self):
         # the probe rows of the doubled rule's interpolation, 8 Lagrange
