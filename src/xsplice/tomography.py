@@ -13,10 +13,11 @@ optimal to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,11 +46,13 @@ class MeasurementSetting:
     """Product projector |a><a| (x) |b><b| on the signal/idler qubits.
 
     Each ket is kept as a read-only copy of the one given, checked for unit norm.
+    Settings compare and hash by the label and the exact bits of the two kets.
     """
 
-    projector_signal: np.ndarray
-    projector_idler: np.ndarray
+    projector_signal: np.ndarray = field(compare=False)
+    projector_idler: np.ndarray = field(compare=False)
     label: str = ""
+    _key: bytes = field(init=False, repr=False)  # the kets' bits, signal then idler
 
     def __post_init__(self):
         for name in ("projector_signal", "projector_idler"):
@@ -58,6 +61,8 @@ class MeasurementSetting:
                 raise ValueError(f"{name} is not unit norm")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "_key",
+                           self.projector_signal.tobytes() + self.projector_idler.tobytes())
 
 
 @dataclass(frozen=True)
@@ -90,11 +95,31 @@ def standard_settings() -> list:
             for a in "HVDARL" for b in "HVDARL"]
 
 
+@functools.lru_cache(maxsize=8)  # room for the standard set and a few subsets of it
+def _built_settings(key: bytes) -> tuple:
+    """What depends only on the settings, from their joined ``_key``: the
+    projectors Pi_k flattened to rows of 16, the coordinates tr(Pi_k E_j)
+    over ``_TRACELESS`` (both read-only), and whether the settings are
+    informationally complete."""
+    kets = np.frombuffer(key, dtype=complex).reshape(-1, 2, 2)
+    a, b = kets[:, 0], kets[:, 1]
+    vs = (a[:, :, None] * b[:, None, :]).reshape(len(kets), 4)  # rows a (x) b
+    flat = np.einsum("ki,kj->kij", vs, vs.conj()).reshape(len(kets), 16)
+    coords = (flat @ _TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real
+    # flat in the orthonormal basis I/2, E_j: real, with the singular values of flat
+    design = np.column_stack([(flat @ np.eye(4).ravel()).real / 2, coords])
+    complete = np.count_nonzero(np.linalg.svd(design, compute_uv=False) > 1e-10) == 16
+    flat.setflags(write=False)
+    coords.setflags(write=False)
+    return flat, coords, complete
+
+
+def _settings_tables(settings) -> tuple:
+    return _built_settings(b"".join(s._key for s in settings))
+
+
 def _projector_stack(settings) -> np.ndarray:
-    a = np.array([s.projector_signal for s in settings], dtype=complex).reshape(-1, 2)
-    b = np.array([s.projector_idler for s in settings], dtype=complex).reshape(-1, 2)
-    vs = (a[:, :, None] * b[:, None, :]).reshape(len(settings), 4)  # rows a (x) b
-    return np.einsum("ki,kj->kij", vs, vs.conj())
+    return _settings_tables(settings)[0].reshape(-1, 4, 4)
 
 
 def born_probabilities(state: TwoQubitState, settings) -> np.ndarray:
@@ -349,6 +374,9 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     singular values of the projectors, and 16 of them must exceed 1e-10.
     Its 15 columns E_j, scaled by the exposure, are the Jacobian J of the
     Newton steps, whose rank is thereby known when every setting has counts.
+    The check and those columns are built once per distinct settings set,
+    keyed by the exact bits of the kets (``_built_settings``); an incomplete
+    set raises on every call.
 
     One deterministic solve from the maximally mixed state; every state it
     returns without a warning is certified optimal (``_certified``).
@@ -368,11 +396,8 @@ def reconstruct_mle(data: TomographyData) -> TwoQubitState:
     No iteration budget decides the result: the Newton loops end on their
     own tests, far inside their caps.
     """
-    flat = _projector_stack(data.settings).reshape(len(data.settings), 16)
-    coords = (flat @ _TRACELESS.transpose(0, 2, 1).reshape(15, 16).T).real  # tr(Pi_k E_j)
-    # flat in the orthonormal basis I/2, E_j: real, with the singular values of flat
-    design = np.column_stack([(flat @ np.eye(4).ravel()).real / 2, coords])
-    if np.count_nonzero(np.linalg.svd(design, compute_uv=False) > 1e-10) < 16:
+    flat, coords, complete = _settings_tables(data.settings)
+    if not complete:
         raise ValueError("settings are not informationally complete (rank < 16)")
     counts = np.asarray(data.counts)
     n = data.total_per_setting

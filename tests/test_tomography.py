@@ -81,6 +81,23 @@ class TestSettings:
             assert not any(np.shares_memory(k, s.projector_signal)
                            or np.shares_memory(k, s.projector_idler) for s in settings)
 
+    def test_equality_and_hash_follow_the_kets_bits_and_label(self):
+        a, b = standard_settings(), standard_settings()
+        for x, y in zip(a, b):
+            assert x is not y and x == y and hash(x) == hash(y)
+        assert tuple(a) == tuple(b)
+        data = simulate_counts(werner_state(0.9), a, 1e3, seed=1)
+        same = TomographyData(tuple(b), data.counts, data.total_per_setting)
+        assert data == same and hash(data) == hash(same)
+        h = a[0]
+        relabelled = MeasurementSetting(h.projector_signal, h.projector_idler, "other")
+        nudged = MeasurementSetting(h.projector_signal * np.exp(1e-9j), h.projector_idler,
+                                    h.label)
+        idler = MeasurementSetting(h.projector_signal, a[1].projector_idler, h.label)
+        for other in (relabelled, nudged, idler, a[1]):
+            assert other != h
+        assert len({h, relabelled, nudged, idler, b[0]}) == 4
+
     def test_projector_stack_is_the_kron_construction(self, settings):
         rng = np.random.default_rng(3)
         kets = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
@@ -94,6 +111,51 @@ class TestSettings:
     def test_no_settings(self, werner_truth):
         assert tomography._projector_stack([]).shape == (0, 4, 4)
         assert born_probabilities(werner_truth, []).shape == (0,)
+
+
+class TestSettingsCache:
+    """What depends only on the settings is built once per distinct set of kets."""
+
+    def test_tables_are_read_only(self, settings):
+        flat, coords, complete = tomography._settings_tables(settings)
+        assert complete and flat.shape == (36, 16) and coords.shape == (36, 15)
+        for arr in (flat, coords, tomography._projector_stack(settings)):
+            assert not arr.flags.writeable
+
+    def test_equal_settings_built_separately_share_one_entry(self, werner_truth):
+        rng = np.random.default_rng(11)
+        kets = rng.normal(size=(36, 2, 2)) + 1j * rng.normal(size=(36, 2, 2))
+        kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+        first = [MeasurementSetting(a, b) for a, b in kets]
+        second = [MeasurementSetting(a.copy(), b.copy(), "x") for a, b in kets]
+        before = tomography._built_settings.cache_info()
+        data = simulate_counts(werner_truth, first, 1e4, seed=5)
+        rho = reconstruct_mle(data)
+        after = tomography._built_settings.cache_info()
+        assert after.misses - before.misses == 1
+        again = reconstruct_mle(TomographyData(tuple(second), data.counts, 1e4))
+        assert tomography._built_settings.cache_info().misses == after.misses
+        assert tomography._built_settings.cache_info().currsize == after.currsize
+        assert again.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_incomplete_sets_raise_on_every_call(self, settings, werner_truth):
+        reconstruct_mle(simulate_counts(werner_truth, settings, 1e4, seed=19))
+        for subset in (settings[:10], []):
+            data = simulate_counts(werner_truth, subset, 1e4, seed=19)
+            for _ in range(3):
+                with pytest.raises(ValueError, match=r"^settings are not informationally "
+                                                     r"complete \(rank < 16\)$"):
+                    reconstruct_mle(data)
+            reconstruct_mle(simulate_counts(werner_truth, settings, 1e4, seed=19))
+
+    def test_bootstrap_adds_at_most_one_miss(self, settings, werner_truth):
+        data = simulate_counts(werner_truth, settings, 1e3, seed=31)
+        before = tomography._built_settings.cache_info()
+        error_bars(data, 3, seed=5)
+        after = tomography._built_settings.cache_info()
+        assert after.misses - before.misses <= 1
+        # the estimate, then each replicate's draw and solve
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 7
 
 
 class TestSimulateCounts:
