@@ -8,12 +8,9 @@ the walk-off and shows the map flatten to a degree-level residual.
 
 from xsplice import (
     CompensatorSpec,
-    GaussianSpectrum,
     bandwidth_grid,
-    fused_silica,
     optimize_compensators,
     phase_map,
-    quartz,
     weighted_phase_std,
 )
 from xsplice.config import load_config

@@ -14,7 +14,6 @@ from xsplice import (
     calibrate_baseline_noise,
     car,
     effective_state_at_power,
-    expected_rates,
     fit_params,
     heralding_efficiencies,
     predict_counts,

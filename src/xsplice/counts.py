@@ -48,6 +48,13 @@ class FitError(RuntimeError):
     pass
 
 
+def _check_fields(obj, names: tuple):
+    """``ValueError`` naming the first of ``obj``'s fields ``names`` not finite and >= 0."""
+    for name in names:
+        if not 0.0 <= getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Totals and backgrounds for one integration interval."""
@@ -61,9 +68,7 @@ class CountRecord:
     coincidences_background: float
 
     def __post_init__(self):
-        for name in _RECORD_FIELDS:
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        _check_fields(self, _RECORD_FIELDS)
         for chan, background, total in _RECORD_CHANNELS:
             if getattr(self, background) > getattr(self, total):
                 raise ValueError(f"{chan} background exceeds total")
@@ -100,15 +105,17 @@ class NoiseParams:
     spm_coeff: float = 0.0
 
     def __post_init__(self):
-        for f in dc_fields(self):
-            if not 0.0 <= getattr(self, f.name) < math.inf:
-                raise ValueError(f"{f.name} must be finite and >= 0")
+        _check_fields(self, _PARAM_FIELDS)
         if not self.rep_rate_hz:
             raise ValueError("rep_rate_hz must be > 0")
         if self.eta_s > 1 or self.eta_i > 1:
             raise ValueError("efficiencies must be <= 1")
         if self.window_s * self.rep_rate_hz > 1:
             raise ValueError("window_s * rep_rate_hz must be <= 1 (single pulse slot)")
+
+
+#: ``NoiseParams``' field names in order, which its check and ``fit_params`` read.
+_PARAM_FIELDS = tuple(f.name for f in dc_fields(NoiseParams))
 
 
 def heralding_efficiencies(rec: CountRecord) -> tuple:
@@ -266,8 +273,7 @@ def fit_params(targets, base: NoiseParams, free=_DEFAULT_FREE) -> tuple:
     if the model is not finite at the start or a step leaves ``NoiseParams``' domain.
     """
     free = tuple(free)
-    names = {f.name for f in dc_fields(NoiseParams)}
-    if not free or len(set(free)) < len(free) or not names.issuperset(free):
+    if not free or len(set(free)) < len(free) or not set(_PARAM_FIELDS).issuperset(free):
         raise ValueError(f"free must name distinct NoiseParams fields, got {free!r}")
     if len(targets) < len(free):
         raise FitError(

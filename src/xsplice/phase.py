@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CompensatorMaterial, FiberSpec, _check_range, _sellmeier
+from .materials import CompensatorMaterial, FiberSpec, _sellmeier, birefringence
 from .materials import index  # noqa: F401 -- unused; perfbench/tracing.py pins materials.index here
 from .phasematch import _check_wavelengths
 from .states import bandwidth_grid  # noqa: F401 -- unused; perfbench/tasks.py reads it here
@@ -99,12 +99,14 @@ def total_phase(fiber: FiberSpec, lambda_s_nm, lambda_p_nm):
 
 
 def compensator_phase(comp: CompensatorSpec, wavelength_nm):
-    """Phase added by one compensator: sign * 2 pi l dn(lambda) / lambda."""
+    """Phase added by one compensator: sign * 2 pi l dn(lambda) / lambda.
+
+    ``dn`` is ``birefringence``'s, with its range errors, the e-ray's
+    first; it is then scaled as in ``_crystal_phase``, bit for bit.
+    """
     lam = np.asarray(wavelength_nm, dtype=float)
-    for ray in (comp.material.extraordinary, comp.material.ordinary):
-        _check_range(ray, lam)
-    k = 1000.0 / lam
-    out = _crystal_phase(comp, k, k * k)
+    out = birefringence(comp.material, lam) * (1000.0 / lam)
+    out *= comp.orientation_sign * 2e3 * np.pi * comp.length_mm
     return out if lam.ndim else float(out)
 
 

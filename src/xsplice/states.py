@@ -353,11 +353,8 @@ class _CheckedRule(NamedTuple):
     sigma the rule evaluates the phase on either axis: the nodes, then
     the probes, at the fixed sigma positions ``_PROBE_X`` that every rule
     shares. ``probe_rows`` interpolates from the nodes onto the probes,
-    and ``line_fit`` and ``line_powers`` are ``_line_fit``'s. ``alias_nu``
-    is the alias frequency 2 pi / h in rad per sigma, h the node step;
-    the first node sits at -(n - 1) h / 2, so order k enters the node sum
-    with the sign in ``alias_signs``, (-1)^(k (n - 1)). Every array is
-    read-only.
+    and ``line_fit`` and ``line_powers`` are ``_line_fit``'s. Every array
+    is read-only.
     """
 
     nodes: np.ndarray
@@ -367,8 +364,6 @@ class _CheckedRule(NamedTuple):
     probe_rows: np.ndarray
     line_fit: np.ndarray
     line_powers: np.ndarray
-    alias_signs: np.ndarray
-    alias_nu: float
 
 
 def _checked_rule(points: int) -> _CheckedRule:
@@ -377,11 +372,8 @@ def _checked_rule(points: int) -> _CheckedRule:
     probe_rows = _lagrange_matrix(
         points, (_PROBE_X + QUAD_SPAN_SIGMAS) * (points - 1) / (2 * QUAD_SPAN_SIGMAS))
     sampled_x = np.concatenate((x, _PROBE_X))
-    alias_signs = (-1.0) ** (_ALIAS_ORDERS * (points - 1))
-    for a in (sampled_x, alias_signs):
-        a.setflags(write=False)
-    return _CheckedRule(x, w, joint, sampled_x, probe_rows, *_line_fit(x, w), alias_signs,
-                        np.pi * (points - 1) / QUAD_SPAN_SIGMAS)
+    sampled_x.setflags(write=False)
+    return _CheckedRule(x, w, joint, sampled_x, probe_rows, *_line_fit(x, w))
 
 
 #: The checked rules that ``spectral_coherences`` walks, coarse to fine,
@@ -401,23 +393,26 @@ def _alias_estimate(fit: np.ndarray, lines: np.ndarray, rule: _CheckedRule) -> l
     The weights along a line and across the lines are both the rule's
     ``weights``. By Poisson summation a line's node sum is its Gaussian
     integral plus, per order k, the integral at the frequency shifted by
-    ``k nu``, nu the rule's ``alias_nu``; for the fitted phase that term
-    is ``e^{-i alpha} (1 + 2ic)^{-1/2} exp(-(a + k nu)^2 / (2 (1 + 2ic)))``;
-    negligible orders are skipped. Where the line's own integral is negligible, its
-    node sum is all alias and stands for it. The lines' terms are summed
-    with the weights across them, so lines may cancel.
+    ``k nu``, nu = 2 pi / h the alias frequency in rad per sigma, h the
+    node step; the first node sits at -(n - 1) h / 2, so the term enters
+    with the sign (-1)^(k (n - 1)). For the fitted phase it is
+    ``e^{-i alpha} (1 + 2ic)^{-1/2} exp(-(a + k nu)^2 / (2 (1 + 2ic)))``;
+    negligible orders are skipped. Where the line's own integral is
+    negligible, its node sum is all alias and stands for it. The lines'
+    terms are summed with the weights across them, so lines may cancel.
     Returns one complex per phase; where a term is left, the sums run
     phase by phase, each as for that phase alone.
     """
     alpha, a, c = fit.transpose(2, 0, 1)
     reach = _ALIAS_REACH * np.hypot(1.0, 2.0 * c)
     aliased = np.abs(a) >= reach
-    shift = a[:, None, :] + _ALIAS_ORDERS[:, None] * rule.alias_nu
+    n = len(rule.nodes)
+    shift = a[:, None, :] + _ALIAS_ORDERS[:, None] * (np.pi * (n - 1) / QUAD_SPAN_SIGMAS)
     live = (np.abs(shift) < reach[:, None, :]) & ~aliased[:, None, :]
     totals = [0j] * len(fit)
     if not (live.any() or aliased.any()):
         return totals
-    signs, weights = rule.alias_signs, rule.weights
+    signs, weights = (-1.0) ** (_ALIAS_ORDERS * (n - 1)), rule.weights
     for g in range(len(fit)):
         k, j = np.nonzero(live[g])
         total = 0j
@@ -622,19 +617,27 @@ def mixed_state_over_spectra(phase_fn, signal: GaussianSpectrum,
     return TwoQubitState(m)
 
 
-def fidelity(state: TwoQubitState, target: np.ndarray) -> float:
-    """Overlap <psi| rho |psi> with a normalized pure target."""
-    v = np.asarray(target, dtype=complex).reshape(4)
+def _unit_vector(v, size: int, tol: float, name: str) -> np.ndarray:
+    """A complex copy of ``v`` with ``size`` entries, if ``abs(|v|^2 - 1) <= tol``.
+
+    Else ``ValueError``; a NaN or infinite entry fails the comparison too.
+    """
+    v = np.array(v, dtype=complex).reshape(size)
     norm = np.vdot(v, v).real
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"target is not normalized (|psi|^2 = {norm:.12g})")
-    return float(np.real(np.vdot(v, state.matrix @ v)))
+    if not abs(norm - 1.0) <= tol:
+        raise ValueError(f"{name} is not normalized (|psi|^2 = {norm:.12g})")
+    return v
+
+
+def fidelity(state: TwoQubitState, target: np.ndarray) -> float:
+    """Overlap <psi| rho |psi> with a pure target normalized to 1e-10."""
+    v = _unit_vector(target, 4, 1e-10, "target")
+    return float(np.vdot(v, state.matrix @ v).real)
 
 
 def best_bell_fidelity(state: TwoQubitState) -> tuple:
     """Highest fidelity over the four Bell states; returns (value, name)."""
-    scores = {name: fidelity(state, bell_state(name))
-              for name in ("phi+", "phi-", "psi+", "psi-")}
+    scores = {name: fidelity(state, v) for name, v in _BELL.items()}
     name = max(scores, key=scores.get)
     return scores[name], name
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counts import _poisson
-from .states import ANALYZER_KETS, TwoQubitState, bell_state, fidelity, tangle
+from .states import ANALYZER_KETS, TwoQubitState, _unit_vector, bell_state, fidelity, tangle
 
 __all__ = [
     "MeasurementSetting",
@@ -45,7 +45,7 @@ _TRACELESS = 0.5 * np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4
 class MeasurementSetting:
     """Product projector |a><a| (x) |b><b| on the signal/idler qubits.
 
-    Each ket is kept as a read-only copy of the one given, checked for unit norm.
+    Each ket is kept as a read-only copy of the one given, normalized to 1e-12.
     Settings compare and hash by the label and the exact bits of the two kets.
     """
 
@@ -56,9 +56,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("projector_signal", "projector_idler"):
-            v = np.array(getattr(self, name), dtype=complex).reshape(2)
-            if abs(np.vdot(v, v).real - 1.0) > _NORM_TOL:
-                raise ValueError(f"{name} is not unit norm")
+            v = _unit_vector(getattr(self, name), 2, _NORM_TOL, name)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         object.__setattr__(self, "_key",
@@ -359,7 +357,7 @@ def _certified(rho: np.ndarray, lam: np.ndarray, flat: np.ndarray, counts: np.nd
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first call.
 
-    Unused: perfbench/tracing.py rebinds it here; ROADMAP item 1 removes it with that
+    Unused: perfbench/tracing.py rebinds it here; ROADMAP item 16 removes it with that
     pin. It imports scipy, a test-only dependency (the ``test`` extra).
     """
     from scipy.optimize import minimize as scipy_minimize

@@ -19,7 +19,7 @@ from xsplice import (
     total_phase,
 )
 from xsplice.materials import WavelengthRangeError
-from xsplice.phase import PhaseMap
+from xsplice.phase import PhaseMap, _crystal_phase
 from xsplice.phasematch import PhaseMatchError, phase_mismatch
 
 
@@ -134,6 +134,26 @@ class TestCompensatorPhase:
         dn = birefringence(quartz_material, 905.0)
         expected = 2 * np.pi * 0.0476 * dn / 905e-9
         assert abs(compensator_phase(comp, 905.0)) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("sign", (+1, -1))
+    def test_is_the_wavenumber_kernel(self, quartz_material, sign):
+        # compensator_phase scales birefringence's dn by k = 1000/lambda as
+        # _crystal_phase, compensated_phase's kernel, scales its own: the two
+        # bodies agree bit for bit, on scalars, lists and arrays alike
+        comp = CompensatorSpec(47.6, quartz_material, sign, "idler")
+        for lam in (905.0, np.array(905.0), [670.0, 771.0, 905.0],
+                    np.linspace(600.0, 1600.0, 11)):
+            k = 1000.0 / np.asarray(lam, dtype=float)
+            got, want = compensator_phase(comp, lam), _crystal_phase(comp, k, k * k)
+            assert type(got) is (float if np.ndim(lam) == 0 else np.ndarray)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_range_error_names_the_e_ray_first(self, quartz_material):
+        # both rays share [198, 2050] nm: birefringence checks the e-ray first
+        comp = CompensatorSpec(10.0, quartz_material, +1, "signal")
+        for lam in (2400.0, [905.0, 2400.0]):
+            with pytest.raises(WavelengthRangeError, match="of quartz_e "):
+                compensator_phase(comp, lam)
 
     def test_validation(self, quartz_material):
         for length in (-1.0, np.nan, np.inf):

@@ -999,6 +999,12 @@ class TestFidelity:
         with pytest.raises(ValueError, match="normalized"):
             fidelity(state, np.array([1.0, 0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_target_rejected(self, bad):
+        # a NaN norm fails no "> tol" test; the check must hold, not merely not fail
+        with pytest.raises(ValueError, match="normalized"):
+            fidelity(werner_state(0.5), np.array([bad, 0.0, 0.0, 0.0]))
+
 
 class TestTangle:
     def test_bell_states(self):

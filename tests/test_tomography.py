@@ -61,6 +61,14 @@ class TestSettings:
         with pytest.raises(ValueError):
             MeasurementSetting(np.array([1.0, 1.0]), np.array([1.0, 0.0]), "bad")
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("arm", (0, 1))
+    def test_non_finite_ket_rejected(self, bad, arm):
+        kets = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
+        kets[arm] = np.array([bad, 0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            MeasurementSetting(*kets, "bad")
+
     def test_value_objects_copy_what_they_validate(self, settings):
         # a state and a setting each keep a read-only copy of the arrays they
         # checked: the caller's arrays stay writable, and writing to them

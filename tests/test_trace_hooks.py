@@ -75,7 +75,8 @@ def test_traced_design_and_map_evaluate_the_grid_once(monkeypatch, paper_config)
 def test_benchmark_shims_stay_bound(paper_config):
     # perfbench/tasks.py still reads phase.bandwidth_grid and passes
     # length_m to calibrate_birefringence, though no library code does;
-    # the benchmark change of ROADMAP item 1 deletes this test with both
+    # ROADMAP item 16 deletes this test with both, in the benchmark change
+    # that also takes item 1
     assert xsplice.phase.bandwidth_grid is xsplice.states.bandwidth_grid
     core = paper_config.fiber.core_model
     assert (xsplice.design.calibrate_birefringence(core, 771.0, 670.0, length_m=0.5)
