@@ -26,6 +26,7 @@ from .states import (
     spectral_coherences,
     spectral_mean_phase,  # noqa: F401 -- unused; perfbench/tracing.py rebinds it here
 )
+from .materials import _non_negative
 from .phase import compensated_phase
 
 __all__ = [
@@ -150,9 +151,7 @@ def splice_transmission_bound(rec_first_fiber: CountRecord,
 
 def expected_rates(p: NoiseParams, avg_power_mw: float) -> dict:
     """Expectation rates (per second) at one average pump power."""
-    if not 0.0 <= avg_power_mw < math.inf:
-        raise ValueError(f"power must be finite and >= 0, got {avg_power_mw!r}")
-    pw = avg_power_mw
+    pw = _non_negative(avg_power_mw, "power")
     pairs = p.pair_rate_coeff * pw * pw
     bg_s = p.raman_s * pw + p.dark_s
     bg_i = p.raman_i * pw + p.dark_i
@@ -194,10 +193,8 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
     totals are built as sums of their components so the per-channel
     background never exceeds the total.
     """
-    if not 0.0 <= duration_s < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration_s!r}")
+    t = _non_negative(duration_s, "duration")
     r = expected_rates(p, avg_power_mw)
-    t = duration_s
     means = [m * t for m in (p.eta_s * r["pairs"], p.eta_i * r["pairs"], r["background_s"],
                              r["background_i"], r["true_coincidences"], r["accidentals"])]
     counts = means if expectation else _poisson(seed, means).astype(float).tolist()
@@ -215,9 +212,7 @@ def predict_counts(p: NoiseParams, avg_power_mw: float, duration_s: float,
 
 def car(p: NoiseParams, avg_power_mw: float) -> float:
     """Coincidences-to-accidentals ratio at one power (expectation)."""
-    if not 0.0 < avg_power_mw < math.inf:
-        raise ValueError(f"power must be finite and > 0, got {avg_power_mw!r}")
-    r = expected_rates(p, avg_power_mw)
+    r = expected_rates(p, _non_negative(avg_power_mw, "power", positive=True))
     if r["accidentals"] == 0.0:
         return float("inf")
     return r["true_coincidences"] / r["accidentals"]

@@ -20,16 +20,16 @@ arithmetic, and an array gives the same values and errors, bit for bit.
 
 The built-in database ships fused silica (Malitson) for the fiber core
 and crystalline quartz o/e rays for the compensators. It can be replaced
-wholesale with a JSON file of the same schema, either through
-``load_materials(path)`` or the ``XSPLICE_MATERIALS`` environment
-variable (the CLI also accepts ``--materials``).
+wholesale with a JSON file of the same schema through
+``load_materials(path)`` (the CLI's ``--materials``); no environment
+variable is read, so every run names its database on its command line.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,9 +47,6 @@ __all__ = [
     "fused_silica",
     "quartz",
 ]
-
-_ENV_VAR = "XSPLICE_MATERIALS"
-
 
 class WavelengthRangeError(ValueError):
     """Raised when a wavelength falls outside a model's validity range."""
@@ -103,15 +100,9 @@ class FiberSpec:
     core_model: SellmeierModel
 
     def __post_init__(self):
-        if not 0.0 <= self.length_m < math.inf:
-            raise ValueError(f"fiber length must be finite and >= 0, got {self.length_m}")
-        # -0.0 passes the check and equals 0.0 but carries its sign into the
-        # phase; +0.0 keeps equal fibers' phases bit for bit equal
-        object.__setattr__(self, "length_m", abs(self.length_m))
-        if not 0.0 <= self.birefringence < math.inf:
-            raise ValueError(f"birefringence must be finite and >= 0, got {self.birefringence}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        object.__setattr__(self, "length_m", _non_negative(self.length_m, "fiber length"))
+        _non_negative(self.birefringence, "birefringence")
+        _non_negative(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -120,6 +111,27 @@ class CompensatorMaterial:
 
     ordinary: SellmeierModel
     extraordinary: SellmeierModel
+
+
+def _non_negative(value, name: str, positive: bool = False):
+    """``value`` if finite and >= 0 (> 0 with ``positive``), else ``ValueError`` naming ``name``.
+
+    A NaN fails. -0.0 passes and equals 0.0 but carries its sign into a
+    product, so it comes back as +0.0: equal inputs then give equal bits.
+    """
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return abs(value)
+
+
+def _count(value, low: int, name: str) -> int:
+    """``value`` as an ``int`` if it is an integer >= ``low``, else ``ValueError`` naming ``name``.
+
+    A bool is not a count.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _check_range(model: SellmeierModel, wavelength_nm):
@@ -211,14 +223,10 @@ def _model_from_entry(key: str, entry: dict) -> SellmeierModel:
 
 
 def load_materials(path: str | None = None) -> dict:
-    """Load the material database.
+    """Load the material database: the JSON file at ``path``, else the packaged defaults.
 
-    Resolution order: explicit ``path``, the ``XSPLICE_MATERIALS``
-    environment variable, then the packaged defaults. Returns a dict of
-    name -> SellmeierModel.
+    No environment variable is read. Returns a dict of name -> SellmeierModel.
     """
-    if path is None:
-        path = os.environ.get(_ENV_VAR) or None
     if path is None:
         raw = resources.files("xsplice").joinpath("data/materials.json").read_text()
     else:

@@ -29,12 +29,11 @@ maps are reported in degrees as deviation from the grid mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CompensatorMaterial, FiberSpec, _sellmeier, birefringence
+from .materials import CompensatorMaterial, FiberSpec, _non_negative, _sellmeier, birefringence
 from .materials import index  # noqa: F401 -- unused; perfbench/tracing.py pins materials.index here
 from .phasematch import _check_wavelengths
 from .states import bandwidth_grid  # noqa: F401 -- unused; perfbench/tasks.py reads it here
@@ -63,11 +62,7 @@ class CompensatorSpec:
     arm: str  # "signal" | "idler"
 
     def __post_init__(self):
-        if not 0.0 <= self.length_mm < math.inf:
-            raise ValueError(f"compensator length must be finite and >= 0, got {self.length_mm}")
-        # -0.0 passes the check and equals 0.0 but carries its sign into the
-        # phase; +0.0 keeps equal crystals' phases bit for bit equal
-        object.__setattr__(self, "length_mm", abs(self.length_mm))
+        object.__setattr__(self, "length_mm", _non_negative(self.length_mm, "compensator length"))
         if self.orientation_sign not in (+1, -1):
             raise ValueError(f"orientation_sign must be +1 or -1, got {self.orientation_sign}")
         if self.arm not in ("signal", "idler"):

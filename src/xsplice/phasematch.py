@@ -32,12 +32,12 @@ The solver and the bandwidths take them per nm, through dk/dlambda =
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FiberSpec, WavelengthRangeError, _check_range, _sellmeier, index
+from .materials import (FiberSpec, WavelengthRangeError, _check_range, _count, _non_negative,
+                        _sellmeier, index)
 
 __all__ = [
     "PhaseMatchError",
@@ -335,11 +335,8 @@ def tuning_curve(fiber: FiberSpec, lambda_p_range, steps: int) -> tuple:
     point is the ``solve_signal_idler`` call at its pump, and a pump
     whose call fails is skipped on its own.
     """
-    if not isinstance(steps, numbers.Integral) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    lo, hi = (float(end) for end in lambda_p_range)
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise ValueError(f"pump range ends must be finite and > 0, got {lambda_p_range!r}")
+    steps = _count(steps, 2, "steps")
+    lo, hi = (_non_negative(float(end), "pump range end", positive=True) for end in lambda_p_range)
     points, skipped = [], []
     for lp in np.linspace(lo, hi, steps).tolist():
         try:
@@ -363,8 +360,7 @@ def output_bandwidths(fiber: FiberSpec, point: PhaseMatchPoint, pump_fwhm_nm) ->
     one ``_mismatch`` call at the point; every call shares the pump's
     terms. The idler width follows from the Jacobian |d(li)/d(ls)| = (li/ls)^2.
     """
-    if not 0.0 <= pump_fwhm_nm < math.inf:
-        raise ValueError(f"pump_fwhm_nm must be finite and >= 0, got {pump_fwhm_nm!r}")
+    _non_negative(pump_fwhm_nm, "pump_fwhm_nm")
     if abs(point.residual_mismatch) > 10 * MISMATCH_TOL:
         raise ValueError("point is not phase matched")
     if not fiber.length_m > 0:

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .materials import _count, _non_negative
 
 __all__ = [
     "GaussianSpectrum",
@@ -182,6 +183,9 @@ ANALYZER_KETS = {
 for _ket in ANALYZER_KETS.values():
     _ket.setflags(write=False)
 
+#: The Pauli matrices I, sigma_x, sigma_y, sigma_z, stacked; shared with tomography.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
 _S = 1.0 / np.sqrt(2.0)
 _BELL = {
     "phi+": np.array([_S, 0, 0, _S], dtype=complex),
@@ -218,11 +222,8 @@ def _rule(points: int, span_sigmas: float) -> tuple:
     ``linspace(-span_sigmas, span_sigmas, points)`` (0 for one point) and ``exp(-x^2/2)``
     normalised to sum 1 with its outer square, for every spectrum; built once, read-only.
     """
-    if not isinstance(points, numbers.Integral) or points < 1:
-        raise ValueError(f"points must be an integer >= 1, got {points!r}")
-    if not 0.0 < span_sigmas < math.inf:
-        raise ValueError(f"span must be finite and > 0, got {span_sigmas!r}")
-    return _built_rule(int(points), float(span_sigmas))
+    return _built_rule(_count(points, 1, "points"),
+                       float(_non_negative(span_sigmas, "span", positive=True)))
 
 
 @functools.lru_cache(maxsize=8)  # room for the design and map rules, _RULES' three and the verifier
@@ -532,7 +533,8 @@ def spectral_coherences(phase_fn, signal: GaussianSpectrum, pumps, *,
     where the check holds, if the estimate exceeds 1e-6; elsewhere that
     pump's phase is evaluated again on the verifier, ``2 * QUAD_NODES``
     nodes off the rule's lattice, and the warning is issued if that
-    moves the complex coherence by more than 1e-6. The probes see a
+    moves the complex coherence by more than 1e-6. A NaN estimate or move
+    is not converged, on every rule. The probes see a
     component that equals a smooth alias on the nodes, but not roughness
     confined to where no probe line runs. Reruns and warnings go pump by
     pump, in order; no earlier rule warns.
@@ -579,7 +581,7 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
     errors = _alias_check(phi, stack[:, n:, :n], stack[:, :n, n:], rule)
     cohs = _coherence(phi, rule.joint, real)
     if rule is not _RULES[-1]:
-        return [None if error is None or error > _COHERENCE_TOL else coh
+        return [None if error is None or not error <= _COHERENCE_TOL else coh
                 for coh, error in zip(cohs, errors)]
     for k, (pump, coh, error, offset) in enumerate(zip(group, cohs, errors, mean)):
         measure = "the nodes' coherence has an estimated aliasing error of"
@@ -592,7 +594,7 @@ def _group_coherences(phase_fn, signal: GaussianSpectrum, group: list,
             phi2 = np.broadcast_to(phase_fn(ls2, lp2), w2.shape) - offset
             error = abs(_coherence(phi2[None], w2)[0] - coh)
             measure = "doubling nodes moved the coherence by"
-        if error > _COHERENCE_TOL:
+        if not error <= _COHERENCE_TOL:
             warnings.warn(f"spectral quadrature not converged: {measure} {error:.2e}",
                           RuntimeWarning)
     return cohs
@@ -656,8 +658,7 @@ def state_fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_SY_SY = np.kron(_PAULI[2], _PAULI[2])
 
 
 def concurrence(state: TwoQubitState) -> float:
@@ -708,8 +709,7 @@ def visibility(state: TwoQubitState, basis: str = "rectilinear") -> float:
     return (max(probs) - min(probs)) / total
 
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_FLIP = np.kron(_SIGMA_X, np.eye(2))
+_FLIP = np.kron(_PAULI[1], np.eye(2))
 
 
 def relabel_signal_flip(state: TwoQubitState) -> TwoQubitState:

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .counts import _poisson
-from .states import ANALYZER_KETS, TwoQubitState, _unit_vector, bell_state, fidelity, tangle
+from .materials import _count, _non_negative
+from .states import (ANALYZER_KETS, TwoQubitState, _PAULI, _unit_vector, bell_state, fidelity,
+                     tangle)
 
 __all__ = [
     "MeasurementSetting",
@@ -36,7 +37,6 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 #: An orthonormal basis of the traceless Hermitian 4 x 4 matrices: the Pauli
 #: products sigma_a (x) sigma_b / 2 other than I (x) I / 2.
 _TRACELESS = 0.5 * np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)[1:]
@@ -77,14 +77,9 @@ class TomographyData:
         counts = tuple(float(c) for c in self.counts)
         if not all(0.0 <= c < math.inf for c in counts):
             raise ValueError("counts must be finite and >= 0")
-        _check_exposure(self.total_per_setting)
+        _non_negative(self.total_per_setting, "counts per setting", positive=True)
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "counts", counts)
-
-
-def _check_exposure(n_per_setting: float):
-    if not 0.0 < n_per_setting < math.inf:
-        raise ValueError(f"counts per setting must be finite and > 0, got {n_per_setting!r}")
 
 
 def standard_settings() -> list:
@@ -130,7 +125,7 @@ def simulate_counts(state: TwoQubitState, settings, n_per_setting: float,
                     seed=None) -> TomographyData:
     """Poisson counts with mean n_per_setting * Tr(rho Pi), drawn from ``default_rng(seed)``:
     a ``numpy.random.Generator`` passed as ``seed`` is drawn from in place."""
-    _check_exposure(n_per_setting)
+    _non_negative(n_per_setting, "counts per setting", positive=True)
     probs = np.clip(born_probabilities(state, settings), 0.0, None)
     counts = _poisson(seed, n_per_setting * probs)
     return TomographyData(settings=tuple(settings), counts=counts,
@@ -432,8 +427,7 @@ def error_bars(data: TomographyData, n_bootstrap: int, seed=None,
     B - 1 divisor of the bootstrap standard error (Efron & Tibshirani), so
     at least two replicates are needed.
     """
-    if not isinstance(n_bootstrap, numbers.Integral) or n_bootstrap < 2:
-        raise ValueError(f"n_bootstrap must be an integer >= 2, got {n_bootstrap!r}")
+    n_bootstrap = _count(n_bootstrap, 2, "n_bootstrap")
     target = bell_state(fidelity_target)
     rho_hat = reconstruct_mle(data)
     rng = np.random.default_rng(seed)

@@ -359,14 +359,13 @@ class TestMaterialsOverride:
         res = run_cli("--materials", str(dst), "calibrate")
         assert res.returncode == 0
 
-    def test_env_var(self, run_cli, tmp_path, monkeypatch):
-        import shutil
-        src = REPO / "src" / "xsplice" / "data" / "materials.json"
-        dst = tmp_path / "db.json"
-        shutil.copy(src, dst)
-        monkeypatch.setenv("XSPLICE_MATERIALS", str(dst))
+    def test_env_var(self, run_cli, monkeypatch):
+        # no environment variable picks the database: a path that does not
+        # exist in the old override's variable leaves the output unchanged
+        monkeypatch.setenv("XSPLICE_MATERIALS", "/nonexistent")
         res = run_cli("calibrate")
         assert res.returncode == 0
+        assert res.stdout == (REPO / "tests" / "golden" / "calibrate" / "stdout").read_text()
 
     @pytest.mark.parametrize("content", ["[]", '"x"'])
     def test_non_object_database_exits_2(self, run_cli, tmp_path, content):

@@ -389,6 +389,12 @@ class TestFitParams:
         with pytest.raises(FitError, match="not finite at the start"):
             fit_params([(50.0, "car", 100.0)], dark, free=("eta_s",))
 
+    def test_trial_budget_exhausted_is_a_fit_error(self, monkeypatch):
+        # the paper fit takes more than one trial step
+        monkeypatch.setattr(counts_mod, "_LM_TRIALS", 1)
+        with pytest.raises(FitError, match="^parameter fit did not converge in 1 trial steps$"):
+            fit_params(PAPER_TARGETS, base_params())
+
     def test_step_out_of_domain_is_a_fit_error(self):
         # an unreachable CAR drives eta_s above 1; NoiseParams' ValueError
         # used to escape from inside the optimizer

@@ -115,8 +115,7 @@ def test_goldens_match_their_digests():
     assert {rel.split("/")[0] for rel in files} == set(INVOCATIONS)
 
 
-def test_cli_artefacts_match_goldens(tmp_path, monkeypatch):
-    monkeypatch.delenv("XSPLICE_MATERIALS", raising=False)
+def test_cli_artefacts_match_goldens(tmp_path):
     artefacts = run_invocations(tmp_path)
     golden = {rel: (GOLDEN / rel).read_bytes() for rel in sorted(artefacts)
               if (GOLDEN / rel).is_file()}

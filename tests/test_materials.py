@@ -263,15 +263,6 @@ def test_materials_override_via_path(tmp_path, silica):
     assert index(loaded["fused_silica"], 700.0) == pytest.approx(np.sqrt(2.1), abs=1e-12)
 
 
-def test_materials_override_via_env(tmp_path, monkeypatch):
-    db = {"only_entry": {"terms": [[0.5, 0.01]], "valid_range_nm": [400, 900],
-                         "citation": "env test"}}
-    path = tmp_path / "env_mat.json"
-    path.write_text(json.dumps(db))
-    monkeypatch.setenv("XSPLICE_MATERIALS", str(path))
-    assert set(load_materials()) == {"only_entry"}
-
-
 def test_malformed_material_entry(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"broken": {"terms": "nope"}}))

@@ -184,6 +184,19 @@ class TestRefinement:
         for fiber, p in solved:
             assert p.residual_mismatch == phase_mismatch(fiber, p.lambda_p_nm, p.lambda_s_nm)
 
+    @pytest.mark.parametrize("caller", ["solve_signal_idler", "output_bandwidths"])
+    def test_round_budget_exhausted_is_an_error(self, monkeypatch, paper_fiber, caller):
+        # one round reaches neither the root nor a bandwidth edge: the solver's
+        # loop and _refine's, which output_bandwidths runs, each raise
+        point = solve_signal_idler(paper_fiber, 771.0)
+        monkeypatch.setattr(phasematch, "_MAX_ROUNDS", 1)
+        with pytest.raises(PhaseMatchError,
+                           match="^root refinement did not reach the mismatch tolerance$"):
+            if caller == "solve_signal_idler":
+                solve_signal_idler(paper_fiber, 771.0)
+            else:
+                output_bandwidths(paper_fiber, point, 0.3)
+
     def test_at_most_four_passes_per_pump(self, monkeypatch, paper_fiber):
         passes = Counter()
         built = []  # (pump wavelength, its terms), kept alive so that ids stay unique

@@ -126,6 +126,7 @@ class TestBandwidthGrid:
         ((670.0, -0.2, 5), "fwhm"), ((670.0, 0.0, 5), "fwhm"),
         ((670.0, np.nan, 5), "fwhm"), ((670.0, np.inf, 1), "fwhm"),
         ((670.0, 0.23, 5, 0.0), "span"), ((670.0, 0.23, 5, np.nan), "span"),
+        ((670.0, 0.23, True), "points"), ((670.0, 0.23, True, 6.0), "points"),
     ])
     def test_nonsense_axes_rejected(self, args, match):
         # bandwidth_grid spans the design window; a span is spectral_grid's
@@ -928,6 +929,21 @@ class TestSpectralCoherences:
         assert real == [c.real for c in cohs]
         assert real_messages == messages
         assert len(messages) == 4
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_nan_coherence_warns(self, real):
+        # a NaN node fails every check and reruns on the verifier, whose
+        # NaN move fails the verdict's comparison too: a NaN is not converged
+        centre = self.SIGNAL.center_nm
+
+        def phase(s, p):
+            return np.where(s > centre, np.nan, 0.0) + 0.0 * p
+
+        cohs, messages = self._messages(lambda: spectral_coherences(
+            phase, self.SIGNAL, self.PUMPS[:2], real=real))
+        assert all(np.isnan(c) for c in cohs)
+        assert messages == ["spectral quadrature not converged: "
+                            "doubling nodes moved the coherence by nan"] * 2
 
     def test_only_a_rerun_pump_takes_an_imaginary_part(self, paper_config, monkeypatch):
         calls = []
